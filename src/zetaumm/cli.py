@@ -44,27 +44,20 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", required=True, help="output file path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--config", default=None, help="key=value defaults file")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap (results are worker-count independent)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__)
-    ap._command_parsers = {}  # config-file defaults are applied per command
     sub = ap.add_subparsers(dest="command", required=True)
+    ap._command_parsers = sub.choices  # config-file keys are checked against the command's options
 
-    def add_parser(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        ap._command_parsers[name] = sp
-        return sp
-
-    sp = add_parser("padic-check", help="norm/character/Haar verification report")
+    sp = sub.add_parser("padic-check", help="norm/character/Haar verification report")
     sp.add_argument("--primes", default="2,3,5,7")
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
 
-    sp = add_parser("wavelet-check", help="Gram matrix and Vladimirov residuals")
+    sp = sub.add_parser("wavelet-check", help="Gram matrix and Vladimirov residuals")
     sp.add_argument("--prime", type=int, default=2)
     sp.add_argument("--nmax", type=int, default=12)
     sp.add_argument("--alpha", type=float, default=1.0)
@@ -72,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kernel-b", type=int, default=12)
     _add_common(sp)
 
-    sp = add_parser("betas", help="contour-extracted model coefficients")
+    sp = sub.add_parser("betas", help="contour-extracted model coefficients")
     sp.add_argument("--model", choices=("local", "gamma", "shifted", "xi"), required=True)
     sp.add_argument("--prime", type=int, default=None)
     sp.add_argument("--s0", type=float, default=None)
@@ -81,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes", type=int, default=512)
     _add_common(sp)
 
-    sp = add_parser("density", help="local-model spike/potential profile")
+    sp = sub.add_parser("density", help="local-model spike/potential profile")
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--spikes", type=int, default=5)
     sp.add_argument("--grid-start", type=float, default=0.5)
@@ -89,16 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-points", type=int, default=64)
     _add_common(sp)
 
-    sp = add_parser("li", help="Li coefficients, both routes cross-checked")
+    sp = sub.add_parser("li", help="Li coefficients, both routes cross-checked")
     sp.add_argument("--nmax", type=int, default=10)
     sp.add_argument("--zeros", required=True)
     sp.add_argument("--nzeros", type=int, default=2000)
-    sp.add_argument("--radius", type=float, default=0.25)
+    sp.add_argument("--radius", type=float, default=0.45)
     sp.add_argument("--nodes", type=int, default=512)
     sp.add_argument("--tolerance", type=float, default=1e-3)
     _add_common(sp)
 
-    sp = add_parser("beta-ren", help="renormalized coefficients")
+    sp = sub.add_parser("beta-ren", help="renormalized coefficients")
     sp.add_argument("--method", choices=("prime_sum", "shifted_contour", "xi_decomposition"),
                     required=True)
     sp.add_argument("--mu", type=float, required=True)
@@ -109,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nodes", type=int, default=1024)
     _add_common(sp)
 
-    sp = add_parser("trace-check", help="trace-formula residual report")
+    sp = sub.add_parser("trace-check", help="trace-formula residual report")
     sp.add_argument("--zeros", required=True)
     sp.add_argument("--nzeros", type=int, default=100)
     sp.add_argument("--primes-max", type=int, default=10**4)
     sp.add_argument("--width", type=float, default=1.0)
     _add_common(sp)
 
-    sp = add_parser("explicit-formula", help="counting functions, direct vs zero expansion")
+    sp = sub.add_parser("explicit-formula", help="counting functions, direct vs zero expansion")
     sp.add_argument("--kind", choices=("psi", "J", "j_local"), default="psi")
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--zeros", default=None)
@@ -125,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", type=int, default=1000)
     _add_common(sp)
 
-    sp = add_parser("cue-sample", help="CUE pair-correlation report")
+    sp = sub.add_parser("cue-sample", help="CUE pair-correlation report")
     sp.add_argument("--n", type=int, default=40)
     sp.add_argument("--samples", type=int, default=4000)
     sp.add_argument("--seed", type=int, default=0)
@@ -133,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=float, default=5.0)
     _add_common(sp)
 
-    sp = add_parser("plaquette-mc", help="one-plaquette Metropolis run")
+    sp = sub.add_parser("plaquette-mc", help="one-plaquette Metropolis run")
     sp.add_argument("--n", type=int, default=32)
     sp.add_argument("--betas", default="0.25", help="comma-separated beta_1,beta_2,...")
     sp.add_argument("--sweeps", type=int, default=2000)
@@ -143,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bins", type=int, default=64)
     _add_common(sp)
 
-    sp = add_parser("comb", help="prime-power comb of the Wigner marginals")
+    sp = sub.add_parser("comb", help="prime-power comb of the Wigner marginals")
     sp.add_argument("--prime", default="all", help="a prime or 'all'")
     sp.add_argument("--mu", type=float, default=0.5)
     sp.add_argument("--qmax", type=float, default=5.0)
@@ -236,12 +229,11 @@ def _make_model(args) -> resolvent.ResolventModel:
 def _cmd_betas(args) -> int:
     model = _make_model(args)
     series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
-    deltas = series.radius_deltas if series.radius_deltas is not None else np.zeros(len(series))
     cols = {
         "index": np.arange(1, len(series) + 1),
         "value": series.coefficients.real,
         "imag": series.coefficients.imag,
-        "radius_consistency": deltas,
+        "radius_consistency": series.radius_deltas,
     }
     md = _metadata(args)
     md.update(model=series.model, radius_error=series.radius_error,
@@ -272,7 +264,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_li(args) -> int:
     table = zt.ingest_zeros(args.zeros, max_zeros=args.nzeros)
-    a = zt.li_coefficients_cauchy(args.nmax, args.radius, max(args.nodes, 4 * args.nmax))
+    a = zt.li_coefficients(args.nmax, radius=args.radius, nodes=args.nodes)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
     gap = np.abs(a.values - b.values)
     combined = a.error_estimate + b.error_estimate + args.tolerance
@@ -424,43 +416,42 @@ _HANDLERS = {
 }
 
 
+def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the `--config` file's pairs inserted as flags right after
+    the command.  The file is read before the full parse, so it can supply
+    required options; explicit flags come later in argv and win."""
+    command_parser = ap._command_parsers.get(argv[0]) if argv else None
+    if command_parser is None:
+        return argv
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--config")
+    path = probe.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    flags = {a.dest: a.option_strings[-1] for a in command_parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    extra = []
+    for key, val in _parse_config_file(path).items():
+        if key not in flags:
+            raise ValueError(f"config key {key!r} is not a known option")
+        extra.append(f"{flags[key]}={val}")
+    return argv[:1] + extra + argv[1:]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_with_config(ap, argv))
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        if getattr(args, "config", None):
-            defaults = _parse_config_file(args.config)
-            known = vars(args)
-            for key in defaults:
-                if key not in known:
-                    raise ValueError(f"config key {key!r} is not a known option")
-            # config supplies subcommand defaults; explicit flags still win
-            # because given options always beat parser defaults
-            command_parser = ap._command_parsers[args.command]
-            command_parser.set_defaults(
-                **{k: _coerce_like(known[k], v) for k, v in defaults.items()}
-            )
-            args = ap.parse_args(argv)
-        return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"zetaumm: {exc}", file=sys.stderr)
         return 1
     except NumericConsistencyError as exc:
         print(f"zetaumm: numeric consistency failure: {exc}", file=sys.stderr)
         return 2
-
-
-def _coerce_like(current, raw: str):
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
 
 
 if __name__ == "__main__":  # pragma: no cover

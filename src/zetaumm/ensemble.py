@@ -100,15 +100,8 @@ class PlaquetteRun:
         return float(self.density.min())
 
 
-def _potential(theta: np.ndarray, betas: np.ndarray, N: int) -> np.ndarray:
-    """Per-site potential N sum_n (2 beta_n / n) cos(n theta)."""
-    acc = np.zeros_like(theta)
-    for n, b in enumerate(betas, start=1):
-        acc += (2.0 * b / n) * np.cos(n * theta)
-    return N * acc
-
-
 def _site_potential(theta: float, betas: np.ndarray, N: int) -> float:
+    """Per-site potential N sum_n (2 beta_n / n) cos(n theta)."""
     acc = 0.0
     for n in range(betas.size):
         acc += (2.0 * betas[n] / (n + 1)) * math.cos((n + 1) * theta)

@@ -17,12 +17,13 @@ only the phase-space density itself and its trace check are evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
+from scipy.special import digamma
 
 from . import zeta as zt
 from .padics import padic_norm
@@ -100,9 +101,8 @@ class ResolventModel:
 
     kind: 'local' (Euler factor at prime p), 'gamma' (archimedean factor),
     'shifted' (zeta log-derivative recentred at Re s = s0), 'xi'
-    (completed-zeta log series).  branch selects between the |z| < 1 and
-    |z| > 1 closed forms; where only the inside form is primitive, the
-    outside branch is defined through the reflection property.
+    (completed-zeta log series).  branch selects between the |z| < 1 closed
+    form and the |z| > 1 branch given by the reflection property.
     """
 
     kind: str
@@ -147,23 +147,34 @@ def symmetric_xi_model(branch: str = "inside") -> ResolventModel:
     return ResolventModel("xi", branch=branch)
 
 
-def _fluctuation_inside(model: ResolventModel, z: complex) -> complex:
-    """R_<(z) - 1 on |z| < 1, in closed form (no numeric differencing)."""
+def _mul(a, b) -> np.ndarray:
+    """Complex product from real products and sums: numpy's complex array
+    multiply may fuse multiply-adds depending on the CPU, this cannot, so
+    samples do not depend on the machine or on array vs scalar input."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
+    """R_<(z) - 1 on |z| < 1 for a scalar or an array of z, in closed form
+    (no numeric differencing)."""
+    z = np.asarray(z, dtype=complex)
+    if model.kind == "xi":
+        # generating function of the symmetric-model series; the constant
+        # term plays no role in coefficient extraction
+        return -zt.log_xi(1.0 / (1.0 - z)) / (2.0 * math.log(2.0))
+    pref = z / _mul(1.0 - z, 1.0 - z)  # z/(1-z)^2
+    s = (1.0 + z) / (1.0 - z)
     if model.kind == "local":
-        s = (1.0 + z) / (1.0 - z)
         w = np.exp(-s * math.log(model.p))
-        return z / (1.0 - z) ** 2 * w / (1.0 - w)
+        return _mul(pref, w) / (1.0 - w)
     if model.kind == "gamma":
-        s = (1.0 + z) / (1.0 - z)
-        return 0.5 * z / (1.0 - z) ** 2 * (zt.digamma(0.5 * s) - zt.LN_PI)
-    if model.kind == "shifted":
-        s = model.s0 + (1.0 + z) / (2.0 * (1.0 - z))
-        val, dval = zt.zeta_and_derivative(s)
-        return z / (1.0 - z) ** 2 * (dval / val)
-    # xi: generating function of the symmetric-model series; the constant
-    # term plays no role in coefficient extraction
-    s = 1.0 / (1.0 - z)
-    return -zt.log_xi(s) / (2.0 * math.log(2.0))
+        return _mul(0.5 * pref, digamma(0.5 * s) - zt.LN_PI)
+    s = model.s0 + (1.0 + z) / (2.0 * (1.0 - z))
+    val, dval = zt.zeta_and_derivative(s)
+    return pref * (dval / val)
 
 
 def resolvent(model: ResolventModel, z: complex) -> complex:
@@ -182,14 +193,8 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
         return 1.0 + _fluctuation_inside(model, zc)
     if az < 1.0:
         raise ValueError("outside branch asked for |z| < 1")
-    if model.kind == "local":
-        s = (1.0 + zc) / (1.0 - zc)
-        w_out = np.exp(s * math.log(model.p))
-        return complex(-zc / (1.0 - zc) ** 2 * w_out / (1.0 - w_out))
-    if model.kind == "gamma":
-        s = (1.0 + zc) / (1.0 - zc)
-        return complex(-0.5 * zc / (1.0 - zc) ** 2 * (zt.digamma(-0.5 * s) - zt.LN_PI))
-    # shifted/xi: the outside branch is defined by the reflection property
+    # every outside branch is the reflection of the inside one (for local and
+    # gamma this is their |z| > 1 closed form: s(1/z) = -s(z), z/(1-z)^2 fixed)
     inside = ResolventModel(model.kind, model.p, model.s0, "inside")
     return 1.0 - resolvent(inside, 1.0 / zc)
 
@@ -201,16 +206,25 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class BetaSeries:
-    """Model coefficients beta_1..beta_M with quadrature provenance."""
+    """Model coefficients beta_1..beta_M with quadrature provenance:
+    per-coefficient |Δbeta_n| under node doubling and on the second radius
+    (zero for the prime-sum route, which carries error_estimates)."""
 
     model: str
     coefficients: np.ndarray  # complex, index 0 holds beta_1
     radius: float
     nodes: int
-    radius_error: float
-    doubling_error: float
+    doubling_deltas: np.ndarray
+    radius_deltas: np.ndarray
     error_estimates: Optional[np.ndarray] = None
-    radius_deltas: Optional[np.ndarray] = None  # per-coefficient |Δbeta_n|
+
+    @property
+    def radius_error(self) -> float:
+        return float(self.radius_deltas.max(initial=0.0))
+
+    @property
+    def doubling_error(self) -> float:
+        return float(self.doubling_deltas.max(initial=0.0))
 
     def __len__(self) -> int:
         return int(self.coefficients.size)
@@ -228,11 +242,6 @@ class BetaSeries:
         return self.coefficients.real.copy()
 
 
-def _check_nodes(Q: int) -> None:
-    if Q < 64 or Q & (Q - 1):
-        raise ValueError("node count must be a power of two >= 64")
-
-
 def _taylor_from_samples(samples: np.ndarray, r: float, M: int) -> np.ndarray:
     """[z^m] for m = 1..M from uniform contour samples, reduced in extended
     precision with pairwise summation (bit-stable, worker-count free)."""
@@ -248,13 +257,62 @@ def _taylor_from_samples(samples: np.ndarray, r: float, M: int) -> np.ndarray:
     return out
 
 
-def _sample_disk_function(f: Callable[[complex], complex], r: float, Q: int) -> np.ndarray:
-    phi = TWO_PI * np.arange(Q) / Q
-    return np.array([f(r * np.exp(1j * p)) for p in phi])
+def _unwound_log_samples(values: np.ndarray) -> np.ndarray:
+    """log f along a closed contour with continuous argument; a nonzero
+    total winding means zeros/poles inside and is surfaced as an error."""
+    mag = np.log(np.abs(values))
+    ang = np.unwrap(np.angle(values))
+    closing = np.angle(values[0] / values[-1])
+    total = ang[-1] + closing - ang[0]
+    if abs(total) > math.pi:
+        raise NumericConsistencyError(
+            f"contour log winds by {total / TWO_PI:.2f} turns: "
+            "the function has zeros or poles inside the contour"
+        )
+    return mag + 1j * ang
 
 
-def _second_radius(r: float) -> float:
-    return r * 1.4 if r <= 0.6 else r * 0.7
+def contour_coefficients(
+    f: Callable[[np.ndarray], np.ndarray],
+    M: int,
+    r: float,
+    Q: int,
+    log: bool = False,
+) -> BetaSeries:
+    """Taylor coefficients [z^m] f(z), or [z^m] ln f(z) with `log`, of a
+    function analytic on the closed disk |z| <= max(r, r2), by the
+    trapezoid rule on |z| = r with 2Q nodes; the deltas are taken against
+    Q nodes and against Q nodes on the second radius r2.
+
+    f is called once per node array.  The log route unwinds the argument
+    along the contour and raises if ln f winds (zeros or poles inside).
+    The second radius r2 = 1.4 r (r <= 0.6) or 0.7 r checks analyticity:
+    coefficients moving between radii by more than a tolerance set above
+    the r^-M rounding floor of the extraction raise instead of returning a
+    value, so the guard trips on singularities inside the contour, not on
+    binary64 noise.
+    """
+    if not 0.0 < r < 1.0:
+        raise ValueError("radius must lie in (0, 1)")
+    if Q < 64 or Q & (Q - 1):
+        raise ValueError("node count must be a power of two >= 64")
+    r2 = r * 1.4 if r <= 0.6 else r * 0.7
+    tol = max(1e-6, 3000.0 * zt.EPS * max(r**-M, r2**-M) / math.sqrt(Q))
+
+    def samples(radius: float, nodes: int) -> np.ndarray:
+        vals = f(radius * np.exp(1j * (TWO_PI * np.arange(nodes) / nodes)))
+        return _unwound_log_samples(vals) if log else vals
+
+    fine = samples(r, 2 * Q)
+    values = _taylor_from_samples(fine, r, M)
+    doubling = np.abs(values - _taylor_from_samples(fine[::2], r, M))
+    deltas = np.abs(values - _taylor_from_samples(samples(r2, Q), r2, M))
+    if deltas.max(initial=0.0) > tol:
+        raise NumericConsistencyError(
+            f"contour coefficients moved by {deltas.max():.3e} between radii "
+            f"{r} and {r2}; not returning a value"
+        )
+    return BetaSeries("contour", values, r, 2 * Q, doubling, deltas)
 
 
 def beta_contour(
@@ -262,42 +320,16 @@ def beta_contour(
     M: int,
     r: float = 0.5,
     Q: int = 512,
-    consistency_tol: Optional[float] = None,
 ) -> BetaSeries:
-    """beta_n = (1/2 pi i) oint dz z^-(n+1) (R_<(z) - 1) by the trapezoid
-    rule on |z| = r, with node-doubling and second-radius diagnostics.
-
-    A radius-consistency failure beyond `consistency_tol` raises instead of
-    returning a value (analyticity says the coefficients cannot depend on
-    r).  The default tolerance sits above the r^-M rounding floor of the
-    coefficient extraction, so the guard trips on genuine singularities
-    inside the contour, not on binary64 noise.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    _check_nodes(Q)
+    """beta_n = (1/2 pi i) oint dz z^-(n+1) (R_<(z) - 1) by the shared
+    contour extractor on |z| = r, with its node-doubling and second-radius
+    guards (analyticity says the coefficients cannot depend on r)."""
     if model.kind == "xi":
         # the xi series is a log series; route through the branch-safe
         # unwinding extractor instead of principal logs on the contour
         return beta_symmetric(M, r, Q)
-    r2 = _second_radius(r)
-    if consistency_tol is None:
-        eps = 2.220446049250313e-16
-        floor = 3000.0 * eps * max(r**-M, r2**-M) / math.sqrt(Q)
-        consistency_tol = max(1e-6, floor)
     f = lambda z: _fluctuation_inside(model, z)
-    base = _taylor_from_samples(_sample_disk_function(f, r, Q), r, M)
-    dbl = _taylor_from_samples(_sample_disk_function(f, r, 2 * Q), r, M)
-    alt = _taylor_from_samples(_sample_disk_function(f, r2, Q), r2, M)
-    doubling = float(np.abs(dbl - base).max())
-    deltas = np.abs(dbl - alt)
-    radius_err = float(deltas.max())
-    if radius_err > consistency_tol:
-        raise NumericConsistencyError(
-            f"{model.label}: beta series moved by {radius_err:.3e} between "
-            f"radii {r} and {r2}; not returning a value"
-        )
-    return BetaSeries(model.label, dbl, r, 2 * Q, radius_err, doubling, radius_deltas=deltas)
+    return replace(contour_coefficients(f, M, r, Q), model=model.label)
 
 
 # ---------------------------------------------------------------------------
@@ -458,67 +490,36 @@ def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuat
 # ---------------------------------------------------------------------------
 
 
-def _unwound_log_samples(values: np.ndarray) -> np.ndarray:
-    """log f along a closed contour with continuous argument; a nonzero
-    total winding means zeros/poles inside and is surfaced as an error."""
-    mag = np.log(np.abs(values))
-    ang = np.unwrap(np.angle(values))
-    closing = np.angle(values[0] / values[-1])
-    total = ang[-1] + closing - ang[0]
-    if abs(total) > math.pi:
-        raise NumericConsistencyError(
-            f"contour log winds by {total / TWO_PI:.2f} turns: "
-            "the function has zeros or poles inside the contour"
-        )
-    return mag + 1j * ang
-
-
-def _log_coefficients(
-    f: Callable[[complex], complex], M: int, r: float, Q: int
-) -> np.ndarray:
-    """[z^m] log f(z) for m = 1..M with branch-safe unwinding."""
-    samples = _sample_disk_function(f, r, Q)
-    return _taylor_from_samples(_unwound_log_samples(samples), r, M)
+def _xi_log_series(M: int, r: float, Q: int) -> BetaSeries:
+    return contour_coefficients(lambda z: zt.xi(1.0 / (1.0 - z)), M, r, Q, log=True)
 
 
 def xi_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
     """Xi_m = [z^m] ln xi(1/(1-z))."""
-    _check_nodes(Q)
-    return _log_coefficients(lambda z: zt.xi(1.0 / (1.0 - z)), M, r, Q)
+    return _xi_log_series(M, r, Q).coefficients
 
 
 def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
     """R_m = [z^m] ln zeta_R(1/(1-z)) (archimedean log series)."""
-    _check_nodes(Q)
-    phi = TWO_PI * np.arange(Q) / Q
-    zs = r * np.exp(1j * phi)
-    vals = np.array([zt.log_zeta_real_place(1.0 / (1.0 - z)) for z in zs])
     # loggamma is already branch-continuous on the right half-plane image
-    return _taylor_from_samples(vals, r, M)
+    f = lambda z: zt.log_zeta_real_place(1.0 / (1.0 - z))
+    return contour_coefficients(f, M, r, Q).coefficients
 
 
 def zeta_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
     """G_m = [z^m] ln[z zeta(1/(1-z))]: the pole of zeta at s = 1 makes the
     literal ln zeta multivalued on the contour, but z*zeta(1/(1-z)) is
     analytic and 1 at z = 0, so its log series is the regularised object."""
-    _check_nodes(Q)
-
-    def f(z: complex) -> complex:
-        s = 1.0 / (1.0 - z)
-        return z * zt.zeta(s) if abs(s - 1.0) > 1e-12 else 1.0
-
-    return _log_coefficients(f, M, r, Q)
+    return beta_renormalized_xi_decomposition(M, r, Q).coefficients
 
 
 def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z))."""
     if not 0.0 < r <= 0.9:
         raise ValueError("radius must lie in (0, 0.9]")
-    base = -xi_log_coefficients(M, r, Q) / (2.0 * math.log(2.0))
-    r2 = _second_radius(r)
-    alt = -xi_log_coefficients(M, r2, Q) / (2.0 * math.log(2.0))
-    deltas = np.abs(base - alt)
-    return BetaSeries("SymmetricXi", base, r, Q, float(deltas.max()), 0.0, radius_deltas=deltas)
+    c, scale = _xi_log_series(M, r, Q), 2.0 * math.log(2.0)
+    return replace(c, model="SymmetricXi", coefficients=-c.coefficients / scale,
+                   doubling_deltas=c.doubling_deltas / scale, radius_deltas=c.radius_deltas / scale)
 
 
 def beta_gamma(M: int, r: float = 0.5, Q: int = 512) -> BetaSeries:
@@ -536,9 +537,10 @@ def beta_renormalized_shifted(M: int, mu: float, r: float = 0.5, Q: int = 1024) 
     return beta_contour(shifted_zeta_model(mu), M, r, Q)
 
 
-def _laguerre_alpha1_table(M: int, x: np.ndarray) -> np.ndarray:
-    """L^(1)_m(x) for m = 0..M-1, stacked; three-term recurrence."""
-    out = np.empty((M, x.size))
+def _laguerre_alpha1_table(M: int, x) -> np.ndarray:
+    """L^(1)_m(x) for m = 0..M-1 at a scalar or 1-D x, stacked; three-term
+    recurrence."""
+    out = np.empty((M,) + np.shape(x))
     out[0] = 1.0
     if M > 1:
         out[1] = 2.0 - x
@@ -591,58 +593,32 @@ def beta_renormalized_prime_sum(
         coeffs -= term
         if np.abs(logp * damp).max() * np.abs(lag).max() < 1e-18:
             break
-    tails = np.zeros(M)
-    if tail_correction:
-        for m in range(1, M + 1):
-            tails[m - 1] = _prime_tail_integral(m, mu, float(P_max))
-        coeffs += tails
+    tails = _prime_tail_integrals(M, mu, float(P_max)) if tail_correction else np.zeros(M)
+    coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12
-    return BetaSeries(
-        f"Renormalized(mu={mu}, prime_sum)",
-        coeffs.astype(complex),
-        float("nan"),
-        0,
-        0.0,
-        0.0,
-        error_estimates=err,
-    )
+    zero = np.zeros(M)
+    return BetaSeries(f"Renormalized(mu={mu}, prime_sum)", coeffs.astype(complex), float("nan"), 0,
+                      zero, zero, error_estimates=err)
 
 
-def _prime_tail_integral(m: int, mu: float, P: float) -> float:
-    """- int_P^inf t^-(mu+1/2) L^(1)_(m-1)(ln t) dt via u = ln t."""
+def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
+    """- int_P^inf t^-(mu+1/2) L^(1)_(m-1)(ln t) dt for m = 1..M via u = ln t."""
     a = mu - 0.5
 
-    def integrand(u: float) -> float:
-        return -math.exp(-a * u) * _laguerre_alpha1_scalar(m - 1, u)
+    def integrand(u: float) -> np.ndarray:
+        return -math.exp(-a * u) * _laguerre_alpha1_table(M, u)
 
     u0 = math.log(P)
-    u_mid = max(u0 + 1.0, 4.0 * m + 10.0)
-    val1, _ = quad(integrand, u0, u_mid, limit=400)
-    val2, _ = quad(integrand, u_mid, u_mid + 120.0, limit=400)
-    return val1 + val2
-
-
-def _laguerre_alpha1_scalar(n: int, x: float) -> float:
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 - x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2.0 * k - x) * cur - k * prev) / k
-    return cur
+    u_mid = max(u0 + 1.0, 4.0 * M + 10.0)  # past the last Laguerre zero
+    return quad_vec(integrand, u0, u_mid + 120.0, points=[u_mid], epsabs=1e-15, epsrel=1e-12)[0]
 
 
 def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """The mu = 1/2 coefficients G_m = [z^m] ln[z zeta(1/(1-z))], the unique
     regularisation making the symmetric-model comparison an identity:
     Xi_m = 2/m + R_m + G_m."""
-    base = zeta_log_coefficients(M, r, Q)
-    r2 = _second_radius(r)
-    alt = zeta_log_coefficients(M, r2, Q)
-    deltas = np.abs(base - alt)
-    return BetaSeries(
-        "Renormalized(mu=0.5, xi_decomposition)",
-        base, r, Q, float(deltas.max()), 0.0, radius_deltas=deltas,
-    )
+    c = contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, r, Q, log=True)
+    return replace(c, model="Renormalized(mu=0.5, xi_decomposition)")
 
 
 def beta_renormalized(

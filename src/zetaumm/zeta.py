@@ -2,9 +2,10 @@
 counting functions and their zero expansions, Li coefficients, prime sieve,
 and zero-table ingestion.
 
-zeta is evaluated by Euler-Maclaurin with N = max(20, ceil|Im s|+20) direct
-terms and 12 Bernoulli corrections; the reflection identity covers
-Re(s) < 0.  Gamma, loggamma and digamma come from scipy.special.
+zeta is evaluated by one Euler-Maclaurin kernel over an array of s with
+N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections;
+the reflection identity covers Re(s) < 0.  Gamma, loggamma and digamma come
+from scipy.special.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import digamma as _digamma
+from scipy.special import digamma, loggamma  # noqa: F401  (array ufuncs, re-exported)
 from scipy.special import exp1 as _exp1
 from scipy.special import expi as _expi
-from scipy.special import loggamma as _loggamma
 
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(2.0 * math.pi)
+EPS = 2.220446049250313e-16
 
 
 class ZetaPole(ArithmeticError):
@@ -46,14 +47,6 @@ class NumericConsistencyError(ArithmeticError):
     """Two independent evaluation routes disagree beyond combined tolerance."""
 
 
-def loggamma(z) -> complex:
-    return complex(_loggamma(complex(z)))
-
-
-def digamma(z) -> complex:
-    return complex(_digamma(complex(z)))
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (exact, computed once)
 # ---------------------------------------------------------------------------
@@ -71,47 +64,77 @@ def _bernoulli_upto(m: int) -> list[Fraction]:
 
 
 _BERNOULLI = _bernoulli_upto(30)
-# B_{2k} / (2k)! as binary64, k = 1..15
-_B2K_OVER_FACT = [float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(16)]
+# B_{2k} / (2k)! as binary64, k = 0..15
+_B2K_OVER_FACT = np.array([float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(16)])
 
 
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin zeta
 # ---------------------------------------------------------------------------
+#
+# Every entry point takes a scalar or an array of s and returns the same
+# kind; arrays are evaluated by one kernel call.
 
 
-def _em_terms(s: complex, n_terms: Optional[int], order: int):
-    if n_terms is None:
-        n_terms = max(20, int(math.ceil(abs(s.imag))) + 20)
-    if order is None:
-        order = 12
+def _as_1d(s) -> tuple[np.ndarray, bool]:
+    a = np.asarray(s, dtype=complex)
+    return a.reshape(-1), a.ndim == 0
+
+
+def _unbox(x: np.ndarray, scalar: bool):
+    return x[0].item() if scalar else x
+
+
+def _reject_pole(s: np.ndarray) -> None:
+    if (np.abs(s - 1.0) < 1e-12).any():
+        raise ZetaPole("zeta has a simple pole at s = 1")
+
+
+def _em_kernel(s: np.ndarray, terms: Optional[int], order: int, derivative: bool = False):
+    """Euler-Maclaurin on a 1-D array s sharing N direct terms (by default
+    N = max(20, ceil max|Im s| + 20)) and `order` Bernoulli corrections.
+
+    Returns (core, pole, err, dzeta) with zeta(s) = core + pole/(s-1) and
+    pole = N^(1-s): splitting out the pole term lets (s-1) zeta(s) be
+    assembled without cancellation at s = 1.  err is the first omitted
+    Bernoulli term plus the rounding floor of the direct sum; dzeta is
+    zeta'(s) when `derivative` is set (Re s > 0), else None.
+    """
+    N = max(20, int(math.ceil(np.abs(s.imag).max())) + 20) if terms is None else terms
     if not 1 <= order <= 15:
         raise ValueError("bernoulli_order must be in 1..15")
-    if n_terms < 2:
+    if N < 2:
         raise ValueError("need at least 2 direct terms")
-    return n_terms, order
+    ln_n = np.log(np.arange(1, N))
+    powers = np.multiply.outer(-s, ln_n)
+    np.exp(powers, out=powers)  # n^-s, n = 1..N-1
+    lnN = math.log(N)
+    n_pow = np.exp(-s * lnN)  # N^-s
+    # B_2k/(2k)! (s)(s+1)...(s+2k-2) N^(1-s-2k) for k = 1..order+1; the
+    # last one is the first omitted term
+    factors = s[:, None] + np.arange(2 * order + 1)
+    rising = np.cumprod(factors, axis=1)[:, ::2]
+    scale = float(N) ** (1.0 - 2.0 * np.arange(1, order + 2))
+    bern = _B2K_OVER_FACT[1 : order + 2] * rising * (n_pow[:, None] * scale)
+    core = powers.sum(axis=1) + 0.5 * n_pow + bern[:, :order].sum(axis=1)
+    err = np.abs(bern[:, order]) + 4.0 * EPS * np.abs(powers).sum(axis=1)
+    pole = N * n_pow
+    dzeta = None
+    if derivative:
+        # d/ds of the rising product through its logarithmic derivative
+        dlog_rising = np.cumsum(1.0 / factors, axis=1)[:, ::2]
+        dcore = (
+            -(powers @ ln_n)
+            - 0.5 * lnN * n_pow
+            + (bern[:, :order] * (dlog_rising[:, :order] - lnN)).sum(axis=1)
+        )
+        dzeta = dcore - pole * (lnN / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
+    return core, pole, err, dzeta
 
 
-def _em_core(s: complex, N: int, M: int) -> tuple[complex, complex, float]:
-    """Euler-Maclaurin pieces: returns (zeta(s) - N^(1-s)/(s-1), N^(1-s),
-    error_estimate).  Splitting out the pole term lets (s-1)*zeta(s) be
-    assembled without cancellation at s = 1.  The error estimate is the
-    first omitted Bernoulli term plus the rounding floor of the direct sum."""
-    n = np.arange(1, N)
-    terms = np.exp(-s * np.log(n))
-    direct = terms.sum()
-    n_pow = N ** (-s)
-    value = direct + 0.5 * n_pow
-    # sum_k B_2k/(2k)! * (s)(s+1)...(s+2k-2) * N^(-s-2k+1)
-    rising = s  # (s)(s+1)...(s+2k-2), starts at k=1 with just s
-    scale = n_pow * N
-    for k in range(1, M + 1):
-        scale = scale / (N * N)
-        value += _B2K_OVER_FACT[k] * rising * scale
-        rising = rising * (s + 2 * k - 1) * (s + 2 * k)
-    err = abs(_B2K_OVER_FACT[M + 1] * rising * scale / (N * N))
-    err += 4.0 * 2.220446049250313e-16 * float(np.abs(terms).sum())
-    return value, N ** (1.0 - s), err
+def _reflection(s: np.ndarray) -> np.ndarray:
+    """chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s), so zeta(s) = chi(s) zeta(1-s)."""
+    return 2.0**s * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s) * np.exp(loggamma(1.0 - s))
 
 
 @dataclass(frozen=True)
@@ -126,41 +149,32 @@ def zeta_em(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12) 
     Valid for Re(s) >= 0 away from s = 1 (the public `zeta` adds the
     reflection branch for Re(s) < 0).
     """
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise ZetaPole("zeta has a simple pole at s = 1")
-    N, M = _em_terms(s, terms, bernoulli_order)
-    core, pole_term, err = _em_core(s, N, M)
-    return EulerMaclaurinValue(core + pole_term / (s - 1.0), err)
+    s, scalar = _as_1d(s)
+    _reject_pole(s)
+    core, pole, err, _ = _em_kernel(s, terms, bernoulli_order)
+    return EulerMaclaurinValue(_unbox(core + pole / (s - 1.0), scalar), _unbox(err, scalar))
 
 
 def zeta(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12) -> complex:
     """Riemann zeta on C \\ {1}.  Re(s) >= 0 by Euler-Maclaurin, Re(s) < 0
     through the reflection identity
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise ZetaPole("zeta has a simple pole at s = 1")
-    if s.real >= 0.0:
-        return zeta_em(s, terms, bernoulli_order).value
-    w = 1.0 - s  # Re(w) > 1
-    pref = (2.0**s) * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s)
-    pref *= np.exp(_loggamma(w))
-    return complex(pref * zeta_em(w, terms, bernoulli_order).value)
+    s, scalar = _as_1d(s)
+    _reject_pole(s)
+    return _unbox(zeta_unit(s, terms, bernoulli_order) / (s - 1.0), scalar)
 
 
 def zeta_unit(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12) -> complex:
     """(s-1) * zeta(s) evaluated as a single analytic unit (value 1 at s=1)."""
-    s = complex(s)
-    if s.real >= 0.0:
-        N, M = _em_terms(s, terms, bernoulli_order)
-        core, pole_term, _ = _em_core(s, N, M)
-        return (s - 1.0) * core + pole_term
-    w = 1.0 - s
-    # (s-1) zeta(s) = (s-1) * pref(s) * zeta(w); zeta(w) regular, no care needed
-    pref = (2.0**s) * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s)
-    pref *= np.exp(_loggamma(w))
-    return complex((s - 1.0) * pref * zeta_em(w, terms, bernoulli_order).value)
+    s, scalar = _as_1d(s)
+    left = s.real < 0.0
+    w = np.where(left, 1.0 - s, s)  # Re(w) > 1 where reflected
+    core, pole, _, _ = _em_kernel(w, terms, bernoulli_order)
+    val = (w - 1.0) * core + pole  # (w-1) zeta(w)
+    if left.any():
+        # (s-1) zeta(s) = (s-1) chi(s) zeta(w); zeta(w) regular, no care needed
+        val[left] *= (s[left] - 1.0) / (w[left] - 1.0) * _reflection(s[left])
+    return _unbox(val, scalar)
 
 
 def zeta_and_derivative(
@@ -170,40 +184,12 @@ def zeta_and_derivative(
 
     Re(s) > 0 only (that is the regime the contour extractions use).
     """
-    s = complex(s)
-    if s.real <= 0.0:
+    s, scalar = _as_1d(s)
+    if (s.real <= 0.0).any():
         raise ValueError("zeta_and_derivative implemented for Re(s) > 0 only")
-    if abs(s - 1.0) < 1e-12:
-        raise ZetaPole("zeta has a simple pole at s = 1")
-    N, M = _em_terms(s, terms, bernoulli_order)
-    n = np.arange(1, N)
-    ln_n = np.log(n)
-    pw = np.exp(-s * ln_n)
-    val = pw.sum()
-    dval = -(ln_n * pw).sum()
-    lnN = math.log(N)
-    n_pow = N ** (-s)  # e^{-s ln N}
-    val += 0.5 * n_pow
-    dval += -0.5 * lnN * n_pow
-    pole = N * n_pow / (s - 1.0)
-    val += pole
-    dval += -lnN * pole - N * n_pow / (s - 1.0) ** 2
-    rising = s
-    d_rising = 1.0 + 0.0j
-    scale = n_pow * N
-    for k in range(1, M + 1):
-        scale = scale / (N * N)
-        c = _B2K_OVER_FACT[k]
-        val += c * rising * scale
-        dval += c * (d_rising - rising * lnN) * scale
-        # d/ds of the rising product via the product rule
-        d_rising = (
-            d_rising * (s + 2 * k - 1) * (s + 2 * k)
-            + rising * (s + 2 * k)
-            + rising * (s + 2 * k - 1)
-        )
-        rising = rising * (s + 2 * k - 1) * (s + 2 * k)
-    return complex(val), complex(dval)
+    _reject_pole(s)
+    core, pole, _, dzeta = _em_kernel(s, terms, bernoulli_order, derivative=True)
+    return _unbox(core + pole / (s - 1.0), scalar), _unbox(dzeta, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +204,13 @@ def zeta_real_place(s: complex) -> complex:
     half = 0.5 * s
     if abs(half - round(half.real)) < 1e-12 and round(half.real) <= 0 and abs(half.imag) < 1e-12:
         raise ZetaPole(f"Gamma(s/2) pole at s = {s}")
-    return complex(np.exp(_loggamma(half) - half * LN_PI))
+    return complex(np.exp(loggamma(half) - half * LN_PI))
 
 
 def log_zeta_real_place(s: complex) -> complex:
     """log of the archimedean factor, analytic for Re(s) > 0."""
-    half = 0.5 * complex(s)
-    return complex(_loggamma(half) - half * LN_PI)
+    half = 0.5 * np.asarray(s, dtype=complex)
+    return loggamma(half) - half * LN_PI
 
 
 def zeta_local(p: int, s: complex) -> complex:
@@ -258,22 +244,18 @@ def xi(s: complex) -> complex:
     Written as pi^(-s/2) Gamma(s/2+1) * [(s-1) zeta(s)] so the zeta pole is
     cancelled analytically rather than numerically.
     """
-    s = complex(s)
-    pref = np.exp(_loggamma(0.5 * s + 1.0) - 0.5 * s * LN_PI)
-    return complex(pref * zeta_unit(s))
+    s, scalar = _as_1d(s)
+    pref = np.exp(loggamma(0.5 * s + 1.0) - 0.5 * s * LN_PI)
+    return _unbox(pref * zeta_unit(s), scalar)
 
 
 def log_xi(s: complex) -> complex:
     """Principal-log decomposition ln(1/2) + ln s + ln((s-1)zeta(s))
     + ln(pi^(-s/2)Gamma(s/2)); every factor is nonvanishing on the domains
     the contour extractions use, so no branch tracking is required."""
-    s = complex(s)
-    return complex(
-        math.log(0.5)
-        + np.log(s)
-        + np.log(zeta_unit(s))
-        + (_loggamma(0.5 * s) - 0.5 * s * LN_PI)
-    )
+    s, scalar = _as_1d(s)
+    val = math.log(0.5) + np.log(s) + np.log(zeta_unit(s)) + (loggamma(0.5 * s) - 0.5 * s * LN_PI)
+    return _unbox(val, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -505,32 +487,29 @@ class LiCoefficients:
     error_estimate: np.ndarray
 
 
-def li_coefficients_cauchy(n_max: int, radius: float = 0.25, nodes: int = 512) -> LiCoefficients:
-    """lambda_n = n [w^n] { (1+w)^(n-1) ln xi(1+w) } by trapezoid quadrature
-    on |w| = radius about s = 1 (spectrally accurate; ln xi analytic there).
+def li_coefficients_cauchy(n_max: int, radius: float = 0.45, nodes: int = 512) -> LiCoefficients:
+    """lambda_n = n [w^n] { (1+w)^(n-1) ln xi(1+w) } = n sum_k C(n-1,k) a_(n-k),
+    with a_j = [w^j] ln xi(1+w) from the shared contour extractor on
+    |w| = radius about s = 1 (spectrally accurate; ln xi analytic there).
 
-    radius must stay below 1/2 so the circle avoids s = 0 and the zeros.
+    radius must lie in (0, 1/2): the principal-log decomposition of ln xi
+    is singular at s = 0, which is |w| = 1, and the extractor's second
+    radius 1.4 * radius must stay inside that circle.  The r^-n rounding
+    floor of a_j shrinks as the radius grows.  error_estimate carries the
+    extractor's node-doubling and radius deltas through the binomial sum.
     """
     if not 0.0 < radius < 0.5:
         raise ValueError("radius must lie in (0, 1/2)")
     if nodes < 4 * n_max:
         raise ValueError("nodes must comfortably oversample n_max")
-    lam = _li_cauchy_values(n_max, radius, nodes)
-    lam2 = _li_cauchy_values(n_max, radius, 2 * nodes)
-    err = np.abs(lam2 - lam)
-    return LiCoefficients(lam2, "cauchy_derivative", err)
+    from .resolvent import contour_coefficients
 
-
-def _li_cauchy_values(n_max: int, radius: float, nodes: int) -> np.ndarray:
-    phi = 2.0 * math.pi * np.arange(nodes) / nodes
-    w = radius * np.exp(1j * phi)
-    lnxi = np.array([log_xi(1.0 + wq) for wq in w])
-    lam = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        g = (1.0 + w) ** (n - 1) * lnxi
-        cn = (g * np.exp(-1j * n * phi)).mean() / radius**n
-        lam[n - 1] = n * cn.real
-    return lam
+    c = contour_coefficients(lambda w: log_xi(1.0 + w), n_max, radius, nodes)
+    n = range(1, n_max + 1)
+    # lambda_n = sum_j n C(n-1, n-j) a_j: lower-triangular binomial weights
+    weights = np.array([[m * math.comb(m - 1, m - j) if j <= m else 0 for j in n] for m in n], dtype=float)
+    deltas = c.doubling_deltas + c.radius_deltas
+    return LiCoefficients(weights @ c.coefficients.real, "cauchy_derivative", weights @ deltas)
 
 
 def li_coefficients_zero_sum(
@@ -585,13 +564,14 @@ def li_coefficients(
     n_max: int,
     method: str = "cauchy_derivative",
     *,
-    radius: float = 0.25,
+    radius: float = 0.45,
     nodes: int = 512,
     zeros: Optional[Sequence[float]] = None,
     n_zeros: Optional[int] = None,
 ) -> LiCoefficients:
     if method == "cauchy_derivative":
-        return li_coefficients_cauchy(n_max, radius, max(nodes, 4 * n_max))
+        # at least 4 n_max nodes, kept a power of two for the extractor
+        return li_coefficients_cauchy(n_max, radius, max(nodes, 1 << (4 * n_max - 1).bit_length()))
     if method == "zero_sum":
         if zeros is None:
             raise ValueError("zero_sum requires an ingested zero table")
@@ -671,7 +651,9 @@ def ingest_zeros(path: str, validation_tol: float = 1e-6, max_zeros: Optional[in
     if not ts:
         raise ValueError(f"{path}: no ordinates found")
     arr = np.asarray(ts)
-    residuals = np.array([abs(xi(0.5 + 1j * t)) for t in arr])
+    # one xi call per block of 8 neighbouring ordinates (N follows the largest
+    # of them): each call carries a fixed array overhead of ~70 us
+    residuals = np.concatenate([np.abs(xi(0.5 + 1j * arr[i : i + 8])) for i in range(0, arr.size, 8)])
     ok = residuals < validation_tol
     excluded = tuple((float(t), float(r)) for t, r in zip(arr[~ok], residuals[~ok]))
     return ZeroTable(

@@ -9,6 +9,24 @@ from zetaumm.cli import main
 from zetaumm.zeta import bundled_zeros_path
 
 
+def _li_oracle(nmax):
+    """lambda_n = n sum_j C(n-1, n-j) a_j with a_j = [u^j] ln xi(1+u), from
+    the Stieltjes constants (for (s-1) zeta(s)), polygamma values at 1/2 (for
+    ln Gamma(s/2)) and ln(1+u), in 40-digit mpmath arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        unit = [mp.mpf(1)] + [(-1) ** k * mp.stieltjes(k) / mp.factorial(k) for k in range(nmax)]
+        a = [mp.mpf(0)] * (nmax + 1)  # ln of the unit series, by the log recurrence
+        for n in range(1, nmax + 1):
+            a[n] = unit[n] - mp.fsum(k * a[k] * unit[n - k] for k in range(1, n)) / n
+        for k in range(1, nmax + 1):
+            a[k] += mp.mpf(-1) ** (k + 1) / k + mp.psi(k - 1, mp.mpf(1) / 2) / (mp.factorial(k) * 2**k)
+        a[1] -= mp.log(mp.pi) / 2
+        return np.array([float(n * mp.fsum(mp.binomial(n - 1, n - j) * a[j] for j in range(1, n + 1)))
+                         for n in range(1, nmax + 1)])
+
+
 class TestOutput:
     def test_csv_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -81,6 +99,24 @@ class TestCLI:
         cols, _ = output.read_csv(out)
         assert cols["index"].size == 4
 
+    def test_config_supplies_required_options(self, tmp_path):
+        out = tmp_path / "from_config.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model=local\nprime=2\nmmax=5\nout={out}\n")
+        assert main(["betas", "--config", str(cfg)]) == 0
+        cols, md = output.read_csv(str(out))
+        assert cols["index"].size == 5
+        assert md["model"] == "LocalZeta(2)"
+        # explicit flags still win over the file, required ones included
+        other = str(tmp_path / "explicit.csv")
+        assert main(["betas", "--config", str(cfg), "--model", "gamma", "--mmax", "3",
+                     "--out", other]) == 0
+        cols, md = output.read_csv(other)
+        assert cols["index"].size == 3
+        assert md["model"] == "GammaPlace"
+        cfg.write_text(f"model=local\nprime=2\nout={out}\nbogus=1\n")
+        assert main(["betas", "--config", str(cfg)]) == 1
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -106,6 +142,14 @@ class TestCLI:
         rc = main(["li", "--zeros", str(crooked), "--nmax", "4", "--nzeros", "299",
                    "--tolerance", "1e-4", "--out", out])
         assert rc == 2
+
+    def test_li_twenty_coefficients_agree(self, tmp_path):
+        out = str(tmp_path / "li20.csv")
+        rc = main(["li", "--zeros", bundled_zeros_path(), "--nmax", "20", "--nzeros", "2000",
+                   "--out", out])
+        assert rc == 0
+        cols, _ = output.read_csv(out)
+        assert np.abs(cols["cauchy"] - _li_oracle(20)).max() < 1e-5
 
     def test_explicit_formula_psi(self, tmp_path):
         out = str(tmp_path / "ef.csv")

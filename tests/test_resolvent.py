@@ -10,9 +10,11 @@ from zetaumm.resolvent import (
     beta_renormalized,
     beta_renormalized_prime_sum,
     beta_renormalized_shifted,
+    beta_renormalized_xi_decomposition,
     beta_symmetric,
     boundary_h,
     conformal_map,
+    contour_coefficients,
     density_profile,
     gamma_log_coefficients,
     gamma_place_model,
@@ -181,6 +183,25 @@ class TestBetaContour:
             beta_contour(local_zeta_model(2), 5, 0.5, 100)
         with pytest.raises(ValueError):
             beta_contour(local_zeta_model(2), 5, 0.5, 32)
+
+    def test_log_series_routes_report_node_doubling(self):
+        for series in (beta_symmetric(10, 0.5, 512), beta_renormalized_xi_decomposition(10, 0.5, 512)):
+            assert 0.0 < series.doubling_error < 1e-9
+            assert series.nodes == 1024
+
+    def test_log_route_with_zero_inside_second_radius_raises(self):
+        # ln(1 - z/0.6): analytic on |z| = 0.5, but the guard's second
+        # radius 0.7 encloses the zero, so the logarithm winds there
+        f = lambda z: 1.0 - z / 0.6
+        with pytest.raises(NumericConsistencyError, match="winds"):
+            contour_coefficients(f, 8, 0.5, 256, log=True)
+        c = contour_coefficients(f, 8, 0.3, 256, log=True)  # second radius 0.42
+        m = np.arange(1, 9)
+        assert np.abs(c.coefficients + 1.0 / (m * 0.6**m)).max() < 1e-12
+
+    def test_radius_guard_raises_on_a_pole_inside_second_radius(self):
+        with pytest.raises(NumericConsistencyError, match="radii"):
+            contour_coefficients(lambda z: 1.0 / (z - 0.6), 8, 0.5, 256)
 
     def test_xi_model_routes_to_log_extractor(self):
         a = beta_contour(symmetric_xi_model(), 8, 0.5, 1024)

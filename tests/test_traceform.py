@@ -93,6 +93,20 @@ class TestTraceFormula:
         with pytest.raises(ValueError, match="self-test"):
             trace_formula_check(bad, zeros_2000, 100, primes_1e4)
 
+    def test_gaussian_label_does_not_skip_self_test(self, zeros_2000, primes_1e4):
+        # only the width field marks a Gaussian pair; a label is just a label
+        bad = TestFunctionPair(
+            g=lambda q: math.exp(-q * q / 2.0),
+            h=lambda u: 1.001 * math.sqrt(2 * math.pi) * np.exp(-0.5 * np.asarray(u) ** 2),
+            label="gaussian(a=1.0)",
+        )
+        assert bad.width is None
+        with pytest.raises(ValueError, match="self-test"):
+            trace_formula_check(bad, zeros_2000, 100, primes_1e4)
+
+    def test_gaussian_family_carries_its_width(self):
+        assert TestFunctionPair.gaussian(1.5).width == 1.5
+
 
 class TestWignerCombs:
     def test_single_prime_locations(self):

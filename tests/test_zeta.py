@@ -89,6 +89,29 @@ class TestZeta:
             fd = (zeta(s + h) - zeta(s - h)) / (2.0 * h)
             assert abs(ds - fd) < 1e-7
 
+    def test_array_derivative_against_mpmath(self):
+        import mpmath
+
+        s = np.array([2.0 + 1.0j, 1.5, 3.0 - 2.0j, 0.5 + 14.0j, 0.25 + 30.0j])
+        val, ds = zeta_and_derivative(s)
+        assert val.shape == ds.shape == s.shape
+        for k, sk in enumerate(s):
+            want = complex(mpmath.zeta(sk))
+            dwant = complex(mpmath.zeta(sk, 1, 1))
+            assert abs(val[k] - want) < 1e-12 * max(1.0, abs(want))
+            assert abs(ds[k] - dwant) < 1e-12 * max(1.0, abs(dwant))
+
+    def test_array_and_scalar_entry_points_agree(self):
+        s = np.array([0.3 + 2.0j, -1.5 + 3.0j, 2.5, 0.5 + 40.0j])
+        for fn in (zeta, zeta_unit, xi, zt.log_xi):
+            arr = fn(s)
+            for k, sk in enumerate(s):
+                one = fn(complex(sk))
+                assert isinstance(one, complex)
+                # a single point uses its own direct-sum length, the array
+                # the one set by its largest |Im s|
+                assert abs(arr[k] - one) <= 1e-12 * max(1.0, abs(one))
+
 
 class TestXi:
     def test_functional_symmetry_example(self):
