@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import ensemble, output, resolvent, traceform
 from . import zeta as zt
-from .padics import additive_character, haar_integrate_norm_power, padic_norm
+from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
 from .wavelets import VladimirovSpec, WaveletIndex, gram_matrix, vladimirov_apply
 from .zeta import NumericConsistencyError
 
@@ -38,6 +38,22 @@ def _parse_config_file(path: str) -> dict[str, str]:
             key, _, val = line.partition("=")
             out[key.strip().replace("-", "_")] = val.strip()
     return out
+
+
+def _prime(text: str) -> int:
+    """argparse type of --prime."""
+    try:
+        require_prime(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a prime") from None
+    return int(text)
+
+
+def _prime_or_all(text: str) -> str:
+    """comb's --prime, kept as text: 'all' or a prime."""
+    if text != "all":
+        _prime(text)
+    return text
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -58,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("wavelet-check", help="Gram matrix and Vladimirov residuals")
-    sp.add_argument("--prime", type=int, default=2)
+    sp.add_argument("--prime", type=_prime, default=2)
     sp.add_argument("--nmax", type=int, default=12)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--kernel-k", type=int, default=12)
@@ -67,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("betas", help="contour-extracted model coefficients")
     sp.add_argument("--model", choices=("local", "gamma", "shifted", "xi"), required=True)
-    sp.add_argument("--prime", type=int, default=None)
+    sp.add_argument("--prime", type=_prime, default=None)
     sp.add_argument("--s0", type=float, default=None)
     sp.add_argument("--mmax", type=int, default=20)
     sp.add_argument("--radius", type=float, default=0.5)
@@ -75,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("density", help="local-model spike/potential profile")
-    sp.add_argument("--prime", type=int, required=True)
+    sp.add_argument("--prime", type=_prime, required=True)
     sp.add_argument("--spikes", type=int, default=5)
     sp.add_argument("--grid-start", type=float, default=0.5)
     sp.add_argument("--grid-stop", type=float, default=5.78)
@@ -114,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--zeros", default=None)
     sp.add_argument("--nzeros", type=int, default=100)
-    sp.add_argument("--prime", type=int, default=2)
+    sp.add_argument("--prime", type=_prime, default=2)
     sp.add_argument("--terms", type=int, default=1000)
     _add_common(sp)
 
@@ -137,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("comb", help="prime-power comb of the Wigner marginals")
-    sp.add_argument("--prime", default="all", help="a prime or 'all'")
+    sp.add_argument("--prime", type=_prime_or_all, default="all", help="a prime or 'all'")
     sp.add_argument("--mu", type=float, default=0.5)
     sp.add_argument("--qmax", type=float, default=5.0)
     _add_common(sp)
@@ -212,22 +228,8 @@ def _cmd_wavelet_check(args) -> int:
     return 0 if ok else 2
 
 
-def _make_model(args) -> resolvent.ResolventModel:
-    if args.model == "local":
-        if args.prime is None:
-            raise ValueError("--model local needs --prime")
-        return resolvent.local_zeta_model(args.prime)
-    if args.model == "gamma":
-        return resolvent.gamma_place_model()
-    if args.model == "shifted":
-        if args.s0 is None:
-            raise ValueError("--model shifted needs --s0")
-        return resolvent.shifted_zeta_model(args.s0)
-    return resolvent.symmetric_xi_model()
-
-
 def _cmd_betas(args) -> int:
-    model = _make_model(args)
+    model = resolvent.ResolventModel(args.model, p=args.prime, s0=args.s0)
     series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
     cols = {
         "index": np.arange(1, len(series) + 1),
@@ -264,30 +266,30 @@ def _cmd_density(args) -> int:
 
 def _cmd_li(args) -> int:
     table = zt.ingest_zeros(args.zeros, max_zeros=args.nzeros)
-    a = zt.li_coefficients(args.nmax, radius=args.radius, nodes=args.nodes)
+    a = zt.li_coefficients_cauchy(args.nmax, args.radius, args.nodes)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
-    gap = np.abs(a.values - b.values)
     combined = a.error_estimate + b.error_estimate + args.tolerance
     cols = {
         "index": np.arange(1, args.nmax + 1),
         "cauchy": a.values,
         "zero_sum": b.values,
-        "difference": gap,
+        "difference": np.abs(a.values - b.values),
         "combined_tolerance": combined,
     }
-    md = _metadata(args)
-    _emit(args, cols, {"series": cols}, md)
-    if (gap > combined).any():
-        print("li: methods disagree beyond combined tolerance", file=sys.stderr)
-        return 2
+    _emit(args, cols, {"series": cols}, _metadata(args))
+    zt.check_agreement("lambda_{n}", a.values, b.values, combined, ("cauchy", "zero_sum"))
     return 0
 
 
 def _cmd_beta_ren(args) -> int:
-    series = resolvent.beta_renormalized(
-        args.mmax, args.mu, args.method,
-        P_max=args.pmax, N_max=args.powers, r=args.radius, Q=args.nodes,
-    )
+    if args.method == "prime_sum":
+        series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax, args.powers)
+    elif args.method == "shifted_contour":
+        series = resolvent.beta_renormalized_shifted(args.mmax, args.mu, args.radius, args.nodes)
+    elif abs(args.mu - 0.5) > 1e-12:
+        raise ValueError("xi_decomposition is the mu = 1/2 route")
+    else:
+        series = resolvent.beta_renormalized_xi_decomposition(args.mmax, args.radius, args.nodes)
     err = series.error_estimates
     if err is None:
         err = np.full(len(series), series.radius_error)
@@ -325,20 +327,30 @@ def _cmd_trace_check(args) -> int:
                   rep.rhs_prime_sum, rep.residual, rep.total_bound],
     }
     _emit(args, cols, payload, _metadata(args))
-    return 0 if abs(rep.residual) <= rep.total_bound else 2
+    bounds = payload["bounds"]
+    big = max(("zero_tail", "prime_tail", "digamma_tail", "quadrature"), key=bounds.get)
+    zt.check_agreement(f"trace formula residual vs total_bound (largest term {big} {bounds[big]:.3g})",
+                       rep.lhs, rep.rhs, rep.total_bound, ("lhs", "rhs"))
+    return 0
 
 
 def _cmd_explicit_formula(args) -> int:
-    direct = zt.counting(args.kind, args.x, "direct", p=args.prime)
-    md = _metadata(args)
+    if args.x <= 1.0:
+        raise ValueError("counting functions are evaluated for x > 1")
     if args.kind == "j_local":
-        explicit = zt.counting(args.kind, args.x, "explicit", p=args.prime, n_terms=args.terms)
+        direct = zt.local_count_direct(args.prime, args.x)
+        explicit = zt.local_count_explicit(args.prime, args.x, args.terms)
         tail = 1.0 / (math.pi * args.terms)
     else:
         if args.zeros is None:
             raise ValueError("explicit mode needs --zeros")
         table = zt.ingest_zeros(args.zeros, max_zeros=args.nzeros)
-        explicit = zt.counting(args.kind, args.x, "explicit", zeros=table.ts, n_zeros=args.nzeros)
+        if args.kind == "psi":
+            direct = zt.chebyshev_psi_direct(args.x)
+            explicit = zt.chebyshev_psi_explicit(args.x, table.ts, args.nzeros)
+        else:
+            direct = zt.prime_count_j_direct(args.x)
+            explicit = zt.prime_count_j_explicit(args.x, table.ts, args.nzeros)
         tail = zt.explicit_tail_estimate(args.x, float(table.ts[min(args.nzeros, len(table)) - 1]))
     cols = {
         "x": [args.x],
@@ -347,7 +359,7 @@ def _cmd_explicit_formula(args) -> int:
         "difference": [abs(direct - explicit)],
         "tail_estimate": [tail],
     }
-    _emit(args, cols, {"result": cols}, md)
+    _emit(args, cols, {"result": cols}, _metadata(args))
     return 0
 
 
@@ -387,8 +399,7 @@ def _cmd_plaquette_mc(args) -> int:
 
 
 def _cmd_comb(args) -> int:
-    p = args.prime if args.prime == "all" else int(args.prime)
-    comb = traceform.wigner_marginal_comb(p, args.mu, args.qmax)
+    comb = traceform.wigner_marginal_comb(args.prime, args.mu, args.qmax)
     cols = {"location": comb.locations, "weight": comb.weights}
     md = _metadata(args)
     if comb.position_period is not None:

@@ -26,7 +26,7 @@ from scipy.integrate import quad_vec
 from scipy.special import digamma
 
 from . import zeta as zt
-from .padics import padic_norm
+from .padics import is_prime, padic_norm
 from .zeta import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi
@@ -101,24 +101,22 @@ class ResolventModel:
 
     kind: 'local' (Euler factor at prime p), 'gamma' (archimedean factor),
     'shifted' (zeta log-derivative recentred at Re s = s0), 'xi'
-    (completed-zeta log series).  branch selects between the |z| < 1 closed
-    form and the |z| > 1 branch given by the reflection property.
+    (completed-zeta log series).  The shifted model needs s0 > 1: the unit
+    disk maps onto Re s > s0, so for s0 < 1 the zeta pole enters the disk,
+    and a pole inside both extraction circles escapes the radius check.
     """
 
     kind: str
     p: Optional[int] = None
     s0: Optional[float] = None
-    branch: str = "inside"
 
     def __post_init__(self):
         if self.kind not in ("local", "gamma", "shifted", "xi"):
             raise ValueError(f"unknown resolvent kind {self.kind!r}")
-        if self.kind == "local" and (self.p is None or self.p < 2):
+        if self.kind == "local" and not is_prime(self.p or 0):
             raise ValueError("local model needs a prime p")
-        if self.kind == "shifted" and self.s0 is None:
-            raise ValueError("shifted model needs the recentring abscissa s0")
-        if self.branch not in ("inside", "outside"):
-            raise ValueError("branch must be 'inside' or 'outside'")
+        if self.kind == "shifted" and (self.s0 is None or self.s0 <= 1.0):
+            raise ValueError("shifted model needs the recentring abscissa s0 > 1")
 
     @property
     def label(self) -> str:
@@ -131,20 +129,20 @@ class ResolventModel:
         return "SymmetricXi"
 
 
-def local_zeta_model(p: int, branch: str = "inside") -> ResolventModel:
-    return ResolventModel("local", p=p, branch=branch)
+def local_zeta_model(p: int) -> ResolventModel:
+    return ResolventModel("local", p=p)
 
 
-def gamma_place_model(branch: str = "inside") -> ResolventModel:
-    return ResolventModel("gamma", branch=branch)
+def gamma_place_model() -> ResolventModel:
+    return ResolventModel("gamma")
 
 
-def shifted_zeta_model(s0: float, branch: str = "inside") -> ResolventModel:
-    return ResolventModel("shifted", s0=s0, branch=branch)
+def shifted_zeta_model(s0: float) -> ResolventModel:
+    return ResolventModel("shifted", s0=s0)
 
 
-def symmetric_xi_model(branch: str = "inside") -> ResolventModel:
-    return ResolventModel("xi", branch=branch)
+def symmetric_xi_model() -> ResolventModel:
+    return ResolventModel("xi")
 
 
 def _mul(a, b) -> np.ndarray:
@@ -178,7 +176,8 @@ def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
 
 
 def resolvent(model: ResolventModel, z: complex) -> complex:
-    """Evaluate the model resolvent on its branch.
+    """Evaluate the model resolvent on the branch |z| picks: the closed form
+    inside the unit disk, its reflection 1 - R(1/z) outside.
 
     |z| = 1 is rejected here: boundary densities are handled by
     density_profile / trace_fluctuation, not by this closed form.
@@ -187,16 +186,11 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
     az = abs(zc)
     if abs(az - 1.0) < 1e-12:
         raise ValueError("resolvent is not evaluated on the unit circle")
-    if model.branch == "inside":
-        if az > 1.0:
-            raise ValueError("inside branch asked for |z| > 1")
-        return 1.0 + _fluctuation_inside(model, zc)
     if az < 1.0:
-        raise ValueError("outside branch asked for |z| < 1")
-    # every outside branch is the reflection of the inside one (for local and
-    # gamma this is their |z| > 1 closed form: s(1/z) = -s(z), z/(1-z)^2 fixed)
-    inside = ResolventModel(model.kind, model.p, model.s0, "inside")
-    return 1.0 - resolvent(inside, 1.0 / zc)
+        return 1.0 + _fluctuation_inside(model, zc)
+    # for local and gamma the reflection is their |z| > 1 closed form:
+    # s(1/z) = -s(z) and z/(1-z)^2 is unchanged
+    return 1.0 - resolvent(model, 1.0 / zc)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,9 @@ def contour_coefficients(
     coefficients moving between radii by more than a tolerance set above
     the r^-M rounding floor of the extraction raise instead of returning a
     value, so the guard trips on singularities inside the contour, not on
-    binary64 noise.
+    binary64 noise.  A singularity that both circles enclose moves neither
+    set of coefficients, so this check cannot see it: callers must keep
+    singularities out of the disk |z| <= r2 themselves.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
@@ -522,18 +518,10 @@ def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
                    doubling_deltas=c.doubling_deltas / scale, radius_deltas=c.radius_deltas / scale)
 
 
-def beta_gamma(M: int, r: float = 0.5, Q: int = 512) -> BetaSeries:
-    """Coefficients of the archimedean (gamma-place) model by contour
-    quadrature with the analytic digamma derivative."""
-    return beta_contour(gamma_place_model(), M, r, Q)
-
-
 def beta_renormalized_shifted(M: int, mu: float, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """beta_m^ren = oint dz/(2 pi i z^m (1-z)^2) [d ln zeta/ds] at
     s = mu + (1+z)/(2(1-z)); requires mu > 1 so the disk image stays in
-    the zero-free right half-plane."""
-    if mu <= 1.0:
-        raise ValueError("shifted contour needs mu > 1")
+    the zero-free right half-plane (checked by the model)."""
     return beta_contour(shifted_zeta_model(mu), M, r, Q)
 
 
@@ -621,29 +609,6 @@ def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) ->
     return replace(c, model="Renormalized(mu=0.5, xi_decomposition)")
 
 
-def beta_renormalized(
-    M: int,
-    mu: float,
-    method: str,
-    *,
-    P_max: int = 10**6,
-    N_max: int = 60,
-    r: float = 0.5,
-    Q: int = 1024,
-    primes: Optional[zt.PrimeTable] = None,
-) -> BetaSeries:
-    """Dispatch over the three renormalization routes."""
-    if method == "prime_sum":
-        return beta_renormalized_prime_sum(M, mu, P_max, N_max, primes)
-    if method == "shifted_contour":
-        return beta_renormalized_shifted(M, mu, r, Q)
-    if method == "xi_decomposition":
-        if abs(mu - 0.5) > 1e-12:
-            raise ValueError("xi_decomposition is the mu = 1/2 route")
-        return beta_renormalized_xi_decomposition(M, r, Q)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cross_validate_renormalized(
     M: int,
     mu: float,
@@ -659,18 +624,9 @@ def cross_validate_renormalized(
     away) any disagreement beyond their combined tolerance."""
     ps = beta_renormalized_prime_sum(M, mu, P_max, N_max, primes)
     sh = beta_renormalized_shifted(M, mu, r, Q)
-    gap = np.abs(ps.coefficients - sh.coefficients)
-    combined = tolerance + sh.radius_error
-    if ps.error_estimates is not None:
-        combined = combined + ps.error_estimates
-    bad = np.nonzero(gap > combined)[0]
-    if bad.size:
-        m = int(bad[0]) + 1
-        raise NumericConsistencyError(
-            f"beta_{m}^ren: prime_sum {ps.coefficients[m-1].real:.9g} vs "
-            f"shifted_contour {sh.coefficients[m-1].real:.9g} differ by "
-            f"{gap[m-1]:.3g}"
-        )
+    combined = tolerance + sh.radius_error + ps.error_estimates
+    zt.check_agreement("beta_{n}^ren", ps.coefficients, sh.coefficients, combined,
+                       ("prime_sum", "shifted_contour"))
     return sh
 
 

@@ -21,6 +21,8 @@ from scipy.special import digamma, loggamma  # noqa: F401  (array ufuncs, re-exp
 from scipy.special import exp1 as _exp1
 from scipy.special import expi as _expi
 
+from .padics import is_prime, require_prime
+
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(2.0 * math.pi)
 EPS = 2.220446049250313e-16
@@ -45,6 +47,22 @@ class LocalZetaPole(ArithmeticError):
 
 class NumericConsistencyError(ArithmeticError):
     """Two independent evaluation routes disagree beyond combined tolerance."""
+
+
+def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> None:
+    """Surface (never average away) a disagreement of two routes: raise at
+    the first index n (from 1) where |a - b| exceeds `bar` or is NaN,
+    naming both values, the gap and the bar.  `label` may hold `{n}`."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    gap = np.abs(a - b)
+    bar = np.broadcast_to(bar, gap.shape)
+    bad = np.nonzero(~(gap <= bar))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise NumericConsistencyError(
+            f"{label.format(n=i + 1)}: {names[0]} {a[i]:.9g} vs {names[1]} {b[i]:.9g} "
+            f"differ by {gap[i]:.3g} (> bar {bar[i]:.3g})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +243,6 @@ def zeta_local(p: int, s: complex) -> complex:
     return complex(1.0 / den)
 
 
-def zeta_place(kind, s: complex) -> complex:
-    """Dispatch: kind is a prime p (local factor) or the string 'real'."""
-    if kind == "real":
-        return zeta_real_place(s)
-    return zeta_local(int(kind), s)
-
-
 def local_pole_spacing(p: int) -> float:
     """Vertical spacing 2 pi / ln p of the local-factor poles."""
     return 2.0 * math.pi / math.log(p)
@@ -323,11 +334,8 @@ def _is_exact_prime_power(x: float) -> Optional[tuple[int, int]]:
     for k in range(1, n.bit_length() + 1):
         p = round(n ** (1.0 / k))
         for cand in (p - 1, p, p + 1):
-            if cand >= 2 and cand**k == n:
-                from .padics import is_prime
-
-                if is_prime(cand):
-                    return cand, k
+            if cand >= 2 and cand**k == n and is_prime(cand):
+                return cand, k
     return None
 
 
@@ -361,6 +369,7 @@ def prime_count_j_direct(x: float, primes: Optional[PrimeTable] = None) -> float
 
 def local_count_direct(p: int, x: float) -> float:
     """j_p(x) = #{n >= 1 : p^n <= x}, midpoint at jumps."""
+    require_prime(p)
     if x <= 1.0:
         return 0.0
     count, pk = 0, p
@@ -428,6 +437,7 @@ def local_count_explicit(p: int, x: float, n_terms: int) -> float:
     """Pole expansion of j_p: ln x/ln p - 1/2 + (1/pi) sum_k sin(2 pi k
     log_p x)/k, the Fourier form of the sawtooth over the local-factor poles
     (midpoint values at jumps by construction)."""
+    require_prime(p)
     if n_terms < 1:
         raise ValueError("explicit mode needs at least one oscillating term")
     if x <= 1.0:
@@ -435,44 +445,6 @@ def local_count_explicit(p: int, x: float, n_terms: int) -> float:
     u = math.log(x) / math.log(p)
     k = np.arange(1, n_terms + 1)
     return float(u - 0.5 + (np.sin(2.0 * math.pi * k * u) / k).sum() / math.pi)
-
-
-def counting(
-    kind: str,
-    x: float,
-    mode: str = "direct",
-    *,
-    p: Optional[int] = None,
-    zeros: Optional[Sequence[float]] = None,
-    n_zeros: Optional[int] = None,
-    primes: Optional[PrimeTable] = None,
-    n_terms: int = 1000,
-) -> float:
-    """Dispatcher over the counting-function family.
-
-    kind in {'J', 'psi', 'j_local'}; mode in {'direct', 'explicit'}.
-    """
-    if x <= 1.0:
-        raise ValueError("counting functions are evaluated for x > 1")
-    if kind == "psi":
-        if mode == "direct":
-            return chebyshev_psi_direct(x, primes)
-        if zeros is None or n_zeros is None or n_zeros == 0:
-            raise ValueError("explicit mode requires zeros and n_zeros > 0")
-        return chebyshev_psi_explicit(x, zeros, n_zeros)
-    if kind == "J":
-        if mode == "direct":
-            return prime_count_j_direct(x, primes)
-        if zeros is None or n_zeros is None or n_zeros == 0:
-            raise ValueError("explicit mode requires zeros and n_zeros > 0")
-        return prime_count_j_explicit(x, zeros, n_zeros)
-    if kind == "j_local":
-        if p is None:
-            raise ValueError("j_local requires the prime p")
-        if mode == "direct":
-            return local_count_direct(p, x)
-        return local_count_explicit(p, x, n_terms)
-    raise ValueError(f"unknown counting kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +469,11 @@ def li_coefficients_cauchy(n_max: int, radius: float = 0.45, nodes: int = 512) -
     radius 1.4 * radius must stay inside that circle.  The r^-n rounding
     floor of a_j shrinks as the radius grows.  error_estimate carries the
     extractor's node-doubling and radius deltas through the binomial sum.
+    Fewer than 4 n_max nodes are raised to the smallest power of two >= 4 n_max.
     """
     if not 0.0 < radius < 0.5:
         raise ValueError("radius must lie in (0, 1/2)")
-    if nodes < 4 * n_max:
-        raise ValueError("nodes must comfortably oversample n_max")
+    nodes = max(nodes, 1 << (4 * n_max - 1).bit_length())
     from .resolvent import contour_coefficients
 
     c = contour_coefficients(lambda w: log_xi(1.0 + w), n_max, radius, nodes)
@@ -558,47 +530,6 @@ def _li_tail_integral(n: int, T: float, U: float = 1e9) -> float:
     # beyond U the integrand is ~ n^2/t^2 * ln(t/2pi)/2pi
     remainder = n * n * (math.log(U / (2 * math.pi)) + 1.0) / (2.0 * math.pi * U)
     return val + remainder
-
-
-def li_coefficients(
-    n_max: int,
-    method: str = "cauchy_derivative",
-    *,
-    radius: float = 0.45,
-    nodes: int = 512,
-    zeros: Optional[Sequence[float]] = None,
-    n_zeros: Optional[int] = None,
-) -> LiCoefficients:
-    if method == "cauchy_derivative":
-        # at least 4 n_max nodes, kept a power of two for the extractor
-        return li_coefficients_cauchy(n_max, radius, max(nodes, 1 << (4 * n_max - 1).bit_length()))
-    if method == "zero_sum":
-        if zeros is None:
-            raise ValueError("zero_sum requires an ingested zero table")
-        return li_coefficients_zero_sum(n_max, zeros, n_zeros)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def cross_validate_li(
-    n_max: int,
-    zeros: Sequence[float],
-    n_zeros: Optional[int] = None,
-    tolerance: float = 1e-3,
-) -> LiCoefficients:
-    """Run both routes; surface (never average away) any disagreement."""
-    a = li_coefficients_cauchy(n_max)
-    b = li_coefficients_zero_sum(n_max, zeros, n_zeros)
-    gap = np.abs(a.values - b.values)
-    combined = a.error_estimate + b.error_estimate + tolerance
-    bad = np.nonzero(gap > combined)[0]
-    if bad.size:
-        n = int(bad[0]) + 1
-        raise NumericConsistencyError(
-            f"lambda_{n}: cauchy {a.values[n-1]:.9g} vs zero_sum "
-            f"{b.values[n-1]:.9g} differ by {gap[n-1]:.3g} "
-            f"(> combined tolerance {combined[n-1]:.3g})"
-        )
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,11 @@ def test_criterion_01_resolvent_reflection():
     with _Timer("1 resolvent reflection", 1.0):
         rng = random.Random(101)
         for model in models:
-            outside = resolvent.ResolventModel(model.kind, model.p, model.s0, "outside")
             for _ in range(100):
                 r = rng.uniform(0.1, 0.9)
                 phi = rng.uniform(0.0, 2.0 * math.pi)
                 z = r * complex(math.cos(phi), math.sin(phi))
-                val = resolvent.resolvent(model, z) + resolvent.resolvent(outside, 1.0 / z)
+                val = resolvent.resolvent(model, z) + resolvent.resolvent(model, 1.0 / z)
                 assert abs(val - 1.0) < 1e-10
 
 

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from zetaumm import output
-from zetaumm.cli import main
-from zetaumm.zeta import bundled_zeros_path
+from zetaumm import output, traceform
+from zetaumm.cli import build_parser, main
+from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_explicit
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _li_oracle(nmax):
@@ -74,6 +79,12 @@ class TestCLI:
         out = str(tmp_path / "x.csv")
         assert main(["betas", "--model", "local", "--out", out]) == 1  # no prime
         assert main(["li", "--zeros", str(tmp_path / "none.txt"), "--out", out]) == 1
+        zeros = ["--zeros", bundled_zeros_path()]
+        assert main(["explicit-formula", "--x", "0.5", "--out", out] + zeros) == 1
+        assert main(["explicit-formula", "--kind", "psi", "--x", "10.5", "--out", out]) == 1
+        assert main(["beta-ren", "--method", "xi_decomposition", "--mu", "0.7", "--out", out]) == 1
+        assert main(["beta-ren", "--method", "shifted_contour", "--mu", "0.9", "--out", out]) == 1
+        assert not os.path.exists(out)
 
     def test_metadata_echo(self, tmp_path):
         out = str(tmp_path / "c.csv")
@@ -133,7 +144,7 @@ class TestCLI:
         doc = json.loads(open(out).read())
         assert abs(doc["residual"]) <= doc["bounds"]["total"]
 
-    def test_li_disagreement_exits_two(self, tmp_path, zeros_2000):
+    def test_li_disagreement_exits_two(self, tmp_path, zeros_2000, capsys):
         # a zero table with the first ordinate dropped still validates, but
         # the two Li routes then disagree beyond the combined tolerance
         crooked = tmp_path / "crooked.txt"
@@ -142,6 +153,60 @@ class TestCLI:
         rc = main(["li", "--zeros", str(crooked), "--nmax", "4", "--nzeros", "299",
                    "--tolerance", "1e-4", "--out", out])
         assert rc == 2
+        cols, _ = output.read_csv(out)  # the artifact is written before the exit
+        assert cols["index"].size == 4
+        err = capsys.readouterr().err
+        assert re.search(r"lambda_1: cauchy \S+ vs zero_sum \S+ differ by \S+ \(> bar \S+\)", err)
+
+    def test_trace_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
+        report = traceform.TraceReport(
+            lhs_pole=1.0, lhs_zero_sum=0.0, lhs_digamma=0.0, rhs_log_pi=0.0, rhs_prime_sum=0.5,
+            residual=0.5, zero_tail_bound=1e-3, prime_tail_bound=2e-2, digamma_tail_bound=0.0,
+            quadrature_error=1e-9, n_zeros=50, prime_limit=100, pair_label="gaussian")
+        monkeypatch.setattr(traceform, "trace_formula_check", lambda *args: report)
+        out = str(tmp_path / "tr.json")
+        rc = main(["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "50",
+                   "--primes-max", "100", "--out", out, "--format", "json"])
+        assert rc == 2
+        assert json.loads(open(out).read())["residual"] == 0.5
+        err = capsys.readouterr().err
+        assert "residual" in err and "total_bound" in err and "prime_tail 0.02" in err
+        assert "differ by 0.5" in err
+
+    def test_shifted_model_below_one_exits_one(self, tmp_path, capsys):
+        # s0 = 0.8 puts the zeta pole at z = -3/7, inside both extraction circles
+        out = str(tmp_path / "b.csv")
+        for s0 in ("0.8", "1"):
+            assert main(["betas", "--model", "shifted", "--s0", s0, "--out", out]) == 1
+            assert "s0 > 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_prime_option_checked(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        for argv in (["density", "--prime", "1"], ["betas", "--model", "local", "--prime", "4"],
+                     ["explicit-formula", "--kind", "j_local", "--prime", "4", "--x", "10"],
+                     ["comb", "--prime", "4"], ["wavelet-check", "--prime", "x"]):
+            assert main(argv + ["--out", out]) == 1
+            err = capsys.readouterr().err
+            assert "is not a prime" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_explicit_formula_j_local(self, tmp_path):
+        out = str(tmp_path / "ef.csv")
+        rc = main(["explicit-formula", "--kind", "j_local", "--prime", "3", "--x", "10",
+                   "--terms", "500", "--out", out])
+        assert rc == 0
+        cols, _ = output.read_csv(out)
+        assert cols["direct"][0] == local_count_direct(3, 10.0) == 2.0
+        assert cols["explicit"][0] == local_count_explicit(3, 10.0, 500)
+
+    def test_readme_commands_parse(self):
+        text = open(README, encoding="utf-8").read()
+        block = re.search(r"## CLI\n.*?```\n(.*?)```", text, re.S).group(1)
+        lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("zetaumm ")]
+        parser = build_parser()
+        commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+        assert sorted(commands) == sorted(parser._command_parsers)  # one line per command
 
     def test_li_twenty_coefficients_agree(self, tmp_path):
         out = str(tmp_path / "li20.csv")

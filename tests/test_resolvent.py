@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from zetaumm.resolvent import (
+    ResolventModel,
     beta_contour,
-    beta_gamma,
-    beta_renormalized,
     beta_renormalized_prime_sum,
     beta_renormalized_shifted,
     beta_renormalized_xi_decomposition,
@@ -116,9 +115,7 @@ class TestResolvent:
 
     def test_reflection_examples(self):
         z = 0.3 + 0.2j
-        val = resolvent(local_zeta_model(2), z) + resolvent(
-            local_zeta_model(2, "outside"), 1.0 / z
-        )
+        val = resolvent(local_zeta_model(2), z) + resolvent(local_zeta_model(2), 1.0 / z)
         assert abs(val - 1.0) < 1e-12
 
     def test_gamma_place_small_z_limit(self):
@@ -128,30 +125,34 @@ class TestResolvent:
     @pytest.mark.parametrize("model", [local_zeta_model(2), local_zeta_model(3), local_zeta_model(5), gamma_place_model()])
     def test_reflection_on_random_annulus(self, model):
         rng = random.Random(7 + (model.p or 0))
-        outside = type(model)(model.kind, model.p, model.s0, "outside")
         for _ in range(100):
             r = rng.uniform(0.1, 0.9)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             z = r * complex(math.cos(phi), math.sin(phi))
-            val = resolvent(model, z) + resolvent(outside, 1.0 / z)
+            val = resolvent(model, z) + resolvent(model, 1.0 / z)
             assert abs(val - 1.0) < 1e-10
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             resolvent(local_zeta_model(2), complex(math.cos(1.0), math.sin(1.0)))
 
-    def test_branch_mismatch_rejected(self):
+    def test_branch_read_off_modulus(self):
+        model = local_zeta_model(2)
+        assert resolvent(model, 1.5) == 1.0 - resolvent(model, 1.0 / 1.5)
         with pytest.raises(ValueError):
-            resolvent(local_zeta_model(2), 1.5)
-        with pytest.raises(ValueError):
-            resolvent(local_zeta_model(2, "outside"), 0.5)
+            resolvent(model, -1.0)
 
     def test_shifted_and_xi_reflection_by_construction(self):
         for model in (shifted_zeta_model(1.5), symmetric_xi_model()):
-            outside = type(model)(model.kind, model.p, model.s0, "outside")
             z = 0.4 - 0.1j
-            val = resolvent(model, z) + resolvent(outside, 1.0 / z)
+            val = resolvent(model, z) + resolvent(model, 1.0 / z)
             assert abs(val - 1.0) < 1e-12
+
+    def test_model_preconditions(self):
+        for kind, p, s0 in (("local", None, None), ("local", 4, None), ("shifted", None, None),
+                            ("shifted", None, 1.0), ("shifted", None, 0.8), ("nope", None, None)):
+            with pytest.raises(ValueError):
+                ResolventModel(kind, p=p, s0=s0)
 
 
 class TestBetaContour:
@@ -385,14 +386,12 @@ class TestRenormalized:
                 6, 1.5, tolerance=1e-10, P_max=500, primes=prime_table_1e6
             )
 
-    def test_dispatch_and_preconditions(self):
+    def test_route_preconditions(self):
         with pytest.raises(ValueError):
-            beta_renormalized(5, 1.5, "nope")
+            beta_renormalized_shifted(5, 0.9)
         with pytest.raises(ValueError):
-            beta_renormalized(5, 0.7, "xi_decomposition")
-        with pytest.raises(ValueError):
-            beta_renormalized(5, 0.9, "shifted_contour")
-        g = beta_renormalized(8, 0.5, "xi_decomposition")
+            beta_renormalized_prime_sum(5, 0.9)
+        g = beta_renormalized_xi_decomposition(8, 0.5, 1024)
         assert np.abs(g.coefficients - zeta_log_coefficients(8, 0.5, 1024)).max() < 1e-12
 
     def test_gamma_two_map_consistency(self):
@@ -400,7 +399,7 @@ class TestRenormalized:
         # through w = 2z/(1+z): A_m = sum_k R_k 2^k (-1)^(m-k) C(m-1, m-k),
         # and beta^gamma_m = (m/2) A_m
         M = 10
-        bg = beta_gamma(M, 0.5, 512)
+        bg = beta_contour(gamma_place_model(), M, 0.5, 512)
         R = gamma_log_coefficients(M, 0.5, 1024)
         for m in range(1, M + 1):
             A = 2.0 / m * bg.coefficients[m - 1]

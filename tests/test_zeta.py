@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -13,11 +14,8 @@ from zetaumm.zeta import (
     ZetaPole,
     chebyshev_psi_direct,
     chebyshev_psi_explicit,
-    counting,
-    cross_validate_li,
     digamma,
     ingest_zeros,
-    li_coefficients,
     li_coefficients_cauchy,
     li_coefficients_zero_sum,
     local_count_direct,
@@ -31,7 +29,6 @@ from zetaumm.zeta import (
     zeta_and_derivative,
     zeta_em,
     zeta_local,
-    zeta_place,
     zeta_real_place,
     zeta_unit,
 )
@@ -170,10 +167,6 @@ class TestEulerFactors:
         with pytest.raises(ZetaPole):
             zeta_real_place(-2.0)
 
-    def test_dispatch(self):
-        assert zeta_place(2, 2.0) == zeta_local(2, 2.0)
-        assert zeta_place("real", 2.0) == zeta_real_place(2.0)
-
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_mellin_truncation_within_geometric_tail(self, p):
         # truncated sum over p^n <= X of p^(-ns) vs p^-s zeta_p(s)
@@ -253,7 +246,7 @@ class TestCounting:
 
     def test_psi_explicit_requires_zeros(self):
         with pytest.raises(ValueError):
-            counting("psi", 10.5, "explicit", zeros=None, n_zeros=0)
+            chebyshev_psi_explicit(10.5, [], 0)
 
     def test_j_explicit_matches_direct(self, zeros_2000):
         assert abs(prime_count_j_explicit(20.0, zeros_2000.ts, 200) - prime_count_j_direct(20.0)) < 1e-2
@@ -264,16 +257,24 @@ class TestCounting:
         # Fourier form lands on the midpoint at a jump by construction
         assert abs(local_count_explicit(2, 8.0, 4000) - 2.5) < 1e-3
 
-    def test_dispatcher(self, zeros_2000):
-        assert counting("psi", 10.5) == chebyshev_psi_direct(10.5)
-        assert counting("J", 20.0) == prime_count_j_direct(20.0)
-        assert counting("j_local", 10.0, p=2) == 3.0
-        val = counting("psi", 10.5, "explicit", zeros=zeros_2000.ts, n_zeros=100)
-        assert abs(val - 7.832015) < 0.1
+    def test_local_counts_reject_non_prime(self):
+        # without the check p = 1 loops forever on p^n *= 1: the alarm turns a hang into a failure
+        def hang(signum, frame):
+            raise TimeoutError("local_count_direct(1, 10) did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError):
+                local_count_direct(1, 10.0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for p in (1, 4):
+            with pytest.raises(ValueError):
+                local_count_explicit(p, 10.0, 100)
         with pytest.raises(ValueError):
-            counting("psi", 0.5)
-        with pytest.raises(ValueError):
-            counting("nope", 10.0)
+            local_count_direct(4, 10.0)
 
 
 class TestLiCoefficients:
@@ -295,18 +296,31 @@ class TestLiCoefficients:
     def test_empty_zero_table_rejected(self):
         with pytest.raises(ValueError):
             li_coefficients_zero_sum(5, [])
-        with pytest.raises(ValueError):
-            li_coefficients(5, "zero_sum", zeros=None)
 
     def test_radius_precondition(self):
         with pytest.raises(ValueError):
             li_coefficients_cauchy(5, radius=0.6)
 
     def test_cross_validation_surfaces_disagreement(self, zeros_2000):
+        a = li_coefficients_cauchy(5)
+
+        def check(ts):
+            b = li_coefficients_zero_sum(5, ts)
+            bar = a.error_estimate + b.error_estimate + 1e-3
+            zt.check_agreement("lambda_{n}", a.values, b.values, bar, ("cauchy", "zero_sum"))
+
+        check(zeros_2000.ts)  # clean table passes
         # dropping the first zero shifts lambda_1 by ~5e-3, beyond tolerance
-        cross_validate_li(5, zeros_2000.ts)  # clean table passes
-        with pytest.raises(NumericConsistencyError):
-            cross_validate_li(5, zeros_2000.ts[1:])
+        with pytest.raises(NumericConsistencyError, match=r"lambda_1: cauchy .* zero_sum .* differ by"):
+            check(zeros_2000.ts[1:])
+        # a NaN gap is a failure, not a pass
+        with pytest.raises(NumericConsistencyError, match="x_2"):
+            zt.check_agreement("x_{n}", [1.0, float("nan")], [1.0, 2.0], 1.0, ("a", "b"))
+
+    def test_li_cauchy_raises_nodes_to_four_per_coefficient(self):
+        a = li_coefficients_cauchy(20, nodes=64)
+        assert a.values.size == 20
+        assert np.array_equal(a.values, li_coefficients_cauchy(20, nodes=128).values)
 
 
 class TestIngestZeros:
