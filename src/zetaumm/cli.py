@@ -21,7 +21,7 @@ from . import __version__
 from . import ensemble, output, resolvent, traceform
 from . import zeta as zt
 from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
-from .wavelets import VladimirovSpec, WaveletIndex, gram_matrix, vladimirov_apply
+from .wavelets import WaveletIndex, gram_matrix, vladimirov_apply
 from .zeta import NumericConsistencyError
 
 
@@ -213,10 +213,9 @@ def _cmd_padic_check(args) -> int:
 def _cmd_wavelet_check(args) -> int:
     G = gram_matrix(args.prime, args.nmax)
     gram_dev = float(np.abs(G - np.eye(args.nmax)).max())
-    spec = VladimirovSpec(args.alpha, "kernel", args.kernel_k, args.kernel_b)
     rows = []
     for scale in (0, 1):
-        res = vladimirov_apply(spec, WaveletIndex(args.prime, scale))
+        res = vladimirov_apply(WaveletIndex(args.prime, scale), args.alpha, args.kernel_k, args.kernel_b)
         rows.append((scale, res.eigenvalue, res.residual / abs(res.eigenvalue)))
     cols = {
         "check": [f"gram(nmax={args.nmax})"] + [f"kernel(scale={s})" for s, _, _ in rows],
@@ -365,7 +364,7 @@ def _cmd_explicit_formula(args) -> int:
 
 def _cmd_cue_sample(args) -> int:
     sample = ensemble.sample_cue(args.n, args.samples, args.seed)
-    rep = ensemble.pair_correlation(sample, "cue_native", args.bins, args.rmax)
+    rep = ensemble.pair_correlation(sample, args.bins, args.rmax)
     cols = {
         "r": rep.bin_centers,
         "r2": rep.r2,

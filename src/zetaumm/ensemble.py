@@ -144,7 +144,6 @@ def plaquette_mc(
     seed: int = 0,
     chains: int = 4,
     bins: int = 64,
-    thin: int = 1,
 ) -> PlaquetteRun:
     """Metropolis over eigenphases with the action
 
@@ -164,8 +163,7 @@ def plaquette_mc(
     betas = np.asarray([float(np.real(b)) for b in betas])
     if betas.size and np.abs(betas[0]) >= 0.5 and betas.size == 1:
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
-    keep_per_chain = (sweeps + thin - 1) // thin
-    phases = np.empty((chains * keep_per_chain, N))
+    phases = np.empty((chains * sweeps, N))
     widths = np.empty(chains)
     accepted_total = 0
     proposals_total = 0
@@ -179,13 +177,10 @@ def plaquette_mc(
             rate = acc / N
             width *= math.exp(0.5 * (rate - 0.4))
             width = min(max(width, 1e-3), math.pi)
-        kept = 0
         for sweep in range(sweeps):
             accepted_total += _chain_sweep(theta, betas, width, rng)
             proposals_total += N
-            if sweep % thin == 0:
-                phases[c * keep_per_chain + kept] = np.sort(theta)
-                kept += 1
+            phases[c * sweeps + sweep] = np.sort(theta)
         widths[c] = width
     rate = accepted_total / max(proposals_total, 1)
     edges = np.linspace(-math.pi, math.pi, bins + 1)
@@ -230,7 +225,6 @@ class CorrelationReport:
     reference: np.ndarray
     l2_distance: float
     n_points: int
-    unfolding: str
 
     def l2_distance_to(self, curve: np.ndarray) -> float:
         width = self.bin_centers[1] - self.bin_centers[0]
@@ -245,21 +239,19 @@ def unfold_zeros(ts: np.ndarray) -> np.ndarray:
 
 def pair_correlation(
     points: Union[EnsembleSample, np.ndarray],
-    unfolding: str = "cue_native",
     bins: int = 50,
     r_max: float = 5.0,
 ) -> CorrelationReport:
     """Empirical two-point correlation R_2 of unfolded points.
 
-    CUE samples unfold circularly by N/2pi (unit mean spacing); zero
-    ordinates by the smooth counting function.  Directed pair distances up
-    to r_max are histogrammed and normalised per reference point.
+    CUE samples unfold circularly by N/2pi (unit mean spacing); a point
+    array is taken as already unfolded (zero ordinates: pass
+    unfold_zeros(ts)).  Directed pair distances up to r_max are
+    histogrammed and normalised per reference point.
     """
     edges = np.linspace(0.0, r_max, bins + 1)
     counts = np.zeros(bins)
     if isinstance(points, EnsembleSample):
-        if unfolding != "cue_native":
-            raise ValueError("ensemble samples unfold with 'cue_native'")
         n_points = points.phases.size
         if n_points < 1000:
             raise ValueError("need at least 10^3 points after pooling")
@@ -275,10 +267,6 @@ def pair_correlation(
         denom = refs * (edges[1] - edges[0])
     else:
         x = np.sort(np.asarray(points, dtype=float))
-        if unfolding == "zero_unfold":
-            x = unfold_zeros(x)
-        elif unfolding != "identity":
-            raise ValueError(f"unknown unfolding {unfolding!r} for point arrays")
         n_points = x.size
         if n_points < 1000:
             raise ValueError("need at least 10^3 points after pooling")
@@ -297,4 +285,4 @@ def pair_correlation(
     ref_curve = sine_kernel_r2(centers)
     width = centers[1] - centers[0]
     l2 = float(np.sqrt((((r2 - ref_curve) ** 2) * width).sum()))
-    return CorrelationReport(centers, r2, ref_curve, l2, n_points, unfolding)
+    return CorrelationReport(centers, r2, ref_curve, l2, n_points)

@@ -201,7 +201,9 @@ def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> Sh
     """Integrate |xi|_p^(s-1) over the region {|xi|_p < 1} shell by shell.
 
     Shell |xi|_p = p^-k has measure (1-1/p) p^-k, so the integral is
-    sum_{k>=1} (1-1/p) p^(-ks); requires Re(s) > 0 for convergence.
+    sum_{k>=1} (1-1/p) p^(-ks); requires Re(s) > 0 for convergence.  The
+    region, written Z_p^x in some sources, is the ball p Z_p of measure 1/p,
+    not the unit group {|xi|_p = 1} of measure 1 - 1/p.
     """
     require_prime(p)
     if K < 1:
@@ -234,39 +236,6 @@ def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> Sh
     tail += 16 * 2.220446049250313e-16 * (K + 2) * max(abs(value), 1.0)
     closed = w * q / (1 - q)
     return ShellSum(value, tail, closed, K)
-
-
-def region_measure(p: int, region: str) -> Fraction:
-    """Haar measures of the named multiplicative regions.
-
-    'unit_ball_interior' is {|xi|_p < 1} (the region the shell integral
-    runs over, written Z_p^x in some sources); 'unit_group' is the
-    conventional unit group {|xi|_p = 1}; 'integers' is Z_p itself.  The
-    two readings of the Z_p^x notation differ, so both are exposed.
-    """
-    require_prime(p)
-    if region == "unit_ball_interior":
-        return Fraction(1, p)
-    if region == "unit_group":
-        return Fraction(p - 1, p)
-    if region == "integers":
-        return Fraction(1)
-    raise ValueError(f"unknown region {region!r}")
-
-
-def coset_representatives(p: int, K: int, B: int = 0) -> Iterator[Fraction]:
-    """Representatives of the p^K Z_p cosets tiling {|xi|_p <= p^B}.
-
-    There are p^(K+B) of them, n / p^B for n = 0 .. p^(K+B)-1, each owning
-    Haar measure p^-K.  Integration of functions locally constant at level
-    K against this tiling is exact.
-    """
-    require_prime(p)
-    if K + B < 0:
-        raise ValueError("coset level K must be >= -B")
-    pb = Fraction(1, p**B) if B >= 0 else Fraction(p ** (-B))
-    for n in range(p ** (K + B)):
-        yield n * pb
 
 
 def ball_coset_representatives(

@@ -26,7 +26,7 @@ from scipy.integrate import quad_vec
 from scipy.special import digamma
 
 from . import zeta as zt
-from .padics import is_prime, padic_norm
+from .padics import is_prime, padic_norm, require_prime
 from .zeta import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi
@@ -129,22 +129,6 @@ class ResolventModel:
         return "SymmetricXi"
 
 
-def local_zeta_model(p: int) -> ResolventModel:
-    return ResolventModel("local", p=p)
-
-
-def gamma_place_model() -> ResolventModel:
-    return ResolventModel("gamma")
-
-
-def shifted_zeta_model(s0: float) -> ResolventModel:
-    return ResolventModel("shifted", s0=s0)
-
-
-def symmetric_xi_model() -> ResolventModel:
-    return ResolventModel("xi")
-
-
 def _mul(a, b) -> np.ndarray:
     """Complex product from real products and sums: numpy's complex array
     multiply may fuse multiply-adds depending on the CPU, this cannot, so
@@ -222,18 +206,6 @@ class BetaSeries:
 
     def __len__(self) -> int:
         return int(self.coefficients.size)
-
-    def beta(self, n: int) -> complex:
-        return complex(self.coefficients[n - 1])
-
-    @property
-    def real_coefficients(self) -> np.ndarray:
-        imag = np.abs(self.coefficients.imag).max() if len(self) else 0.0
-        if imag > 1e-9:
-            raise NumericConsistencyError(
-                f"coefficients of {self.model} carry imaginary parts up to {imag:.3e}"
-            )
-        return self.coefficients.real.copy()
 
 
 def _taylor_from_samples(samples: np.ndarray, r: float, M: int) -> np.ndarray:
@@ -395,6 +367,7 @@ def local_potential_derivative_partial(p: int, theta: float, n_terms: int) -> fl
 def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> DensityProfile:
     """Spike list plus V' samples; grid points within 1e-9 of a spike angle
     or of theta = 0 (the conformal accumulation point) are rejected."""
+    require_prime(p)
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size and (grid.min() <= 0.0 or grid.max() >= TWO_PI):
         raise ValueError("theta grid must lie strictly inside (0, 2pi)")
@@ -502,13 +475,6 @@ def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
     return contour_coefficients(f, M, r, Q).coefficients
 
 
-def zeta_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
-    """G_m = [z^m] ln[z zeta(1/(1-z))]: the pole of zeta at s = 1 makes the
-    literal ln zeta multivalued on the contour, but z*zeta(1/(1-z)) is
-    analytic and 1 at z = 0, so its log series is the regularised object."""
-    return beta_renormalized_xi_decomposition(M, r, Q).coefficients
-
-
 def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z))."""
     if not 0.0 < r <= 0.9:
@@ -522,7 +488,7 @@ def beta_renormalized_shifted(M: int, mu: float, r: float = 0.5, Q: int = 1024) 
     """beta_m^ren = oint dz/(2 pi i z^m (1-z)^2) [d ln zeta/ds] at
     s = mu + (1+z)/(2(1-z)); requires mu > 1 so the disk image stays in
     the zero-free right half-plane (checked by the model)."""
-    return beta_contour(shifted_zeta_model(mu), M, r, Q)
+    return beta_contour(ResolventModel("shifted", s0=mu), M, r, Q)
 
 
 def _laguerre_alpha1_table(M: int, x) -> np.ndarray:
@@ -543,7 +509,6 @@ def beta_renormalized_prime_sum(
     P_max: int = 10**6,
     N_max: int = 60,
     primes: Optional[zt.PrimeTable] = None,
-    tail_correction: bool = True,
 ) -> BetaSeries:
     """Renormalized coefficients from explicit prime-power data.
 
@@ -563,9 +528,8 @@ def beta_renormalized_prime_sum(
         )
     if M < 1:
         raise ValueError("M must be >= 1")
-    if primes is None:
-        primes = zt.PrimeTable.build(P_max)
-    p_arr = primes.primes[primes.primes <= P_max].astype(float)
+    all_primes = zt.sieve_primes(P_max) if primes is None else primes.primes
+    p_arr = all_primes[all_primes <= P_max].astype(float)
     logp_all = np.log(p_arr)
     coeffs = np.zeros(M)
     sigma = mu + 0.5
@@ -581,7 +545,7 @@ def beta_renormalized_prime_sum(
         coeffs -= term
         if np.abs(logp * damp).max() * np.abs(lag).max() < 1e-18:
             break
-    tails = _prime_tail_integrals(M, mu, float(P_max)) if tail_correction else np.zeros(M)
+    tails = _prime_tail_integrals(M, mu, float(P_max))
     coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12
     zero = np.zeros(M)
@@ -604,7 +568,8 @@ def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
 def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """The mu = 1/2 coefficients G_m = [z^m] ln[z zeta(1/(1-z))], the unique
     regularisation making the symmetric-model comparison an identity:
-    Xi_m = 2/m + R_m + G_m."""
+    Xi_m = 2/m + R_m + G_m.  The factor z cancels the zeta pole at s = 1,
+    which makes the literal ln zeta multivalued on the contour."""
     c = contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, r, Q, log=True)
     return replace(c, model="Renormalized(mu=0.5, xi_decomposition)")
 

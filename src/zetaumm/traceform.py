@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import digamma, erfc
 
+from .padics import require_prime
 from .zeta import PrimeTable, ZeroTable
 
 LN_PI = math.log(math.pi)
@@ -121,11 +122,13 @@ def wigner_marginal_comb(
         wts = primes.power_weights[sel] * np.exp(-mu * locs)
         order = np.argsort(locs)
         return PrimePowerComb(locs[order], wts[order], mu, None, None)
-    lp = math.log(int(p))
+    p = int(p)
+    require_prime(p)
+    lp = math.log(p)
     n = np.arange(1, int(q_max / lp) + 1)
     locs = n * lp
     wts = lp * np.exp(-mu * locs)
-    return PrimePowerComb(locs, wts, mu, int(p), TWO_PI / lp)
+    return PrimePowerComb(locs, wts, mu, p, TWO_PI / lp)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +177,21 @@ def trace_formula_check(
     zeros: Union[ZeroTable, Sequence[float]],
     n_zeros: int,
     primes: PrimeTable,
-    digamma_cutoff: Optional[float] = None,
 ) -> TraceReport:
     """Evaluate both sides of the trace formula and their residual.
 
-    Gaussian widths must sit in [0.5, 3] (all tails estimable); zero and
-    prime sums carry explicit remainder bounds, the archimedean integral a
-    cutoff bound < 1e-12.  Any non-finite bound aborts with diagnosis.
+    Only Gaussian pairs are accepted, with widths in [0.5, 3] (all tails
+    estimable); zero and prime sums carry explicit remainder bounds, the
+    archimedean integral a cutoff bound < 1e-12.  Any non-finite bound
+    aborts with diagnosis.
     """
     a = pair.width
     if a is not None and not 0.5 <= a <= 3.0:
         raise ValueError("Gaussian width must lie in [0.5, 3]")
     pair.self_test()
+    if a is None:
+        raise ValueError(f"pair {pair.label!r}: closed-form tail bounds exist only for the "
+                         "Gaussian family (TestFunctionPair.gaussian)")
     ts = np.asarray(zeros.ts if isinstance(zeros, ZeroTable) else zeros, dtype=float)
     if n_zeros < 50:
         raise ValueError("need at least 50 zeros")
@@ -201,36 +207,28 @@ def trace_formula_check(
     comb = wigner_marginal_comb("all", mu=0.5, q_max=q_max, primes=primes)
     prime_sum = float(2.0 * (comb.weights * np.array([pair.g(q) for q in comb.locations])).sum())
 
-    if digamma_cutoff is None:
-        width = a if a is not None else 1.0
-        digamma_cutoff = max(40.0, 14.0 / width)
-    U = digamma_cutoff
+    U = max(40.0, 14.0 / a)
     integrand = lambda u: complex(pair.h(u)).real * float(digamma(0.25 + 0.5j * u).real)
     val, quad_err = quad(integrand, -U, U, limit=800)
     dig = val / TWO_PI
 
     # tail bounds (Gaussian closed forms; x3 margins absorb prime and
     # zero-count fluctuations around the smooth densities)
-    if a is not None:
-        T = float(ts[-1])
-        # sum_{t > T} 2 h(t) dN, dN ~ ln(t/2pi)/2pi dt, density frozen at 2T
-        density = math.log(max(2.0 * T, 7.0) / TWO_PI) / TWO_PI
-        zero_tail = float(3.0 * density * 2.0 * math.pi * erfc(a * T / math.sqrt(2.0)))
-        # 2 int_{ln X}^inf e^{q/2} g(q) dq by completing the square
-        qX = math.log(primes.limit)
-        prime_tail = float(
-            6.0
-            * math.exp(a * a / 8.0)
-            * a
-            * math.sqrt(math.pi / 2.0)
-            * erfc((qX - 0.5 * a * a) / (a * math.sqrt(2.0)))
-        )
-        # |Re psi(1/4 + iu/2)| <= ln(2+u) + 2 past the cutoff
-        dig_tail = float((math.log(2.0 + U) + 2.0) * erfc(a * U / math.sqrt(2.0)))
-    else:
-        zero_tail = float(2.0 * 50 * abs(complex(pair.h(ts[-1])).real))
-        prime_tail = float(6.0 * pair.g(math.log(primes.limit)) * primes.limit**0.5)
-        dig_tail = float(abs(complex(pair.h(U)).real) * (math.log(2.0 + U) + 2.0) * U)
+    T = float(ts[-1])
+    # sum_{t > T} 2 h(t) dN, dN ~ ln(t/2pi)/2pi dt, density frozen at 2T
+    density = math.log(max(2.0 * T, 7.0) / TWO_PI) / TWO_PI
+    zero_tail = float(3.0 * density * 2.0 * math.pi * erfc(a * T / math.sqrt(2.0)))
+    # 2 int_{ln X}^inf e^{q/2} g(q) dq by completing the square
+    qX = math.log(primes.limit)
+    prime_tail = float(
+        6.0
+        * math.exp(a * a / 8.0)
+        * a
+        * math.sqrt(math.pi / 2.0)
+        * erfc((qX - 0.5 * a * a) / (a * math.sqrt(2.0)))
+    )
+    # |Re psi(1/4 + iu/2)| <= ln(2+u) + 2 past the cutoff
+    dig_tail = float((math.log(2.0 + U) + 2.0) * erfc(a * U / math.sqrt(2.0)))
     for name, bound in (("zero", zero_tail), ("prime", prime_tail), ("digamma", dig_tail)):
         if not math.isfinite(bound):
             raise ArithmeticError(f"{name}-sum tail estimate is not finite; aborting")

@@ -1,5 +1,6 @@
-"""Kozyrev wavelets on Q_p, the Vladimirov derivative in spectral and
-kernel form, and the raising/lowering action on the restricted basis.
+"""Kozyrev wavelets on Q_p, the Vladimirov derivative (closed-form
+eigenvalue plus integral-kernel check), and the raising/lowering action on
+the restricted basis.
 
 The restricted basis H_-^(p) consists of psi_{-n+1, 0, 1} for n = 1, 2, ...
 (contractions only, translation 0, j = 1); these span the mean-zero
@@ -185,29 +186,10 @@ def gram_matrix(p: int, n_max: int, K: Optional[int] = None):
 
 
 @dataclass(frozen=True)
-class VladimirovSpec:
-    """Exponent and evaluation mode for D^alpha.
-
-    kernel mode carries the coset level K and the domain cutoff p^B; the
-    geometric tail beyond p^B is summed in closed form and its pre-summation
-    size is reported, never silently assumed away.
-    """
-
-    alpha: complex
-    mode: str = "spectral"
-    K: int = 12
-    B: int = 12
-
-    def __post_init__(self):
-        if self.mode not in ("spectral", "kernel"):
-            raise ValueError("mode must be 'spectral' or 'kernel'")
-
-
-@dataclass(frozen=True)
 class VladimirovResult:
     eigenvalue: complex
     residual: float
-    tail_bound: float = 0.0
+    tail_bound: float
 
 
 def vladimirov_eigenvalue(p: int, alpha: complex, scale: int) -> complex:
@@ -240,7 +222,7 @@ def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
 
 
 def vladimirov_kernel_apply(
-    spec: VladimirovSpec, idx: WaveletIndex, xi: Fraction
+    idx: WaveletIndex, alpha: complex, xi: Fraction, K: int = 12, B: int = 12
 ) -> tuple[complex, float]:
     """Evaluate (D^alpha psi)(xi) through the integral kernel
 
@@ -248,28 +230,30 @@ def vladimirov_kernel_apply(
 
     by exact distance-shell summation over |xi'| <= p^B (the subtraction
     kills the shells finer than the resolution level exactly) plus the
-    closed-form geometric tail.  Returns (value, pre-summation tail size).
+    closed-form geometric tail.  Returns (value, pre-summation tail size):
+    the tail beyond p^B is summed in closed form and its size reported,
+    never silently assumed away.  K is the coset level.
     """
-    p, alpha = idx.prime, complex(spec.alpha)
+    p, alpha = idx.prime, complex(alpha)
     if alpha.real <= 0:
         raise ValueError(
             "kernel mode needs Re(alpha) > 0: the tail of the kernel integral "
             "diverges otherwise (and the normalisation has a pole at alpha = -1)"
         )
     r0 = idx.resolution_level
-    if spec.K < r0:
-        raise ValueError(f"coset level K = {spec.K} below the resolution level {r0}")
+    if K < r0:
+        raise ValueError(f"coset level K = {K} below the resolution level {r0}")
     c_f, l_f = _support_ball(idx)
     support_norm = max(padic_norm(c_f, p), Fraction(p) ** (-l_f)) if c_f else Fraction(p) ** (-l_f)
-    if Fraction(p) ** spec.B < support_norm:
-        raise ValueError(f"domain cutoff p^{spec.B} does not cover the support")
+    if Fraction(p) ** B < support_norm:
+        raise ValueError(f"domain cutoff p^{B} does not cover the support")
     f_xi = kozyrev_eval(idx, xi)
     pf = float(p)
 
     total = 0.0 + 0.0j
     # distance shells |xi'-xi| = p^(-j); f-dependent part vanishes once the
     # ball drops inside the support-free region or below the resolution
-    for j in range(-spec.B, r0):
+    for j in range(-B, r0):
         ball_j = _ball_integral(idx, xi, j)
         ball_j1 = _ball_integral(idx, xi, j + 1)
         shell_measure = pf ** (-j) - pf ** (-j - 1)
@@ -277,7 +261,7 @@ def vladimirov_kernel_apply(
         total += pf ** ((alpha + 1.0) * j) * shell_int
     # tail |xi'| > p^B: psi vanishes there and |xi'-xi| = |xi'|
     q = pf ** (-alpha)
-    tail = -f_xi * (1.0 - 1.0 / pf) * q ** (spec.B + 1) / (1.0 - q)
+    tail = -f_xi * (1.0 - 1.0 / pf) * q ** (B + 1) / (1.0 - q)
     total += tail
     return _kernel_prefactor(p, alpha) * total, abs(tail)
 
@@ -289,21 +273,17 @@ def _kernel_sample_points(idx: WaveletIndex, count: int = 6) -> list[Fraction]:
     return pts[:count]
 
 
-def vladimirov_apply(spec: VladimirovSpec, idx: WaveletIndex) -> VladimirovResult:
-    """Apply D^alpha to a basis wavelet.
-
-    spectral mode returns the exact eigenvalue p^(alpha(1-n)); kernel mode
-    additionally evaluates the integral kernel at sample points in the
-    support and reports the maximum pointwise deviation from
-    eigenvalue * psi.
+def vladimirov_apply(idx: WaveletIndex, alpha: complex, K: int = 12, B: int = 12) -> VladimirovResult:
+    """Apply D^alpha to a basis wavelet: the exact eigenvalue p^(alpha(1-n)),
+    checked against the integral kernel (coset level K, domain cutoff p^B)
+    at sample points in the support; residual is the maximum pointwise
+    deviation from eigenvalue * psi.
     """
-    lam = vladimirov_eigenvalue(idx.prime, spec.alpha, idx.scale)
-    if spec.mode == "spectral":
-        return VladimirovResult(lam, 0.0)
+    lam = vladimirov_eigenvalue(idx.prime, alpha, idx.scale)
     residual = 0.0
     tail_bound = 0.0
     for xi in _kernel_sample_points(idx):
-        val, tb = vladimirov_kernel_apply(spec, idx, xi)
+        val, tb = vladimirov_kernel_apply(idx, alpha, xi, K, B)
         residual = max(residual, abs(val - lam * kozyrev_eval(idx, xi)))
         tail_bound = max(tail_bound, tb)
     return VladimirovResult(lam, residual, tail_bound)

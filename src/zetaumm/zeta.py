@@ -21,7 +21,7 @@ from scipy.special import digamma, loggamma  # noqa: F401  (array ufuncs, re-exp
 from scipy.special import exp1 as _exp1
 from scipy.special import expi as _expi
 
-from .padics import is_prime, require_prime
+from .padics import require_prime
 
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(2.0 * math.pi)
@@ -327,44 +327,30 @@ class PrimeTable:
 # ---------------------------------------------------------------------------
 
 
-def _is_exact_prime_power(x: float) -> Optional[tuple[int, int]]:
+def _midpoint_power_sum(x: float, primes: Optional[PrimeTable], weights) -> float:
+    """Sum of weights(table) over prime powers p^n <= x, half weight at a
+    jump (x within 1e-9 of a prime power)."""
+    if x <= 1.0:
+        return 0.0
+    if primes is None or primes.limit < x:
+        primes = PrimeTable.build(int(x) + 1)
+    w = weights(primes)
+    total = w[primes.power_values <= x + 1e-9].sum()
     n = round(x)
-    if abs(x - n) > 1e-9 or n < 2:
-        return None
-    for k in range(1, n.bit_length() + 1):
-        p = round(n ** (1.0 / k))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 2 and cand**k == n and is_prime(cand):
-                return cand, k
-    return None
+    i = int(np.searchsorted(primes.power_values, n))
+    if abs(x - n) <= 1e-9 and i < primes.power_values.size and primes.power_values[i] == n:
+        total -= 0.5 * w[i]
+    return float(total)
 
 
 def chebyshev_psi_direct(x: float, primes: Optional[PrimeTable] = None) -> float:
     """psi(x) = sum of ln p over prime powers p^n <= x, midpoint at jumps."""
-    if x <= 1.0:
-        return 0.0
-    if primes is None or primes.limit < x:
-        primes = PrimeTable.build(int(x) + 1)
-    sel = primes.power_values <= x + 1e-9
-    total = primes.power_weights[sel].sum()
-    hit = _is_exact_prime_power(x)
-    if hit is not None:
-        total -= 0.5 * math.log(hit[0])
-    return float(total)
+    return _midpoint_power_sum(x, primes, lambda t: t.power_weights)
 
 
 def prime_count_j_direct(x: float, primes: Optional[PrimeTable] = None) -> float:
     """J(x) = sum over prime powers p^n <= x of 1/n, midpoint at jumps."""
-    if x <= 1.0:
-        return 0.0
-    if primes is None or primes.limit < x:
-        primes = PrimeTable.build(int(x) + 1)
-    sel = primes.power_values <= x + 1e-9
-    total = (1.0 / primes.power_exponents[sel]).sum()
-    hit = _is_exact_prime_power(x)
-    if hit is not None:
-        total -= 0.5 / hit[1]
-    return float(total)
+    return _midpoint_power_sum(x, primes, lambda t: 1.0 / t.power_exponents)
 
 
 def local_count_direct(p: int, x: float) -> float:
@@ -376,8 +362,7 @@ def local_count_direct(p: int, x: float) -> float:
     while pk <= x + 1e-9:
         count += 1
         pk *= p
-    hit = _is_exact_prime_power(x)
-    if hit is not None and hit[0] == p:
+    if count and abs(x - pk // p) <= 1e-9:  # x sits on the last power counted
         return count - 0.5
     return float(count)
 
@@ -488,7 +473,6 @@ def li_coefficients_zero_sum(
     n_max: int,
     zeros: Sequence[float],
     n_zeros: Optional[int] = None,
-    tail_correction: bool = True,
 ) -> LiCoefficients:
     """lambda_n = sum_m [1 - (1 - 1/rho_m)^n] with rho_m = 1/2 + i t_m,
     conjugate-paired: each pair contributes 2(1 - cos(n phi(t))) with
@@ -510,13 +494,10 @@ def li_coefficients_zero_sum(
     for n in range(1, n_max + 1):
         lam[n - 1] = (2.0 * (1.0 - np.cos(n * phi))).sum()
         tail = _li_tail_integral(n, T)
-        if tail_correction:
-            lam[n - 1] += tail
-            # residual after smoothing is zero-fluctuation noise, well under
-            # the smoothed tail itself; report a 5% slice of it as the scale
-            err[n - 1] = 0.05 * tail + 1e-12
-        else:
-            err[n - 1] = tail
+        lam[n - 1] += tail
+        # residual after smoothing is zero-fluctuation noise, well under
+        # the smoothed tail itself; report a 5% slice of it as the scale
+        err[n - 1] = 0.05 * tail + 1e-12
     return LiCoefficients(lam, "zero_sum", err)
 
 
@@ -544,7 +525,6 @@ class ZeroTable:
     ts: np.ndarray
     residuals: np.ndarray
     source: str
-    validation_tol: float
     excluded: tuple[tuple[float, float], ...] = ()
 
     def __len__(self) -> int:
@@ -554,11 +534,11 @@ class ZeroTable:
         return self.ts[idx]
 
 
-def ingest_zeros(path: str, validation_tol: float = 1e-6, max_zeros: Optional[int] = None) -> ZeroTable:
+def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
     """Load a zero table (one ascending positive decimal per line, '#'
     comments) and validate each ordinate with this package's own xi.
 
-    Zeros whose |xi(1/2 + i t)| exceed validation_tol are excluded and
+    Zeros whose |xi(1/2 + i t)| exceed 1e-6 are excluded and
     reported; parse errors and ordering violations carry line numbers.
     """
     ts: list[float] = []
@@ -585,13 +565,12 @@ def ingest_zeros(path: str, validation_tol: float = 1e-6, max_zeros: Optional[in
     # one xi call per block of 8 neighbouring ordinates (N follows the largest
     # of them): each call carries a fixed array overhead of ~70 us
     residuals = np.concatenate([np.abs(xi(0.5 + 1j * arr[i : i + 8])) for i in range(0, arr.size, 8)])
-    ok = residuals < validation_tol
+    ok = residuals < 1e-6
     excluded = tuple((float(t), float(r)) for t, r in zip(arr[~ok], residuals[~ok]))
     return ZeroTable(
         ts=arr[ok],
         residuals=residuals[ok],
         source=path,
-        validation_tol=validation_tol,
         excluded=excluded,
     )
 

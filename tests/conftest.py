@@ -6,7 +6,7 @@ from zetaumm import zeta as zt
 @pytest.fixture(scope="session")
 def zeros_2000():
     """First 2000 validated zero ordinates from the bundled table."""
-    table = zt.ingest_zeros(zt.bundled_zeros_path(), validation_tol=1e-6, max_zeros=2000)
+    table = zt.ingest_zeros(zt.bundled_zeros_path(), max_zeros=2000)
     assert len(table) == 2000
     return table
 
@@ -14,7 +14,7 @@ def zeros_2000():
 @pytest.fixture(scope="session")
 def zeros_all():
     """The full bundled table (10^4 ordinates)."""
-    return zt.ingest_zeros(zt.bundled_zeros_path(), validation_tol=1e-6)
+    return zt.ingest_zeros(zt.bundled_zeros_path())
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,9 +91,9 @@ class TestPlaquetteMC:
             plaquette_mc(16, [0.6], sweeps=10, burn_in=0, seed=0)
 
     def test_accepts_beta_series_input(self):
-        from zetaumm.resolvent import beta_contour, local_zeta_model
+        from zetaumm.resolvent import ResolventModel, beta_contour
 
-        series = beta_contour(local_zeta_model(5), 3, 0.5, 512)
+        series = beta_contour(ResolventModel("local", p=5), 3, 0.5, 512)
         run_a = plaquette_mc(8, series, sweeps=30, burn_in=10, seed=2, chains=1)
         run_b = plaquette_mc(8, series.coefficients.real, sweeps=30, burn_in=10, seed=2, chains=1)
         assert np.array_equal(run_a.sample.phases, run_b.sample.phases)
@@ -100,8 +101,9 @@ class TestPlaquetteMC:
     def test_zero_coupling_spacings_match_cue(self):
         # heavy thinning and one gap per configuration keep the two-sample
         # KS comparison effectively independent
-        run = plaquette_mc(16, [], sweeps=2000, burn_in=300, seed=5, chains=2, thin=10)
-        mc_gaps = run.sample.circular_spacings()[::2, 0]
+        run = plaquette_mc(16, [], sweeps=2000, burn_in=300, seed=5, chains=2)
+        thinned = replace(run.sample, phases=run.sample.phases[::10])
+        mc_gaps = thinned.circular_spacings()[::2, 0]
         cue_gaps = sample_cue(16, mc_gaps.size, seed=6).circular_spacings()[:, 0]
         assert ks_2samp(mc_gaps, cue_gaps).pvalue > 1e-3
 
@@ -109,7 +111,7 @@ class TestPlaquetteMC:
 class TestPairCorrelation:
     def test_cue_matches_sine_kernel(self):
         s = sample_cue(40, 800, seed=11)
-        rep = pair_correlation(s, "cue_native", bins=50, r_max=5.0)
+        rep = pair_correlation(s, bins=50, r_max=5.0)
         assert rep.l2_distance < 0.08
         # R2 flattens to 1 at large separations
         assert abs(rep.r2[-10:].mean() - 1.0) < 0.05
@@ -117,7 +119,7 @@ class TestPairCorrelation:
     def test_poisson_control(self):
         rng = np.random.Generator(np.random.PCG64(5))
         pts = np.sort(rng.uniform(0.0, 10_000.0, 10_000))
-        rep = pair_correlation(pts, "identity", bins=50, r_max=5.0)
+        rep = pair_correlation(pts, bins=50, r_max=5.0)
         assert rep.l2_distance > 0.2
         assert rep.l2_distance_to(np.ones(50)) < 0.15
 
@@ -129,14 +131,14 @@ class TestPairCorrelation:
     def test_unfolded_zeros_near_sine_kernel(self, zeros_all):
         # low-height zeros carry a visible 1/ln(t) correction at small r,
         # so the distance depends on binning; both conventions below hold
-        rep = pair_correlation(zeros_all.ts, "zero_unfold", bins=40, r_max=4.0)
+        rep = pair_correlation(unfold_zeros(zeros_all.ts), bins=40, r_max=4.0)
         assert rep.l2_distance < 0.08
-        rep_default = pair_correlation(zeros_all.ts, "zero_unfold", bins=50, r_max=5.0)
+        rep_default = pair_correlation(unfold_zeros(zeros_all.ts), bins=50, r_max=5.0)
         assert rep_default.l2_distance < 0.1
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            pair_correlation(np.linspace(0, 100, 500), "identity")
+            pair_correlation(np.linspace(0, 100, 500))
 
     def test_sine_kernel_reference(self):
         r = np.array([1e-9, 0.5, 1.0, 2.5])

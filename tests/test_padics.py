@@ -8,7 +8,6 @@ from zetaumm.padics import (
     PAdicNumber,
     additive_character,
     ball_coset_representatives,
-    coset_representatives,
     fractional_part,
     haar_integrate_norm_power,
     indicator_ball,
@@ -193,26 +192,18 @@ class TestHaarIntegral:
 
 class TestRegions:
     def test_measures_of_named_regions(self):
-        from zetaumm.padics import region_measure
-
         for p in (2, 3, 5):
-            assert region_measure(p, "unit_ball_interior") == Fraction(1, p)
-            assert region_measure(p, "unit_group") == Fraction(p - 1, p)
-            assert region_measure(p, "integers") == 1
-            # the two readings of the unit-group notation partition Z_p
-            total = region_measure(p, "unit_ball_interior") + region_measure(p, "unit_group")
-            assert total == region_measure(p, "integers")
-
-    def test_unknown_region(self):
-        from zetaumm.padics import region_measure
-
-        with pytest.raises(ValueError):
-            region_measure(2, "nope")
+            zero = PAdicNumber.from_rational(0, p, 1)
+            # the shell integral of |xi|^0 is the measure of its region, the
+            # ball p Z_p; with the unit group (measure 1 - 1/p) it tiles Z_p
+            interior = haar_integrate_norm_power(p, 1, 1).closed_form
+            assert interior == PAdicBall(p, zero, 1).measure == Fraction(1, p)
+            assert interior + Fraction(p - 1, p) == PAdicBall(p, zero, 0).measure == 1
 
 
 class TestCosets:
     def test_counts_and_exact_tiling(self):
-        reps = list(coset_representatives(3, 2, 1))
+        reps = list(ball_coset_representatives(3, Fraction(0), -1, 2))
         assert len(reps) == 27
         # tiling is exact: integrating the constant 1 gives the domain measure
         total = Fraction(len(reps), 3**2)

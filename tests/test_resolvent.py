@@ -16,20 +16,15 @@ from zetaumm.resolvent import (
     contour_coefficients,
     density_profile,
     gamma_log_coefficients,
-    gamma_place_model,
     local_potential_derivative,
     local_potential_derivative_partial,
     local_spike_angles,
-    local_zeta_model,
     phase_space_density,
     potential_sum_local,
     resolvent,
-    shifted_zeta_model,
-    symmetric_xi_model,
     trace_fluctuation,
     ungapped_density,
     xi_log_coefficients,
-    zeta_log_coefficients,
 )
 from zetaumm.zeta import NumericConsistencyError, li_coefficients_cauchy
 
@@ -111,18 +106,20 @@ class TestConformalMap:
 
 class TestResolvent:
     def test_local_value_at_origin(self):
-        assert resolvent(local_zeta_model(2), 0.0) == 1.0
+        assert resolvent(ResolventModel("local", p=2), 0.0) == 1.0
 
     def test_reflection_examples(self):
         z = 0.3 + 0.2j
-        val = resolvent(local_zeta_model(2), z) + resolvent(local_zeta_model(2), 1.0 / z)
+        model = ResolventModel("local", p=2)
+        val = resolvent(model, z) + resolvent(model, 1.0 / z)
         assert abs(val - 1.0) < 1e-12
 
     def test_gamma_place_small_z_limit(self):
-        assert resolvent(gamma_place_model(), 0.0) == 1.0
-        assert abs(resolvent(gamma_place_model(), 1e-8) - 1.0) < 1e-7
+        assert resolvent(ResolventModel("gamma"), 0.0) == 1.0
+        assert abs(resolvent(ResolventModel("gamma"), 1e-8) - 1.0) < 1e-7
 
-    @pytest.mark.parametrize("model", [local_zeta_model(2), local_zeta_model(3), local_zeta_model(5), gamma_place_model()])
+    @pytest.mark.parametrize("model", [ResolventModel("local", p=2), ResolventModel("local", p=3),
+                                       ResolventModel("local", p=5), ResolventModel("gamma")])
     def test_reflection_on_random_annulus(self, model):
         rng = random.Random(7 + (model.p or 0))
         for _ in range(100):
@@ -134,16 +131,16 @@ class TestResolvent:
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
-            resolvent(local_zeta_model(2), complex(math.cos(1.0), math.sin(1.0)))
+            resolvent(ResolventModel("local", p=2), complex(math.cos(1.0), math.sin(1.0)))
 
     def test_branch_read_off_modulus(self):
-        model = local_zeta_model(2)
+        model = ResolventModel("local", p=2)
         assert resolvent(model, 1.5) == 1.0 - resolvent(model, 1.0 / 1.5)
         with pytest.raises(ValueError):
             resolvent(model, -1.0)
 
     def test_shifted_and_xi_reflection_by_construction(self):
-        for model in (shifted_zeta_model(1.5), symmetric_xi_model()):
+        for model in (ResolventModel("shifted", s0=1.5), ResolventModel("xi")):
             z = 0.4 - 0.1j
             val = resolvent(model, z) + resolvent(model, 1.0 / z)
             assert abs(val - 1.0) < 1e-12
@@ -158,32 +155,31 @@ class TestResolvent:
 class TestBetaContour:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_leading_coefficient(self, p):
-        bs = beta_contour(local_zeta_model(p), 20, 0.5, 512)
-        assert abs(bs.beta(1) - 1.0 / (p - 1)) < 1e-9
+        bs = beta_contour(ResolventModel("local", p=p), 20, 0.5, 512)
+        assert abs(bs.coefficients[0] - 1.0 / (p - 1)) < 1e-9
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_series_against_power_series_oracle(self, p):
         oracle = local_beta_series_oracle(p, order=6)
-        bs = beta_contour(local_zeta_model(p), 6, 0.5, 512)
+        bs = beta_contour(ResolventModel("local", p=p), 6, 0.5, 512)
         for n in range(1, 7):
-            assert abs(bs.beta(n) - oracle[n]) < 1e-10
+            assert abs(bs.coefficients[n - 1] - oracle[n]) < 1e-10
 
     def test_radius_independence(self):
-        b4 = beta_contour(local_zeta_model(2), 20, 0.4, 512)
-        b7 = beta_contour(local_zeta_model(2), 20, 0.7, 512)
+        b4 = beta_contour(ResolventModel("local", p=2), 20, 0.4, 512)
+        b7 = beta_contour(ResolventModel("local", p=2), 20, 0.7, 512)
         assert np.abs(b4.coefficients - b7.coefficients).max() < 1e-9
 
     def test_imaginary_parts_negligible(self):
-        for model in (local_zeta_model(3), gamma_place_model()):
+        for model in (ResolventModel("local", p=3), ResolventModel("gamma")):
             bs = beta_contour(model, 20, 0.5, 512)
             assert np.abs(bs.coefficients.imag).max() < 1e-9
-            bs.real_coefficients  # does not raise
 
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
-            beta_contour(local_zeta_model(2), 5, 0.5, 100)
+            beta_contour(ResolventModel("local", p=2), 5, 0.5, 100)
         with pytest.raises(ValueError):
-            beta_contour(local_zeta_model(2), 5, 0.5, 32)
+            beta_contour(ResolventModel("local", p=2), 5, 0.5, 32)
 
     def test_log_series_routes_report_node_doubling(self):
         for series in (beta_symmetric(10, 0.5, 512), beta_renormalized_xi_decomposition(10, 0.5, 512)):
@@ -205,7 +201,7 @@ class TestBetaContour:
             contour_coefficients(lambda z: 1.0 / (z - 0.6), 8, 0.5, 256)
 
     def test_xi_model_routes_to_log_extractor(self):
-        a = beta_contour(symmetric_xi_model(), 8, 0.5, 1024)
+        a = beta_contour(ResolventModel("xi"), 8, 0.5, 1024)
         b = beta_symmetric(8, 0.5, 1024)
         assert np.abs(a.coefficients - b.coefficients).max() == 0.0
 
@@ -216,13 +212,13 @@ class TestPotentialSum:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_closed_form_matches_series(self, p):
-        bs = beta_contour(local_zeta_model(p), 40, 0.5, 512)
+        bs = beta_contour(ResolventModel("local", p=p), 40, 0.5, 512)
         rng = random.Random(11 * p)
         for _ in range(20):
             r = rng.uniform(0.05, 0.6)
             phi = rng.uniform(0.0, 2.0 * math.pi)
             z = r * complex(math.cos(phi), math.sin(phi))
-            series = sum(bs.beta(n) * z**n / n for n in range(1, 41))
+            series = sum(bs.coefficients[n - 1] * z**n / n for n in range(1, 41))
             assert abs(series - potential_sum_local(p, z)) < 1e-8
 
     def test_real_on_real_axis(self):
@@ -265,6 +261,11 @@ class TestDensityProfile:
             density_profile(2, [th1], 3)
         with pytest.raises(ValueError):
             density_profile(2, [1e-12], 3)
+
+    def test_non_prime_rejected(self):
+        for p in (1, 4):
+            with pytest.raises(ValueError, match="not a prime"):
+                density_profile(p, [2.0], 3)
 
     def test_ungapped_density_normalised(self):
         th = np.linspace(-math.pi, math.pi, 20001)
@@ -347,7 +348,7 @@ class TestRenormalized:
         M = 20
         Xi = xi_log_coefficients(M, 0.5, 1024)
         R = gamma_log_coefficients(M, 0.5, 1024)
-        G = zeta_log_coefficients(M, 0.5, 1024)
+        G = beta_renormalized_xi_decomposition(M, 0.5, 1024).coefficients
         m = np.arange(1, M + 1)
         assert np.abs(Xi - (2.0 / m + R + G)).max() < 1e-8
 
@@ -362,7 +363,7 @@ class TestRenormalized:
         # [z] ln(z zeta(1/(1-z))) = euler_gamma - 1 from the Laurent
         # expansion at the pole, and [z] ln zeta_R(1/(1-z)) evaluates to
         # -ln(pi)/2 + psi(1/2)/2 with psi(1/2) = -euler_gamma - 2 ln 2
-        g1 = zeta_log_coefficients(1, 0.5, 1024)[0]
+        g1 = beta_renormalized_xi_decomposition(1, 0.5, 1024).coefficients[0]
         assert abs(g1 - (np.euler_gamma - 1.0)) < 1e-10
         r1 = gamma_log_coefficients(1, 0.5, 1024)[0]
         expected_r1 = -0.5 * math.log(math.pi) - 0.5 * np.euler_gamma - math.log(2.0)
@@ -391,15 +392,13 @@ class TestRenormalized:
             beta_renormalized_shifted(5, 0.9)
         with pytest.raises(ValueError):
             beta_renormalized_prime_sum(5, 0.9)
-        g = beta_renormalized_xi_decomposition(8, 0.5, 1024)
-        assert np.abs(g.coefficients - zeta_log_coefficients(8, 0.5, 1024)).max() < 1e-12
 
     def test_gamma_two_map_consistency(self):
         # [z^m] ln zeta_R(full map) reproduced from the half-map series R_k
         # through w = 2z/(1+z): A_m = sum_k R_k 2^k (-1)^(m-k) C(m-1, m-k),
         # and beta^gamma_m = (m/2) A_m
         M = 10
-        bg = beta_contour(gamma_place_model(), M, 0.5, 512)
+        bg = beta_contour(ResolventModel("gamma"), M, 0.5, 512)
         R = gamma_log_coefficients(M, 0.5, 1024)
         for m in range(1, M + 1):
             A = 2.0 / m * bg.coefficients[m - 1]
@@ -425,6 +424,6 @@ class TestBoundaryRelation:
             assert abs(a - b) < 1e-14
 
     def test_accepts_beta_series(self):
-        bs = beta_contour(local_zeta_model(2), 5, 0.5, 512)
+        bs = beta_contour(ResolventModel("local", p=2), 5, 0.5, 512)
         val = boundary_h(0.0, bs)
         assert abs(val - (0.5 + bs.coefficients.real.sum())) < 1e-12

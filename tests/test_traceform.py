@@ -107,6 +107,18 @@ class TestTraceFormula:
     def test_gaussian_family_carries_its_width(self):
         assert TestFunctionPair.gaussian(1.5).width == 1.5
 
+    def test_pair_without_width_rejected_after_self_test(self, zeros_2000, primes_1e4):
+        # a correct Gaussian built by hand: its transform is right, but only
+        # the width field unlocks the closed-form tail bounds
+        pair = TestFunctionPair(
+            g=lambda q: math.exp(-q * q / 2.0),
+            h=lambda u: math.sqrt(2 * math.pi) * np.exp(-0.5 * np.asarray(u) ** 2),
+            label="hand-made gaussian",
+        )
+        assert pair.self_test() < 1e-10
+        with pytest.raises(ValueError, match="Gaussian family"):
+            trace_formula_check(pair, zeros_2000, 100, primes_1e4)
+
 
 class TestWignerCombs:
     def test_single_prime_locations(self):
@@ -153,3 +165,8 @@ class TestWignerCombs:
     def test_q_max_validated(self):
         with pytest.raises(ValueError):
             wigner_marginal_comb(2, 0.0, -1.0)
+
+    def test_non_prime_rejected(self):
+        for p in (4, 1, "4"):
+            with pytest.raises(ValueError, match="not a prime"):
+                wigner_marginal_comb(p, 0.5, 5.0)

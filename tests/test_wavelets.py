@@ -6,7 +6,6 @@ import pytest
 from zetaumm.padics import PAdicNumber, PrecisionError
 from zetaumm.wavelets import (
     LadderAction,
-    VladimirovSpec,
     WaveletIndex,
     gram_matrix,
     inner_product,
@@ -104,13 +103,8 @@ class TestVladimirov:
         assert vladimirov_eigenvalue(2, 2.0, 0) == 4
         assert vladimirov_eigenvalue(3, 1.0, 1) == 1
 
-    def test_spectral_mode_zero_residual(self):
-        res = vladimirov_apply(VladimirovSpec(2.0, "spectral"), WaveletIndex(2, 0))
-        assert res.eigenvalue == 4
-        assert res.residual == 0.0
-
     def test_kernel_example(self):
-        res = vladimirov_apply(VladimirovSpec(1.0, "kernel", 12, 12), WaveletIndex(2, 0))
+        res = vladimirov_apply(WaveletIndex(2, 0), 1.0, 12, 12)
         assert abs(res.eigenvalue - 2.0) < 1e-14
         assert res.residual < 1e-6
 
@@ -118,31 +112,27 @@ class TestVladimirov:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.0 + 1.0j])
     @pytest.mark.parametrize("scale", [0, 1])
     def test_kernel_matches_spectral(self, p, alpha, scale):
-        res = vladimirov_apply(
-            VladimirovSpec(alpha, "kernel", 12, 12), WaveletIndex(p, scale)
-        )
+        res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12, 12)
         assert res.residual / abs(res.eigenvalue) < 1e-6
 
     def test_kernel_on_restricted_basis_states(self):
         for n in (1, 2, 3):
-            res = vladimirov_apply(
-                VladimirovSpec(1.0, "kernel", 12, 12), restricted_index(2, n)
-            )
+            res = vladimirov_apply(restricted_index(2, n), 1.0, 12, 12)
             # log_p D eigenvalue on label n is n, i.e. D^1 eigenvalue p^n
             assert abs(res.eigenvalue - 2.0**n) < 1e-12
             assert res.residual / abs(res.eigenvalue) < 1e-6
 
     def test_kernel_rejects_nonpositive_real_exponent(self):
         # the kernel tail diverges for Re(alpha) <= 0 (and the prefactor has
-        # a pole at alpha = -1); spectral mode stays available there
+        # a pole at alpha = -1); vladimirov_eigenvalue stays available there
         with pytest.raises(ValueError):
-            vladimirov_apply(VladimirovSpec(-1.0, "kernel"), WaveletIndex(2, 0))
+            vladimirov_apply(WaveletIndex(2, 0), -1.0)
         with pytest.raises(ValueError):
-            vladimirov_apply(VladimirovSpec(-0.5, "kernel"), WaveletIndex(2, 0))
+            vladimirov_apply(WaveletIndex(2, 0), -0.5)
 
     def test_kernel_domain_must_cover_support(self):
         with pytest.raises(ValueError):
-            vladimirov_apply(VladimirovSpec(1.0, "kernel", K=12, B=-2), WaveletIndex(2, 1))
+            vladimirov_apply(WaveletIndex(2, 1), 1.0, K=12, B=-2)
 
     def test_composition_law_on_eigenvalues(self):
         for a1, a2 in [(1.0, 2.0), (0.5, -0.25), (1 + 1j, 1 - 1j)]:

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from zetaumm.zeta import (
     NumericConsistencyError,
     PrimeTable,
     ZetaPole,
+    bundled_zeros_path,
     chebyshev_psi_direct,
     chebyshev_psi_explicit,
     digamma,
@@ -228,6 +232,14 @@ class TestCounting:
         assert abs(chebyshev_psi_direct(8.0) - (chebyshev_psi_direct(7.9) + 0.5 * math.log(2))) < 1e-12
         assert abs(prime_count_j_direct(9.0) - (prime_count_j_direct(8.9) + 0.25)) < 1e-12
         assert local_count_direct(3, 9.0) == 1.5
+        # within 1e-9 of a jump counts as the jump; 6 is no prime power
+        x = 8.0 + 5e-10
+        assert abs(chebyshev_psi_direct(x) - (chebyshev_psi_direct(7.9) + 0.5 * math.log(2))) < 1e-12
+        assert abs(prime_count_j_direct(x) - (prime_count_j_direct(7.9) + 1.0 / 6.0)) < 1e-12
+        assert local_count_direct(2, x) == 2.5
+        assert chebyshev_psi_direct(6.0) == chebyshev_psi_direct(5.9)
+        assert prime_count_j_direct(6.0) == prime_count_j_direct(5.9)
+        assert local_count_direct(2, 6.0) == 2.0
 
     def test_psi_explicit_close_at_first_sample_point(self, zeros_2000):
         direct = chebyshev_psi_direct(10.5)
@@ -327,7 +339,7 @@ class TestIngestZeros:
     def test_valid_table(self, tmp_path):
         f = tmp_path / "zeros.txt"
         f.write_text("# header\n14.134725141734694\n21.022039638771555\n")
-        table = ingest_zeros(str(f), validation_tol=1e-6)
+        table = ingest_zeros(str(f))
         assert len(table) == 2
         assert table.residuals.max() < 1e-6
 
@@ -352,10 +364,25 @@ class TestIngestZeros:
     def test_invalid_ordinate_excluded_and_listed(self, tmp_path):
         f = tmp_path / "zeros.txt"
         f.write_text("14.134725141734694\n17.25\n21.022039638771555\n")
-        table = ingest_zeros(str(f), validation_tol=1e-6)
+        table = ingest_zeros(str(f))
         assert len(table) == 2
         assert len(table.excluded) == 1
         assert abs(table.excluded[0][0] - 17.25) < 1e-12
+
+    def test_bundled_table_matches_generator(self, tmp_path):
+        # provenance: the bundled table is what tools/generate_zeros.py writes
+        tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "generate_zeros.py")
+        out = tmp_path / "zeros5.txt"
+        subprocess.run([sys.executable, tool, "5", str(out)], check=True, timeout=120,
+                       stdout=subprocess.DEVNULL)
+
+        def data_lines(path):
+            with open(path, "rb") as fh:
+                return [line for line in fh if not line.startswith(b"#")]
+
+        generated = data_lines(out)
+        assert len(generated) == 5
+        assert generated == data_lines(bundled_zeros_path())[:5]
 
     def test_bundled_table_first_ordinate(self, zeros_2000):
         assert abs(zeros_2000[0] - 14.134725141734694) < 1e-9
