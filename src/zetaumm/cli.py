@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=_prime, default=2)
     sp.add_argument("--nmax", type=int, default=12)
     sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--kernel-k", type=int, default=12)
     sp.add_argument("--kernel-b", type=int, default=12)
     _add_common(sp)
 
@@ -215,7 +214,7 @@ def _cmd_wavelet_check(args) -> int:
     gram_dev = float(np.abs(G - np.eye(args.nmax)).max())
     rows = []
     for scale in (0, 1):
-        res = vladimirov_apply(WaveletIndex(args.prime, scale), args.alpha, args.kernel_k, args.kernel_b)
+        res = vladimirov_apply(WaveletIndex(args.prime, scale), args.alpha, args.kernel_b)
         rows.append((scale, res.eigenvalue, res.residual / abs(res.eigenvalue)))
     cols = {
         "check": [f"gram(nmax={args.nmax})"] + [f"kernel(scale={s})" for s, _, _ in rows],
@@ -284,7 +283,8 @@ def _cmd_beta_ren(args) -> int:
     if args.method == "prime_sum":
         series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax, args.powers)
     elif args.method == "shifted_contour":
-        series = resolvent.beta_renormalized_shifted(args.mmax, args.mu, args.radius, args.nodes)
+        model = resolvent.ResolventModel("shifted", s0=args.mu)
+        series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
     elif abs(args.mu - 0.5) > 1e-12:
         raise ValueError("xi_decomposition is the mu = 1/2 route")
     else:
@@ -306,8 +306,7 @@ def _cmd_beta_ren(args) -> int:
 def _cmd_trace_check(args) -> int:
     table = zt.ingest_zeros(args.zeros, max_zeros=max(args.nzeros, 50))
     primes = zt.PrimeTable.build(args.primes_max)
-    pair = traceform.TestFunctionPair.gaussian(args.width)
-    rep = traceform.trace_formula_check(pair, table, args.nzeros, primes)
+    rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
     payload = {
         "lhs": {"pole": rep.lhs_pole, "zero_sum": rep.lhs_zero_sum, "digamma": rep.lhs_digamma},
         "rhs": {"log_pi": rep.rhs_log_pi, "prime_sum": rep.rhs_prime_sum},

@@ -163,6 +163,8 @@ def plaquette_mc(
     betas = np.asarray([float(np.real(b)) for b in betas])
     if betas.size and np.abs(betas[0]) >= 0.5 and betas.size == 1:
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
+    if min(chains, sweeps, bins) < 1:
+        raise ValueError("chains, sweeps and bins must be >= 1")
     phases = np.empty((chains * sweeps, N))
     widths = np.empty(chains)
     accepted_total = 0
@@ -249,6 +251,10 @@ def pair_correlation(
     unfold_zeros(ts)).  Directed pair distances up to r_max are
     histogrammed and normalised per reference point.
     """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    if not r_max > 0:
+        raise ValueError("r_max must be positive")
     edges = np.linspace(0.0, r_max, bins + 1)
     counts = np.zeros(bins)
     if isinstance(points, EnsembleSample):

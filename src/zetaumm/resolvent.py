@@ -260,6 +260,8 @@ def contour_coefficients(
     set of coefficients, so this check cannot see it: callers must keep
     singularities out of the disk |z| <= r2 themselves.
     """
+    if M < 1:
+        raise ValueError("M must be >= 1")
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     if Q < 64 or Q & (Q - 1):
@@ -484,13 +486,6 @@ def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
                    doubling_deltas=c.doubling_deltas / scale, radius_deltas=c.radius_deltas / scale)
 
 
-def beta_renormalized_shifted(M: int, mu: float, r: float = 0.5, Q: int = 1024) -> BetaSeries:
-    """beta_m^ren = oint dz/(2 pi i z^m (1-z)^2) [d ln zeta/ds] at
-    s = mu + (1+z)/(2(1-z)); requires mu > 1 so the disk image stays in
-    the zero-free right half-plane (checked by the model)."""
-    return beta_contour(ResolventModel("shifted", s0=mu), M, r, Q)
-
-
 def _laguerre_alpha1_table(M: int, x) -> np.ndarray:
     """L^(1)_m(x) for m = 0..M-1 at a scalar or 1-D x, stacked; three-term
     recurrence."""
@@ -585,10 +580,11 @@ def cross_validate_renormalized(
     Q: int = 1024,
     primes: Optional[zt.PrimeTable] = None,
 ) -> BetaSeries:
-    """Run the prime-data and contour routes and surface (never average
-    away) any disagreement beyond their combined tolerance."""
+    """Run the prime-data route and the contour route (the shifted model at
+    s0 = mu) and surface (never average away) any disagreement beyond their
+    combined tolerance."""
     ps = beta_renormalized_prime_sum(M, mu, P_max, N_max, primes)
-    sh = beta_renormalized_shifted(M, mu, r, Q)
+    sh = beta_contour(ResolventModel("shifted", s0=mu), M, r, Q)
     combined = tolerance + sh.radius_error + ps.error_estimates
     zt.check_agreement("beta_{n}^ren", ps.coefficients, sh.coefficients, combined,
                        ("prime_sum", "shifted_contour"))

@@ -1,8 +1,8 @@
 """Trace-formula evaluation over zeros, primes, and the archimedean place,
 plus the Wigner-marginal prime-power combs.
 
-The identity checked here (Gaussian test functions g, transform
-h(u) = int g(q) e^{iqu} dq):
+The identity checked here (Gaussian test function g(q) = e^(-q^2/(2a^2))
+of width a, transform h(u) = int g(q) e^{iqu} dq = a sqrt(2pi) e^(-(au)^2/2)):
 
     h(i/2) + h(-i/2) - sum_m h(t_m)
         + (1/2pi) int h(u) Re psi(1/4 + iu/2) du
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,54 +28,6 @@ from .zeta import PrimeTable, ZeroTable
 
 LN_PI = math.log(math.pi)
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class TestFunctionPair:
-    """Even test function g and its Fourier transform h.
-
-    h must accept complex arguments (the pole term needs h(+-i/2)).
-    Every pair goes through `self_test` before use.  width is the Gaussian
-    width a for the `gaussian` family, whose tails have closed-form bounds,
-    and None for any other pair.
-    """
-
-    __test__ = False  # despite the name, not a pytest collection target
-
-    g: Callable[[float], float]
-    h: Callable[[complex], complex]
-    label: str
-    width: Optional[float] = None
-
-    @classmethod
-    def gaussian(cls, a: float) -> "TestFunctionPair":
-        if not 0.0 < a:
-            raise ValueError("width must be positive")
-
-        def g(q: float) -> float:
-            return math.exp(-q * q / (2.0 * a * a))
-
-        def h(u: complex) -> complex:
-            return a * math.sqrt(TWO_PI) * np.exp(-0.5 * (a * u) ** 2)
-
-        return cls(g, h, f"gaussian(a={a})", a)
-
-    def self_test(self, grid: Optional[Sequence[float]] = None, tol: float = 1e-10) -> float:
-        """Verify h against direct quadrature of the transform on a grid;
-        returns the worst deviation and raises beyond `tol`."""
-        if grid is None:
-            grid = np.linspace(0.0, 4.0, 9)
-        worst = 0.0
-        for u in grid:
-            val, _ = quad(lambda q: self.g(q) * math.cos(u * q), 0.0, 60.0, limit=400)
-            worst = max(worst, abs(2.0 * val - complex(self.h(u)).real))
-            worst = max(worst, abs(complex(self.h(u)).imag))
-        if worst > tol:
-            raise ValueError(
-                f"test-function pair {self.label!r} fails its transform "
-                f"self-test by {worst:.3e}"
-            )
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +55,6 @@ def wigner_marginal_comb(
     p: Union[int, str],
     mu: float = 0.0,
     q_max: float = 10.0,
-    primes: Optional[PrimeTable] = None,
 ) -> PrimePowerComb:
     """Momentum-marginal comb of the phase-space density.
 
@@ -114,9 +65,7 @@ def wigner_marginal_comb(
     if q_max <= 0:
         raise ValueError("q_max must be positive")
     if p == "all":
-        limit = int(math.exp(q_max)) + 1
-        if primes is None or primes.limit < limit:
-            primes = PrimeTable.build(limit)
+        primes = PrimeTable.build(int(math.exp(q_max)) + 1)
         sel = primes.power_values <= math.exp(q_max)
         locs = primes.power_exponents[sel] * primes.power_weights[sel]
         wts = primes.power_weights[sel] * np.exp(-mu * locs)
@@ -152,7 +101,6 @@ class TraceReport:
     quadrature_error: float
     n_zeros: int
     prime_limit: int
-    pair_label: str
 
     @property
     def lhs(self) -> float:
@@ -172,26 +120,33 @@ class TraceReport:
         )
 
 
+def _g(a: float, q):
+    return np.exp(-q * q / (2.0 * a * a))
+
+
+def _h(a: float, u):
+    """Transform of `_g`; u may be complex (the pole term needs h(i/2))."""
+    return a * math.sqrt(TWO_PI) * np.exp(-0.5 * (a * u) ** 2)
+
+
 def trace_formula_check(
-    pair: TestFunctionPair,
+    a: float,
     zeros: Union[ZeroTable, Sequence[float]],
     n_zeros: int,
     primes: PrimeTable,
 ) -> TraceReport:
-    """Evaluate both sides of the trace formula and their residual.
+    """Evaluate both sides of the trace formula for the Gaussian of width a
+    and their residual.
 
-    Only Gaussian pairs are accepted, with widths in [0.5, 3] (all tails
-    estimable); zero and prime sums carry explicit remainder bounds, the
-    archimedean integral a cutoff bound < 1e-12.  Any non-finite bound
-    aborts with diagnosis.
+    Widths lie in [0.5, 3], where every tail is estimable: zero and prime
+    sums carry explicit remainder bounds, the archimedean integral a cutoff
+    bound < 1e-12.  The prime side sums every prime power of the table,
+    p^k <= primes.limit included.
     """
-    a = pair.width
-    if a is not None and not 0.5 <= a <= 3.0:
+    if not 0.5 <= a <= 3.0:
         raise ValueError("Gaussian width must lie in [0.5, 3]")
-    pair.self_test()
-    if a is None:
-        raise ValueError(f"pair {pair.label!r}: closed-form tail bounds exist only for the "
-                         "Gaussian family (TestFunctionPair.gaussian)")
+    if primes.limit < 2:
+        raise ValueError(f"prime limit {primes.limit} holds no prime (need >= 2)")
     ts = np.asarray(zeros.ts if isinstance(zeros, ZeroTable) else zeros, dtype=float)
     if n_zeros < 50:
         raise ValueError("need at least 50 zeros")
@@ -199,16 +154,14 @@ def trace_formula_check(
         raise ValueError(f"zero table holds {ts.size} < n_zeros = {n_zeros}")
     ts = ts[:n_zeros]
 
-    pole = float(2.0 * complex(pair.h(0.5j)).real)
-    zero_sum = float(2.0 * sum(complex(pair.h(t)).real for t in ts))
-
-    # prime side through the mu = 1/2 marginal comb (shared code path)
-    q_max = math.log(primes.limit)
-    comb = wigner_marginal_comb("all", mu=0.5, q_max=q_max, primes=primes)
-    prime_sum = float(2.0 * (comb.weights * np.array([pair.g(q) for q in comb.locations])).sum())
+    pole = float(2.0 * _h(a, 0.5j).real)
+    zero_sum = float(2.0 * _h(a, ts).sum())
+    lnp = primes.power_weights
+    q = primes.power_exponents * lnp
+    prime_sum = float(2.0 * (lnp * np.exp(-0.5 * q) * _g(a, q)).sum())
 
     U = max(40.0, 14.0 / a)
-    integrand = lambda u: complex(pair.h(u)).real * float(digamma(0.25 + 0.5j * u).real)
+    integrand = lambda u: _h(a, u) * float(digamma(0.25 + 0.5j * u).real)
     val, quad_err = quad(integrand, -U, U, limit=800)
     dig = val / TWO_PI
 
@@ -229,17 +182,13 @@ def trace_formula_check(
     )
     # |Re psi(1/4 + iu/2)| <= ln(2+u) + 2 past the cutoff
     dig_tail = float((math.log(2.0 + U) + 2.0) * erfc(a * U / math.sqrt(2.0)))
-    for name, bound in (("zero", zero_tail), ("prime", prime_tail), ("digamma", dig_tail)):
-        if not math.isfinite(bound):
-            raise ArithmeticError(f"{name}-sum tail estimate is not finite; aborting")
 
-    lnpi_term = float(pair.g(0.0) * LN_PI)
-    residual = (pole - zero_sum + dig) - (lnpi_term + prime_sum)
+    residual = (pole - zero_sum + dig) - (LN_PI + prime_sum)
     return TraceReport(
         lhs_pole=pole,
         lhs_zero_sum=zero_sum,
         lhs_digamma=dig,
-        rhs_log_pi=lnpi_term,
+        rhs_log_pi=LN_PI,
         rhs_prime_sum=prime_sum,
         residual=float(residual),
         zero_tail_bound=zero_tail,
@@ -248,5 +197,4 @@ def trace_formula_check(
         quadrature_error=float(quad_err / TWO_PI + 1e-13 * (abs(pole) + abs(prime_sum))),
         n_zeros=n_zeros,
         prime_limit=primes.limit,
-        pair_label=pair.label,
     )

@@ -169,6 +169,9 @@ def gram_matrix(p: int, n_max: int, K: Optional[int] = None):
     """Gram matrix of the restricted basis labels 1..n_max."""
     import numpy as np
 
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+
     idxs = [restricted_index(p, n) for n in range(1, n_max + 1)]
     G = np.empty((n_max, n_max), dtype=complex)
     for i, a in enumerate(idxs):
@@ -222,7 +225,7 @@ def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
 
 
 def vladimirov_kernel_apply(
-    idx: WaveletIndex, alpha: complex, xi: Fraction, K: int = 12, B: int = 12
+    idx: WaveletIndex, alpha: complex, xi: Fraction, B: int = 12
 ) -> tuple[complex, float]:
     """Evaluate (D^alpha psi)(xi) through the integral kernel
 
@@ -232,7 +235,8 @@ def vladimirov_kernel_apply(
     kills the shells finer than the resolution level exactly) plus the
     closed-form geometric tail.  Returns (value, pre-summation tail size):
     the tail beyond p^B is summed in closed form and its size reported,
-    never silently assumed away.  K is the coset level.
+    never silently assumed away.  Each ball integral sums cosets at its
+    own level, at least the resolution level.
     """
     p, alpha = idx.prime, complex(alpha)
     if alpha.real <= 0:
@@ -241,8 +245,6 @@ def vladimirov_kernel_apply(
             "diverges otherwise (and the normalisation has a pole at alpha = -1)"
         )
     r0 = idx.resolution_level
-    if K < r0:
-        raise ValueError(f"coset level K = {K} below the resolution level {r0}")
     c_f, l_f = _support_ball(idx)
     support_norm = max(padic_norm(c_f, p), Fraction(p) ** (-l_f)) if c_f else Fraction(p) ** (-l_f)
     if Fraction(p) ** B < support_norm:
@@ -273,9 +275,9 @@ def _kernel_sample_points(idx: WaveletIndex, count: int = 6) -> list[Fraction]:
     return pts[:count]
 
 
-def vladimirov_apply(idx: WaveletIndex, alpha: complex, K: int = 12, B: int = 12) -> VladimirovResult:
+def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> VladimirovResult:
     """Apply D^alpha to a basis wavelet: the exact eigenvalue p^(alpha(1-n)),
-    checked against the integral kernel (coset level K, domain cutoff p^B)
+    checked against the integral kernel (domain cutoff p^B)
     at sample points in the support; residual is the maximum pointwise
     deviation from eigenvalue * psi.
     """
@@ -283,7 +285,7 @@ def vladimirov_apply(idx: WaveletIndex, alpha: complex, K: int = 12, B: int = 12
     residual = 0.0
     tail_bound = 0.0
     for xi in _kernel_sample_points(idx):
-        val, tb = vladimirov_kernel_apply(idx, alpha, xi, K, B)
+        val, tb = vladimirov_kernel_apply(idx, alpha, xi, B)
         residual = max(residual, abs(val - lam * kozyrev_eval(idx, xi)))
         tail_bound = max(tail_bound, tb)
     return VladimirovResult(lam, residual, tail_bound)

@@ -294,19 +294,17 @@ class PrimeTable:
     primes: np.ndarray
     # parallel arrays over prime powers p^k <= limit, ascending by value
     power_values: np.ndarray
-    power_primes: np.ndarray
     power_exponents: np.ndarray
     power_weights: np.ndarray  # ln p for each power
 
     @classmethod
     def build(cls, limit: int) -> "PrimeTable":
         primes = sieve_primes(limit)
-        vals, prs, exps, wts = [], [], [], []
+        vals, exps, wts = [], [], []
         for p in primes.tolist():
             pk, k = p, 1
             while pk <= limit:
                 vals.append(pk)
-                prs.append(p)
                 exps.append(k)
                 wts.append(math.log(p))
                 pk *= p
@@ -316,7 +314,6 @@ class PrimeTable:
             limit=limit,
             primes=primes,
             power_values=np.asarray(vals, dtype=np.int64)[order],
-            power_primes=np.asarray(prs, dtype=np.int64)[order],
             power_exponents=np.asarray(exps, dtype=np.int64)[order],
             power_weights=np.asarray(wts, dtype=float)[order],
         )

@@ -79,7 +79,7 @@ def test_criterion_04_vladimirov_and_gram():
         for p in (2, 3):
             for alpha in (1.0, 2.0, 1.0 + 1.0j):
                 for scale in (0, 1):
-                    res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12, 12)
+                    res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12)
                     assert res.residual / abs(res.eigenvalue) < 1e-6
         for p in (2, 3, 5):
             G = gram_matrix(p, 12)
@@ -136,7 +136,7 @@ def test_criterion_07_li_coefficients(zeros_2000):
 
 def test_criterion_08_renormalized(prime_table_1e6):
     with _Timer("8 renormalized coefficient routes", 60.0):
-        sh = resolvent.beta_renormalized_shifted(10, 1.5, 0.5, 1024)
+        sh = resolvent.beta_contour(resolvent.ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
         ps = resolvent.beta_renormalized_prime_sum(10, 1.5, 10**6, 60, primes=prime_table_1e6)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
         M = 20
@@ -152,9 +152,7 @@ def test_criterion_08_renormalized(prime_table_1e6):
 def test_criterion_09_trace_formula(zeros_2000):
     with _Timer("9 trace formula", 10.0):
         primes = zt.PrimeTable.build(10**4)
-        rep = traceform.trace_formula_check(
-            traceform.TestFunctionPair.gaussian(1.0), zeros_2000, 100, primes
-        )
+        rep = traceform.trace_formula_check(1.0, zeros_2000, 100, primes)
         assert abs(rep.residual) < 1e-3
         assert abs(rep.residual) <= rep.total_bound
 

@@ -86,6 +86,24 @@ class TestCLI:
         assert main(["beta-ren", "--method", "shifted_contour", "--mu", "0.9", "--out", out]) == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "0"], "M must be >= 1"),
+        (["betas", "--model", "gamma", "--mmax", "0"], "M must be >= 1"),
+        (["cue-sample", "--n", "4", "--samples", "10", "--bins", "0"], "bins must be >= 1"),
+        (["cue-sample", "--n", "4", "--samples", "10", "--rmax", "0"], "r_max must be positive"),
+        (["plaquette-mc", "--bins", "0"], "chains, sweeps and bins must be >= 1"),
+        (["plaquette-mc", "--sweeps", "0"], "chains, sweeps and bins must be >= 1"),
+        (["plaquette-mc", "--chains", "0"], "chains, sweeps and bins must be >= 1"),
+        (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
+        (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
+    ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
+    def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_metadata_echo(self, tmp_path):
         out = str(tmp_path / "c.csv")
         assert main(["comb", "--prime", "3", "--qmax", "4.0", "--out", out]) == 0
@@ -162,7 +180,7 @@ class TestCLI:
         report = traceform.TraceReport(
             lhs_pole=1.0, lhs_zero_sum=0.0, lhs_digamma=0.0, rhs_log_pi=0.0, rhs_prime_sum=0.5,
             residual=0.5, zero_tail_bound=1e-3, prime_tail_bound=2e-2, digamma_tail_bound=0.0,
-            quadrature_error=1e-9, n_zeros=50, prime_limit=100, pair_label="gaussian")
+            quadrature_error=1e-9, n_zeros=50, prime_limit=100)
         monkeypatch.setattr(traceform, "trace_formula_check", lambda *args: report)
         out = str(tmp_path / "tr.json")
         rc = main(["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "50",

@@ -8,7 +8,6 @@ from zetaumm.resolvent import (
     ResolventModel,
     beta_contour,
     beta_renormalized_prime_sum,
-    beta_renormalized_shifted,
     beta_renormalized_xi_decomposition,
     beta_symmetric,
     boundary_h,
@@ -325,13 +324,13 @@ class TestTraceFluctuation:
 
 class TestRenormalized:
     def test_prime_sum_matches_shifted_contour(self, prime_table_1e6):
-        sh = beta_renormalized_shifted(10, 1.5, 0.5, 1024)
+        sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
         ps = beta_renormalized_prime_sum(10, 1.5, 10**6, 60, primes=prime_table_1e6)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
 
     def test_prime_sum_at_spec_cutoff(self, prime_table_1e6):
         # P = 1e5 leaves a measured 1.2e-6 fluctuation gap to the contour
-        sh = beta_renormalized_shifted(10, 1.5, 0.5, 1024)
+        sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
         ps = beta_renormalized_prime_sum(10, 1.5, 10**5, 60, primes=prime_table_1e6)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 2e-6
 
@@ -340,8 +339,8 @@ class TestRenormalized:
             beta_renormalized_prime_sum(4, 1.0)
 
     def test_shifted_radius_consistency(self):
-        a = beta_renormalized_shifted(10, 1.5, 0.4, 1024)
-        b = beta_renormalized_shifted(10, 1.5, 0.6, 1024)
+        a = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.4, 1024)
+        b = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.6, 1024)
         assert np.abs(a.coefficients - b.coefficients).max() < 1e-9
 
     def test_xi_decomposition_identity(self):
@@ -389,7 +388,7 @@ class TestRenormalized:
 
     def test_route_preconditions(self):
         with pytest.raises(ValueError):
-            beta_renormalized_shifted(5, 0.9)
+            beta_contour(ResolventModel("shifted", s0=0.9), 5)
         with pytest.raises(ValueError):
             beta_renormalized_prime_sum(5, 0.9)
 

@@ -104,7 +104,7 @@ class TestVladimirov:
         assert vladimirov_eigenvalue(3, 1.0, 1) == 1
 
     def test_kernel_example(self):
-        res = vladimirov_apply(WaveletIndex(2, 0), 1.0, 12, 12)
+        res = vladimirov_apply(WaveletIndex(2, 0), 1.0, 12)
         assert abs(res.eigenvalue - 2.0) < 1e-14
         assert res.residual < 1e-6
 
@@ -112,12 +112,12 @@ class TestVladimirov:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.0 + 1.0j])
     @pytest.mark.parametrize("scale", [0, 1])
     def test_kernel_matches_spectral(self, p, alpha, scale):
-        res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12, 12)
+        res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12)
         assert res.residual / abs(res.eigenvalue) < 1e-6
 
     def test_kernel_on_restricted_basis_states(self):
         for n in (1, 2, 3):
-            res = vladimirov_apply(restricted_index(2, n), 1.0, 12, 12)
+            res = vladimirov_apply(restricted_index(2, n), 1.0, 12)
             # log_p D eigenvalue on label n is n, i.e. D^1 eigenvalue p^n
             assert abs(res.eigenvalue - 2.0**n) < 1e-12
             assert res.residual / abs(res.eigenvalue) < 1e-6
@@ -132,7 +132,7 @@ class TestVladimirov:
 
     def test_kernel_domain_must_cover_support(self):
         with pytest.raises(ValueError):
-            vladimirov_apply(WaveletIndex(2, 1), 1.0, K=12, B=-2)
+            vladimirov_apply(WaveletIndex(2, 1), 1.0, B=-2)
 
     def test_composition_law_on_eigenvalues(self):
         for a1, a2 in [(1.0, 2.0), (0.5, -0.25), (1 + 1j, 1 - 1j)]:
