@@ -181,6 +181,8 @@ def _emit(args, columns, payload, metadata):
 def _cmd_padic_check(args) -> int:
     import random
 
+    if args.samples < 1:
+        raise ValueError("padic-check needs --samples >= 1")
     primes = [int(p) for p in args.primes.split(",")]
     rng = random.Random(args.seed)
     names, values, bounds = [], [], []

@@ -153,35 +153,6 @@ class PAdicNumber:
 
 
 @dataclass(frozen=True)
-class PAdicBall:
-    """The ball {xi : |xi - center|_p <= p^(-level)}; Haar measure p^(-level)."""
-
-    prime: int
-    center: PAdicNumber
-    level: int
-
-    def __post_init__(self):
-        require_prime(self.prime)
-        if self.center.prime != self.prime:
-            raise ValueError("ball center must live over the same prime")
-
-    @property
-    def measure(self) -> Fraction:
-        p, k = self.prime, self.level
-        return Fraction(1, p**k) if k >= 0 else Fraction(p ** (-k))
-
-
-def indicator_ball(ball: PAdicBall, xi: PAdicNumber) -> int:
-    """1 iff |xi - center|_p <= p^(-level), else 0."""
-    if xi.prime != ball.prime:
-        raise ValueError(
-            f"prime mismatch: point over p={xi.prime}, ball over p={ball.prime}"
-        )
-    diff = xi.value - ball.center.value
-    return int(padic_norm(diff, ball.prime) <= ball.measure)
-
-
-@dataclass(frozen=True)
 class ShellSum:
     """Truncated Haar integral of |xi|_p^(s-1) over {|xi|_p < 1} plus bounds.
 

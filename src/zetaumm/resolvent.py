@@ -1,93 +1,28 @@
-"""Unitary-matrix-model core: the disk conformal map, model resolvents,
-contour extraction of the defining coefficients, eigenvalue density and
-potential profiles, the phase-space density, and the renormalized
-coefficients on the critical line.
+"""Unitary-matrix-model core: model resolvents, contour extraction of the
+defining coefficients, eigenvalue density and potential profiles, and the
+renormalized coefficients on the critical line.
 
 Contour Taylor coefficients are extracted by the trapezoid rule on circles
 |z| = r (spectrally accurate for analytic integrands); reductions run in
 extended precision with pairwise summation so results are bit-stable and
 the r^-n amplification of rounding stays harmless.
-
-The momentum-space marginal of the local phase-space density is constant
-(equally spaced Vladimirov levels); its contour form hides an essential
-singularity at z = 1, so no operation computes it numerically here --
-only the phase-space density itself and its trace check are evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad_vec
 from scipy.special import digamma
 
 from . import zeta as zt
-from .padics import is_prime, padic_norm, require_prime
+from .padics import is_prime, require_prime
 from .zeta import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# Conformal map between the s-plane and the unit disk
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConformalPoint:
-    """A matched triple under z = (s-1)/(s+1); theta only lives on |z| = 1."""
-
-    s: Optional[complex]
-    z: complex
-    theta: Optional[float] = None
-    at_infinity: bool = False
-
-
-def conformal_map(
-    s: Optional[complex] = None,
-    z: Optional[complex] = None,
-    theta: Optional[float] = None,
-) -> ConformalPoint:
-    """Complete a ConformalPoint from any one of s, z, or theta.
-
-    z = 1 corresponds to the point at infinity of the s-plane and returns
-    an explicit marker; theta in (0, 2pi) parametrises |z| = 1 where
-    s = i cot(theta/2).
-    """
-    given = [v is not None for v in (s, z, theta)]
-    if sum(given) != 1:
-        raise ValueError("provide exactly one of s, z, theta")
-    if theta is not None:
-        if not 0.0 < theta < TWO_PI:
-            raise ValueError("theta must lie in (0, 2pi)")
-        zc = complex(math.cos(theta), math.sin(theta))
-        sc = 1j * _cot_half(theta)
-        return ConformalPoint(sc, zc, theta)
-    if s is not None:
-        sc = complex(s)
-        zc = (sc - 1.0) / (sc + 1.0)
-        th = _theta_of(zc)
-        return ConformalPoint(sc, zc, th)
-    zc = complex(z)
-    if zc == 1.0:
-        return ConformalPoint(None, zc, None, at_infinity=True)
-    sc = (1.0 + zc) / (1.0 - zc)
-    return ConformalPoint(sc, zc, _theta_of(zc))
-
-
-def _theta_of(zc: complex) -> Optional[float]:
-    if abs(abs(zc) - 1.0) > 1e-12 or zc == 1.0:
-        return None
-    th = math.atan2(zc.imag, zc.real)
-    return th if th > 0 else th + TWO_PI
-
-
-def _cot_half(theta: float) -> float:
-    return math.cos(0.5 * theta) / math.sin(0.5 * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +99,7 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
     inside the unit disk, its reflection 1 - R(1/z) outside.
 
     |z| = 1 is rejected here: boundary densities are handled by
-    density_profile / trace_fluctuation, not by this closed form.
+    density_profile, not by this closed form.
     """
     zc = complex(z)
     az = abs(zc)
@@ -356,14 +291,8 @@ def local_potential_derivative(p: int, theta: np.ndarray) -> np.ndarray:
     return 1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))
 
 
-def local_potential_derivative_partial(p: int, theta: float, n_terms: int) -> float:
-    """Symmetric partial sum of the pole expansion (test oracle for the
-    closed form): (1/(2 ln p sin^2)) [1/x + sum_n 2x/(x^2 - a^2 n^2)]."""
-    x = _cot_half(theta)
-    a = TWO_PI / math.log(p)
-    n = np.arange(1, n_terms + 1)
-    core = 1.0 / x + (2.0 * x / (x * x - (a * n) ** 2)).sum()
-    return core / (2.0 * math.log(p) * math.sin(0.5 * theta) ** 2)
+def _cot_half(theta: float) -> float:
+    return math.cos(0.5 * theta) / math.sin(0.5 * theta)
 
 
 def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> DensityProfile:
@@ -400,60 +329,6 @@ def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     for n, b in enumerate(betas, start=1):
         out += 2.0 * float(np.real(b)) * np.cos(n * th)
     return out / TWO_PI
-
-
-# ---------------------------------------------------------------------------
-# Phase-space density and the operator-trace check
-# ---------------------------------------------------------------------------
-
-
-def phase_space_density(p: int, theta: float, h: Union[int, Fraction]) -> complex:
-    """Omega^(p)(theta, h) = p [1 - csc^2(theta/2)/(2(p-1)) |h|_p^(i cot(theta/2) - 1)]."""
-    if min(abs(theta), abs(TWO_PI - theta)) < 1e-12:
-        raise ValueError("theta = 0 and 2pi are singular endpoints")
-    hn = padic_norm(h, p)
-    if hn == 0:
-        raise ValueError("h must be nonzero")
-    w = complex(0.0, _cot_half(theta)) - 1.0
-    power = np.exp(w * math.log(float(hn)))
-    csc2 = 1.0 / math.sin(0.5 * theta) ** 2
-    return complex(p * (1.0 - csc2 / (2.0 * (p - 1.0)) * power))
-
-
-@dataclass(frozen=True)
-class TraceFluctuation:
-    partial: complex
-    closed_form: complex
-    tail_bound: float
-    terms: int
-    pole_proximity: bool
-
-
-def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuation:
-    """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
-    basis: partial sum and geometric closed form p^-w/(1 - p^-w) with
-    w = eps + i cot(theta/2), plus the exact geometric tail bound.
-
-    pole_proximity flags w approaching a local-factor pole (closed form
-    denominator nearly vanishing as eps -> 0 on a spike angle).
-    """
-    if eps <= 0:
-        raise ValueError("Abel parameter eps must be positive")
-    w = complex(eps, _cot_half(theta))
-    lnp = math.log(p)
-    n = np.arange(1, N + 1)
-    partial = complex(np.exp(-w * lnp * n).sum())
-    q = np.exp(-w * lnp)
-    den = 1.0 - q
-    closed = complex(q / den)
-    tail = float(p ** (-(N + 1) * eps) / (1.0 - p ** (-eps)))
-    # the geometric bound is exactly tight on spike angles; cover the
-    # rounding of an N-term partial sum so the reported bound stays honest
-    tail += 8.0 * 2.220446049250313e-16 * N * max(1.0, abs(partial))
-    # on a spike angle the denominator is pinned at the Abel regulator
-    # 1 - p^-eps and blows up as eps -> 0: flag that regime explicitly
-    near_pole = abs(den) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
-    return TraceFluctuation(partial, closed, tail, N, bool(near_pole))
 
 
 # ---------------------------------------------------------------------------
@@ -568,45 +443,3 @@ def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) ->
     c = contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, r, Q, log=True)
     return replace(c, model="Renormalized(mu=0.5, xi_decomposition)")
 
-
-def cross_validate_renormalized(
-    M: int,
-    mu: float,
-    tolerance: float = 1e-6,
-    *,
-    P_max: int = 10**6,
-    N_max: int = 60,
-    r: float = 0.5,
-    Q: int = 1024,
-    primes: Optional[zt.PrimeTable] = None,
-) -> BetaSeries:
-    """Run the prime-data route and the contour route (the shifted model at
-    s0 = mu) and surface (never average away) any disagreement beyond their
-    combined tolerance."""
-    ps = beta_renormalized_prime_sum(M, mu, P_max, N_max, primes)
-    sh = beta_contour(ResolventModel("shifted", s0=mu), M, r, Q)
-    combined = tolerance + sh.radius_error + ps.error_estimates
-    zt.check_agreement("beta_{n}^ren", ps.coefficients, sh.coefficients, combined,
-                       ("prime_sum", "shifted_contour"))
-    return sh
-
-
-# ---------------------------------------------------------------------------
-# Boundary relation
-# ---------------------------------------------------------------------------
-
-
-def boundary_h(
-    theta: float,
-    betas: Union[BetaSeries, Sequence[float]],
-    f_even: Optional[Callable[[float], float]] = None,
-) -> float:
-    """h(theta) = 1/2 + sum_n beta_n cos(n theta) + f_even(theta); the even
-    term is the phase-boundary redundancy and defaults to zero."""
-    coeffs = betas.coefficients if isinstance(betas, BetaSeries) else np.asarray(betas)
-    acc = 0.5
-    for n, b in enumerate(coeffs, start=1):
-        acc += float(np.real(b)) * math.cos(n * theta)
-    if f_even is not None:
-        acc += f_even(theta)
-    return acc

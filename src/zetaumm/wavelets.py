@@ -1,11 +1,9 @@
-"""Kozyrev wavelets on Q_p, the Vladimirov derivative (closed-form
-eigenvalue plus integral-kernel check), and the raising/lowering action on
-the restricted basis.
+"""Kozyrev wavelets on Q_p and the Vladimirov derivative (closed-form
+eigenvalue plus integral-kernel check) on the restricted basis.
 
 The restricted basis H_-^(p) consists of psi_{-n+1, 0, 1} for n = 1, 2, ...
 (contractions only, translation 0, j = 1); these span the mean-zero
-square-integrable functions supported on Z_p that the phase-space trace
-runs over.  The grading eigenvalues n of log_p D on this basis are the
+square-integrable functions supported on Z_p.  The grading eigenvalues n of log_p D on this basis are the
 documented (discrete) momentum spectrum n ln p of the coordinate-momentum
 product Hamiltonian; no dynamics is computed here.
 """
@@ -14,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Union
 
 from .padics import (
     PAdicNumber,
@@ -23,7 +21,6 @@ from .padics import (
     ball_coset_representatives,
     padic_norm,
     require_prime,
-    valuation,
 )
 
 Point = Union[Fraction, int, PAdicNumber]
@@ -121,22 +118,18 @@ def _support_ball(idx: WaveletIndex) -> tuple[Fraction, int]:
     return idx.support_center, idx.support_level
 
 
-def inner_product(a: WaveletIndex, b: WaveletIndex, K: Optional[int] = None) -> complex:
-    """<psi_a, psi_b> by exact coset-sum quadrature at level K.
+def inner_product(a: WaveletIndex, b: WaveletIndex) -> complex:
+    """<psi_a, psi_b> by exact coset-sum quadrature at level K, one past the
+    finer resolution level.
 
     Both wavelets are locally constant at their resolution levels, so the
     level-K sum restricted to the (ultrametric) intersection of supports is
-    exact once K resolves both; the stated precondition is K at least one
-    past the finer resolution.
+    exact once K resolves both.
     """
     if a.prime != b.prime:
         raise ValueError("inner products need a common prime")
     p = a.prime
-    finer = max(a.resolution_level, b.resolution_level)
-    if K is None:
-        K = finer + 1
-    if K < finer + 1:
-        raise ValueError(f"K = {K} too small to resolve both wavelets (need >= {finer + 1})")
+    K = max(a.resolution_level, b.resolution_level) + 1
     ca, la = _support_ball(a)
     cb, lb = _support_ball(b)
     # ultrametric balls are nested or disjoint
@@ -152,20 +145,7 @@ def inner_product(a: WaveletIndex, b: WaveletIndex, K: Optional[int] = None) -> 
     return acc * float(p) ** (-K)
 
 
-def wavelet_integral(idx: WaveletIndex, K: Optional[int] = None) -> complex:
-    """int psi dxi over Q_p (mean-zero for every Kozyrev wavelet)."""
-    if K is None:
-        K = idx.resolution_level + 1
-    if K < idx.resolution_level:
-        raise ValueError("K too small to resolve the wavelet")
-    c, l = _support_ball(idx)
-    acc = 0.0 + 0.0j
-    for r in ball_coset_representatives(idx.prime, c, l, K):
-        acc += kozyrev_eval(idx, r)
-    return acc * float(idx.prime) ** (-K)
-
-
-def gram_matrix(p: int, n_max: int, K: Optional[int] = None):
+def gram_matrix(p: int, n_max: int):
     """Gram matrix of the restricted basis labels 1..n_max."""
     import numpy as np
 
@@ -179,7 +159,7 @@ def gram_matrix(p: int, n_max: int, K: Optional[int] = None):
             if k < i:
                 G[i, k] = G[k, i].conjugate()
                 continue
-            G[i, k] = inner_product(a, b, K)
+            G[i, k] = inner_product(a, b)
     return G
 
 
@@ -290,53 +270,3 @@ def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> Vladimir
         tail_bound = max(tail_bound, tb)
     return VladimirovResult(lam, residual, tail_bound)
 
-
-# ---------------------------------------------------------------------------
-# Ladder (raising/lowering) action on the restricted basis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LadderAction:
-    """Result of a ladder operator on a basis state: coefficient * |n_out>.
-
-    in_subspace is False when the image lies outside H_-^(p) (the n = 0
-    boundary); callers get an explicit marker instead of a silent zero.
-    """
-
-    coefficient: int
-    n_out: int
-    in_subspace: bool
-
-
-def _ladder_formal(op: str, n: int) -> LadderAction:
-    if op == "J_plus":
-        return LadderAction(n, n + 1, n + 1 >= 1)
-    if op == "J_minus":
-        return LadderAction(-n, n - 1, n - 1 >= 1)
-    if op == "log_D":
-        return LadderAction(n, n, n >= 1)
-    raise ValueError(f"unknown ladder operator {op!r}")
-
-
-def ladder_apply(op: str, n: int) -> LadderAction:
-    """J_+- |n> = +-n |n +- 1>, log_p D |n> = n |n> on basis labels n >= 1."""
-    if n < 1:
-        raise ValueError("restricted-basis labels start at n = 1")
-    return _ladder_formal(op, n)
-
-
-def ladder_word(ops: Sequence[str], n: int) -> LadderAction:
-    """Compose ladder operators right-to-left, tracking the integer
-    coefficient; intermediate n = 0 states carry coefficient 0 formally."""
-    coeff = 1
-    cur = n
-    ok = n >= 1
-    for op in reversed(ops):
-        act = _ladder_formal(op, cur)
-        coeff *= act.coefficient
-        cur = act.n_out
-        if coeff == 0:
-            return LadderAction(0, cur, True)
-        ok = ok and act.in_subspace
-    return LadderAction(coeff, cur, ok)

@@ -1,6 +1,6 @@
-"""Complex zeta machinery: zeta/xi evaluation, local Euler factors, prime
-counting functions and their zero expansions, Li coefficients, prime sieve,
-and zero-table ingestion.
+"""Complex zeta machinery: zeta/xi evaluation, prime counting functions and
+their zero expansions, Li coefficients, prime sieve, and zero-table
+ingestion.
 
 zeta is evaluated by one Euler-Maclaurin kernel over an array of s with
 N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections;
@@ -30,19 +30,6 @@ EPS = 2.220446049250313e-16
 
 class ZetaPole(ArithmeticError):
     """Evaluation exactly at the simple pole s = 1."""
-
-
-class LocalZetaPole(ArithmeticError):
-    """Evaluation at (or within 1e-12 of) a pole of 1/(1 - p^-s)."""
-
-    def __init__(self, p: int, index: int, distance: float):
-        self.p = p
-        self.index = index
-        self.distance = distance
-        super().__init__(
-            f"zeta_{p} pole #{index} at s = 2*pi*i*{index}/ln({p}) "
-            f"(|1 - p^-s| = {distance:.3e})"
-        )
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -81,9 +68,12 @@ def _bernoulli_upto(m: int) -> list[Fraction]:
     return out
 
 
-_BERNOULLI = _bernoulli_upto(30)
-# B_{2k} / (2k)! as binary64, k = 0..15
-_B2K_OVER_FACT = np.array([float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(16)])
+_EM_ORDER = 12  # Bernoulli corrections of the Euler-Maclaurin kernel
+_BERNOULLI = _bernoulli_upto(2 * _EM_ORDER)
+# B_{2k} / (2k)! as binary64, k = 1.._EM_ORDER
+_B2K_OVER_FACT = np.array(
+    [float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(1, _EM_ORDER + 1)]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,34 +98,27 @@ def _reject_pole(s: np.ndarray) -> None:
         raise ZetaPole("zeta has a simple pole at s = 1")
 
 
-def _em_kernel(s: np.ndarray, terms: Optional[int], order: int, derivative: bool = False):
-    """Euler-Maclaurin on a 1-D array s sharing N direct terms (by default
-    N = max(20, ceil max|Im s| + 20)) and `order` Bernoulli corrections.
+def _em_kernel(s: np.ndarray, derivative: bool = False):
+    """Euler-Maclaurin on a 1-D array s sharing N = max(20, ceil max|Im s| + 20)
+    direct terms and _EM_ORDER Bernoulli corrections.
 
-    Returns (core, pole, err, dzeta) with zeta(s) = core + pole/(s-1) and
+    Returns (core, pole, dzeta) with zeta(s) = core + pole/(s-1) and
     pole = N^(1-s): splitting out the pole term lets (s-1) zeta(s) be
-    assembled without cancellation at s = 1.  err is the first omitted
-    Bernoulli term plus the rounding floor of the direct sum; dzeta is
-    zeta'(s) when `derivative` is set (Re s > 0), else None.
+    assembled without cancellation at s = 1.  dzeta is zeta'(s) when
+    `derivative` is set (Re s > 0), else None.
     """
-    N = max(20, int(math.ceil(np.abs(s.imag).max())) + 20) if terms is None else terms
-    if not 1 <= order <= 15:
-        raise ValueError("bernoulli_order must be in 1..15")
-    if N < 2:
-        raise ValueError("need at least 2 direct terms")
+    N = max(20, int(math.ceil(np.abs(s.imag).max())) + 20)
     ln_n = np.log(np.arange(1, N))
     powers = np.multiply.outer(-s, ln_n)
     np.exp(powers, out=powers)  # n^-s, n = 1..N-1
     lnN = math.log(N)
     n_pow = np.exp(-s * lnN)  # N^-s
-    # B_2k/(2k)! (s)(s+1)...(s+2k-2) N^(1-s-2k) for k = 1..order+1; the
-    # last one is the first omitted term
-    factors = s[:, None] + np.arange(2 * order + 1)
+    # B_2k/(2k)! (s)(s+1)...(s+2k-2) N^(1-s-2k) for k = 1.._EM_ORDER
+    factors = s[:, None] + np.arange(2 * _EM_ORDER - 1)
     rising = np.cumprod(factors, axis=1)[:, ::2]
-    scale = float(N) ** (1.0 - 2.0 * np.arange(1, order + 2))
-    bern = _B2K_OVER_FACT[1 : order + 2] * rising * (n_pow[:, None] * scale)
-    core = powers.sum(axis=1) + 0.5 * n_pow + bern[:, :order].sum(axis=1)
-    err = np.abs(bern[:, order]) + 4.0 * EPS * np.abs(powers).sum(axis=1)
+    scale = float(N) ** (1.0 - 2.0 * np.arange(1, _EM_ORDER + 1))
+    bern = _B2K_OVER_FACT * rising * (n_pow[:, None] * scale)
+    core = powers.sum(axis=1) + 0.5 * n_pow + bern.sum(axis=1)
     pole = N * n_pow
     dzeta = None
     if derivative:
@@ -144,10 +127,10 @@ def _em_kernel(s: np.ndarray, terms: Optional[int], order: int, derivative: bool
         dcore = (
             -(powers @ ln_n)
             - 0.5 * lnN * n_pow
-            + (bern[:, :order] * (dlog_rising[:, :order] - lnN)).sum(axis=1)
+            + (bern * (dlog_rising - lnN)).sum(axis=1)
         )
         dzeta = dcore - pole * (lnN / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-    return core, pole, err, dzeta
+    return core, pole, dzeta
 
 
 def _reflection(s: np.ndarray) -> np.ndarray:
@@ -155,39 +138,21 @@ def _reflection(s: np.ndarray) -> np.ndarray:
     return 2.0**s * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s) * np.exp(loggamma(1.0 - s))
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinValue:
-    value: complex
-    error_estimate: float
-
-
-def zeta_em(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12) -> EulerMaclaurinValue:
-    """Euler-Maclaurin zeta with its first-omitted-term error estimate.
-
-    Valid for Re(s) >= 0 away from s = 1 (the public `zeta` adds the
-    reflection branch for Re(s) < 0).
-    """
-    s, scalar = _as_1d(s)
-    _reject_pole(s)
-    core, pole, err, _ = _em_kernel(s, terms, bernoulli_order)
-    return EulerMaclaurinValue(_unbox(core + pole / (s - 1.0), scalar), _unbox(err, scalar))
-
-
-def zeta(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta on C \\ {1}.  Re(s) >= 0 by Euler-Maclaurin, Re(s) < 0
     through the reflection identity
     zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)."""
     s, scalar = _as_1d(s)
     _reject_pole(s)
-    return _unbox(zeta_unit(s, terms, bernoulli_order) / (s - 1.0), scalar)
+    return _unbox(zeta_unit(s) / (s - 1.0), scalar)
 
 
-def zeta_unit(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12) -> complex:
+def zeta_unit(s: complex) -> complex:
     """(s-1) * zeta(s) evaluated as a single analytic unit (value 1 at s=1)."""
     s, scalar = _as_1d(s)
     left = s.real < 0.0
     w = np.where(left, 1.0 - s, s)  # Re(w) > 1 where reflected
-    core, pole, _, _ = _em_kernel(w, terms, bernoulli_order)
+    core, pole, _ = _em_kernel(w)
     val = (w - 1.0) * core + pole  # (w-1) zeta(w)
     if left.any():
         # (s-1) zeta(s) = (s-1) chi(s) zeta(w); zeta(w) regular, no care needed
@@ -195,9 +160,7 @@ def zeta_unit(s: complex, terms: Optional[int] = None, bernoulli_order: int = 12
     return _unbox(val, scalar)
 
 
-def zeta_and_derivative(
-    s: complex, terms: Optional[int] = None, bernoulli_order: int = 12
-) -> tuple[complex, complex]:
+def zeta_and_derivative(s: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) by term-wise differentiated Euler-Maclaurin.
 
     Re(s) > 0 only (that is the regime the contour extractions use).
@@ -206,46 +169,20 @@ def zeta_and_derivative(
     if (s.real <= 0.0).any():
         raise ValueError("zeta_and_derivative implemented for Re(s) > 0 only")
     _reject_pole(s)
-    core, pole, _, dzeta = _em_kernel(s, terms, bernoulli_order, derivative=True)
+    core, pole, dzeta = _em_kernel(s, derivative=True)
     return _unbox(core + pole / (s - 1.0), scalar), _unbox(dzeta, scalar)
 
 
 # ---------------------------------------------------------------------------
-# Completed zeta and Euler factors
+# Completed zeta and the archimedean factor
 # ---------------------------------------------------------------------------
 
 
-def zeta_real_place(s: complex) -> complex:
-    """Archimedean factor pi^(-s/2) Gamma(s/2), i.e. the Mellin transform of
-    the Gaussian; poles at s = 0, -2, -4, ..."""
-    s = complex(s)
-    half = 0.5 * s
-    if abs(half - round(half.real)) < 1e-12 and round(half.real) <= 0 and abs(half.imag) < 1e-12:
-        raise ZetaPole(f"Gamma(s/2) pole at s = {s}")
-    return complex(np.exp(loggamma(half) - half * LN_PI))
-
-
 def log_zeta_real_place(s: complex) -> complex:
-    """log of the archimedean factor, analytic for Re(s) > 0."""
+    """log of the archimedean factor pi^(-s/2) Gamma(s/2) (the Mellin
+    transform of the Gaussian), analytic for Re(s) > 0."""
     half = 0.5 * np.asarray(s, dtype=complex)
     return loggamma(half) - half * LN_PI
-
-
-def zeta_local(p: int, s: complex) -> complex:
-    """Local Euler factor 1/(1 - p^-s); simple poles at s = 2 pi i n / ln p."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
-    s = complex(s)
-    den = 1.0 - np.exp(-s * math.log(p))
-    if abs(den) < 1e-12:
-        index = int(round(s.imag * math.log(p) / (2.0 * math.pi)))
-        raise LocalZetaPole(p, index, abs(den))
-    return complex(1.0 / den)
-
-
-def local_pole_spacing(p: int) -> float:
-    """Vertical spacing 2 pi / ln p of the local-factor poles."""
-    return 2.0 * math.pi / math.log(p)
 
 
 def xi(s: complex) -> complex:

@@ -96,6 +96,7 @@ class TestCLI:
         (["plaquette-mc", "--chains", "0"], "chains, sweeps and bins must be >= 1"),
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
+        (["padic-check", "--samples", "0"], "--samples >= 1"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
     def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "x.csv")

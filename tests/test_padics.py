@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from zetaumm.padics import (
-    PAdicBall,
     PAdicNumber,
     additive_character,
     ball_coset_representatives,
     fractional_part,
     haar_integrate_norm_power,
-    indicator_ball,
     padic_norm,
     valuation,
 )
@@ -126,37 +124,6 @@ class TestCharacter:
         assert fractional_part(Fraction(22, 7), 7) == Fraction(1, 7)
 
 
-class TestIndicator:
-    def test_unit_ball_contains_3(self):
-        zero = PAdicNumber.from_rational(0, 2, 4)
-        ball = PAdicBall(2, zero, 0)
-        xi = PAdicNumber.from_rational(3, 2, 4)
-        assert indicator_ball(ball, xi) == 1
-
-    def test_unit_ball_excludes_one_half(self):
-        zero = PAdicNumber.from_rational(0, 2, 4)
-        ball = PAdicBall(2, zero, 0)
-        xi = PAdicNumber.from_rational(Fraction(1, 2), 2, 4)
-        assert indicator_ball(ball, xi) == 0
-
-    def test_level_one_ball_contains_2(self):
-        zero = PAdicNumber.from_rational(0, 2, 4)
-        ball = PAdicBall(2, zero, 1)
-        xi = PAdicNumber.from_rational(2, 2, 4)
-        assert indicator_ball(ball, xi) == 1
-
-    def test_prime_mismatch_rejected(self):
-        zero = PAdicNumber.from_rational(0, 2, 4)
-        ball = PAdicBall(2, zero, 0)
-        xi = PAdicNumber.from_rational(1, 3, 4)
-        with pytest.raises(ValueError):
-            indicator_ball(ball, xi)
-
-    def test_measure(self):
-        zero = PAdicNumber.from_rational(0, 3, 4)
-        assert PAdicBall(3, zero, 2).measure == Fraction(1, 9)
-
-
 class TestHaarIntegral:
     def test_exact_value_one_sixth(self):
         # (p-1)/p * p^-s / (1 - p^-s) at p=2, s=2 is exactly 1/6.
@@ -190,15 +157,20 @@ class TestHaarIntegral:
         assert err <= float(res.tail_bound) * (1 + 1e-12)
 
 
+def ball_measure(p, level, K=3):
+    """Haar measure of the ball p^level Z_p: its count of level-K cosets
+    times p^-K."""
+    return Fraction(len(list(ball_coset_representatives(p, Fraction(0), level, K))), p**K)
+
+
 class TestRegions:
     def test_measures_of_named_regions(self):
         for p in (2, 3, 5):
-            zero = PAdicNumber.from_rational(0, p, 1)
             # the shell integral of |xi|^0 is the measure of its region, the
             # ball p Z_p; with the unit group (measure 1 - 1/p) it tiles Z_p
             interior = haar_integrate_norm_power(p, 1, 1).closed_form
-            assert interior == PAdicBall(p, zero, 1).measure == Fraction(1, p)
-            assert interior + Fraction(p - 1, p) == PAdicBall(p, zero, 0).measure == 1
+            assert interior == ball_measure(p, 1) == Fraction(1, p)
+            assert interior + Fraction(p - 1, p) == ball_measure(p, 0) == 1
 
 
 class TestCosets:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -10,18 +11,13 @@ from zetaumm.resolvent import (
     beta_renormalized_prime_sum,
     beta_renormalized_xi_decomposition,
     beta_symmetric,
-    boundary_h,
-    conformal_map,
     contour_coefficients,
     density_profile,
     gamma_log_coefficients,
     local_potential_derivative,
-    local_potential_derivative_partial,
     local_spike_angles,
-    phase_space_density,
     potential_sum_local,
     resolvent,
-    trace_fluctuation,
     ungapped_density,
     xi_log_coefficients,
 )
@@ -66,41 +62,15 @@ def local_beta_series_oracle(p, order=6):
     return mul(front, geo)
 
 
-class TestConformalMap:
-    def test_s_one_maps_to_origin(self):
-        assert conformal_map(s=1.0).z == 0.0
-
-    def test_theta_pi_is_s_zero(self):
-        assert abs(conformal_map(theta=math.pi).s) < 1e-15
-
-    def test_first_pole_image(self):
-        cp = conformal_map(s=2j * math.pi / math.log(2.0))
-        assert abs(abs(cp.z) - 1.0) < 1e-14
-        assert abs(cp.theta - 0.2197470331732683) < 1e-12
-
-    def test_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            z = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))
-            cp = conformal_map(z=z)
-            back = conformal_map(s=cp.s)
-            assert abs(back.z - z) < 1e-14
-
-    def test_circle_parametrisation(self):
-        for th in (0.3, 1.0, math.pi, 5.0):
-            cp = conformal_map(theta=th)
-            assert abs(cp.s - 1j / math.tan(0.5 * th)) < 1e-12
-            assert abs(abs(cp.z) - 1.0) < 1e-14
-
-    def test_infinity_marker(self):
-        cp = conformal_map(z=1.0)
-        assert cp.at_infinity and cp.s is None
-
-    def test_exactly_one_argument(self):
-        with pytest.raises(ValueError):
-            conformal_map()
-        with pytest.raises(ValueError):
-            conformal_map(s=1.0, z=0.0)
+def local_potential_derivative_partial(p, theta, n_terms):
+    """Symmetric partial sum of the pole expansion of V'(theta), an oracle
+    for the closed form: (1/(2 ln p sin^2)) [1/x + sum_n 2x/(x^2 - a^2 n^2)]
+    with x = cot(theta/2) and a = 2 pi/ln p."""
+    x = 1.0 / math.tan(0.5 * theta)
+    a = 2.0 * math.pi / math.log(p)
+    n = np.arange(1, n_terms + 1)
+    core = 1.0 / x + (2.0 * x / (x * x - (a * n) ** 2)).sum()
+    return core / (2.0 * math.log(p) * math.sin(0.5 * theta) ** 2)
 
 
 class TestResolvent:
@@ -242,8 +212,11 @@ class TestDensityProfile:
                 if n == 0:
                     assert abs(th - math.pi) < 1e-12
                     continue
-                cp = conformal_map(s=2j * math.pi * n / math.log(p))
-                assert abs(cp.theta - th) < 1e-12
+                # pole image z = (s-1)/(s+1) on the circle, angle in (0, 2pi)
+                s = 2j * math.pi * n / math.log(p)
+                z = (s - 1.0) / (s + 1.0)
+                assert abs(abs(z) - 1.0) < 1e-14
+                assert abs(cmath.phase(z) % (2.0 * math.pi) - th) < 1e-12
 
     def test_weight_constant(self):
         prof = density_profile(3, [2.0], 4)
@@ -270,56 +243,6 @@ class TestDensityProfile:
         th = np.linspace(-math.pi, math.pi, 20001)
         rho = ungapped_density(th, [0.25, -0.1])
         assert abs(np.trapezoid(rho, th) - 1.0) < 1e-6
-
-
-class TestPhaseSpace:
-    def test_plug_in_examples(self):
-        assert abs(phase_space_density(2, math.pi, 1) - 1.0) < 1e-14
-        assert abs(phase_space_density(3, math.pi, 1) - 2.25) < 1e-14
-
-    def test_unit_norm_h_flattens_power_factor(self):
-        # |h|_2 = 1 for odd h: the norm-power term is 1 at every angle
-        for th in (0.7, 1.9, 4.1):
-            val = phase_space_density(2, th, 3)
-            expected = 2.0 * (1.0 - 0.5 / math.sin(0.5 * th) ** 2)
-            assert abs(val - expected) < 1e-12
-
-    def test_norm_enters_through_padics(self):
-        val = phase_space_density(2, math.pi, 4)  # |4|_2 = 1/4
-        expected = 2.0 * (1.0 - 0.5 * 0.25 ** (1j * 0.0 - 1.0).real * 4.0) * 0.0
-        # direct recomputation: csc^2(pi/2) = 1, |4|_2^(i*0-1) = 4
-        assert abs(val - 2.0 * (1.0 - 0.5 * 4.0)) < 1e-12
-
-    def test_singular_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            phase_space_density(2, 0.0, 1)
-        with pytest.raises(ValueError):
-            phase_space_density(2, 2.0 * math.pi, 1)
-        with pytest.raises(ValueError):
-            phase_space_density(2, 1.0, 0)
-
-
-class TestTraceFluctuation:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("theta", [0.5, math.pi, 4.0])
-    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
-    def test_partial_within_tail_bound(self, p, theta, eps):
-        tf = trace_fluctuation(p, theta, eps, 200)
-        assert abs(tf.partial - tf.closed_form) <= tf.tail_bound + 1e-14
-
-    def test_closed_form_example(self):
-        tf = trace_fluctuation(2, math.pi, 0.1, 200)
-        q = 2.0**-0.1
-        assert abs(tf.closed_form - q / (1.0 - q)) < 1e-12
-
-    def test_divergence_flagged_on_spike(self):
-        th1 = 2.0 * math.atan(math.log(2.0) / (2.0 * math.pi))
-        assert trace_fluctuation(2, th1, 1e-6, 10).pole_proximity
-        assert not trace_fluctuation(2, 1.0, 1e-6, 10).pole_proximity
-
-    def test_positive_eps_required(self):
-        with pytest.raises(ValueError):
-            trace_fluctuation(2, 1.0, 0.0, 10)
 
 
 class TestRenormalized:
@@ -376,16 +299,6 @@ class TestRenormalized:
         m = np.arange(1, M + 1)
         assert np.abs(Xi.real - lam.values / m).max() < 1e-8
 
-    def test_cross_validation_surfaces_disagreement(self, prime_table_1e6):
-        from zetaumm.resolvent import cross_validate_renormalized
-
-        cross_validate_renormalized(6, 1.5, primes=prime_table_1e6)  # clean
-        with pytest.raises(NumericConsistencyError):
-            # starving the prime route of data forces a visible gap
-            cross_validate_renormalized(
-                6, 1.5, tolerance=1e-10, P_max=500, primes=prime_table_1e6
-            )
-
     def test_route_preconditions(self):
         with pytest.raises(ValueError):
             beta_contour(ResolventModel("shifted", s0=0.9), 5)
@@ -407,22 +320,3 @@ class TestRenormalized:
             )
             assert abs(A - S) < 1e-8
 
-
-class TestBoundaryRelation:
-    def test_constant_without_betas(self):
-        assert boundary_h(1.234, []) == 0.5
-
-    def test_leading_local_coefficient(self):
-        assert abs(boundary_h(0.0, [1.0]) - 1.5) < 1e-15
-
-    def test_even_in_theta(self):
-        betas = [0.5, -0.25, 0.1]
-        for th in (0.3, 1.1, 2.9):
-            a = boundary_h(th, betas, f_even=lambda t: 0.1 * math.cos(t))
-            b = boundary_h(-th, betas, f_even=lambda t: 0.1 * math.cos(t))
-            assert abs(a - b) < 1e-14
-
-    def test_accepts_beta_series(self):
-        bs = beta_contour(ResolventModel("local", p=2), 5, 0.5, 512)
-        val = boundary_h(0.0, bs)
-        assert abs(val - (0.5 + bs.coefficients.real.sum())) < 1e-12
