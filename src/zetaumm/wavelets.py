@@ -1,9 +1,11 @@
-"""Kozyrev wavelets on Q_p and the Vladimirov derivative (closed-form
-eigenvalue plus integral-kernel check) on the restricted basis.
+"""Kozyrev wavelets on Q_p, the Vladimirov derivative (closed-form
+eigenvalue plus integral-kernel check), and the raising/lowering action on
+the restricted basis.
 
 The restricted basis H_-^(p) consists of psi_{-n+1, 0, 1} for n = 1, 2, ...
 (contractions only, translation 0, j = 1); these span the mean-zero
-square-integrable functions supported on Z_p.  The grading eigenvalues n of log_p D on this basis are the
+square-integrable functions supported on Z_p that the phase-space trace
+runs over.  The grading eigenvalues n of log_p D on this basis are the
 documented (discrete) momentum spectrum n ln p of the coordinate-momentum
 product Hamiltonian; no dynamics is computed here.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .padics import (
     PAdicNumber,
@@ -270,3 +272,53 @@ def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> Vladimir
         tail_bound = max(tail_bound, tb)
     return VladimirovResult(lam, residual, tail_bound)
 
+
+# ---------------------------------------------------------------------------
+# Ladder (raising/lowering) action on the restricted basis
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LadderAction:
+    """Result of a ladder operator on a basis state: coefficient * |n_out>.
+
+    in_subspace is False when the image lies outside H_-^(p) (the n = 0
+    boundary); callers get an explicit marker instead of a silent zero.
+    """
+
+    coefficient: int
+    n_out: int
+    in_subspace: bool
+
+
+def _ladder_formal(op: str, n: int) -> LadderAction:
+    if op == "J_plus":
+        return LadderAction(n, n + 1, n + 1 >= 1)
+    if op == "J_minus":
+        return LadderAction(-n, n - 1, n - 1 >= 1)
+    if op == "log_D":
+        return LadderAction(n, n, n >= 1)
+    raise ValueError(f"unknown ladder operator {op!r}")
+
+
+def ladder_apply(op: str, n: int) -> LadderAction:
+    """J_+- |n> = +-n |n +- 1>, log_p D |n> = n |n> on basis labels n >= 1."""
+    if n < 1:
+        raise ValueError("restricted-basis labels start at n = 1")
+    return _ladder_formal(op, n)
+
+
+def ladder_word(ops: Sequence[str], n: int) -> LadderAction:
+    """Compose ladder operators right-to-left, tracking the integer
+    coefficient; intermediate n = 0 states carry coefficient 0 formally."""
+    coeff = 1
+    cur = n
+    ok = n >= 1
+    for op in reversed(ops):
+        act = _ladder_formal(op, cur)
+        coeff *= act.coefficient
+        cur = act.n_out
+        if coeff == 0:
+            return LadderAction(0, cur, True)
+        ok = ok and act.in_subspace
+    return LadderAction(coeff, cur, ok)

@@ -28,6 +28,15 @@ EXEMPT = {
     ("output", "read_csv"),
 }
 
+# Orphans whose deletion is scheduled (ROADMAP open item 6) but not yet
+# done, so that one change does not take away more than a few dozen unit
+# tests at once.  This set only ever shrinks.
+DEFERRED = {
+    ("resolvent", "trace_fluctuation"),
+    ("wavelets", "ladder_apply"),
+    ("wavelets", "ladder_word"),
+}
+
 
 def _references(node, skip=None) -> set:
     """Names referenced in `node`, not descending into `skip`."""
@@ -57,7 +66,7 @@ def _orphans(src: Path, consumers: list) -> list:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name in outside or (stem, node.name) in EXEMPT:
+            if node.name in outside or (stem, node.name) in EXEMPT | DEFERRED:
                 continue
             if any(node.name in _references(other, skip=node) for other in modules.values()):
                 continue

@@ -5,10 +5,13 @@ import pytest
 
 from zetaumm.padics import PAdicNumber, PrecisionError, ball_coset_representatives
 from zetaumm.wavelets import (
+    LadderAction,
     WaveletIndex,
     gram_matrix,
     inner_product,
     kozyrev_eval,
+    ladder_apply,
+    ladder_word,
     restricted_index,
     vladimirov_apply,
     vladimirov_eigenvalue,
@@ -134,3 +137,49 @@ class TestVladimirov:
                 rhs = vladimirov_eigenvalue(3, a1 + a2, n)
                 assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
+
+class TestLadder:
+    def test_raising_on_ground_state(self):
+        act = ladder_apply("J_plus", 1)
+        assert act == LadderAction(1, 2, True)
+
+    def test_grading_eigenvalue(self):
+        act = ladder_apply("log_D", 3)
+        assert act.coefficient == 3 and act.n_out == 3
+
+    def test_lowering_out_of_subspace_is_flagged(self):
+        act = ladder_apply("J_minus", 1)
+        assert act.n_out == 0
+        assert not act.in_subspace
+
+    def test_commutator_example_n2(self):
+        up_down = ladder_word(["J_plus", "J_minus"], 2)
+        down_up = ladder_word(["J_minus", "J_plus"], 2)
+        comm = up_down.coefficient - down_up.coefficient
+        assert comm == 4  # = 2 * log_D coefficient at n = 2
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_sl2_algebra_as_index_coefficients(self, n):
+        # [J+, J-] = 2 log_D
+        comm = (
+            ladder_word(["J_plus", "J_minus"], n).coefficient
+            - ladder_word(["J_minus", "J_plus"], n).coefficient
+        )
+        assert comm == 2 * ladder_apply("log_D", n).coefficient
+        # [log_D, J+] = +J+ and [log_D, J-] = -J- as the action forces
+        # (the grading rises with J+), labels agreeing with J+- images
+        lhs_plus = (
+            ladder_word(["log_D", "J_plus"], n).coefficient
+            - ladder_word(["J_plus", "log_D"], n).coefficient
+        )
+        assert lhs_plus == ladder_apply("J_plus", n).coefficient
+        if n >= 2:
+            lhs_minus = (
+                ladder_word(["log_D", "J_minus"], n).coefficient
+                - ladder_word(["J_minus", "log_D"], n).coefficient
+            )
+            assert lhs_minus == -ladder_apply("J_minus", n).coefficient
+
+    def test_label_zero_input_rejected(self):
+        with pytest.raises(ValueError):
+            ladder_apply("J_plus", 0)
