@@ -163,8 +163,8 @@ def plaquette_mc(
     betas = np.asarray([float(np.real(b)) for b in betas])
     if betas.size and np.abs(betas[0]) >= 0.5 and betas.size == 1:
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
-    if min(chains, sweeps, bins) < 1:
-        raise ValueError("chains, sweeps and bins must be >= 1")
+    if min(N, chains, sweeps, bins) < 1 or burn_in < 0:
+        raise ValueError("N, chains, sweeps and bins must be >= 1 and burn_in >= 0")
     phases = np.empty((chains * sweeps, N))
     widths = np.empty(chains)
     accepted_total = 0
@@ -184,7 +184,7 @@ def plaquette_mc(
             proposals_total += N
             phases[c * sweeps + sweep] = np.sort(theta)
         widths[c] = width
-    rate = accepted_total / max(proposals_total, 1)
+    rate = accepted_total / proposals_total
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))

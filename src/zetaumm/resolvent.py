@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.special import digamma
 
 from . import zeta as zt
 from .padics import is_prime, require_prime
@@ -88,6 +86,7 @@ def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
         w = np.exp(-s * math.log(model.p))
         return _mul(pref, w) / (1.0 - w)
     if model.kind == "gamma":
+        from scipy.special import digamma
         return _mul(0.5 * pref, digamma(0.5 * s) - zt.LN_PI)
     s = model.s0 + (1.0 + z) / (2.0 * (1.0 - z))
     val, dval = zt.zeta_and_derivative(s)
@@ -299,6 +298,8 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
     """Spike list plus V' samples; grid points within 1e-9 of a spike angle
     or of theta = 0 (the conformal accumulation point) are rejected."""
     require_prime(p)
+    if n_spikes < 0:
+        raise ValueError(f"n_spikes must be >= 0, got {n_spikes}")
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size and (grid.min() <= 0.0 or grid.max() >= TWO_PI):
         raise ValueError("theta grid must lie strictly inside (0, 2pi)")
@@ -460,6 +461,7 @@ def beta_renormalized_prime_sum(
 
 def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
     """- int_P^inf t^-(mu+1/2) L^(1)_(m-1)(ln t) dt for m = 1..M via u = ln t."""
+    from scipy.integrate import quad_vec
     a = mu - 0.5
 
     def integrand(u: float) -> np.ndarray:

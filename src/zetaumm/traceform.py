@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma, erfc
 
 from .padics import require_prime
 from .zeta import PrimeTable, ZeroTable
@@ -143,6 +141,8 @@ def trace_formula_check(
     bound < 1e-12.  The prime side sums every prime power of the table,
     p^k <= primes.limit included.
     """
+    from scipy.integrate import quad
+    from scipy.special import digamma, erfc
     if not 0.5 <= a <= 3.0:
         raise ValueError("Gaussian width must lie in [0.5, 3]")
     if primes.limit < 2:

@@ -4,8 +4,7 @@ ingestion.
 
 zeta is evaluated by one Euler-Maclaurin kernel over an array of s with
 N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections;
-the reflection identity covers Re(s) < 0.  Gamma, loggamma and digamma come
-from scipy.special.
+the reflection identity covers Re(s) < 0.  scipy is imported where it is used.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma, loggamma  # noqa: F401  (array ufuncs, re-exported)
-from scipy.special import exp1 as _exp1
-from scipy.special import expi as _expi
 
 from .padics import require_prime
 
@@ -135,6 +130,7 @@ def _em_kernel(s: np.ndarray, derivative: bool = False):
 
 def _reflection(s: np.ndarray) -> np.ndarray:
     """chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s), so zeta(s) = chi(s) zeta(1-s)."""
+    from scipy.special import loggamma
     return 2.0**s * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s) * np.exp(loggamma(1.0 - s))
 
 
@@ -181,6 +177,7 @@ def zeta_and_derivative(s: complex) -> tuple[complex, complex]:
 def log_zeta_real_place(s: complex) -> complex:
     """log of the archimedean factor pi^(-s/2) Gamma(s/2) (the Mellin
     transform of the Gaussian), analytic for Re(s) > 0."""
+    from scipy.special import loggamma
     half = 0.5 * np.asarray(s, dtype=complex)
     return loggamma(half) - half * LN_PI
 
@@ -192,6 +189,7 @@ def xi(s: complex) -> complex:
     Written as pi^(-s/2) Gamma(s/2+1) * [(s-1) zeta(s)] so the zeta pole is
     cancelled analytically rather than numerically.
     """
+    from scipy.special import loggamma
     s, scalar = _as_1d(s)
     pref = np.exp(loggamma(0.5 * s + 1.0) - 0.5 * s * LN_PI)
     return _unbox(pref * zeta_unit(s), scalar)
@@ -202,7 +200,7 @@ def log_xi(s: complex) -> complex:
     + ln(pi^(-s/2)Gamma(s/2)); every factor is nonvanishing on the domains
     the contour extractions use, so no branch tracking is required."""
     s, scalar = _as_1d(s)
-    val = math.log(0.5) + np.log(s) + np.log(zeta_unit(s)) + (loggamma(0.5 * s) - 0.5 * s * LN_PI)
+    val = math.log(0.5) + np.log(s) + np.log(zeta_unit(s)) + log_zeta_real_place(s)
     return _unbox(val, scalar)
 
 
@@ -323,17 +321,18 @@ def explicit_tail_estimate(x: float, last_t: float) -> float:
 def _expi_complex(w: complex) -> complex:
     """Exponential integral Ei continued off the real axis,
     Ei(w) = -E1(-w) -/+ i pi for Im(w) >< 0."""
+    from scipy.special import exp1, expi
     if w.imag == 0.0:
-        return complex(_expi(w.real))
+        return complex(expi(w.real))
     corr = 1j * math.pi if w.imag > 0 else -1j * math.pi
-    return complex(-_exp1(-w) + corr)
+    return complex(-exp1(-w) + corr)
 
 
 def logarithmic_integral(x: float) -> float:
     """Li(x) = PV int_0^x dt/ln t = Ei(ln x)."""
     if x <= 0 or x == 1.0:
         raise ValueError("Li defined for x > 0, x != 1")
-    return float(_expi(math.log(x)))
+    return _expi_complex(complex(math.log(x))).real
 
 
 def prime_count_j_explicit(x: float, zeros: Sequence[float], n_zeros: int) -> float:
@@ -436,6 +435,7 @@ def li_coefficients_zero_sum(
 
 
 def _li_tail_integral(n: int, T: float, U: float = 1e9) -> float:
+    from scipy.integrate import quad
     def integrand(u):  # u = ln t substitution keeps quad comfortable
         t = math.exp(u)
         ph = math.pi - 2.0 * math.atan(2.0 * t)

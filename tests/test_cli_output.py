@@ -3,10 +3,13 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zetaumm
 from zetaumm import output, traceform
 from zetaumm.cli import build_parser, main
 from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_explicit
@@ -94,6 +97,9 @@ class TestCLI:
         (["plaquette-mc", "--bins", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--sweeps", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--chains", "0"], "chains, sweeps and bins must be >= 1"),
+        (["plaquette-mc", "--n", "0"], "N, chains, sweeps and bins must be >= 1"),
+        (["plaquette-mc", "--burn-in", "-5"], "burn_in >= 0"),
+        (["density", "--prime", "2", "--spikes", "-3"], "n_spikes must be >= 0"),
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
         (["padic-check", "--samples", "0"], "--samples >= 1"),
@@ -252,3 +258,45 @@ class TestCLI:
         _, md = output.read_csv(out)
         assert md["acceptance-in-band"] == "True"
         assert 0.0 < float(md["acceptance-rate"]) < 1.0
+
+
+def _fresh_python(code, *args, cwd=None):
+    """Run `code` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zetaumm.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestImportPath:
+    """scipy is loaded only by the commands that integrate or call its
+    special functions, so the others start without paying for it."""
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = _fresh_python("import sys, zetaumm, zetaumm.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["betas", "--model", "local", "--prime", "2"],
+        ["betas", "--model", "shifted", "--s0", "2"],
+        ["density", "--prime", "2"],
+        ["comb"],
+        ["padic-check"],
+        ["wavelet-check"],
+        ["beta-ren", "--method", "shifted_contour", "--mu", "1.5"],
+        ["cue-sample", "--n", "12", "--samples", "150", "--seed", "7"],
+        ["plaquette-mc", "--n", "8", "--betas", "0.25", "--sweeps", "40", "--burn-in", "10",
+         "--chains", "2"],
+    ], ids=lambda v: " ".join(v[:3]))
+    def test_command_runs_with_scipy_blocked(self, tmp_path, monkeypatch, argv):
+        blocked, free = tmp_path / "blocked", tmp_path / "free"
+        blocked.mkdir()
+        free.mkdir()
+        proc = _fresh_python("import sys; sys.modules['scipy'] = None; "
+                             "from zetaumm.cli import main; sys.exit(main(sys.argv[1:]))",
+                             *argv, "--out", "out.csv", cwd=blocked)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.chdir(free)
+        assert main(argv + ["--out", "out.csv"]) == 0
+        assert (blocked / "out.csv").read_bytes() == (free / "out.csv").read_bytes()
