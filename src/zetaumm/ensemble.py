@@ -67,8 +67,38 @@ def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
         Q, R = np.linalg.qr(A / math.sqrt(2.0))
         d = np.diagonal(R)
         Q = Q * (d / np.abs(d))
-        out[k] = np.sort(np.angle(np.linalg.eigvals(Q)))
+        out[k] = _eigenphases(Q)
     return EnsembleSample(N, out, seed, "cue")
+
+
+def _eigenphases(Q: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases in (-pi, pi] of a unitary Q, by the Cayley transform.
+
+    With U = e^{-i phi} Q, H = i(I - U)(I + U)^{-1} is Hermitian with
+    eigenvalues x = tan((theta - phi)/2).  It loses accuracy for an
+    eigenphase near phi + pi (large |x|, I + U near singular); then phi
+    is moved so that phi + pi is the middle of the widest gap between the
+    phases of the first pass.
+    """
+    N = Q.shape[0]
+    eye = np.eye(N)
+    phi = 0.0
+    for _ in range(3):
+        U = Q * np.exp(-1j * phi)
+        try:
+            H = 1j * np.linalg.solve(eye + U, eye - U)
+            x = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+        except np.linalg.LinAlgError:  # I + U exactly singular: turn by any angle
+            phi += 1.0
+            continue
+        theta = math.pi - (math.pi - 2.0 * np.arctan(x) - phi) % TWO_PI
+        theta = np.sort(np.where(theta > -math.pi, theta, math.pi))  # the % can round up to 2 pi
+        if np.abs(x).max() <= 4 * N:
+            break
+        gaps = np.diff(theta, append=theta[0] + TWO_PI)
+        k = int(np.argmax(gaps))
+        phi = theta[k] + 0.5 * gaps[k] - math.pi
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -100,40 +130,44 @@ class PlaquetteRun:
         return float(self.density.min())
 
 
-def _site_potential(theta: float, betas: np.ndarray, N: int) -> float:
-    """Per-site potential N sum_n (2 beta_n / n) cos(n theta)."""
-    acc = 0.0
-    for n in range(betas.size):
-        acc += (2.0 * betas[n] / (n + 1)) * math.cos((n + 1) * theta)
-    return N * acc
+def _log_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log 4 sin^2((a_i - b_j)/2) per chain (row), with the i = j entry pinned
+    to log 1 = 0 so that a site drops out of its own Vandermonde sum."""
+    s = 4.0 * np.sin(0.5 * (a[:, :, None] - b[:, None, :])) ** 2
+    s.reshape(len(a), -1)[:, :: a.shape[1] + 1] = 1.0
+    return np.log(s)
 
 
-def _chain_sweep(
-    theta: np.ndarray,
-    betas: np.ndarray,
-    width: float,
-    rng: np.random.Generator,
-) -> int:
-    """One Metropolis sweep over all sites of a single chain, in place."""
-    N = theta.size
-    accepted = 0
-    props = theta + width * rng.standard_normal(N)
+def _sweep(theta, pairs, betas, widths, rngs) -> np.ndarray:
+    """One Metropolis sweep over all sites of all chains (rows of theta), in
+    place; returns the accepted count per chain.  Each chain draws its N
+    proposals, then its N uniforms, from its own stream.  `pairs` is
+    _log_pairs(theta, theta), carried between sweeps; site i sums row i of
+    it and of the proposal table, and accepting site i swaps column i of
+    both for the column of its proposal."""
+    C, N = theta.shape
+    steps = np.array([r.standard_normal(N) for r in rngs])
+    us = np.array([r.random(N) for r in rngs])
+    props = theta + np.array(widths)[:, None] * steps
     props = (props + math.pi) % TWO_PI - math.pi
-    us = rng.random(N)
+    prop_theta = _log_pairs(props, theta)
+    rows = np.stack([prop_theta, pairs], axis=1)  # (chain, proposal/current, i, j)
+    # sin^2 is even, so the transpose holds the current rows' proposal columns
+    swaps = np.stack([_log_pairs(props, props), prop_theta.swapaxes(1, 2)], axis=1)
+    pot = np.zeros((2, C, N))  # N sum_n (2 beta_n / n) cos(n theta) at (proposal, current)
+    for n, beta in enumerate(betas):
+        pot += (2.0 * beta / (n + 1)) * np.cos((n + 1) * np.stack([props, theta]))
+    gain0, u = (N * pot[1] - N * pot[0]).T.tolist(), us.T.tolist()
+    accept = np.zeros((C, N), dtype=bool)
     for i in range(N):
-        old, new = theta[i], props[i]
-        d_pot = _site_potential(new, betas, N) - _site_potential(old, betas, N)
-        # pairwise log-Vandermonde change; the i-th entry is pinned to 1 so
-        # it drops out of the log sum instead of being deleted
-        sn = 4.0 * np.sin(0.5 * (new - theta)) ** 2
-        so = 4.0 * np.sin(0.5 * (old - theta)) ** 2
-        sn[i] = 1.0
-        so[i] = 1.0
-        d_action = d_pot - float(np.log(sn).sum() - np.log(so).sum())
-        if us[i] < math.exp(min(0.0, -d_action)):
-            theta[i] = new
-            accepted += 1
-    return accepted
+        sums = np.add.reduce(rows[:, :, i], axis=-1).tolist()
+        for c, (s_new, s_old) in enumerate(sums):
+            if u[i][c] < math.exp(min(0.0, (s_new - s_old) + gain0[i][c])):
+                accept[c, i] = True
+                rows[c, :, :, i] = swaps[c, :, :, i]
+    theta[accept] = props[accept]
+    pairs[:] = np.where(accept[:, :, None], rows[:, 0], rows[:, 1])
+    return accept.sum(axis=1)
 
 
 def plaquette_mc(
@@ -165,26 +199,20 @@ def plaquette_mc(
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
     if min(N, chains, sweeps, bins) < 1 or burn_in < 0:
         raise ValueError("N, chains, sweeps and bins must be >= 1 and burn_in >= 0")
-    phases = np.empty((chains * sweeps, N))
-    widths = np.empty(chains)
+    rngs = [_chain_rng(seed, c) for c in range(chains)]
+    theta = np.sort([r.uniform(-math.pi, math.pi, N) for r in rngs], axis=1)
+    pairs = _log_pairs(theta, theta)
+    widths = [0.5] * chains
+    for _ in range(burn_in):
+        acc = _sweep(theta, pairs, betas, widths, rngs)
+        widths = [min(max(w * math.exp(0.5 * (a / N - 0.4)), 1e-3), math.pi)
+                  for w, a in zip(widths, acc)]
+    phases = np.empty((chains * sweeps, N))  # chain c, sweep s in row c * sweeps + s
     accepted_total = 0
-    proposals_total = 0
-    for c in range(chains):
-        rng = _chain_rng(seed, c)
-        theta = rng.uniform(-math.pi, math.pi, N)
-        theta.sort()
-        width = 0.5
-        for _ in range(burn_in):
-            acc = _chain_sweep(theta, betas, width, rng)
-            rate = acc / N
-            width *= math.exp(0.5 * (rate - 0.4))
-            width = min(max(width, 1e-3), math.pi)
-        for sweep in range(sweeps):
-            accepted_total += _chain_sweep(theta, betas, width, rng)
-            proposals_total += N
-            phases[c * sweeps + sweep] = np.sort(theta)
-        widths[c] = width
-    rate = accepted_total / proposals_total
+    for sweep in range(sweeps):
+        accepted_total += int(_sweep(theta, pairs, betas, widths, rngs).sum())
+        phases[sweep::sweeps] = np.sort(theta, axis=1)
+    rate = accepted_total / (chains * sweeps * N)
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))
@@ -193,7 +221,7 @@ def plaquette_mc(
         bin_edges=edges,
         density=density,
         acceptance_rate=float(rate),
-        proposal_widths=widths,
+        proposal_widths=np.array(widths),
         betas=betas,
     )
 

@@ -301,8 +301,8 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
     if n_spikes < 0:
         raise ValueError(f"n_spikes must be >= 0, got {n_spikes}")
     grid = np.asarray(theta_grid, dtype=float)
-    if grid.size and (grid.min() <= 0.0 or grid.max() >= TWO_PI):
-        raise ValueError("theta grid must lie strictly inside (0, 2pi)")
+    if grid.size < 1 or grid.min() <= 0.0 or grid.max() >= TWO_PI:
+        raise ValueError("theta grid must be non-empty and lie strictly inside (0, 2pi)")
     for th in grid:
         if min(abs(th), abs(TWO_PI - th)) < 1e-9:
             raise ValueError(f"grid point {th} too close to the theta = 0 artefact")
@@ -434,6 +434,8 @@ def beta_renormalized_prime_sum(
         )
     if M < 1:
         raise ValueError("M must be >= 1")
+    if P_max < 2:
+        raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
     all_primes = zt.sieve_primes(P_max) if primes is None else primes.primes
     p_arr = all_primes[all_primes <= P_max].astype(float)
     logp_all = np.log(p_arr)

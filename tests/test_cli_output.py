@@ -100,6 +100,8 @@ class TestCLI:
         (["plaquette-mc", "--n", "0"], "N, chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--burn-in", "-5"], "burn_in >= 0"),
         (["density", "--prime", "2", "--spikes", "-3"], "n_spikes must be >= 0"),
+        (["density", "--prime", "2", "--grid-points", "0"], "theta grid must be non-empty"),
+        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "1"], "P_max must be >= 2"),
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
         (["padic-check", "--samples", "0"], "--samples >= 1"),

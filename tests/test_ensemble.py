@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,6 +8,8 @@ from scipy.stats import ks_2samp, kstest
 
 from zetaumm.ensemble import (
     PLAQUETTE_DENSITY_SIGN,
+    _chain_rng,
+    _eigenphases,
     acceptance_in_band,
     pair_correlation,
     plaquette_mc,
@@ -52,6 +55,83 @@ class TestCUE:
             sample_cue(1, 10, seed=0)
 
 
+def _circular_error(a, b):
+    """Largest distance on the circle from a phase of either set to the
+    nearest phase of the other (a phase at pi may sort to either end)."""
+    d = np.abs(np.angle(np.exp(1j * (a[:, None] - b[None, :]))))
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def _haar(N, rng):
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    Q, R = np.linalg.qr(A / math.sqrt(2.0))
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
+
+
+class TestCayleyPhases:
+    """The Cayley-transform eigenphases against np.linalg.eigvals."""
+
+    @pytest.mark.parametrize("N, samples, seed", [(40, 60, 1), (80, 10, 2), (3, 300, 3)])
+    def test_sample_cue_matches_eigvals(self, N, samples, seed):
+        # _haar replays the draws of sample_cue, so these are its matrices;
+        # about one in six takes the guarded second pass
+        phases = sample_cue(N, samples, seed).phases
+        rng = _chain_rng(seed, 0)
+        for row in phases:
+            ref = np.angle(np.linalg.eigvals(_haar(N, rng)))
+            assert _circular_error(row, ref) <= 1e-12
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_eigenvalue_at_minus_one_and_cluster_near_pi(self, rotate):
+        lam = np.array([math.pi, math.pi - 1e-10, math.pi - 6e-10, -math.pi + 9e-10,
+                        0.0, 0.4, 1.1, 2.9, -0.5, -1.7, -2.8, 2.2])
+        N = lam.size
+        z = np.exp(1j * lam)
+        z[0] = -1.0  # unrotated, I + U then has an exact zero pivot and the solve fails
+        V = _haar(N, np.random.Generator(np.random.PCG64(5))) if rotate else np.eye(N)
+        U = (V * z) @ V.conj().T
+        th = _eigenphases(U)
+        assert _circular_error(th, np.angle(np.linalg.eigvals(U))) <= 1e-12
+        assert _circular_error(th, lam) <= 1e-12
+        assert (np.diff(th) >= 0).all()
+        assert th.min() > -math.pi and th.max() <= math.pi
+
+
+def _reference_chain(N, betas, sweeps, burn_in, seed, chain):
+    """The single-chain, site-by-site Metropolis loop that plaquette_mc
+    replaced, kept as the bit-for-bit reference of the lockstep sweep."""
+
+    def potential(t):
+        return N * sum((2.0 * b / (n + 1)) * math.cos((n + 1) * t) for n, b in enumerate(betas))
+
+    def sweep(theta, width):
+        props = theta + width * rng.standard_normal(N)
+        props = (props + math.pi) % TWO_PI - math.pi
+        us, accepted = rng.random(N), 0
+        for i in range(N):
+            sn = 4.0 * np.sin(0.5 * (props[i] - theta)) ** 2
+            so = 4.0 * np.sin(0.5 * (theta[i] - theta)) ** 2
+            sn[i] = so[i] = 1.0
+            d_action = potential(props[i]) - potential(theta[i]) - float(
+                np.log(sn).sum() - np.log(so).sum())
+            if us[i] < math.exp(min(0.0, -d_action)):
+                theta[i] = props[i]
+                accepted += 1
+        return accepted
+
+    rng = _chain_rng(seed, chain)
+    theta = np.sort(rng.uniform(-math.pi, math.pi, N))
+    width = 0.5
+    for _ in range(burn_in):
+        width = min(max(width * math.exp(0.5 * (sweep(theta, width) / N - 0.4)), 1e-3), math.pi)
+    out = []
+    for _ in range(sweeps):
+        sweep(theta, width)
+        out.append(np.sort(theta))
+    return np.array(out)
+
+
 class TestPlaquetteMC:
     def test_zero_coupling_gives_uniform_density(self):
         run = plaquette_mc(32, [], sweeps=1500, burn_in=300, seed=1, chains=6, bins=32)
@@ -80,6 +160,25 @@ class TestPlaquetteMC:
         a = plaquette_mc(8, [0.1], sweeps=50, burn_in=20, seed=7, chains=1)
         b = plaquette_mc(8, [0.1], sweeps=50, burn_in=20, seed=7, chains=3)
         assert np.array_equal(a.sample.phases[:50], b.sample.phases[:50])
+
+    @pytest.mark.parametrize("N, betas, sweeps, burn_in, seed, chains, digest", [
+        (8, [0.1, 0.03], 60, 20, 7, 1,
+         "7d32e7dd678f7e127a26e4a7929dffb8032629d47967af63b5b8f70ea1f0b4a8"),
+        (12, [0.2], 40, 15, 11, 3,
+         "47126e3617e39bf0434cf20981084275b4ea22ddb92ecb6c775e585e38e0a718"),
+    ])
+    def test_phases_pinned(self, N, betas, sweeps, burn_in, seed, chains, digest):
+        # sha256 of the phases written by the one-chain-at-a-time sampler
+        # that preceded the lockstep sweep; the rewrite must reproduce them
+        # bit for bit (IEEE float64, x86-64 glibc libm)
+        run = plaquette_mc(N, betas, sweeps, burn_in, seed, chains)
+        assert hashlib.sha256(run.sample.phases.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("N, betas, chains", [(6, [], 2), (9, [0.15, -0.05, 0.02], 3)])
+    def test_matches_one_chain_reference(self, N, betas, chains):
+        run = plaquette_mc(N, betas, sweeps=30, burn_in=25, seed=3, chains=chains)
+        ref = np.concatenate([_reference_chain(N, betas, 30, 25, 3, c) for c in range(chains)])
+        assert np.array_equal(run.sample.phases, ref)
 
     def test_same_seed_same_histogram(self):
         a = plaquette_mc(16, [0.2], sweeps=100, burn_in=50, seed=11, chains=2)
