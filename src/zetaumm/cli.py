@@ -56,6 +56,26 @@ def _prime_or_all(text: str) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float option: nan and +-inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_list(text: str) -> str:
+    """plaquette-mc's --betas, kept as text: '' or comma-separated finite
+    floats, so an empty entry cannot shift the orders that follow it."""
+    if text:
+        for entry in text.split(","):
+            _finite(entry)
+    return text
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", required=True, help="output file path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -76,24 +96,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("wavelet-check", help="Gram matrix and Vladimirov residuals")
     sp.add_argument("--prime", type=_prime, default=2)
     sp.add_argument("--nmax", type=int, default=12)
-    sp.add_argument("--alpha", type=float, default=1.0)
+    sp.add_argument("--alpha", type=_finite, default=1.0)
     sp.add_argument("--kernel-b", type=int, default=12)
     _add_common(sp)
 
     sp = sub.add_parser("betas", help="contour-extracted model coefficients")
     sp.add_argument("--model", choices=("local", "gamma", "shifted", "xi"), required=True)
     sp.add_argument("--prime", type=_prime, default=None)
-    sp.add_argument("--s0", type=float, default=None)
+    sp.add_argument("--s0", type=_finite, default=None)
     sp.add_argument("--mmax", type=int, default=20)
-    sp.add_argument("--radius", type=float, default=0.5)
+    sp.add_argument("--radius", type=_finite, default=0.5)
     sp.add_argument("--nodes", type=int, default=512)
     _add_common(sp)
 
     sp = sub.add_parser("density", help="local-model spike/potential profile")
     sp.add_argument("--prime", type=_prime, required=True)
     sp.add_argument("--spikes", type=int, default=5)
-    sp.add_argument("--grid-start", type=float, default=0.5)
-    sp.add_argument("--grid-stop", type=float, default=5.78)
+    sp.add_argument("--grid-start", type=_finite, default=0.5)
+    sp.add_argument("--grid-stop", type=_finite, default=5.78)
     sp.add_argument("--grid-points", type=int, default=64)
     _add_common(sp)
 
@@ -101,19 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nmax", type=int, default=10)
     sp.add_argument("--zeros", required=True)
     sp.add_argument("--nzeros", type=int, default=2000)
-    sp.add_argument("--radius", type=float, default=0.45)
+    sp.add_argument("--radius", type=_finite, default=0.45)
     sp.add_argument("--nodes", type=int, default=512)
-    sp.add_argument("--tolerance", type=float, default=1e-3)
+    sp.add_argument("--tolerance", type=_finite, default=1e-3)
     _add_common(sp)
 
     sp = sub.add_parser("beta-ren", help="renormalized coefficients")
     sp.add_argument("--method", choices=("prime_sum", "shifted_contour", "xi_decomposition"),
                     required=True)
-    sp.add_argument("--mu", type=float, required=True)
+    sp.add_argument("--mu", type=_finite, required=True)
     sp.add_argument("--mmax", type=int, default=10)
     sp.add_argument("--pmax", type=int, default=10**6)
     sp.add_argument("--powers", type=int, default=60)
-    sp.add_argument("--radius", type=float, default=0.5)
+    sp.add_argument("--radius", type=_finite, default=0.5)
     sp.add_argument("--nodes", type=int, default=1024)
     _add_common(sp)
 
@@ -121,12 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--zeros", required=True)
     sp.add_argument("--nzeros", type=int, default=100)
     sp.add_argument("--primes-max", type=int, default=10**4)
-    sp.add_argument("--width", type=float, default=1.0)
+    sp.add_argument("--width", type=_finite, default=1.0)
     _add_common(sp)
 
     sp = sub.add_parser("explicit-formula", help="counting functions, direct vs zero expansion")
     sp.add_argument("--kind", choices=("psi", "J", "j_local"), default="psi")
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_finite, required=True)
     sp.add_argument("--zeros", default=None)
     sp.add_argument("--nzeros", type=int, default=100)
     sp.add_argument("--prime", type=_prime, default=2)
@@ -138,12 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=4000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--bins", type=int, default=50)
-    sp.add_argument("--rmax", type=float, default=5.0)
+    sp.add_argument("--rmax", type=_finite, default=5.0)
     _add_common(sp)
 
     sp = sub.add_parser("plaquette-mc", help="one-plaquette Metropolis run")
     sp.add_argument("--n", type=int, default=32)
-    sp.add_argument("--betas", default="0.25", help="comma-separated beta_1,beta_2,...")
+    sp.add_argument("--betas", type=_finite_list, default="0.25",
+                    help="comma-separated beta_1,beta_2,...")
     sp.add_argument("--sweeps", type=int, default=2000)
     sp.add_argument("--burn-in", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
@@ -153,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("comb", help="prime-power comb of the Wigner marginals")
     sp.add_argument("--prime", type=_prime_or_all, default="all", help="a prime or 'all'")
-    sp.add_argument("--mu", type=float, default=0.5)
-    sp.add_argument("--qmax", type=float, default=5.0)
+    sp.add_argument("--mu", type=_finite, default=0.5)
+    sp.add_argument("--qmax", type=_finite, default=5.0)
     _add_common(sp)
 
     return ap
@@ -378,7 +399,7 @@ def _cmd_cue_sample(args) -> int:
 
 
 def _cmd_plaquette_mc(args) -> int:
-    betas = [float(b) for b in args.betas.split(",") if b.strip()] if args.betas else []
+    betas = [float(b) for b in args.betas.split(",")] if args.betas else []
     run = ensemble.plaquette_mc(args.n, betas, args.sweeps, args.burn_in,
                                 args.seed, args.chains, args.bins)
     centers = 0.5 * (run.bin_edges[1:] + run.bin_edges[:-1])

@@ -35,20 +35,7 @@ class EnsembleSample:
     """Sorted eigenphase configurations theta in (-pi, pi]."""
 
     size: int
-    phases: np.ndarray  # (n_samples, size)
-    seed: int
-    source: str
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.phases.shape[0])
-
-    def circular_spacings(self) -> np.ndarray:
-        """All N circular nearest-neighbour gaps per configuration."""
-        ph = self.phases
-        gaps = np.diff(ph, axis=1)
-        wrap = (TWO_PI + ph[:, :1] - ph[:, -1:])
-        return np.concatenate([gaps, wrap], axis=1)
+    phases: np.ndarray  # (samples, size)
 
 
 def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
@@ -68,7 +55,7 @@ def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
         d = np.diagonal(R)
         Q = Q * (d / np.abs(d))
         out[k] = _eigenphases(Q)
-    return EnsembleSample(N, out, seed, "cue")
+    return EnsembleSample(N, out)
 
 
 def _eigenphases(Q: np.ndarray) -> np.ndarray:
@@ -114,8 +101,6 @@ class PlaquetteRun:
     bin_edges: np.ndarray
     density: np.ndarray
     acceptance_rate: float
-    proposal_widths: np.ndarray
-    betas: np.ndarray
 
     def density_error(self) -> np.ndarray:
         """Poisson scale of each histogram bin (no autocorrelation factor)."""
@@ -188,12 +173,7 @@ def plaquette_mc(
     during burn-in only, per chain, so each chain is a pure function of
     (seed, chain index).  An acceptance rate outside [0.1, 0.9] after
     burn-in is reported via the returned diagnostics.
-
-    `betas` may be a plain sequence or a truncated coefficient series from
-    the resolvent extraction.
     """
-    if hasattr(betas, "coefficients"):
-        betas = betas.coefficients
     betas = np.asarray([float(np.real(b)) for b in betas])
     if betas.size and np.abs(betas[0]) >= 0.5 and betas.size == 1:
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
@@ -217,12 +197,10 @@ def plaquette_mc(
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))
     return PlaquetteRun(
-        sample=EnsembleSample(N, phases, seed, "plaquette"),
+        sample=EnsembleSample(N, phases),
         bin_edges=edges,
         density=density,
         acceptance_rate=float(rate),
-        proposal_widths=np.array(widths),
-        betas=betas,
     )
 
 
@@ -254,7 +232,6 @@ class CorrelationReport:
     r2: np.ndarray
     reference: np.ndarray
     l2_distance: float
-    n_points: int
 
     def l2_distance_to(self, curve: np.ndarray) -> float:
         width = self.bin_centers[1] - self.bin_centers[0]
@@ -286,8 +263,7 @@ def pair_correlation(
     edges = np.linspace(0.0, r_max, bins + 1)
     counts = np.zeros(bins)
     if isinstance(points, EnsembleSample):
-        n_points = points.phases.size
-        if n_points < 1000:
+        if points.phases.size < 1000:
             raise ValueError("need at least 10^3 points after pooling")
         N = points.size
         L = float(N)
@@ -301,8 +277,7 @@ def pair_correlation(
         denom = refs * (edges[1] - edges[0])
     else:
         x = np.sort(np.asarray(points, dtype=float))
-        n_points = x.size
-        if n_points < 1000:
+        if x.size < 1000:
             raise ValueError("need at least 10^3 points after pooling")
         # one-sided directed distances: for a stationary unit-density
         # process, E[#{j: x_j - x_i in dr}] = R2(r) dr per reference point
@@ -319,4 +294,4 @@ def pair_correlation(
     ref_curve = sine_kernel_r2(centers)
     width = centers[1] - centers[0]
     l2 = float(np.sqrt((((r2 - ref_curve) ** 2) * width).sum()))
-    return CorrelationReport(centers, r2, ref_curve, l2, n_points)
+    return CorrelationReport(centers, r2, ref_curve, l2)

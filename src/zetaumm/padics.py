@@ -1,9 +1,8 @@
-"""Exact arithmetic on Q_p at finite precision.
+"""Exact arithmetic on Q_p.
 
-Rationals are the ground truth: every p-adic value carries its source
-rational, so norms, digit expansions, characters and ball memberships are
-computed exactly (arbitrary-precision integers) and only complex outputs
-are rounded to binary64.
+Points of Q_p are rationals, so norms, fractional parts, characters and
+ball memberships are computed exactly (arbitrary-precision integers) and
+only complex outputs are rounded to binary64.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 Rational = Union[int, Fraction]
-
-
-class PrecisionError(ValueError):
-    """A stored digit window is too short to resolve the requested scale."""
 
 
 def is_prime(n: int) -> bool:
@@ -97,62 +92,6 @@ def additive_character(p: int, x: Rational) -> complex:
 
 
 @dataclass(frozen=True)
-class PAdicNumber:
-    """Truncated p-adic expansion x = p^valuation * sum digits[k] p^k.
-
-    digits are little-endian from the leading term with digits[0] != 0;
-    the canonical zero has an empty digit tuple.  `value` is the exact
-    source rational, kept so that norms and memberships never depend on
-    the truncation.
-    """
-
-    prime: int
-    valuation: int
-    digits: tuple[int, ...]
-    precision: int
-    value: Fraction
-
-    @classmethod
-    def from_rational(cls, x: Rational, p: int, precision: int) -> "PAdicNumber":
-        require_prime(p)
-        if precision < 1:
-            raise ValueError("precision must be a positive integer")
-        x = Fraction(x)
-        if x == 0:
-            return cls(p, 0, (), precision, Fraction(0))
-        v = valuation(x, p)
-        u = x / Fraction(p) ** v  # unit part, |u|_p = 1
-        digits = []
-        for _ in range(precision):
-            num, den = u.numerator, u.denominator
-            d = (num * pow(den, -1, p)) % p
-            digits.append(d)
-            u = (u - d) / p
-        return cls(p, v, tuple(digits), precision, x)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    @property
-    def norm(self) -> Fraction:
-        return padic_norm(self.value, self.prime)
-
-    def truncated_value(self) -> Fraction:
-        """The rational represented by the stored digit window alone."""
-        acc = Fraction(0)
-        for k, d in enumerate(self.digits):
-            acc += d * Fraction(self.prime) ** (self.valuation + k)
-        return acc
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_zero:
-            return f"PAdicNumber(0; p={self.prime})"
-        ds = ",".join(str(d) for d in self.digits)
-        return f"PAdicNumber(p={self.prime}, p^{self.valuation}*[{ds}...])"
-
-
-@dataclass(frozen=True)
 class ShellSum:
     """Truncated Haar integral of |xi|_p^(s-1) over {|xi|_p < 1} plus bounds.
 
@@ -165,7 +104,6 @@ class ShellSum:
     value: Union[Fraction, complex]
     tail_bound: Union[Fraction, float]
     closed_form: Union[Fraction, complex]
-    shells: int
 
 
 def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> ShellSum:
@@ -192,7 +130,7 @@ def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> Sh
             value = w * sum(q**k for k in range(1, K + 1))
             tail = w * q ** (K + 1) / (1 - q)
             closed = w * q / (1 - q)
-            return ShellSum(value, tail, closed, K)
+            return ShellSum(value, tail, closed)
         # non-integer rational exponent: fall through to float arithmetic
         s = float(s)
 
@@ -206,7 +144,7 @@ def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> Sh
     # the reported bound stays honest once the tail drops below 1 ulp
     tail += 16 * 2.220446049250313e-16 * (K + 2) * max(abs(value), 1.0)
     closed = w * q / (1 - q)
-    return ShellSum(value, tail, closed, K)
+    return ShellSum(value, tail, closed)
 
 
 def ball_coset_representatives(

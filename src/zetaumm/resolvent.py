@@ -118,14 +118,12 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class BetaSeries:
-    """Model coefficients beta_1..beta_M with quadrature provenance:
+    """Model coefficients beta_1..beta_M with their quadrature deltas:
     per-coefficient |Δbeta_n| under node doubling and on the second radius
     (zero for the prime-sum route, which carries error_estimates)."""
 
     model: str
     coefficients: np.ndarray  # complex, index 0 holds beta_1
-    radius: float
-    nodes: int
     doubling_deltas: np.ndarray
     radius_deltas: np.ndarray
     error_estimates: Optional[np.ndarray] = None
@@ -216,7 +214,7 @@ def contour_coefficients(
             f"contour coefficients moved by {deltas.max():.3e} between radii "
             f"{r} and {r2}; not returning a value"
         )
-    return BetaSeries("contour", values, r, 2 * Q, doubling, deltas)
+    return BetaSeries("contour", values, doubling, deltas)
 
 
 def beta_contour(
@@ -262,11 +260,9 @@ class DensityProfile:
     the circle; each carries weight pi/ln p in the cot(theta/2) coordinate.
     """
 
-    p: int
     spike_angles: np.ndarray
     spike_indices: np.ndarray
     spike_weight: float
-    theta_grid: np.ndarray
     vprime: np.ndarray
 
 
@@ -313,11 +309,9 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
             raise ValueError(f"grid point {th} sits on a density spike")
     sel_angles, sel_ns = local_spike_angles(p, n_spikes)
     return DensityProfile(
-        p=p,
         spike_angles=sel_angles,
         spike_indices=sel_ns,
         spike_weight=math.pi / math.log(p),
-        theta_grid=grid,
         vprime=local_potential_derivative(p, grid),
     )
 
@@ -330,41 +324,6 @@ def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     for n, b in enumerate(betas, start=1):
         out += 2.0 * float(np.real(b)) * np.cos(n * th)
     return out / TWO_PI
-
-
-@dataclass(frozen=True)
-class TraceFluctuation:
-    partial: complex
-    closed_form: complex
-    tail_bound: float
-    pole_proximity: bool
-
-
-def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuation:
-    """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
-    basis: partial sum and geometric closed form p^-w/(1 - p^-w) with
-    w = eps + i cot(theta/2), plus the exact geometric tail bound.
-
-    pole_proximity flags w approaching a local-factor pole (closed form
-    denominator nearly vanishing as eps -> 0 on a spike angle).
-    """
-    if eps <= 0:
-        raise ValueError("Abel parameter eps must be positive")
-    w = complex(eps, _cot_half(theta))
-    lnp = math.log(p)
-    n = np.arange(1, N + 1)
-    partial = complex(np.exp(-w * lnp * n).sum())
-    q = np.exp(-w * lnp)
-    den = 1.0 - q
-    closed = complex(q / den)
-    tail = float(p ** (-(N + 1) * eps) / (1.0 - p ** (-eps)))
-    # the geometric bound is exactly tight on spike angles; cover the
-    # rounding of an N-term partial sum so the reported bound stays honest
-    tail += 8.0 * 2.220446049250313e-16 * N * max(1.0, abs(partial))
-    # on a spike angle the denominator is pinned at the Abel regulator
-    # 1 - p^-eps and blows up as eps -> 0: flag that regime explicitly
-    near_pole = abs(den) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
-    return TraceFluctuation(partial, closed, tail, bool(near_pole))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +416,8 @@ def beta_renormalized_prime_sum(
     coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12
     zero = np.zeros(M)
-    return BetaSeries(f"Renormalized(mu={mu}, prime_sum)", coeffs.astype(complex), float("nan"), 0,
-                      zero, zero, error_estimates=err)
+    return BetaSeries(f"Renormalized(mu={mu}, prime_sum)", coeffs.astype(complex), zero, zero,
+                      error_estimates=err)
 
 
 def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class PrimePowerComb:
 
     locations: np.ndarray
     weights: np.ndarray
-    mu: float
-    prime: Optional[int]
     position_period: Optional[float]
 
 
@@ -68,14 +66,14 @@ def wigner_marginal_comb(
         locs = primes.power_exponents[sel] * primes.power_weights[sel]
         wts = primes.power_weights[sel] * np.exp(-mu * locs)
         order = np.argsort(locs)
-        return PrimePowerComb(locs[order], wts[order], mu, None, None)
+        return PrimePowerComb(locs[order], wts[order], None)
     p = int(p)
     require_prime(p)
     lp = math.log(p)
     n = np.arange(1, int(q_max / lp) + 1)
     locs = n * lp
     wts = lp * np.exp(-mu * locs)
-    return PrimePowerComb(locs, wts, mu, p, TWO_PI / lp)
+    return PrimePowerComb(locs, wts, TWO_PI / lp)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +95,6 @@ class TraceReport:
     prime_tail_bound: float
     digamma_tail_bound: float
     quadrature_error: float
-    n_zeros: int
-    prime_limit: int
 
     @property
     def lhs(self) -> float:
@@ -129,7 +125,7 @@ def _h(a: float, u):
 
 def trace_formula_check(
     a: float,
-    zeros: Union[ZeroTable, Sequence[float]],
+    zeros: ZeroTable,
     n_zeros: int,
     primes: PrimeTable,
 ) -> TraceReport:
@@ -147,12 +143,11 @@ def trace_formula_check(
         raise ValueError("Gaussian width must lie in [0.5, 3]")
     if primes.limit < 2:
         raise ValueError(f"prime limit {primes.limit} holds no prime (need >= 2)")
-    ts = np.asarray(zeros.ts if isinstance(zeros, ZeroTable) else zeros, dtype=float)
     if n_zeros < 50:
         raise ValueError("need at least 50 zeros")
-    if ts.size < n_zeros:
-        raise ValueError(f"zero table holds {ts.size} < n_zeros = {n_zeros}")
-    ts = ts[:n_zeros]
+    if len(zeros) < n_zeros:
+        raise ValueError(f"zero table holds {len(zeros)} < n_zeros = {n_zeros}")
+    ts = zeros.ts[:n_zeros]
 
     pole = float(2.0 * _h(a, 0.5j).real)
     zero_sum = float(2.0 * _h(a, ts).sum())
@@ -195,6 +190,4 @@ def trace_formula_check(
         prime_tail_bound=prime_tail,
         digamma_tail_bound=dig_tail,
         quadrature_error=float(quad_err / TWO_PI + 1e-13 * (abs(pole) + abs(prime_sum))),
-        n_zeros=n_zeros,
-        prime_limit=primes.limit,
     )

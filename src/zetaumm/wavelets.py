@@ -1,31 +1,25 @@
-"""Kozyrev wavelets on Q_p, the Vladimirov derivative (closed-form
-eigenvalue plus integral-kernel check), and the raising/lowering action on
-the restricted basis.
+"""Kozyrev wavelets on Q_p, their Gram matrix on the restricted basis, and
+the Vladimirov derivative (closed-form eigenvalue plus integral-kernel
+check).
 
 The restricted basis H_-^(p) consists of psi_{-n+1, 0, 1} for n = 1, 2, ...
 (contractions only, translation 0, j = 1); these span the mean-zero
-square-integrable functions supported on Z_p that the phase-space trace
-runs over.  The grading eigenvalues n of log_p D on this basis are the
-documented (discrete) momentum spectrum n ln p of the coordinate-momentum
-product Hamiltonian; no dynamics is computed here.
+square-integrable functions supported on Z_p.  Points of Q_p are
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .padics import (
-    PAdicNumber,
-    PrecisionError,
+    Rational,
     additive_character,
     ball_coset_representatives,
     padic_norm,
     require_prime,
 )
-
-Point = Union[Fraction, int, PAdicNumber]
 
 
 @dataclass(frozen=True)
@@ -85,39 +79,18 @@ def restricted_index(p: int, n: int) -> WaveletIndex:
     return WaveletIndex(p, 1 - n, Fraction(0), 1)
 
 
-def _as_fraction(xi: Point, idx: WaveletIndex) -> Fraction:
-    if isinstance(xi, PAdicNumber):
-        if xi.prime != idx.prime:
-            raise ValueError(
-                f"prime mismatch: point over p={xi.prime}, wavelet over p={idx.prime}"
-            )
-        # resolving the character/indicator at scale n needs digits through
-        # position -n; refuse to extend a window that was declared shorter
-        if not xi.is_zero and xi.valuation + xi.precision <= -idx.scale:
-            raise PrecisionError(
-                f"digit window [{xi.valuation}, {xi.valuation + xi.precision}) "
-                f"cannot resolve scale {idx.scale}"
-            )
-        return xi.value
-    return Fraction(xi)
-
-
-def kozyrev_eval(idx: WaveletIndex, xi: Point) -> complex:
+def kozyrev_eval(idx: WaveletIndex, xi: Rational) -> complex:
     """psi_{n,m,j}(xi) = p^(-n/2) chi(j p^(n-1) xi) 1[|p^n xi - m|_p <= 1].
 
     Modulus is exact (a power of p or zero); the phase is binary64.
     """
-    v = _as_fraction(xi, idx)
+    v = Fraction(xi)
     p, n = idx.prime, idx.scale
     arg = Fraction(p) ** n * v - Fraction(idx.translation)
     if padic_norm(arg, p) > 1:
         return 0.0 + 0.0j
     chi = additive_character(p, idx.j * Fraction(p) ** (n - 1) * v)
     return idx.norm_factor * chi
-
-
-def _support_ball(idx: WaveletIndex) -> tuple[Fraction, int]:
-    return idx.support_center, idx.support_level
 
 
 def inner_product(a: WaveletIndex, b: WaveletIndex) -> complex:
@@ -132,8 +105,8 @@ def inner_product(a: WaveletIndex, b: WaveletIndex) -> complex:
         raise ValueError("inner products need a common prime")
     p = a.prime
     K = max(a.resolution_level, b.resolution_level) + 1
-    ca, la = _support_ball(a)
-    cb, lb = _support_ball(b)
+    ca, la = a.support_center, a.support_level
+    cb, lb = b.support_center, b.support_level
     # ultrametric balls are nested or disjoint
     if la <= lb:
         c_out, l_out, c_in, l_in = ca, la, cb, lb
@@ -174,7 +147,6 @@ def gram_matrix(p: int, n_max: int):
 class VladimirovResult:
     eigenvalue: complex
     residual: float
-    tail_bound: float
 
 
 def vladimirov_eigenvalue(p: int, alpha: complex, scale: int) -> complex:
@@ -192,7 +164,7 @@ def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
     """int_{|xi'-center| <= p^-level} psi dxi', exact via resolution cosets."""
     p = idx.prime
     r0 = idx.resolution_level
-    c_f, l_f = _support_ball(idx)
+    c_f, l_f = idx.support_center, idx.support_level
     if level <= l_f:
         # the ball swallows the support (they intersect since callers pass
         # centers inside the support): mean-zero makes this exactly 0
@@ -208,17 +180,15 @@ def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
 
 def vladimirov_kernel_apply(
     idx: WaveletIndex, alpha: complex, xi: Fraction, B: int = 12
-) -> tuple[complex, float]:
+) -> complex:
     """Evaluate (D^alpha psi)(xi) through the integral kernel
 
         C(alpha) int (psi(xi') - psi(xi)) / |xi'-xi|^(alpha+1) dxi'
 
     by exact distance-shell summation over |xi'| <= p^B (the subtraction
     kills the shells finer than the resolution level exactly) plus the
-    closed-form geometric tail.  Returns (value, pre-summation tail size):
-    the tail beyond p^B is summed in closed form and its size reported,
-    never silently assumed away.  Each ball integral sums cosets at its
-    own level, at least the resolution level.
+    closed-form geometric tail beyond p^B.  Each ball integral sums cosets
+    at its own level, at least the resolution level.
     """
     p, alpha = idx.prime, complex(alpha)
     if alpha.real <= 0:
@@ -227,7 +197,7 @@ def vladimirov_kernel_apply(
             "diverges otherwise (and the normalisation has a pole at alpha = -1)"
         )
     r0 = idx.resolution_level
-    c_f, l_f = _support_ball(idx)
+    c_f, l_f = idx.support_center, idx.support_level
     support_norm = max(padic_norm(c_f, p), Fraction(p) ** (-l_f)) if c_f else Fraction(p) ** (-l_f)
     if Fraction(p) ** B < support_norm:
         raise ValueError(f"domain cutoff p^{B} does not cover the support")
@@ -247,12 +217,12 @@ def vladimirov_kernel_apply(
     q = pf ** (-alpha)
     tail = -f_xi * (1.0 - 1.0 / pf) * q ** (B + 1) / (1.0 - q)
     total += tail
-    return _kernel_prefactor(p, alpha) * total, abs(tail)
+    return _kernel_prefactor(p, alpha) * total
 
 
 def _kernel_sample_points(idx: WaveletIndex, count: int = 6) -> list[Fraction]:
     p = idx.prime
-    c_f, l_f = _support_ball(idx)
+    c_f, l_f = idx.support_center, idx.support_level
     pts = list(ball_coset_representatives(p, c_f, l_f, idx.resolution_level + 1))
     return pts[:count]
 
@@ -265,60 +235,7 @@ def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> Vladimir
     """
     lam = vladimirov_eigenvalue(idx.prime, alpha, idx.scale)
     residual = 0.0
-    tail_bound = 0.0
     for xi in _kernel_sample_points(idx):
-        val, tb = vladimirov_kernel_apply(idx, alpha, xi, B)
+        val = vladimirov_kernel_apply(idx, alpha, xi, B)
         residual = max(residual, abs(val - lam * kozyrev_eval(idx, xi)))
-        tail_bound = max(tail_bound, tb)
-    return VladimirovResult(lam, residual, tail_bound)
-
-
-# ---------------------------------------------------------------------------
-# Ladder (raising/lowering) action on the restricted basis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LadderAction:
-    """Result of a ladder operator on a basis state: coefficient * |n_out>.
-
-    in_subspace is False when the image lies outside H_-^(p) (the n = 0
-    boundary); callers get an explicit marker instead of a silent zero.
-    """
-
-    coefficient: int
-    n_out: int
-    in_subspace: bool
-
-
-def _ladder_formal(op: str, n: int) -> LadderAction:
-    if op == "J_plus":
-        return LadderAction(n, n + 1, n + 1 >= 1)
-    if op == "J_minus":
-        return LadderAction(-n, n - 1, n - 1 >= 1)
-    if op == "log_D":
-        return LadderAction(n, n, n >= 1)
-    raise ValueError(f"unknown ladder operator {op!r}")
-
-
-def ladder_apply(op: str, n: int) -> LadderAction:
-    """J_+- |n> = +-n |n +- 1>, log_p D |n> = n |n> on basis labels n >= 1."""
-    if n < 1:
-        raise ValueError("restricted-basis labels start at n = 1")
-    return _ladder_formal(op, n)
-
-
-def ladder_word(ops: Sequence[str], n: int) -> LadderAction:
-    """Compose ladder operators right-to-left, tracking the integer
-    coefficient; intermediate n = 0 states carry coefficient 0 formally."""
-    coeff = 1
-    cur = n
-    ok = n >= 1
-    for op in reversed(ops):
-        act = _ladder_formal(op, cur)
-        coeff *= act.coefficient
-        cur = act.n_out
-        if coeff == 0:
-            return LadderAction(0, cur, True)
-        ok = ok and act.in_subspace
-    return LadderAction(coeff, cur, ok)
+    return VladimirovResult(lam, residual)

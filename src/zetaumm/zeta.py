@@ -373,7 +373,6 @@ def local_count_explicit(p: int, x: float, n_terms: int) -> float:
 @dataclass(frozen=True)
 class LiCoefficients:
     values: np.ndarray  # lambda_1..lambda_n
-    method: str
     error_estimate: np.ndarray
 
 
@@ -399,7 +398,7 @@ def li_coefficients_cauchy(n_max: int, radius: float = 0.45, nodes: int = 512) -
     # lambda_n = sum_j n C(n-1, n-j) a_j: lower-triangular binomial weights
     weights = np.array([[m * math.comb(m - 1, m - j) if j <= m else 0 for j in n] for m in n], dtype=float)
     deltas = c.doubling_deltas + c.radius_deltas
-    return LiCoefficients(weights @ c.coefficients.real, "cauchy_derivative", weights @ deltas)
+    return LiCoefficients(weights @ c.coefficients.real, weights @ deltas)
 
 
 def li_coefficients_zero_sum(
@@ -431,7 +430,7 @@ def li_coefficients_zero_sum(
         # residual after smoothing is zero-fluctuation noise, well under
         # the smoothed tail itself; report a 5% slice of it as the scale
         err[n - 1] = 0.05 * tail + 1e-12
-    return LiCoefficients(lam, "zero_sum", err)
+    return LiCoefficients(lam, err)
 
 
 def _li_tail_integral(n: int, T: float, U: float = 1e9) -> float:
@@ -458,7 +457,6 @@ class ZeroTable:
 
     ts: np.ndarray
     residuals: np.ndarray
-    source: str
     excluded: tuple[tuple[float, float], ...] = ()
 
     def __len__(self) -> int:
@@ -474,7 +472,10 @@ def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
 
     Zeros whose |xi(1/2 + i t)| exceed 1e-6 are excluded and
     reported; parse errors and ordering violations carry line numbers.
+    At most max_zeros >= 1 ordinates are read.
     """
+    if max_zeros is not None and max_zeros < 1:
+        raise ValueError(f"max_zeros must be >= 1, got {max_zeros}")
     ts: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -504,7 +505,6 @@ def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
     return ZeroTable(
         ts=arr[ok],
         residuals=residuals[ok],
-        source=path,
         excluded=excluded,
     )
 

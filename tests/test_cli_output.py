@@ -105,6 +105,17 @@ class TestCLI:
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
         (["padic-check", "--samples", "0"], "--samples >= 1"),
+        (["betas", "--model", "shifted", "--s0", "nan"], "'nan' is not a finite number"),
+        (["betas", "--model", "shifted", "--s0", "inf"], "'inf' is not a finite number"),
+        (["beta-ren", "--method", "shifted_contour", "--mu", "nan"], "'nan' is not a finite number"),
+        (["beta-ren", "--method", "prime_sum", "--mu", "inf"], "'inf' is not a finite number"),
+        (["comb", "--mu", "nan"], "'nan' is not a finite number"),
+        (["explicit-formula", "--kind", "j_local", "--x", "nan"], "'nan' is not a finite number"),
+        (["explicit-formula", "--kind", "psi", "--zeros", bundled_zeros_path(), "--x", "inf"],
+         "'inf' is not a finite number"),
+        (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,,0.05"], "invalid float value: ''"),
+        (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,"], "invalid float value: ''"),
+        (["plaquette-mc", "--sweeps", "1", "--betas", "nan"], "'nan' is not a finite number"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
     def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "x.csv")
@@ -189,7 +200,7 @@ class TestCLI:
         report = traceform.TraceReport(
             lhs_pole=1.0, lhs_zero_sum=0.0, lhs_digamma=0.0, rhs_log_pi=0.0, rhs_prime_sum=0.5,
             residual=0.5, zero_tail_bound=1e-3, prime_tail_bound=2e-2, digamma_tail_bound=0.0,
-            quadrature_error=1e-9, n_zeros=50, prime_limit=100)
+            quadrature_error=1e-9)
         monkeypatch.setattr(traceform, "trace_formula_check", lambda *args: report)
         out = str(tmp_path / "tr.json")
         rc = main(["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "50",

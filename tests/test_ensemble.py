@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +21,18 @@ from zetaumm.ensemble import (
 TWO_PI = 2.0 * math.pi
 
 
+def _circular_spacings(phases):
+    """All N circular nearest-neighbour gaps per sorted configuration."""
+    gaps = np.diff(phases, axis=1)
+    wrap = (TWO_PI + phases[:, :1] - phases[:, -1:])
+    return np.concatenate([gaps, wrap], axis=1)
+
+
 class TestCUE:
     def test_mean_circular_spacing_is_exact(self):
         s = sample_cue(16, 200, seed=1)
         # N circular gaps always sum to 2pi, so the mean is identically 2pi/N
-        assert abs(s.circular_spacings().mean() - TWO_PI / 16) < 1e-12
+        assert abs(_circular_spacings(s.phases).mean() - TWO_PI / 16) < 1e-12
 
     def test_same_seed_reproduces_stream(self):
         a = sample_cue(8, 50, seed=42)
@@ -44,7 +50,7 @@ class TestCUE:
         # joint density |e^{i a} - e^{i b}|^2 makes a uniformly chosen
         # circular gap follow sin^2(g/2)/pi; KS against its CDF
         s = sample_cue(2, 100_000, seed=9)
-        gaps = s.circular_spacings()
+        gaps = _circular_spacings(s.phases)
         pick = np.random.Generator(np.random.PCG64(1234)).integers(0, 2, gaps.shape[0])
         g = gaps[np.arange(gaps.shape[0]), pick]
         res = kstest(g, lambda x: (x - np.sin(x)) / TWO_PI)
@@ -189,21 +195,12 @@ class TestPlaquetteMC:
         with pytest.raises(ValueError):
             plaquette_mc(16, [0.6], sweeps=10, burn_in=0, seed=0)
 
-    def test_accepts_beta_series_input(self):
-        from zetaumm.resolvent import ResolventModel, beta_contour
-
-        series = beta_contour(ResolventModel("local", p=5), 3, 0.5, 512)
-        run_a = plaquette_mc(8, series, sweeps=30, burn_in=10, seed=2, chains=1)
-        run_b = plaquette_mc(8, series.coefficients.real, sweeps=30, burn_in=10, seed=2, chains=1)
-        assert np.array_equal(run_a.sample.phases, run_b.sample.phases)
-
     def test_zero_coupling_spacings_match_cue(self):
         # heavy thinning and one gap per configuration keep the two-sample
         # KS comparison effectively independent
         run = plaquette_mc(16, [], sweeps=2000, burn_in=300, seed=5, chains=2)
-        thinned = replace(run.sample, phases=run.sample.phases[::10])
-        mc_gaps = thinned.circular_spacings()[::2, 0]
-        cue_gaps = sample_cue(16, mc_gaps.size, seed=6).circular_spacings()[:, 0]
+        mc_gaps = _circular_spacings(run.sample.phases[::10])[::2, 0]
+        cue_gaps = _circular_spacings(sample_cue(16, mc_gaps.size, seed=6).phases)[:, 0]
         assert ks_2samp(mc_gaps, cue_gaps).pvalue > 1e-3
 
 

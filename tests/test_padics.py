@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from zetaumm.padics import (
-    PAdicNumber,
     additive_character,
     ball_coset_representatives,
     fractional_part,
@@ -50,49 +49,6 @@ class TestNorm:
             assert ns <= max(na, nb)
             if na != nb:
                 assert ns == max(na, nb)
-
-
-class TestFromRational:
-    def test_one_half_base_3(self):
-        x = PAdicNumber.from_rational(Fraction(1, 2), 3, 4)
-        assert x.valuation == 0
-        assert x.digits == (2, 1, 1, 1)
-
-    def test_one_half_base_3_resums(self):
-        # 2 + 3 + 9 + 27 + ... with the repeating-1 tail is 2 - 3/2 = 1/2,
-        # checked here through the reconstruction congruence.
-        x = PAdicNumber.from_rational(Fraction(1, 2), 3, 4)
-        err = x.value - x.truncated_value()
-        assert padic_norm(err, 3) <= Fraction(1, 3**4)
-
-    def test_twelve_base_2(self):
-        x = PAdicNumber.from_rational(12, 2, 3)
-        assert x.valuation == 2
-        assert x.digits == (1, 1, 0)
-
-    def test_zero_is_canonical(self):
-        x = PAdicNumber.from_rational(0, 5, 3)
-        assert x.is_zero
-        assert x.digits == ()
-        assert x.norm == 0
-
-    def test_non_prime_rejected(self):
-        with pytest.raises(ValueError):
-            PAdicNumber.from_rational(1, 6, 3)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_reconstruction_congruence(self, p):
-        rng = random.Random(77 + p)
-        for _ in range(50):
-            q = random_rational(rng, p, max_pow=4)
-            L = rng.randrange(1, 9)
-            x = PAdicNumber.from_rational(q, p, L)
-            assert x.norm == padic_norm(q, p)
-            err = x.value - x.truncated_value()
-            if err != 0:
-                assert valuation(err, p) >= x.valuation + L
-            assert all(0 <= d < p for d in x.digits)
-            assert x.digits[0] != 0
 
 
 class TestCharacter:

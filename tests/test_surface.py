@@ -1,11 +1,13 @@
-"""Every public function and class of the package has a consumer.
+"""Every public function, class and class member of the package has a consumer.
 
 A consumer is a reference from `src/` outside the name's own definition,
 from the acceptance suite or the test fixtures, from `tools/` or from
 `perfbench/`.  Unit tests of the name itself do not count: a name that
 only its own tests call is dead surface.  References are `ast.Name` and
 `ast.Attribute` nodes and imported names; docstrings and other strings
-do not count.
+do not count.  A member (field, method or property of a public class) is
+consumed only by an `ast.Attribute` read outside its own class body: a
+constructor argument is a write, not a read.
 """
 
 import ast
@@ -28,49 +30,65 @@ EXEMPT = {
     ("output", "read_csv"),
 }
 
-# Orphans whose deletion is scheduled (ROADMAP open item 6) but not yet
-# done, so that one change does not take away more than a few dozen unit
-# tests at once.  This set only ever shrinks.
-DEFERRED = {
-    ("resolvent", "trace_fluctuation"),
-    ("wavelets", "ladder_apply"),
-    ("wavelets", "ladder_word"),
-}
+
+def _walk(node, skip=None):
+    """The nodes of `node`, not descending into `skip`."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is not skip:
+            yield n
+            stack.extend(ast.iter_child_nodes(n))
 
 
 def _references(node, skip=None) -> set:
     """Names referenced in `node`, not descending into `skip`."""
     out = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n is skip:
-            continue
+    for n in _walk(node, skip):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.rpartition(".")[2])
-        stack.extend(ast.iter_child_nodes(n))
     return out
+
+
+def _attribute_reads(node, skip=None) -> set:
+    """Attribute names read (not written) in `node`, not descending into `skip`."""
+    return {n.attr for n in _walk(node, skip)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _members(cls: ast.ClassDef) -> list:
+    """Public fields (annotated assignments), methods and properties."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef):
+            names.append(node.name)
+    return [name for name in names if not name.startswith("_")]
 
 
 def _orphans(src: Path, consumers: list) -> list:
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    outside = set()
-    for path in consumers:
-        outside |= _references(ast.parse(path.read_text()))
+    consumer_trees = [ast.parse(path.read_text()) for path in consumers]
+    outside = set().union(*map(_references, consumer_trees))
+    read_outside = set().union(*map(_attribute_reads, consumer_trees))
     orphans = []
     for stem, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name in outside or (stem, node.name) in EXEMPT | DEFERRED:
+            if not (node.name in outside or (stem, node.name) in EXEMPT
+                    or any(node.name in _references(other, skip=node) for other in modules.values())):
+                orphans.append(f"{stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
                 continue
-            if any(node.name in _references(other, skip=node) for other in modules.values()):
-                continue
-            orphans.append(f"{stem}.{node.name}")
+            reads = read_outside.union(
+                *(_attribute_reads(other, skip=node) for other in modules.values()))
+            orphans += [f"{stem}.{node.name}.{m}" for m in _members(node) if m not in reads]
     return orphans
 
 
@@ -83,10 +101,12 @@ def test_guard_sees_an_orphan(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "a.py").write_text(
-        "def used():\n    return helper()\n\n"
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Record:\n    read: int\n    written: int\n\n"
+        "def used():\n    return helper() + Record(read=1, written=2).read\n\n"
         "def helper():\n    '''mentions dead() in a docstring'''\n    return 1\n\n"
         "def dead():\n    return dead()\n"
     )
     user = tmp_path / "user.py"
     user.write_text("from pkg.a import used\n")
-    assert _orphans(pkg, [user]) == ["a.dead"]
+    assert _orphans(pkg, [user]) == ["a.Record.written", "a.dead"]

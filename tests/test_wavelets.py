@@ -3,15 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetaumm.padics import PAdicNumber, PrecisionError, ball_coset_representatives
+from zetaumm.padics import ball_coset_representatives
 from zetaumm.wavelets import (
-    LadderAction,
     WaveletIndex,
     gram_matrix,
     inner_product,
     kozyrev_eval,
-    ladder_apply,
-    ladder_word,
     restricted_index,
     vladimirov_apply,
     vladimirov_eigenvalue,
@@ -30,27 +27,6 @@ class TestKozyrevEval:
     def test_mother_wavelet_at_zero_base_3(self):
         idx = WaveletIndex(3, 0, Fraction(0), 1)
         assert abs(kozyrev_eval(idx, 0) - 1) < 1e-15
-
-    def test_prime_mismatch_rejected(self):
-        idx = WaveletIndex(2, 0, Fraction(0), 1)
-        xi = PAdicNumber.from_rational(1, 3, 8)
-        with pytest.raises(ValueError):
-            kozyrev_eval(idx, xi)
-
-    def test_insufficient_precision_reported(self):
-        # scale -4 needs digits through position 4; a 3-digit window at
-        # valuation 0 cannot resolve it and must raise, never truncate
-        idx = WaveletIndex(2, -4, Fraction(0), 1)
-        xi = PAdicNumber.from_rational(3, 2, 3)
-        with pytest.raises(PrecisionError):
-            kozyrev_eval(idx, xi)
-
-    def test_padic_number_input_matches_fraction_input(self):
-        idx = WaveletIndex(3, -1, Fraction(0), 1)
-        for q in (0, 3, Fraction(6, 1), 12):
-            a = kozyrev_eval(idx, PAdicNumber.from_rational(q, 3, 12))
-            b = kozyrev_eval(idx, Fraction(q))
-            assert a == b
 
     def test_modulus_is_norm_factor_on_support(self):
         idx = WaveletIndex(5, -2, Fraction(0), 1)
@@ -136,50 +112,3 @@ class TestVladimirov:
                 lhs = vladimirov_eigenvalue(3, a1, n) * vladimirov_eigenvalue(3, a2, n)
                 rhs = vladimirov_eigenvalue(3, a1 + a2, n)
                 assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-
-class TestLadder:
-    def test_raising_on_ground_state(self):
-        act = ladder_apply("J_plus", 1)
-        assert act == LadderAction(1, 2, True)
-
-    def test_grading_eigenvalue(self):
-        act = ladder_apply("log_D", 3)
-        assert act.coefficient == 3 and act.n_out == 3
-
-    def test_lowering_out_of_subspace_is_flagged(self):
-        act = ladder_apply("J_minus", 1)
-        assert act.n_out == 0
-        assert not act.in_subspace
-
-    def test_commutator_example_n2(self):
-        up_down = ladder_word(["J_plus", "J_minus"], 2)
-        down_up = ladder_word(["J_minus", "J_plus"], 2)
-        comm = up_down.coefficient - down_up.coefficient
-        assert comm == 4  # = 2 * log_D coefficient at n = 2
-
-    @pytest.mark.parametrize("n", range(1, 21))
-    def test_sl2_algebra_as_index_coefficients(self, n):
-        # [J+, J-] = 2 log_D
-        comm = (
-            ladder_word(["J_plus", "J_minus"], n).coefficient
-            - ladder_word(["J_minus", "J_plus"], n).coefficient
-        )
-        assert comm == 2 * ladder_apply("log_D", n).coefficient
-        # [log_D, J+] = +J+ and [log_D, J-] = -J- as the action forces
-        # (the grading rises with J+), labels agreeing with J+- images
-        lhs_plus = (
-            ladder_word(["log_D", "J_plus"], n).coefficient
-            - ladder_word(["J_plus", "log_D"], n).coefficient
-        )
-        assert lhs_plus == ladder_apply("J_plus", n).coefficient
-        if n >= 2:
-            lhs_minus = (
-                ladder_word(["log_D", "J_minus"], n).coefficient
-                - ladder_word(["J_minus", "log_D"], n).coefficient
-            )
-            assert lhs_minus == -ladder_apply("J_minus", n).coefficient
-
-    def test_label_zero_input_rejected(self):
-        with pytest.raises(ValueError):
-            ladder_apply("J_plus", 0)

@@ -317,6 +317,14 @@ class TestIngestZeros:
         with pytest.raises(ValueError, match="duplicate"):
             ingest_zeros(str(f))
 
+    @pytest.mark.parametrize("max_zeros", [0, -3])
+    def test_nonpositive_limit_rejected(self, tmp_path, max_zeros):
+        f = tmp_path / "zeros.txt"
+        f.write_text("14.134725141734694\n21.022039638771555\n")
+        with pytest.raises(ValueError, match="max_zeros must be >= 1"):
+            ingest_zeros(str(f), max_zeros=max_zeros)
+        assert len(ingest_zeros(str(f), max_zeros=1)) == 1
+
     def test_invalid_ordinate_excluded_and_listed(self, tmp_path):
         f = tmp_path / "zeros.txt"
         f.write_text("14.134725141734694\n17.25\n21.022039638771555\n")
