@@ -271,8 +271,7 @@ def _cmd_density(args) -> int:
     kind = ["spike"] * prof.spike_angles.size + ["vprime"] * grid.size
     location = np.concatenate([prof.spike_angles, grid])
     value = np.concatenate([np.full(prof.spike_angles.size, prof.spike_weight), prof.vprime])
-    err = np.zeros_like(location)
-    cols = {"kind": kind, "location": location, "value": value, "error": err}
+    cols = {"kind": kind, "location": location, "value": value}
     md = _metadata(args)
     md["spike-weight"] = prof.spike_weight
     _emit(args, cols, {
@@ -285,8 +284,22 @@ def _cmd_density(args) -> int:
     return 0
 
 
+def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
+    """The validated zero table.  Excluded ordinates are reported in one
+    stderr line, never in the artifact; a table with none left is refused."""
+    table = zt.ingest_zeros(path, max_zeros=max_zeros)
+    if table.excluded:
+        print(f"zetaumm: {len(table.excluded)} of {len(table) + len(table.excluded)} ordinates "
+              f"of {path} failed validation (first t = {table.excluded[0][0]!r})", file=sys.stderr)
+    if not len(table):
+        raise ValueError(f"no ordinate of {path} passed validation")
+    return table
+
+
 def _cmd_li(args) -> int:
-    table = zt.ingest_zeros(args.zeros, max_zeros=args.nzeros)
+    if args.tolerance < 0.0:
+        raise ValueError(f"li needs --tolerance >= 0, got {args.tolerance!r}")
+    table = _ingest(args.zeros, args.nzeros)
     a = zt.li_coefficients_cauchy(args.nmax, args.radius, args.nodes)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
     combined = a.error_estimate + b.error_estimate + args.tolerance
@@ -327,7 +340,7 @@ def _cmd_beta_ren(args) -> int:
 
 
 def _cmd_trace_check(args) -> int:
-    table = zt.ingest_zeros(args.zeros, max_zeros=max(args.nzeros, 50))
+    table = _ingest(args.zeros, max(args.nzeros, 50))
     primes = zt.PrimeTable.build(args.primes_max)
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
     payload = {
@@ -365,7 +378,7 @@ def _cmd_explicit_formula(args) -> int:
     else:
         if args.zeros is None:
             raise ValueError("explicit mode needs --zeros")
-        table = zt.ingest_zeros(args.zeros, max_zeros=args.nzeros)
+        table = _ingest(args.zeros, args.nzeros)
         if args.kind == "psi":
             direct = zt.chebyshev_psi_direct(args.x)
             explicit = zt.chebyshev_psi_explicit(args.x, table.ts, args.nzeros)

@@ -50,6 +50,8 @@ class ResolventModel:
             raise ValueError("local model needs a prime p")
         if self.kind == "shifted" and (self.s0 is None or self.s0 <= 1.0):
             raise ValueError("shifted model needs the recentring abscissa s0 > 1")
+        if self.kind != "shifted" and self.s0 is not None:
+            raise ValueError(f"s0 is read by the shifted model only, not by {self.kind!r}")
 
     @property
     def label(self) -> str:

@@ -1,16 +1,19 @@
 """Complex zeta machinery: zeta/xi evaluation, prime counting functions and
-their zero expansions, Li coefficients, prime sieve, and zero-table
-ingestion.
+their zero expansions, Li coefficients, prime sieve, Hardy's Z and
+zero-table ingestion.
 
 zeta is evaluated by one Euler-Maclaurin kernel over an array of s with
 N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections;
-the reflection identity covers Re(s) < 0.  scipy is imported where it is used.
+the reflection identity covers Re(s) < 0.  Hardy's Z, which validates zero
+tables, takes the Riemann-Siegel formula from t = 200 on.  scipy is imported
+where it is used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -447,6 +450,130 @@ def _li_tail_integral(n: int, T: float, U: float = 1e9) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Hardy's Z
+# ---------------------------------------------------------------------------
+#
+# Z(t) = e^{i theta(t)} zeta(1/2 + it) is real for real t, |Z(t)| = |zeta(1/2 + it)|
+# (O(t^{1/6}), so nothing underflows), and it changes sign at every simple
+# zero on the critical line.
+
+_RS_MIN_T = 200.0  # Riemann-Siegel from here on, where Gabcke's bound holds; Euler-Maclaurin below
+_GABCKE_D4 = 0.017  # |Z - Riemann-Siegel with C_0..C_4| <= 0.017 t^(-11/4), t >= 200 (Gabcke 1979)
+_DELTA_MIN = 1e-6  # floor of the half-width of the sign-change bracket of an ordinate
+
+# B_2k / (2k (2k-1)), k = 1.._EM_ORDER: Stirling's series of ln Gamma
+_STIRLING = np.array([float(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, _EM_ORDER + 1)])
+
+# Riemann-Siegel corrections C_k(p) = x^(k mod 2) P_k(x^2), x = p - 1/2: the
+# coefficients of P_0..P_4, highest power first, written by
+# tools/riemann_siegel_coefficients.py
+_RS_COEFFS = (
+    (  # C_0: 20 coefficients
+        -9.380006601906792e-06, -2.3025650027239108e-05, 8.971057991388841e-05,
+        0.0004006097785422114, -0.0004064230183729847, -0.004382647416580339,
+        -0.0022759396706125644, 0.029999480619902277, 0.051832902999549624,
+        -0.1085784416564066, -0.3755803051545095, 0.03051102182736167,
+        1.3014304161007977, 1.216731288919232, -1.6626947308999325,
+        -3.4733112243465167, -0.8707216670511481, 2.118025207685496,
+        1.7489618723100817, 0.3826834323650898,
+    ),
+    (  # C_1: 20 coefficients
+        -4.7624592453571896e-05, -3.956359669003182e-05, 0.0005010949051118487,
+        0.0010410950537714891, -0.003399503721151274, -0.012582979651583417,
+        0.01044923755006451, 0.09092026610973176, 0.03747264646531532,
+        -0.38450723496057976, -0.5054829667900366, 0.7838423561500687,
+        1.9407662946212714, -0.1081994495989921, -2.9998711967650102,
+        -1.695108997559503, 1.2634964862799458, 1.2317200154315227,
+        0.11027818741081483, -0.053650205256750697,
+    ),
+    (  # C_2: 21 coefficients
+        -0.00012300805698196634, 6.413690120293882e-05, 0.001357219437237339,
+        0.0009274149159794891, -0.010225012534028596, -0.017356040641479786,
+        0.04782352019827294, 0.14033480067387014, -0.09911649873041212,
+        -0.6359068055045434, -0.1722164273472999, 1.553901943022299,
+        1.3689416723328378, -1.6760787022538115, -2.4210015958919517,
+        0.3522472353403734, 1.3303391766687571, 0.14291492748532142,
+        -0.18137505725167002, 0.0012378633552253776, 0.005188542830293168,
+    ),
+    (  # C_3: 21 coefficients
+        -0.00020714032687001792, 0.00043764769774185707, 0.0024243969641103086,
+        -0.0012464637158769293, -0.01926442168751409, -0.009530183848825268,
+        0.10073382716626153, 0.12844792545207495, -0.3159044103617364,
+        -0.6619353471039775, 0.45968080979749937, 1.7467492800868893,
+        0.07845139961005464, -2.249763536666567, -0.8297560708527407,
+        1.2308558763957462, 0.48888319992354445, -0.28997965779803897,
+        -0.042570172541828676, 0.029953721091035165, -0.0026794321814389136,
+    ),
+    (  # C_4: 22 coefficients
+        -0.0002277596675847214, 0.0011562478934088757, 0.003077503129870843,
+        -0.006126628379519264, -0.026098874779194373, 0.015091527417903474,
+        0.14431763086785424, 0.03573487795502748, -0.5036663995108306,
+        -0.40124095793988573, 1.025782534005728, 1.2353393016565979,
+        -1.0767471578751293, -1.6763494411763413, 0.5341535312914872,
+        0.9507754185141758, -0.20854053686358828, -0.19604124343694462,
+        0.06581175135809482, 0.0038471770517961267, -0.004022642946136188,
+        0.0004648338936176339,
+    ),
+)
+
+
+def _siegel_theta(t: np.ndarray) -> np.ndarray:
+    """theta(t) = arg Gamma(1/4 + it/2) - (t/2) ln pi, continuous in t:
+    Stirling's series of ln Gamma at w = 1/4 + it/2 + 8, carried back to
+    1/4 + it/2 by eight steps of the recurrence Gamma(z+1) = z Gamma(z)."""
+    z = 0.25 + 0.5j * t
+    w = z + 8.0
+    lgamma = (w - 0.5) * np.log(w) - w + 0.5 * LN_2PI + np.polyval(_STIRLING[::-1], 1.0 / (w * w)) / w
+    return lgamma.imag - sum(np.angle(z + j) for j in range(8)) - 0.5 * t * LN_PI
+
+
+def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z by Riemann-Siegel, t >= _RS_MIN_T:
+    2 sum_{n <= a} n^(-1/2) cos(theta(t) - t ln n) + (-1)^(N-1) a^(-1/2) sum_k C_k(p) a^(-k),
+    a = sqrt(t/2pi), N = floor(a), p = a - N.  The bound is Gabcke's plus
+    rounding: each phase is off by a few ulp of t ln t, over 2 sum n^(-1/2) <= 4 sqrt(a)."""
+    a = np.sqrt(t / (2.0 * math.pi))
+    N = np.floor(a).astype(np.int64)
+    main = np.zeros_like(t)
+    theta = _siegel_theta(t)
+    for n in range(1, int(N.max(initial=0)) + 1):
+        live = N >= n
+        main[live] += np.cos(theta[live] - t[live] * math.log(n)) / math.sqrt(n)
+    x = a - N - 0.5
+    corr = np.zeros_like(t)
+    for k in reversed(range(len(_RS_COEFFS))):
+        corr = corr / a + np.polyval(_RS_COEFFS[k], x * x) * (x if k % 2 else 1.0)
+    z = 2.0 * main + np.where(N % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
+    return z, _GABCKE_D4 * t**-2.75 + 16.0 * EPS * t * np.log(t) * np.sqrt(a)
+
+
+def _z_euler_maclaurin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z = Re(e^{i theta(t)} zeta(1/2 + it)) through the Euler-Maclaurin
+    kernel, O(t) terms.  Its truncation error is far below rounding for
+    real t; the bound is rounding: each phase is off by a few ulp of t ln M
+    over M = t + 20 terms n^(-1/2) summing to at most 2 sqrt(M)."""
+    z = np.empty_like(t)
+    # 64 neighbouring ordinates per kernel call: N follows the largest of them
+    for i in range(0, t.size, 64):
+        block = t[i : i + 64]
+        z[i : i + 64] = (np.exp(1j * _siegel_theta(block)) * zeta(0.5 + 1j * block)).real
+    m = np.abs(t) + 20.0
+    return z, 8.0 * EPS * (1.0 + np.abs(t)) * np.log(m) * np.sqrt(m)
+
+
+def hardy_z(t) -> tuple[np.ndarray, np.ndarray]:
+    """Hardy's Z(t) on a 1-D array of real t, and a bound on the error of
+    each value: Riemann-Siegel with Gabcke's corrections C_0..C_4 for
+    t >= 200 (O(sqrt t) terms), Euler-Maclaurin below (O(t) terms)."""
+    t = np.asarray(t, dtype=float)
+    z, err = np.empty_like(t), np.empty_like(t)
+    fast = t >= _RS_MIN_T
+    z[fast], err[fast] = _z_riemann_siegel(t[fast])
+    z[~fast], err[~fast] = _z_euler_maclaurin(t[~fast])
+    return z, err
+
+
+# ---------------------------------------------------------------------------
 # Zero-table ingestion
 # ---------------------------------------------------------------------------
 
@@ -456,8 +583,8 @@ class ZeroTable:
     """Validated ordinates of nontrivial zeros, ascending."""
 
     ts: np.ndarray
-    residuals: np.ndarray
-    excluded: tuple[tuple[float, float], ...] = ()
+    residuals: np.ndarray  # |Z(t)| at each accepted ordinate
+    excluded: tuple[tuple[float, float], ...] = ()  # (t, |Z(t)|) of each rejected one
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -468,15 +595,19 @@ class ZeroTable:
 
 def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
     """Load a zero table (one ascending positive decimal per line, '#'
-    comments) and validate each ordinate with this package's own xi.
+    comments) and validate each ordinate by a sign change of Hardy's Z.
 
-    Zeros whose |xi(1/2 + i t)| exceed 1e-6 are excluded and
-    reported; parse errors and ordering violations carry line numbers.
-    At most max_zeros >= 1 ordinates are read.
+    An ordinate t is accepted iff Z(t - delta) and Z(t + delta) have
+    opposite signs and each exceeds its error bound (`hardy_z`); delta is
+    the larger of 1e-6 and half a unit in the last digit printed on its
+    line.  Every other ordinate is excluded and reported with |Z(t)|;
+    parse errors and ordering violations carry line numbers.  At most
+    max_zeros >= 1 ordinates are read.
     """
     if max_zeros is not None and max_zeros < 1:
         raise ValueError(f"max_zeros must be >= 1, got {max_zeros}")
     ts: list[float] = []
+    deltas: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -486,27 +617,26 @@ def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
                 t = float(line)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparsable ordinate {line!r}") from None
+            if not math.isfinite(t):
+                raise ValueError(f"{path}:{lineno}: non-finite ordinate {line!r}")
             if t <= 0.0:
                 raise ValueError(f"{path}:{lineno}: ordinates must be positive")
             if ts and t <= ts[-1]:
                 kind = "duplicate" if t == ts[-1] else "descending"
                 raise ValueError(f"{path}:{lineno}: {kind} ordinate {t!r}")
             ts.append(t)
+            deltas.append(max(_DELTA_MIN, 0.5 * 10.0 ** Decimal(line).as_tuple().exponent))
             if max_zeros is not None and len(ts) >= max_zeros:
                 break
     if not ts:
         raise ValueError(f"{path}: no ordinates found")
-    arr = np.asarray(ts)
-    # one xi call per block of 8 neighbouring ordinates (N follows the largest
-    # of them): each call carries a fixed array overhead of ~70 us
-    residuals = np.concatenate([np.abs(xi(0.5 + 1j * arr[i : i + 8])) for i in range(0, arr.size, 8)])
-    ok = residuals < 1e-6
+    arr, delta = np.asarray(ts), np.asarray(deltas)
+    z, err = hardy_z(np.concatenate([arr - delta, arr, arr + delta]))
+    (below, at, above), (err_below, _, err_above) = z.reshape(3, -1), err.reshape(3, -1)
+    ok = (below * above < 0) & (np.abs(below) > err_below) & (np.abs(above) > err_above)
+    residuals = np.abs(at)
     excluded = tuple((float(t), float(r)) for t, r in zip(arr[~ok], residuals[~ok]))
-    return ZeroTable(
-        ts=arr[ok],
-        residuals=residuals[ok],
-        excluded=excluded,
-    )
+    return ZeroTable(ts=arr[ok], residuals=residuals[ok], excluded=excluded)
 
 
 def bundled_zeros_path() -> str:

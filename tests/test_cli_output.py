@@ -116,6 +116,10 @@ class TestCLI:
         (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,,0.05"], "invalid float value: ''"),
         (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,"], "invalid float value: ''"),
         (["plaquette-mc", "--sweeps", "1", "--betas", "nan"], "'nan' is not a finite number"),
+        (["li", "--zeros", bundled_zeros_path(), "--tolerance", "-1"], "li needs --tolerance >= 0"),
+        (["betas", "--s0", "5", "--model", "local", "--prime", "2"], "s0 is read by the shifted model only"),
+        (["betas", "--s0", "5", "--model", "gamma"], "s0 is read by the shifted model only"),
+        (["betas", "--s0", "5", "--model", "xi"], "s0 is read by the shifted model only"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
     def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "x.csv")
@@ -229,6 +233,22 @@ class TestCLI:
             assert "is not a prime" in err and "Traceback" not in err
         assert not os.path.exists(out)
 
+    def test_excluded_ordinates_reported_on_stderr(self, tmp_path, capsys):
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("14.134725141734694\n17.25\n21.022039638771555\n25.3\n")
+        out = str(tmp_path / "ef.csv")
+        argv = ["explicit-formula", "--kind", "psi", "--x", "10.5", "--zeros", str(zeros), "--out", out]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == f"zetaumm: 2 of 4 ordinates of {zeros} failed validation (first t = 17.25)\n"
+        assert "17.25" not in open(out).read()
+        zeros.write_text("17.25\n")  # nothing left to expand over
+        for argv in (argv, ["li", "--zeros", str(zeros), "--out", out],
+                     ["trace-check", "--zeros", str(zeros), "--out", out]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "no ordinate of" in err and "Traceback" not in err
+
     def test_explicit_formula_j_local(self, tmp_path):
         out = str(tmp_path / "ef.csv")
         rc = main(["explicit-formula", "--kind", "j_local", "--prime", "3", "--x", "10",
@@ -298,6 +318,7 @@ class TestImportPath:
         ["padic-check"],
         ["wavelet-check"],
         ["beta-ren", "--method", "shifted_contour", "--mu", "1.5"],
+        ["explicit-formula", "--kind", "psi", "--x", "10.5", "--zeros", bundled_zeros_path()],
         ["cue-sample", "--n", "12", "--samples", "150", "--seed", "7"],
         ["plaquette-mc", "--n", "8", "--betas", "0.25", "--sweeps", "40", "--burn-in", "10",
          "--chains", "2"],

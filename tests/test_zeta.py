@@ -291,6 +291,40 @@ class TestLiCoefficients:
         assert np.array_equal(a.values, li_coefficients_cauchy(20, nodes=128).values)
 
 
+class TestHardyZ:
+    @pytest.mark.parametrize("lo, hi", [(14.0, 200.0), (200.0, 1000.0), (1000.0, 1e4)])
+    def test_against_mpmath_within_bound(self, lo, hi):
+        import mpmath
+
+        t = np.sort(np.random.default_rng(int(lo)).uniform(lo, hi, 60))
+        z, err = zt.hardy_z(t)
+        with mpmath.workdps(30):
+            oracle = np.array([float(mpmath.siegelz(x)) for x in t])
+            theta = np.array([float(mpmath.siegeltheta(x)) for x in t])
+        assert (np.abs(z - oracle) <= err).all()
+        assert np.abs(zt._siegel_theta(t) - theta).max() < 1e-14 * hi * math.log(hi)
+
+    def test_routes_agree_across_the_overlap(self):
+        t = np.linspace(200.0, 300.0, 101)
+        rs, rs_err = zt._z_riemann_siegel(t)
+        em, em_err = zt._z_euler_maclaurin(t)
+        assert (np.abs(rs - em) <= rs_err + em_err).all()
+        assert np.abs(rs - em).max() > 1e-12  # two routes, not one route twice
+
+    def test_riemann_siegel_coefficients_match_generator(self):
+        tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "riemann_siegel_coefficients.py")
+        proc = subprocess.run([sys.executable, tool], check=True, timeout=120,
+                              capture_output=True, text=True)
+        generated = {}
+        exec(proc.stdout, generated)
+        assert generated["_RS_COEFFS"] == zt._RS_COEFFS
+
+
+def _write_table(path, ts):
+    path.write_text("".join(f"{float(t)!r}\n" for t in ts))
+    return str(path)
+
+
 class TestIngestZeros:
     def test_valid_table(self, tmp_path):
         f = tmp_path / "zeros.txt"
@@ -325,6 +359,13 @@ class TestIngestZeros:
             ingest_zeros(str(f), max_zeros=max_zeros)
         assert len(ingest_zeros(str(f), max_zeros=1)) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        f = tmp_path / "zeros.txt"
+        f.write_text(f"14.134725141734694\n{value}\n")
+        with pytest.raises(ValueError, match=":2: non-finite ordinate"):
+            ingest_zeros(str(f))
+
     def test_invalid_ordinate_excluded_and_listed(self, tmp_path):
         f = tmp_path / "zeros.txt"
         f.write_text("14.134725141734694\n17.25\n21.022039638771555\n")
@@ -332,6 +373,25 @@ class TestIngestZeros:
         assert len(table) == 2
         assert len(table.excluded) == 1
         assert abs(table.excluded[0][0] - 17.25) < 1e-12
+        assert table.excluded[0][1] == pytest.approx(abs(zt.hardy_z([17.25])[0][0]), rel=1e-12)
+
+    def test_bundled_table_ingests_without_exclusion(self, zeros_all):
+        assert len(zeros_all) == 10_000 and not zeros_all.excluded
+        # |Z| does not underflow: the largest residuals sit near t = 200,
+        # where the Riemann-Siegel bound is widest
+        assert (zeros_all.residuals > 0.0).all() and zeros_all.residuals.max() < 1e-8
+
+    def test_shifted_table_excluded(self, tmp_path, zeros_2000):
+        ts = zeros_2000.ts.copy()
+        ts[20:] += 0.3
+        table = ingest_zeros(_write_table(tmp_path / "shifted.txt", ts))
+        assert len(table) == 20 and len(table.excluded) == 1980
+        assert [t for t, _ in table.excluded] == ts[20:].tolist()
+
+    def test_ordinates_moved_by_1e4_excluded(self, tmp_path, zeros_2000):
+        ts = zeros_2000.ts[::100] + 1e-4
+        table = ingest_zeros(_write_table(tmp_path / "moved.txt", ts))
+        assert len(table) == 0 and len(table.excluded) == ts.size
 
     def test_bundled_table_matches_generator(self, tmp_path):
         # provenance: the bundled table is what tools/generate_zeros.py writes
