@@ -88,8 +88,7 @@ def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
         w = np.exp(-s * math.log(model.p))
         return _mul(pref, w) / (1.0 - w)
     if model.kind == "gamma":
-        from scipy.special import digamma
-        return _mul(0.5 * pref, digamma(0.5 * s) - zt.LN_PI)
+        return _mul(0.5 * pref, zt._digamma(0.5 * s) - zt.LN_PI)
     s = model.s0 + (1.0 + z) / (2.0 * (1.0 - z))
     val, dval = zt.zeta_and_derivative(s)
     return pref * (dval / val)
@@ -328,41 +327,6 @@ def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     return out / TWO_PI
 
 
-@dataclass(frozen=True)
-class TraceFluctuation:
-    partial: complex
-    closed_form: complex
-    tail_bound: float
-    pole_proximity: bool
-
-
-def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuation:
-    """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
-    basis: partial sum and geometric closed form p^-w/(1 - p^-w) with
-    w = eps + i cot(theta/2), plus the exact geometric tail bound.
-
-    pole_proximity flags w approaching a local-factor pole (closed form
-    denominator nearly vanishing as eps -> 0 on a spike angle).
-    """
-    if eps <= 0:
-        raise ValueError("Abel parameter eps must be positive")
-    w = complex(eps, _cot_half(theta))
-    lnp = math.log(p)
-    n = np.arange(1, N + 1)
-    partial = complex(np.exp(-w * lnp * n).sum())
-    q = np.exp(-w * lnp)
-    den = 1.0 - q
-    closed = complex(q / den)
-    tail = float(p ** (-(N + 1) * eps) / (1.0 - p ** (-eps)))
-    # the geometric bound is exactly tight on spike angles; cover the
-    # rounding of an N-term partial sum so the reported bound stays honest
-    tail += 8.0 * 2.220446049250313e-16 * N * max(1.0, abs(partial))
-    # on a spike angle the denominator is pinned at the Abel regulator
-    # 1 - p^-eps and blows up as eps -> 0: flag that regime explicitly
-    near_pole = abs(den) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
-    return TraceFluctuation(partial, closed, tail, bool(near_pole))
-
-
 # ---------------------------------------------------------------------------
 # Renormalized coefficients (critical-line data)
 # ---------------------------------------------------------------------------
@@ -458,16 +422,14 @@ def beta_renormalized_prime_sum(
 
 
 def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
-    """- int_P^inf t^-(mu+1/2) L^(1)_(m-1)(ln t) dt for m = 1..M via u = ln t."""
-    from scipy.integrate import quad_vec
+    """- int_P^inf t^-(mu+1/2) L^(1)_(m-1)(ln t) dt for m = 1..M.  With
+    ln t = ln P + v/a, a = mu - 1/2, each is -(P^-a/a) times the integral
+    of a polynomial of degree m - 1 against the Laguerre weight e^-v on
+    (0, inf), which Gauss-Laguerre with ceil(M/2) + 1 nodes gives exactly
+    up to rounding."""
     a = mu - 0.5
-
-    def integrand(u: float) -> np.ndarray:
-        return -math.exp(-a * u) * _laguerre_alpha1_table(M, u)
-
-    u0 = math.log(P)
-    u_mid = max(u0 + 1.0, 4.0 * M + 10.0)  # past the last Laguerre zero
-    return quad_vec(integrand, u0, u_mid + 120.0, points=[u_mid], epsabs=1e-15, epsrel=1e-12)[0]
+    v, w = np.polynomial.laguerre.laggauss(-(-M // 2) + 1)
+    return -(P**-a) / a * (_laguerre_alpha1_table(M, math.log(P) + v / a) @ w)
 
 
 def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:

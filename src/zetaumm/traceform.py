@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .padics import require_prime
-from .zeta import PrimeTable, ZeroTable
+from .zeta import PrimeTable, ZeroTable, _digamma
 
 LN_PI = math.log(math.pi)
 TWO_PI = 2.0 * math.pi
@@ -137,8 +137,6 @@ def trace_formula_check(
     bound < 1e-12.  The prime side sums every prime power of the table,
     p^k <= primes.limit included.
     """
-    from scipy.integrate import quad
-    from scipy.special import digamma, erfc
     if not 0.5 <= a <= 3.0:
         raise ValueError("Gaussian width must lie in [0.5, 3]")
     if primes.limit < 2:
@@ -155,9 +153,17 @@ def trace_formula_check(
     q = primes.power_exponents * lnp
     prime_sum = float(2.0 * (lnp * np.exp(-0.5 * q) * _g(a, q)).sum())
 
+    # trapezoid rule with 1601 nodes on [-U, U]: the integrand is analytic
+    # for |Im u| < 1/2 and Gaussian-damped, so the rule converges
+    # geometrically (Trefethen-Weideman 2014).  The 801-node rule on every
+    # other node misses by ~1e-12, and that difference is the estimate.
+    # The end values are below e^-98 and left out.
     U = max(40.0, 14.0 / a)
-    integrand = lambda u: _h(a, u) * float(digamma(0.25 + 0.5j * u).real)
-    val, quad_err = quad(integrand, -U, U, limit=800)
+    step = U / 800
+    u = step * np.arange(-800, 801)
+    f = _h(a, u) * _digamma(0.25 + 0.5j * u).real
+    val = f.sum() * step
+    quad_err = abs(val - f[::2].sum() * 2.0 * step)
     dig = val / TWO_PI
 
     # tail bounds (Gaussian closed forms; x3 margins absorb prime and
@@ -165,7 +171,7 @@ def trace_formula_check(
     T = float(ts[-1])
     # sum_{t > T} 2 h(t) dN, dN ~ ln(t/2pi)/2pi dt, density frozen at 2T
     density = math.log(max(2.0 * T, 7.0) / TWO_PI) / TWO_PI
-    zero_tail = float(3.0 * density * 2.0 * math.pi * erfc(a * T / math.sqrt(2.0)))
+    zero_tail = float(3.0 * density * 2.0 * math.pi * math.erfc(a * T / math.sqrt(2.0)))
     # 2 int_{ln X}^inf e^{q/2} g(q) dq by completing the square
     qX = math.log(primes.limit)
     prime_tail = float(
@@ -173,10 +179,10 @@ def trace_formula_check(
         * math.exp(a * a / 8.0)
         * a
         * math.sqrt(math.pi / 2.0)
-        * erfc((qX - 0.5 * a * a) / (a * math.sqrt(2.0)))
+        * math.erfc((qX - 0.5 * a * a) / (a * math.sqrt(2.0)))
     )
     # |Re psi(1/4 + iu/2)| <= ln(2+u) + 2 past the cutoff
-    dig_tail = float((math.log(2.0 + U) + 2.0) * erfc(a * U / math.sqrt(2.0)))
+    dig_tail = float((math.log(2.0 + U) + 2.0) * math.erfc(a * U / math.sqrt(2.0)))
 
     residual = (pole - zero_sum + dig) - (LN_PI + prime_sum)
     return TraceReport(

@@ -5,8 +5,9 @@ zero-table ingestion.
 zeta is evaluated by one Euler-Maclaurin kernel over an array of s with
 N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections;
 the reflection identity covers Re(s) < 0.  Hardy's Z, which validates zero
-tables, takes the Riemann-Siegel formula from t = 200 on.  scipy is imported
-where it is used.
+tables, takes the Riemann-Siegel formula from t = 200 on.  ln Gamma,
+digamma and Ei are numpy kernels below and the Li tail is a fixed
+Gauss-Legendre rule: the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -75,6 +76,93 @@ _B2K_OVER_FACT = np.array(
 
 
 # ---------------------------------------------------------------------------
+# ln Gamma, digamma and the exponential integral
+# ---------------------------------------------------------------------------
+
+# B_2k / (2k (2k-1)), k = 1.._EM_ORDER: Stirling's series of ln Gamma
+_STIRLING = np.array([float(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, _EM_ORDER + 1)])
+# B_2k / 2k: the series of its derivative, digamma
+_STIRLING_D = (2.0 * np.arange(1, _EM_ORDER + 1) - 1.0) * _STIRLING
+
+
+def _stirling_shift(z) -> tuple[np.ndarray, int, np.ndarray]:
+    """z as a complex array, a step count n >= 8 and w = z + n with Re w >= 8,
+    where 12 terms of Stirling's series are exact to rounding."""
+    z = np.asarray(z, dtype=complex)
+    n = 8 + math.ceil(-z.real.min(initial=0.0))
+    return z, n, z + n
+
+
+def _stirling_series(w):
+    """ln Gamma(w) - [(w - 1/2) ln w - w + ln(2 pi)/2], 12 terms."""
+    return np.polyval(_STIRLING[::-1], 1.0 / (w * w)) / w
+
+
+def _log_gamma(z) -> np.ndarray:
+    """ln Gamma(z), analytic on C \\ (-inf, 0]: the continuation of the real
+    ln Gamma, not the principal log of Gamma.
+
+    Stirling's series at w = z + n, carried back to z by n steps of
+    Gamma(z+1) = z Gamma(z), each a principal log that does not cross its
+    cut off the negative real axis.  Both sides are taken relative to
+    ln Gamma(n) = ln (n-1)!, so that near the origin no term is much
+    larger than the result:
+        ln Gamma(z) = (n - 1/2) ln(1 + z/n) + z (ln w - 1) + S(w) - S(n)
+                      - ln z - sum_{0<j<n} ln(1 + z/j),
+    S the remainder series `_stirling_series`.
+    """
+    z, n, w = _stirling_shift(z)
+    return ((n - 0.5) * np.log1p(z / n) + z * (np.log(w) - 1.0)
+            + (_stirling_series(w) - _stirling_series(n))
+            - np.log(z) - sum(np.log1p(z / j) for j in range(1, n)))
+
+
+def _digamma(z) -> np.ndarray:
+    """psi(z) = (ln Gamma)'(z): the derivative of `_log_gamma`'s series and
+    recurrence."""
+    z, n, w = _stirling_shift(z)
+    iw2 = 1.0 / (w * w)
+    series = np.log(w) - 0.5 / w - np.polyval(_STIRLING_D[::-1], iw2) * iw2
+    return series - sum(1.0 / (z + j) for j in range(n))
+
+
+def _expi(w) -> np.ndarray:
+    """Exponential integral on a 1-D complex array: gamma + ln w +
+    sum_k w^k/(k k!) with the principal log, which is Ei(x) for x > 0 and
+    -E1(-w) + i pi sign(Im w) off the real axis.
+
+    The series is summed where it loses at most e^4 to cancellation
+    (|w| - Re w <= 4); elsewhere E1(-w) is the continued fraction
+    e^w/(z+1- 1/(z+3- 4/(z+5- ...))), z = -w, by the modified Lentz method.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    out = np.empty_like(w)
+    near = np.abs(w) - w.real <= 4.0
+    x = w[near]
+    term, acc = x.copy(), x.copy()
+    for k in range(2, 4000):
+        term *= x * ((k - 1) / (k * k))
+        acc += term
+        if (np.abs(term) <= EPS * np.abs(acc)).all():
+            break
+    out[near] = np.euler_gamma + np.log(x) + acc
+    z = -w[~near]
+    b, c = z + 1.0, np.full_like(z, 1e300)
+    d = 1.0 / b
+    frac = d.copy()
+    for k in range(1, 4000):
+        b += 2.0
+        d = 1.0 / (b - k * k * d)
+        c = b - k * k / c
+        step = c * d
+        frac *= step
+        if (np.abs(step - 1.0) <= 4.0 * EPS).all():
+            break
+    out[~near] = np.where(z.imag > 0.0, -1j, 1j) * math.pi - frac * np.exp(-z)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Euler-Maclaurin zeta
 # ---------------------------------------------------------------------------
 #
@@ -133,8 +221,7 @@ def _em_kernel(s: np.ndarray, derivative: bool = False):
 
 def _reflection(s: np.ndarray) -> np.ndarray:
     """chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s), so zeta(s) = chi(s) zeta(1-s)."""
-    from scipy.special import loggamma
-    return 2.0**s * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s) * np.exp(loggamma(1.0 - s))
+    return 2.0**s * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s) * np.exp(_log_gamma(1.0 - s))
 
 
 def zeta(s: complex) -> complex:
@@ -180,9 +267,8 @@ def zeta_and_derivative(s: complex) -> tuple[complex, complex]:
 def log_zeta_real_place(s: complex) -> complex:
     """log of the archimedean factor pi^(-s/2) Gamma(s/2) (the Mellin
     transform of the Gaussian), analytic for Re(s) > 0."""
-    from scipy.special import loggamma
     half = 0.5 * np.asarray(s, dtype=complex)
-    return loggamma(half) - half * LN_PI
+    return _log_gamma(half) - half * LN_PI
 
 
 def xi(s: complex) -> complex:
@@ -192,9 +278,8 @@ def xi(s: complex) -> complex:
     Written as pi^(-s/2) Gamma(s/2+1) * [(s-1) zeta(s)] so the zeta pole is
     cancelled analytically rather than numerically.
     """
-    from scipy.special import loggamma
     s, scalar = _as_1d(s)
-    pref = np.exp(loggamma(0.5 * s + 1.0) - 0.5 * s * LN_PI)
+    pref = np.exp(_log_gamma(0.5 * s + 1.0) - 0.5 * s * LN_PI)
     return _unbox(pref * zeta_unit(s), scalar)
 
 
@@ -321,21 +406,11 @@ def explicit_tail_estimate(x: float, last_t: float) -> float:
     return 2.0 * math.sqrt(x) / abs(0.5 + 1j * last_t)
 
 
-def _expi_complex(w: complex) -> complex:
-    """Exponential integral Ei continued off the real axis,
-    Ei(w) = -E1(-w) -/+ i pi for Im(w) >< 0."""
-    from scipy.special import exp1, expi
-    if w.imag == 0.0:
-        return complex(expi(w.real))
-    corr = 1j * math.pi if w.imag > 0 else -1j * math.pi
-    return complex(-exp1(-w) + corr)
-
-
 def logarithmic_integral(x: float) -> float:
     """Li(x) = PV int_0^x dt/ln t = Ei(ln x)."""
     if x <= 0 or x == 1.0:
         raise ValueError("Li defined for x > 0, x != 1")
-    return _expi_complex(complex(math.log(x))).real
+    return float(_expi(math.log(x))[0].real)
 
 
 def prime_count_j_explicit(x: float, zeros: Sequence[float], n_zeros: int) -> float:
@@ -345,11 +420,8 @@ def prime_count_j_explicit(x: float, zeros: Sequence[float], n_zeros: int) -> fl
         raise ValueError("explicit mode needs at least one zero")
     if x <= 1.0:
         raise ValueError("explicit formula requires x > 1")
-    lnx = math.log(x)
     t = np.asarray(zeros, dtype=float)[:n_zeros]
-    osc = 0.0
-    for tm in t:
-        osc += 2.0 * _expi_complex((0.5 + 1j * tm) * lnx).real
+    osc = 2.0 * _expi((0.5 + 1j * t) * math.log(x)).real.sum()
     tail_int = 0.5 * math.log(x * x / (x * x - 1.0))
     return float(logarithmic_integral(x) - osc - math.log(2.0) + tail_int)
 
@@ -415,38 +487,50 @@ def li_coefficients_zero_sum(
 
     The truncated sum is completed by the smooth-density tail integral
     int_T^inf 2(1-cos(n phi(t))) dN(t), dN = ln(t/2pi)/2pi dt; without it
-    the truncation error ~ n^2 ln T/(2 pi T) swamps small-n values.
+    the truncation error ~ n^2 ln T/(2 pi T) swamps small-n values.  A
+    table shorter than n_zeros is rejected.
     """
     t = np.asarray(zeros, dtype=float)
     if n_zeros is not None:
+        if t.size < n_zeros:
+            raise ValueError(f"zero table holds {t.size} < n_zeros = {n_zeros}")
         t = t[:n_zeros]
     if t.size == 0:
         raise ValueError("zero_sum needs a nonempty zero table")
     phi = math.pi - 2.0 * np.arctan(2.0 * t)
-    lam = np.empty(n_max)
-    err = np.empty(n_max)
-    T = float(t[-1])
-    for n in range(1, n_max + 1):
-        lam[n - 1] = (2.0 * (1.0 - np.cos(n * phi))).sum()
-        tail = _li_tail_integral(n, T)
-        lam[n - 1] += tail
-        # residual after smoothing is zero-fluctuation noise, well under
-        # the smoothed tail itself; report a 5% slice of it as the scale
-        err[n - 1] = 0.05 * tail + 1e-12
+    tails, quadrature = _li_tail_integrals(n_max, float(t[-1]))
+    lam = np.array([(2.0 * (1.0 - np.cos(n * phi))).sum() for n in range(1, n_max + 1)]) + tails
+    # residual after smoothing is zero-fluctuation noise, well under the
+    # smoothed tail itself; report a 5% slice of it as the scale
+    err = 0.05 * tails + quadrature + 1e-12
     return LiCoefficients(lam, err)
 
 
-def _li_tail_integral(n: int, T: float, U: float = 1e9) -> float:
-    from scipy.integrate import quad
-    def integrand(u):  # u = ln t substitution keeps quad comfortable
-        t = math.exp(u)
-        ph = math.pi - 2.0 * math.atan(2.0 * t)
-        return 2.0 * (1.0 - math.cos(n * ph)) * (u - LN_2PI) / (2.0 * math.pi) * t
+def _li_tail_integrals(n_max: int, T: float, U: float = 1e9) -> tuple[np.ndarray, np.ndarray]:
+    """int_T^inf 2(1 - cos(n phi(t))) dN(t) for n = 1..n_max, and an
+    estimate of the quadrature error of each.
 
-    val, _ = quad(integrand, math.log(T), math.log(U), limit=200)
-    # beyond U the integrand is ~ n^2/t^2 * ln(t/2pi)/2pi
-    remainder = n * n * (math.log(U / (2 * math.pi)) + 1.0) / (2.0 * math.pi * U)
-    return val + remainder
+    In u = ln t the integrand 4 sin^2(n arctan(1/2t)) (u - ln 2pi)/2pi e^u
+    (the form that does not cancel at large t) is smooth: composite 8-node
+    Gauss-Legendre on panels of length <= 1/2 up to ln U, estimated
+    against the rule on half as many panels.  Beyond U the integrand is
+    ~ n^2/t^2 ln(t/2pi)/2pi, integrated in closed form.
+    """
+    n = np.arange(1, n_max + 1)[:, None]
+    lo, hi = math.log(T), math.log(U)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+
+    def rule(panels: int) -> np.ndarray:
+        half = 0.5 * (hi - lo) / panels
+        u = (lo + half * (2 * np.arange(panels) + 1)[:, None] + half * nodes).ravel()
+        t = np.exp(u)
+        f = 4.0 * np.sin(n * np.arctan(0.5 / t)) ** 2 * (u - LN_2PI) / (2.0 * math.pi) * t
+        return f @ np.tile(half * weights, panels)
+
+    panels = max(1, math.ceil(hi - lo))
+    fine = rule(2 * panels)
+    remainder = n[:, 0] ** 2 * (math.log(U / (2 * math.pi)) + 1.0) / (2.0 * math.pi * U)
+    return fine + remainder, np.abs(fine - rule(panels))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +544,6 @@ def _li_tail_integral(n: int, T: float, U: float = 1e9) -> float:
 _RS_MIN_T = 200.0  # Riemann-Siegel from here on, where Gabcke's bound holds; Euler-Maclaurin below
 _GABCKE_D4 = 0.017  # |Z - Riemann-Siegel with C_0..C_4| <= 0.017 t^(-11/4), t >= 200 (Gabcke 1979)
 _DELTA_MIN = 1e-6  # floor of the half-width of the sign-change bracket of an ordinate
-
-# B_2k / (2k (2k-1)), k = 1.._EM_ORDER: Stirling's series of ln Gamma
-_STIRLING = np.array([float(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, _EM_ORDER + 1)])
 
 # Riemann-Siegel corrections C_k(p) = x^(k mod 2) P_k(x^2), x = p - 1/2: the
 # coefficients of P_0..P_4, highest power first, written by
@@ -518,13 +599,8 @@ _RS_COEFFS = (
 
 
 def _siegel_theta(t: np.ndarray) -> np.ndarray:
-    """theta(t) = arg Gamma(1/4 + it/2) - (t/2) ln pi, continuous in t:
-    Stirling's series of ln Gamma at w = 1/4 + it/2 + 8, carried back to
-    1/4 + it/2 by eight steps of the recurrence Gamma(z+1) = z Gamma(z)."""
-    z = 0.25 + 0.5j * t
-    w = z + 8.0
-    lgamma = (w - 0.5) * np.log(w) - w + 0.5 * LN_2PI + np.polyval(_STIRLING[::-1], 1.0 / (w * w)) / w
-    return lgamma.imag - sum(np.angle(z + j) for j in range(8)) - 0.5 * t * LN_PI
+    """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi, continuous in t."""
+    return _log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LN_PI
 
 
 def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

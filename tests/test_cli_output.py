@@ -266,6 +266,14 @@ class TestCLI:
         commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
         assert sorted(commands) == sorted(parser._command_parsers)  # one line per command
 
+    def test_li_refuses_a_short_table(self, tmp_path, capsys):
+        out = tmp_path / "li.csv"
+        rc = main(["li", "--zeros", bundled_zeros_path(), "--nmax", "3", "--nzeros", "20000",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "holds 10000 < n_zeros = 20000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_li_twenty_coefficients_agree(self, tmp_path):
         out = str(tmp_path / "li20.csv")
         rc = main(["li", "--zeros", bundled_zeros_path(), "--nmax", "20", "--nzeros", "2000",
@@ -301,8 +309,9 @@ def _fresh_python(code, *args, cwd=None):
 
 
 class TestImportPath:
-    """scipy is loaded only by the commands that integrate or call its
-    special functions, so the others start without paying for it."""
+    """The package needs numpy alone: no import and no command loads scipy,
+    and every command writes the same bytes with scipy blocked as with it
+    importable."""
 
     def test_cli_import_loads_no_scipy(self):
         proc = _fresh_python("import sys, zetaumm, zetaumm.cli; "
@@ -322,6 +331,12 @@ class TestImportPath:
         ["cue-sample", "--n", "12", "--samples", "150", "--seed", "7"],
         ["plaquette-mc", "--n", "8", "--betas", "0.25", "--sweeps", "40", "--burn-in", "10",
          "--chains", "2"],
+        ["li", "--nmax", "5", "--nzeros", "200", "--zeros", bundled_zeros_path()],
+        ["trace-check", "--nzeros", "100", "--zeros", bundled_zeros_path()],
+        ["betas", "--model", "xi"],
+        ["betas", "--model", "gamma"],
+        ["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "10000"],
+        ["explicit-formula", "--kind", "J", "--x", "10.5", "--zeros", bundled_zeros_path()],
     ], ids=lambda v: " ".join(v[:3]))
     def test_command_runs_with_scipy_blocked(self, tmp_path, monkeypatch, argv):
         blocked, free = tmp_path / "blocked", tmp_path / "free"

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from zetaumm import resolvent as rv
 from zetaumm.resolvent import (
     ResolventModel,
     beta_contour,
@@ -18,7 +19,6 @@ from zetaumm.resolvent import (
     local_spike_angles,
     potential_sum_local,
     resolvent,
-    trace_fluctuation,
     ungapped_density,
     xi_log_coefficients,
 )
@@ -245,29 +245,6 @@ class TestDensityProfile:
         assert abs(np.trapezoid(rho, th) - 1.0) < 1e-6
 
 
-class TestTraceFluctuation:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("theta", [0.5, math.pi, 4.0])
-    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
-    def test_partial_within_tail_bound(self, p, theta, eps):
-        tf = trace_fluctuation(p, theta, eps, 200)
-        assert abs(tf.partial - tf.closed_form) <= tf.tail_bound + 1e-14
-
-    def test_closed_form_example(self):
-        tf = trace_fluctuation(2, math.pi, 0.1, 200)
-        q = 2.0**-0.1
-        assert abs(tf.closed_form - q / (1.0 - q)) < 1e-12
-
-    def test_divergence_flagged_on_spike(self):
-        th1 = 2.0 * math.atan(math.log(2.0) / (2.0 * math.pi))
-        assert trace_fluctuation(2, th1, 1e-6, 10).pole_proximity
-        assert not trace_fluctuation(2, 1.0, 1e-6, 10).pole_proximity
-
-    def test_positive_eps_required(self):
-        with pytest.raises(ValueError):
-            trace_fluctuation(2, 1.0, 0.0, 10)
-
-
 class TestRenormalized:
     def test_prime_sum_matches_shifted_contour(self, prime_table_1e6):
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
@@ -279,6 +256,19 @@ class TestRenormalized:
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
         ps = beta_renormalized_prime_sum(10, 1.5, 10**5, 60, primes=prime_table_1e6)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 2e-6
+
+    @pytest.mark.parametrize("mu, P", [(1.2, 2.0), (1.2, 1e7), (1.7, 1e6), (2.5, 1e6)])
+    def test_prime_tail_against_mpmath_quadrature(self, mu, P):
+        import mpmath
+
+        M = 20
+        with mpmath.workdps(20):
+            a, u0 = mpmath.mpf(mu) - 0.5, mpmath.log(P)
+            want = np.array([float(mpmath.quad(
+                lambda u: -mpmath.exp(-a * u) * mpmath.laguerre(m - 1, 1, u),
+                [u0, u0 + 10, u0 + 40, u0 + 100, mpmath.inf])) for m in range(1, M + 1)])
+        got = rv._prime_tail_integrals(M, mu, P)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_prime_sum_requires_convergent_mu(self):
         with pytest.raises(ValueError, match="sigma"):

@@ -5,10 +5,11 @@ import signal
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import digamma, loggamma
+from scipy.special import digamma, expi, loggamma
 
 from zetaumm import zeta as zt
 from zetaumm.zeta import (
@@ -81,8 +82,6 @@ class TestZeta:
             assert abs(ds - fd) < 1e-7
 
     def test_array_derivative_against_mpmath(self):
-        import mpmath
-
         s = np.array([2.0 + 1.0j, 1.5, 3.0 - 2.0j, 0.5 + 14.0j, 0.25 + 30.0j])
         val, ds = zeta_and_derivative(s)
         assert val.shape == ds.shape == s.shape
@@ -128,6 +127,113 @@ class TestXi:
             for im in np.linspace(-10.0, 10.0, 7):
                 z = complex(re, im)
                 assert abs(digamma(z + 1.0) - digamma(z) - 1.0 / z) < 1e-12
+
+
+def _circle(center, r, nodes):
+    return center + r * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+
+
+class TestSpecialFunctionKernels:
+    """ln Gamma, digamma and Ei against scipy and mpmath, over the arguments
+    the CLI reaches."""
+
+    def test_log_gamma_on_contour_nodes_takes_scipy_branch(self):
+        # betas --model xi: ln Gamma(s/2 + 1), s = 1/(1-z) on |z| = 0.5, 0.7;
+        # li: ln Gamma(s/2), s = 1 + w on |w| = 0.45, 0.63
+        z = np.concatenate([
+            0.5 / (1.0 - _circle(0.0, 0.5, 2048)) + 1.0,
+            0.5 / (1.0 - _circle(0.0, 0.7, 1024)) + 1.0,
+            0.5 * _circle(1.0, 0.45, 1024),
+            0.5 * _circle(1.0, 0.63, 512),
+        ])
+        # equal, not equal modulo 2 pi i: the contour log-extraction needs it
+        assert np.abs(zt._log_gamma(z) - loggamma(z)).max() <= 1e-14
+
+    def test_log_gamma_branch_far_from_the_origin(self):
+        # the reflection's Gamma(1 - s), Im ln Gamma ~ t ln t at large t, Re z < 0
+        z = np.array([3.0 - 2.0j, 30.5 + 40.0j, 0.25 + 5000.0j, 0.25 - 700.0j,
+                      -7.5 + 1.0j, -20.2 + 3.0j, -3.5 - 0.1j])
+        want = loggamma(z)
+        assert (np.abs(zt._log_gamma(z) - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all()
+        with mpmath.workdps(30):
+            mp = np.array([complex(mpmath.loggamma(mpmath.mpc(x.real, x.imag))) for x in z])
+        assert (np.abs(zt._log_gamma(z) - mp) <= 1e-14 * np.maximum(1.0, np.abs(mp))).all()
+
+    def test_digamma_on_gamma_model_and_trace_nodes(self):
+        # betas --model gamma: psi(s/2), s = (1+z)/(1-z) on |z| = 0.5, 0.7;
+        # trace-check: psi(1/4 + iu/2) for |u| <= 14/0.5
+        z = np.concatenate([
+            0.5 * (1.0 + _circle(0.0, 0.5, 1024)) / (1.0 - _circle(0.0, 0.5, 1024)),
+            0.5 * (1.0 + _circle(0.0, 0.7, 512)) / (1.0 - _circle(0.0, 0.7, 512)),
+            0.25 + 0.5j * np.linspace(-28.0, 28.0, 1121),
+        ])
+        want = digamma(z)
+        assert (np.abs(zt._digamma(z) - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all()
+        with mpmath.workdps(30):
+            mp = np.array([complex(mpmath.digamma(mpmath.mpc(x.real, x.imag))) for x in z[::50]])
+        assert np.abs(zt._digamma(z[::50]) - mp).max() <= 1e-14 * np.abs(mp).max()
+
+    def test_expi_on_explicit_formula_arguments(self):
+        # explicit-formula --kind J: Ei((1/2 + it) ln x) for every bundled t,
+        # all on the continued-fraction side, and Li(x) = Ei(ln x) on the series side
+        ts = np.loadtxt(bundled_zeros_path(), comments="#")
+        for x in (5.5, 20.5, 100.5):
+            w = (0.5 + 1j * ts) * math.log(x)
+            assert (np.abs(w) - w.real > 4.0).all()
+            want = expi(w)
+            assert (np.abs(zt._expi(w) - want) <= 1e-14 * np.abs(want)).all()
+        lnx = np.log(np.arange(5.5, 101.0))
+        assert np.abs(zt._expi(lnx) - expi(lnx)).max() <= 1e-14 * expi(lnx).max()
+
+    def test_expi_across_the_series_fraction_switch(self):
+        # |w| - Re w = 4 -/+ 0.01 at several |w|: series on one side, continued
+        # fraction on the other
+        r = np.array([2.5, 5.0, 10.0, 40.0])
+        pts = []
+        for gap in (3.99, 4.01):
+            phi = np.arccos(1.0 - gap / r)
+            pts += [r * np.exp(1j * phi), r * np.exp(-1j * phi)]
+        w = np.concatenate(pts)
+        want = expi(w)
+        assert np.abs(zt._expi(w) - want).max() <= 1e-14 * np.maximum(1.0, np.abs(want)).max()
+        with mpmath.workdps(30):
+            mp = np.array([complex(-mpmath.e1(-mpmath.mpc(x.real, x.imag))) for x in w])
+        mp += np.where(w.imag > 0, 1j, -1j) * math.pi
+        assert (np.abs(zt._expi(w) - mp) <= 1e-14 * np.maximum(1.0, np.abs(mp))).all()
+
+    def test_li_tail_against_mpmath_quadrature(self):
+        for T in (14.134725141734694, 2515.2865, 9877.782654):
+            got, est = zt._li_tail_integrals(20, T)
+            with mpmath.workdps(30):
+                want = np.array([float(mpmath.quad(
+                    lambda t: 4 * mpmath.sin(n * mpmath.atan(1 / (2 * t))) ** 2
+                    * mpmath.log(t / (2 * mpmath.pi)) / (2 * mpmath.pi),
+                    [T, 2 * T, 10 * T, 100 * T, mpmath.inf])) for n in range(1, 21)])
+            assert (np.abs(got - want) <= 1e-13 * want).all()
+            assert (est <= 1e-13 * want).all()
+
+    def test_siegel_theta_kernel_leaves_ingestion_unchanged(self, tmp_path, monkeypatch):
+        """theta as Im of Stirling's series at 1/4 + it/2 + 8 less eight
+        principal arguments (its own formula before it shared ln Gamma's
+        kernel) passes and rejects the same ordinates of the bundled and the
+        +0.3-shifted table."""
+        def theta_by_arguments(t):
+            z = 0.25 + 0.5j * t
+            w = z + 8.0
+            lg = (w - 0.5) * np.log(w) - w + np.polyval(zt._STIRLING[::-1], 1.0 / (w * w)) / w
+            return lg.imag - sum(np.angle(z + j) for j in range(8)) - 0.5 * t * zt.LN_PI
+
+        ts = np.loadtxt(bundled_zeros_path(), comments="#")[:2000]
+        ts[20:] += 0.3
+        for path in (bundled_zeros_path(), _write_table(tmp_path / "shifted.txt", ts)):
+            new = ingest_zeros(path)
+            with monkeypatch.context() as m:
+                m.setattr(zt, "_siegel_theta", theta_by_arguments)
+                old = ingest_zeros(path)
+            assert np.array_equal(new.ts, old.ts)
+            assert [t for t, _ in new.excluded] == [t for t, _ in old.excluded]
+            # the residuals |Z(t)| at zeros are rounding noise; they agree to Z's bound
+            assert (np.abs(new.residuals - old.residuals) <= zt.hardy_z(new.ts)[1]).all()
 
 
 class TestEulerFactors:
@@ -294,8 +400,6 @@ class TestLiCoefficients:
 class TestHardyZ:
     @pytest.mark.parametrize("lo, hi", [(14.0, 200.0), (200.0, 1000.0), (1000.0, 1e4)])
     def test_against_mpmath_within_bound(self, lo, hi):
-        import mpmath
-
         t = np.sort(np.random.default_rng(int(lo)).uniform(lo, hi, 60))
         z, err = zt.hardy_z(t)
         with mpmath.workdps(30):
