@@ -327,6 +327,41 @@ def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     return out / TWO_PI
 
 
+@dataclass(frozen=True)
+class TraceFluctuation:
+    partial: complex
+    closed_form: complex
+    tail_bound: float
+    pole_proximity: bool
+
+
+def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuation:
+    """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
+    basis: partial sum and geometric closed form p^-w/(1 - p^-w) with
+    w = eps + i cot(theta/2), plus the exact geometric tail bound.
+
+    pole_proximity flags w approaching a local-factor pole (closed form
+    denominator nearly vanishing as eps -> 0 on a spike angle).
+    """
+    if eps <= 0:
+        raise ValueError("Abel parameter eps must be positive")
+    w = complex(eps, _cot_half(theta))
+    lnp = math.log(p)
+    n = np.arange(1, N + 1)
+    partial = complex(np.exp(-w * lnp * n).sum())
+    q = np.exp(-w * lnp)
+    den = 1.0 - q
+    closed = complex(q / den)
+    tail = float(p ** (-(N + 1) * eps) / (1.0 - p ** (-eps)))
+    # the geometric bound is exactly tight on spike angles; cover the
+    # rounding of an N-term partial sum so the reported bound stays honest
+    tail += 8.0 * 2.220446049250313e-16 * N * max(1.0, abs(partial))
+    # on a spike angle the denominator is pinned at the Abel regulator
+    # 1 - p^-eps and blows up as eps -> 0: flag that regime explicitly
+    near_pole = abs(den) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
+    return TraceFluctuation(partial, closed, tail, bool(near_pole))
+
+
 # ---------------------------------------------------------------------------
 # Renormalized coefficients (critical-line data)
 # ---------------------------------------------------------------------------

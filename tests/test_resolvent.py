@@ -19,6 +19,7 @@ from zetaumm.resolvent import (
     local_spike_angles,
     potential_sum_local,
     resolvent,
+    trace_fluctuation,
     ungapped_density,
     xi_log_coefficients,
 )
@@ -243,6 +244,29 @@ class TestDensityProfile:
         th = np.linspace(-math.pi, math.pi, 20001)
         rho = ungapped_density(th, [0.25, -0.1])
         assert abs(np.trapezoid(rho, th) - 1.0) < 1e-6
+
+
+class TestTraceFluctuation:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("theta", [0.5, math.pi, 4.0])
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
+    def test_partial_within_tail_bound(self, p, theta, eps):
+        tf = trace_fluctuation(p, theta, eps, 200)
+        assert abs(tf.partial - tf.closed_form) <= tf.tail_bound + 1e-14
+
+    def test_closed_form_example(self):
+        tf = trace_fluctuation(2, math.pi, 0.1, 200)
+        q = 2.0**-0.1
+        assert abs(tf.closed_form - q / (1.0 - q)) < 1e-12
+
+    def test_divergence_flagged_on_spike(self):
+        th1 = 2.0 * math.atan(math.log(2.0) / (2.0 * math.pi))
+        assert trace_fluctuation(2, th1, 1e-6, 10).pole_proximity
+        assert not trace_fluctuation(2, 1.0, 1e-6, 10).pole_proximity
+
+    def test_positive_eps_required(self):
+        with pytest.raises(ValueError):
+            trace_fluctuation(2, 1.0, 0.0, 10)
 
 
 class TestRenormalized:

@@ -30,6 +30,15 @@ EXEMPT = {
     ("output", "read_csv"),
 }
 
+# Orphans whose deletion is scheduled (ROADMAP open item 5) but not yet
+# done, so that one change does not take away more than a few dozen unit
+# tests at once.  A deferred class defers its members too.  This set only
+# ever shrinks.
+DEFERRED = {
+    ("resolvent", "trace_fluctuation"),
+    ("resolvent", "TraceFluctuation"),
+}
+
 
 def _walk(node, skip=None):
     """The nodes of `node`, not descending into `skip`."""
@@ -80,6 +89,8 @@ def _orphans(src: Path, consumers: list) -> list:
     for stem, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if (stem, node.name) in DEFERRED:
                 continue
             if not (node.name in outside or (stem, node.name) in EXEMPT
                     or any(node.name in _references(other, skip=node) for other in modules.values())):
