@@ -392,16 +392,32 @@ def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
                    doubling_deltas=c.doubling_deltas / scale, radius_deltas=c.radius_deltas / scale)
 
 
-def _laguerre_alpha1_table(M: int, x) -> np.ndarray:
-    """L^(1)_m(x) for m = 0..M-1 at a scalar or 1-D x, stacked; three-term
-    recurrence."""
-    out = np.empty((M,) + np.shape(x))
-    out[0] = 1.0
+def _laguerre_alpha1_rows(M: int, x: np.ndarray):
+    """Yield L^(1)_m(x) for m = 0..M-1 at a 1-D x by the three-term
+    recurrence m L_m = (2m - x) L_(m-1) - m L_(m-2), carried on three
+    reusable rows: a yielded row is overwritten two steps later, so use it
+    before asking for the next one.  The in-place steps follow the order of
+    ((2m - x) L_(m-1) - m L_(m-2)) / m, so each element is the double that
+    expression gives."""
+    rows = [np.ones_like(x), np.empty_like(x), np.empty_like(x)]
+    yield rows[0]
     if M > 1:
-        out[1] = 2.0 - x
+        np.subtract(2.0, x, out=rows[1])
+        yield rows[1]
     for m in range(2, M):
-        out[m] = ((2.0 * m - x) * out[m - 1] - m * out[m - 2]) / m
-    return out
+        cur, prev1, prev2 = rows[m % 3], rows[(m - 1) % 3], rows[(m - 2) % 3]
+        np.subtract(2.0 * m, x, out=cur)
+        cur *= prev1
+        prev2 *= m  # L_(m-2) is not read again
+        cur -= prev2
+        cur /= m
+        yield cur
+
+
+def _laguerre_alpha1_table(M: int, x: np.ndarray) -> np.ndarray:
+    """L^(1)_m(x) for m = 0..M-1 at a 1-D x, stacked into an M x len(x)
+    table."""
+    return np.array([row.copy() for row in _laguerre_alpha1_rows(M, x)])
 
 
 def beta_renormalized_prime_sum(
@@ -420,7 +436,9 @@ def beta_renormalized_prime_sum(
 
     then the prime tail beyond P_max is completed by the smooth
     prime-density integral (terms fall off too slowly for raw truncation
-    to reach 1e-6 at feasible sieve sizes).
+    to reach 1e-6 at feasible sieve sizes).  The Laguerre values are made
+    and summed one row at a time, so memory is a few arrays of pi(P_max)
+    doubles whatever M is.  A `primes` table must reach P_max.
     """
     if mu <= 1.0:
         raise ValueError(
@@ -431,22 +449,37 @@ def beta_renormalized_prime_sum(
         raise ValueError("M must be >= 1")
     if P_max < 2:
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
+    if primes is not None and primes.limit < P_max:
+        raise ValueError(
+            f"prime table reaches {primes.limit} only, short of P_max = {P_max}: "
+            "the primes above it would be dropped while the tail integral starts at P_max"
+        )
     all_primes = zt.sieve_primes(P_max) if primes is None else primes.primes
-    p_arr = all_primes[all_primes <= P_max].astype(float)
-    logp_all = np.log(p_arr)
-    coeffs = np.zeros(M)
     sigma = mu + 0.5
+    # powers of large primes are invisible at working precision: the n-th
+    # powers take the primes p <= cut, that is p <= min(floor(cut), P_max),
+    # a prefix of the ascending primes; every prefix is found before the
+    # sum, so that primes sieved here are freed before it
+    ends = []
     for n in range(1, N_max + 1):
-        # powers of large primes are invisible at working precision
-        cut = math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))
-        logp = logp_all[p_arr <= cut]
-        if logp.size == 0:
+        cut = min(math.floor(math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))), P_max)
+        if cut < 2:
             break
-        damp = np.exp(-n * sigma * logp)
-        lag = _laguerre_alpha1_table(M, n * logp)
-        term = (logp * damp * lag).sum(axis=1)
-        coeffs -= term
-        if np.abs(logp * damp).max() * np.abs(lag).max() < 1e-18:
+        ends.append(int(np.searchsorted(all_primes, cut, side="right")))
+    logp_all = np.log(all_primes[: max(ends, default=0)])
+    del all_primes
+    coeffs = np.zeros(M)
+    for n, end in enumerate(ends, start=1):
+        logp = logp_all[:end]
+        w = np.multiply(-n * sigma, logp)
+        np.exp(w, out=w)
+        w *= logp  # ln p * p^(-n sigma)
+        prod = np.empty_like(w)
+        lag_max = 0.0
+        for m, row in enumerate(_laguerre_alpha1_rows(M, n * logp)):
+            coeffs[m] -= np.multiply(w, row, out=prod).sum()
+            lag_max = max(lag_max, np.abs(row, out=prod).max())  # max |L| over the table
+        if w.max() * lag_max < 1e-18:
             break
     tails = _prime_tail_integrals(M, mu, float(P_max))
     coeffs += tails

@@ -298,15 +298,21 @@ def log_xi(s: complex) -> complex:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """Primes <= limit by Eratosthenes on a numpy byte mask."""
+    """Primes <= limit, ascending, as int64: Eratosthenes on a numpy byte
+    mask over the odd numbers only (slot i stands for 2i + 1, and slot 0
+    for 2), so the mask takes limit/2 bytes."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    mask = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = False
+    primes = np.flatnonzero(mask)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 @dataclass(frozen=True)
@@ -323,22 +329,24 @@ class PrimeTable:
     @classmethod
     def build(cls, limit: int) -> "PrimeTable":
         primes = sieve_primes(limit)
-        vals, exps, wts = [], [], []
-        for p in primes.tolist():
-            pk, k = p, 1
-            while pk <= limit:
-                vals.append(pk)
-                exps.append(k)
-                wts.append(math.log(p))
-                pk *= p
-                k += 1
-        order = np.argsort(np.asarray(vals))
+        # levels[k-1] holds p^k <= limit, ascending: a prefix of the primes,
+        # since p^(k+1) <= limit exactly when p^k <= limit // p
+        levels = [primes]
+        while True:
+            j = int(np.count_nonzero(levels[-1] <= limit // primes[: levels[-1].size]))
+            if j == 0:
+                break
+            levels.append(levels[-1][:j] * primes[:j])
+        sizes = [level.size for level in levels]
+        logs = np.array([math.log(p) for p in primes.tolist()], dtype=float)
+        vals = np.concatenate(levels)
+        order = np.argsort(vals)
         return cls(
             limit=limit,
             primes=primes,
-            power_values=np.asarray(vals, dtype=np.int64)[order],
-            power_exponents=np.asarray(exps, dtype=np.int64)[order],
-            power_weights=np.asarray(wts, dtype=float)[order],
+            power_values=vals[order],
+            power_exponents=np.repeat(np.arange(1, len(levels) + 1, dtype=np.int64), sizes)[order],
+            power_weights=np.concatenate([logs[:k] for k in sizes])[order],
         )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zetaumm import resolvent as rv
+from zetaumm import zeta as zt
 from zetaumm.resolvent import (
     ResolventModel,
     beta_contour,
@@ -269,6 +270,38 @@ class TestTraceFluctuation:
             trace_fluctuation(2, 1.0, 0.0, 10)
 
 
+def _reference_prime_sum(M, mu, P_max, N_max=60, primes=None):
+    """The stacked-table prime sum that beta_renormalized_prime_sum
+    replaced (an M x pi(P) Laguerre table, boolean-mask prime selections),
+    kept as the bit-for-bit reference of the row-by-row sum."""
+
+    def laguerre_table(x):
+        out = np.empty((M,) + np.shape(x))
+        out[0] = 1.0
+        if M > 1:
+            out[1] = 2.0 - x
+        for m in range(2, M):
+            out[m] = ((2.0 * m - x) * out[m - 1] - m * out[m - 2]) / m
+        return out
+
+    all_primes = zt.sieve_primes(P_max) if primes is None else primes.primes
+    p_arr = all_primes[all_primes <= P_max].astype(float)
+    logp_all = np.log(p_arr)
+    coeffs = np.zeros(M)
+    sigma = mu + 0.5
+    for n in range(1, N_max + 1):
+        cut = math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))
+        logp = logp_all[p_arr <= cut]
+        if logp.size == 0:
+            break
+        damp = np.exp(-n * sigma * logp)
+        lag = laguerre_table(n * logp)
+        coeffs -= (logp * damp * lag).sum(axis=1)
+        if np.abs(logp * damp).max() * np.abs(lag).max() < 1e-18:
+            break
+    return (coeffs + rv._prime_tail_integrals(M, mu, float(P_max))).astype(complex)
+
+
 class TestRenormalized:
     def test_prime_sum_matches_shifted_contour(self, prime_table_1e6):
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
@@ -293,6 +326,33 @@ class TestRenormalized:
                 [u0, u0 + 10, u0 + 40, u0 + 100, mpmath.inf])) for m in range(1, M + 1)])
         got = rv._prime_tail_integrals(M, mu, P)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("M, mu, P, table", [
+        (10, 1.5, 10**6, 10**6), (20, 1.05, 10**5, None), (3, 2.4, 2, None),
+        (1, 1.5, 1000, None), (10, 1.5, 5 * 10**4, 10**5),
+    ])
+    def test_prime_sum_bit_identical_to_table_reference(self, M, mu, P, table, prime_table_1e6):
+        primes = prime_table_1e6 if table == 10**6 else table and zt.PrimeTable.build(table)
+        got = beta_renormalized_prime_sum(M, mu, P, primes=primes).coefficients
+        assert np.array_equal(got, _reference_prime_sum(M, mu, P, primes=primes))
+
+    def test_prime_sum_refuses_short_table(self):
+        # a table short of P_max would drop the primes in (limit, P_max]
+        # while the tail integral still starts at P_max
+        with pytest.raises(ValueError, match=r"1000\b.*P_max = 1000000"):
+            beta_renormalized_prime_sum(3, 1.5, 10**6, primes=zt.PrimeTable.build(10**3))
+
+    def test_prime_sum_memory_does_not_grow_with_M(self):
+        import tracemalloc
+
+        pi_p = 78498  # primes up to 10^6
+        tracemalloc.start()
+        try:
+            beta_renormalized_prime_sum(20, 1.7, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * pi_p
 
     def test_prime_sum_requires_convergent_mu(self):
         with pytest.raises(ValueError, match="sigma"):

@@ -262,6 +262,43 @@ class TestPrimeTable:
     def test_sieve_matches_second_method(self):
         assert sieve_primes(5000).tolist() == self._sundaram(5000)
 
+    def test_sieve_edges(self):
+        for n in range(201):
+            assert sieve_primes(n).tolist() == self._sundaram(n), n
+        assert sieve_primes(10**6).size == 78498
+        big = sieve_primes(10**7)
+        assert big.size == 664579
+        assert big.dtype == np.int64 and (np.diff(big) > 0).all()
+        for p in (199, 10007):
+            assert sieve_primes(p)[-1] == p
+
+    @staticmethod
+    def _reference_prime_table(limit):
+        """The per-power Python loop that PrimeTable.build replaced, kept as
+        its bit-for-bit reference."""
+        vals, exps, wts = [], [], []
+        for p in sieve_primes(limit).tolist():
+            pk, k = p, 1
+            while pk <= limit:
+                vals.append(pk)
+                exps.append(k)
+                wts.append(math.log(p))
+                pk *= p
+                k += 1
+        order = np.argsort(np.asarray(vals))
+        return (np.asarray(vals, dtype=np.int64)[order], np.asarray(exps, dtype=np.int64)[order],
+                np.asarray(wts, dtype=float)[order])
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 8, 9, 1000, 3125, 10**5])
+    def test_prime_table_matches_per_power_loop(self, limit):
+        table = PrimeTable.build(limit)
+        vals, exps, wts = self._reference_prime_table(limit)
+        assert table.limit == limit
+        assert np.array_equal(table.primes, sieve_primes(limit))
+        assert table.power_values.dtype == np.int64 and np.array_equal(table.power_values, vals)
+        assert table.power_exponents.dtype == np.int64 and np.array_equal(table.power_exponents, exps)
+        assert table.power_weights.tobytes() == wts.tobytes()
+
     def test_prime_powers_complete_and_unique(self):
         table = PrimeTable.build(1000)
         vals = table.power_values.tolist()
