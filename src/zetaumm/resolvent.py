@@ -3,9 +3,8 @@ defining coefficients, eigenvalue density and potential profiles, and the
 renormalized coefficients on the critical line.
 
 Contour Taylor coefficients are extracted by the trapezoid rule on circles
-|z| = r (spectrally accurate for analytic integrands); reductions run in
-extended precision with pairwise summation so results are bit-stable and
-the r^-n amplification of rounding stays harmless.
+|z| = r (spectrally accurate for analytic integrands), which on Q uniform
+nodes is one FFT of the samples.
 """
 
 from __future__ import annotations
@@ -142,18 +141,10 @@ class BetaSeries:
 
 
 def _taylor_from_samples(samples: np.ndarray, r: float, M: int) -> np.ndarray:
-    """[z^m] for m = 1..M from uniform contour samples, reduced in extended
-    precision with pairwise summation (bit-stable, worker-count free)."""
+    """[z^m] for m = 1..M < Q from Q uniform samples on |z| = r: the
+    trapezoid rule on the circle is one FFT."""
     Q = samples.size
-    q = np.arange(Q)
-    g = samples.astype(np.clongdouble)
-    out = np.empty(M, dtype=complex)
-    angles = np.longdouble(TWO_PI) * q / np.longdouble(Q)
-    for m in range(1, M + 1):
-        phase = np.exp(np.clongdouble(-1j) * np.clongdouble(m) * angles)
-        acc = np.sum(g * phase) / Q
-        out[m - 1] = complex(acc / np.longdouble(r) ** m)
-    return out
+    return np.fft.fft(samples)[1 : M + 1] / Q / r ** np.arange(1, M + 1)
 
 
 def _unwound_log_samples(values: np.ndarray) -> np.ndarray:
@@ -181,7 +172,7 @@ def contour_coefficients(
     """Taylor coefficients [z^m] f(z), or [z^m] ln f(z) with `log`, of a
     function analytic on the closed disk |z| <= max(r, r2), by the
     trapezoid rule on |z| = r with 2Q nodes; the deltas are taken against
-    Q nodes and against Q nodes on the second radius r2.
+    Q nodes and against Q nodes on the second radius r2, so M must be < Q.
 
     f is called once per node array.  The log route unwinds the argument
     along the contour and raises if ln f winds (zeros or poles inside).
@@ -199,6 +190,8 @@ def contour_coefficients(
         raise ValueError("radius must lie in (0, 1)")
     if Q < 64 or Q & (Q - 1):
         raise ValueError("node count must be a power of two >= 64")
+    if M >= Q:
+        raise ValueError(f"M = {M} needs more than Q = {Q} nodes: Q nodes give Q coefficients")
     r2 = r * 1.4 if r <= 0.6 else r * 0.7
     tol = max(1e-6, 3000.0 * zt.EPS * max(r**-M, r2**-M) / math.sqrt(Q))
 
@@ -449,6 +442,8 @@ def beta_renormalized_prime_sum(
         raise ValueError("M must be >= 1")
     if P_max < 2:
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
+    if N_max < 1:
+        raise ValueError(f"N_max must be >= 1 (prime powers summed), got {N_max}")
     if primes is not None and primes.limit < P_max:
         raise ValueError(
             f"prime table reaches {primes.limit} only, short of P_max = {P_max}: "

@@ -184,16 +184,21 @@ def _reject_pole(s: np.ndarray) -> None:
         raise ZetaPole("zeta has a simple pole at s = 1")
 
 
+def _em_terms(s: np.ndarray) -> int:
+    """N = max(20, ceil max|Im s| + 20), the direct terms _em_kernel sums."""
+    return max(20, int(math.ceil(np.abs(s.imag).max(initial=0.0))) + 20)
+
+
 def _em_kernel(s: np.ndarray, derivative: bool = False):
-    """Euler-Maclaurin on a 1-D array s sharing N = max(20, ceil max|Im s| + 20)
-    direct terms and _EM_ORDER Bernoulli corrections.
+    """Euler-Maclaurin on a 1-D array s sharing N = _em_terms(s) direct
+    terms and _EM_ORDER Bernoulli corrections.
 
     Returns (core, pole, dzeta) with zeta(s) = core + pole/(s-1) and
     pole = N^(1-s): splitting out the pole term lets (s-1) zeta(s) be
     assembled without cancellation at s = 1.  dzeta is zeta'(s) when
     `derivative` is set (Re s > 0), else None.
     """
-    N = max(20, int(math.ceil(np.abs(s.imag).max())) + 20)
+    N = _em_terms(s)
     ln_n = np.log(np.arange(1, N))
     powers = np.multiply.outer(-s, ln_n)
     np.exp(powers, out=powers)  # n^-s, n = 1..N-1
@@ -632,17 +637,15 @@ def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _z_euler_maclaurin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z = Re(e^{i theta(t)} zeta(1/2 + it)) through the Euler-Maclaurin
-    kernel, O(t) terms.  Its truncation error is far below rounding for
-    real t; the bound is rounding: each phase is off by a few ulp of t ln M
-    over M = t + 20 terms n^(-1/2) summing to at most 2 sqrt(M)."""
-    z = np.empty_like(t)
-    # 64 neighbouring ordinates per kernel call: N follows the largest of them
-    for i in range(0, t.size, 64):
-        block = t[i : i + 64]
-        z[i : i + 64] = (np.exp(1j * _siegel_theta(block)) * zeta(0.5 + 1j * block)).real
-    m = np.abs(t) + 20.0
-    return z, 8.0 * EPS * (1.0 + np.abs(t)) * np.log(m) * np.sqrt(m)
+    """Z = Re(e^{i theta(t)} zeta(1/2 + it)) through one Euler-Maclaurin
+    kernel call, N = max |t| + 20 terms (t < _RS_MIN_T keeps N small).  Its
+    truncation error is far below rounding for real t; the bound is
+    rounding: each phase is off by a few ulp of t ln N over N terms
+    n^(-1/2) summing to at most 2 sqrt(N)."""
+    s = 0.5 + 1j * t
+    z = (np.exp(1j * _siegel_theta(t)) * zeta(s)).real
+    N = _em_terms(s)
+    return z, 8.0 * EPS * (1.0 + np.abs(t)) * math.log(N) * math.sqrt(N)
 
 
 def hardy_z(t) -> tuple[np.ndarray, np.ndarray]:

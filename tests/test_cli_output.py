@@ -58,11 +58,16 @@ class TestOutput:
 
 
 class TestCLI:
-    def test_output_reproducible_bit_for_bit(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["cue-sample", "--n", "12", "--samples", "150", "--seed", "7"],
+        ["betas", "--model", "xi"],
+        ["beta-ren", "--method", "shifted_contour", "--mu", "1.5"],
+    ], ids=["cue-sample", "betas-xi", "beta-ren-shifted_contour"])
+    def test_output_reproducible_bit_for_bit(self, tmp_path, argv):
         out = str(tmp_path / "pc.csv")
-        assert main(["cue-sample", "--n", "12", "--samples", "150", "--seed", "7", "--out", out]) == 0
+        assert main(argv + ["--out", out]) == 0
         first = open(out, "rb").read()
-        assert main(["cue-sample", "--n", "12", "--samples", "150", "--seed", "7", "--out", out]) == 0
+        assert main(argv + ["--out", out]) == 0
         assert open(out, "rb").read() == first
 
     def test_csv_and_json_carry_same_numbers(self, tmp_path):
@@ -102,6 +107,12 @@ class TestCLI:
         (["density", "--prime", "2", "--spikes", "-3"], "n_spikes must be >= 0"),
         (["density", "--prime", "2", "--grid-points", "0"], "theta grid must be non-empty"),
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "1"], "P_max must be >= 2"),
+        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "0"],
+         "N_max must be >= 1"),
+        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "-5"],
+         "N_max must be >= 1"),
+        (["betas", "--model", "local", "--prime", "2", "--mmax", "64", "--nodes", "64"],
+         "M = 64 needs more than Q = 64 nodes"),
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
         (["padic-check", "--samples", "0"], "--samples >= 1"),

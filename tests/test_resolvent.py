@@ -124,6 +124,32 @@ class TestResolvent:
                 ResolventModel(kind, p=p, s0=s0)
 
 
+def cauchy_sum_oracle(g, M, r=0.5, Q=256):
+    """[z^m] g for m = 1..M by the Q-node Cauchy sum on |z| = r in 40-digit
+    mpmath arithmetic: the aliasing error ~ r^Q is far below binary64."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        z = [r * mp.expjpi(mp.mpf(2 * q) / Q) for q in range(Q)]
+        vals = [g(zq) for zq in z]
+        return np.array([complex(mp.fsum(v * zq**-m for v, zq in zip(vals, z)) / Q)
+                         for m in range(1, M + 1)])
+
+
+def _gamma_fluctuation(z):
+    import mpmath as mp
+
+    s = (1 + z) / (1 - z)
+    return z / (1 - z) ** 2 * (mp.digamma(s / 2) - mp.log(mp.pi)) / 2
+
+
+def _shifted_fluctuation(z, s0=1.5):
+    import mpmath as mp
+
+    s = s0 + (1 + z) / (2 * (1 - z))
+    return z / (1 - z) ** 2 * mp.zeta(s, 1, 1) / mp.zeta(s)
+
+
 class TestBetaContour:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_leading_coefficient(self, p):
@@ -152,6 +178,14 @@ class TestBetaContour:
             beta_contour(ResolventModel("local", p=2), 5, 0.5, 100)
         with pytest.raises(ValueError):
             beta_contour(ResolventModel("local", p=2), 5, 0.5, 32)
+
+    @pytest.mark.parametrize("model, g", [
+        (ResolventModel("gamma"), _gamma_fluctuation),
+        (ResolventModel("shifted", s0=1.5), _shifted_fluctuation),
+    ], ids=["gamma", "shifted"])
+    def test_accuracy_at_the_rounding_floor(self, model, g):
+        got = beta_contour(model, 20, 0.5, 512).coefficients
+        assert np.abs(got - cauchy_sum_oracle(g, 20)).max() <= 1e-11
 
     def test_log_series_routes_report_node_doubling(self):
         for series in (beta_symmetric(10, 0.5, 512), beta_renormalized_xi_decomposition(10, 0.5, 512)):

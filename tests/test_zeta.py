@@ -102,6 +102,11 @@ class TestZeta:
                 # the one set by its largest |Im s|
                 assert abs(arr[k] - one) <= 1e-12 * max(1.0, abs(one))
 
+    def test_empty_array_gives_empty_array(self):
+        for fn in (zeta, zeta_unit, xi):
+            out = fn(np.array([], dtype=complex))
+            assert isinstance(out, np.ndarray) and out.size == 0
+
 
 class TestXi:
     def test_functional_symmetry_example(self):
