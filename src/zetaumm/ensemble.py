@@ -204,9 +204,9 @@ def plaquette_mc(
     )
 
 
-def acceptance_in_band(run: PlaquetteRun, lo: float = 0.1, hi: float = 0.9) -> bool:
-    """Tuning diagnostic: healthy Metropolis acceptance sits in [lo, hi]."""
-    return lo <= run.acceptance_rate <= hi
+def acceptance_in_band(run: PlaquetteRun) -> bool:
+    """Tuning diagnostic: healthy Metropolis acceptance sits in [0.1, 0.9]."""
+    return 0.1 <= run.acceptance_rate <= 0.9
 
 
 def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
@@ -231,10 +231,15 @@ class CorrelationReport:
     bin_centers: np.ndarray
     r2: np.ndarray
     reference: np.ndarray
-    l2_distance: float
+
+    @property
+    def l2_distance(self) -> float:
+        return self.l2_distance_to(self.reference)
 
     def l2_distance_to(self, curve: np.ndarray) -> float:
-        width = self.bin_centers[1] - self.bin_centers[0]
+        c = self.bin_centers
+        # one bin spans [0, r_max], twice its centre
+        width = c[1] - c[0] if c.size > 1 else 2.0 * c[0]
         return float(np.sqrt(((self.r2 - curve) ** 2 * width).sum()))
 
 
@@ -290,8 +295,4 @@ def pair_correlation(
         counts += np.histogram(dists, bins=edges)[0]
         denom = refs * (edges[1] - edges[0])
     centers = 0.5 * (edges[1:] + edges[:-1])
-    r2 = counts / denom
-    ref_curve = sine_kernel_r2(centers)
-    width = centers[1] - centers[0]
-    l2 = float(np.sqrt((((r2 - ref_curve) ** 2) * width).sum()))
-    return CorrelationReport(centers, r2, ref_curve, l2)
+    return CorrelationReport(centers, counts / denom, sine_kernel_r2(centers))

@@ -77,10 +77,6 @@ def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
     """R_<(z) - 1 on |z| < 1 for a scalar or an array of z, in closed form
     (no numeric differencing)."""
     z = np.asarray(z, dtype=complex)
-    if model.kind == "xi":
-        # generating function of the symmetric-model series; the constant
-        # term plays no role in coefficient extraction
-        return -zt.log_xi(1.0 / (1.0 - z)) / (2.0 * math.log(2.0))
     pref = z / _mul(1.0 - z, 1.0 - z)  # z/(1-z)^2
     s = (1.0 + z) / (1.0 - z)
     if model.kind == "local":
@@ -98,8 +94,11 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
     inside the unit disk, its reflection 1 - R(1/z) outside.
 
     |z| = 1 is rejected here: boundary densities are handled by
-    density_profile, not by this closed form.
+    density_profile, not by this closed form.  The xi model has
+    coefficients (beta_contour) but no pointwise resolvent.
     """
+    if model.kind == "xi":
+        raise ValueError("the xi model has coefficients only, no pointwise resolvent")
     zc = complex(z)
     az = abs(zc)
     if abs(az - 1.0) < 1e-12:
@@ -221,8 +220,7 @@ def beta_contour(
     contour extractor on |z| = r, with its node-doubling and second-radius
     guards (analyticity says the coefficients cannot depend on r)."""
     if model.kind == "xi":
-        # the xi series is a log series; route through the branch-safe
-        # unwinding extractor instead of principal logs on the contour
+        # the xi series is a log series, read by the unwinding extractor
         return beta_symmetric(M, r, Q)
     f = lambda z: _fluctuation_inside(model, z)
     return replace(contour_coefficients(f, M, r, Q), model=model.label)
@@ -378,8 +376,6 @@ def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
 
 def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z))."""
-    if not 0.0 < r <= 0.9:
-        raise ValueError("radius must lie in (0, 0.9]")
     c, scale = _xi_log_series(M, r, Q), 2.0 * math.log(2.0)
     return replace(c, model="SymmetricXi", coefficients=-c.coefficients / scale,
                    doubling_deltas=c.doubling_deltas / scale, radius_deltas=c.radius_deltas / scale)

@@ -220,11 +220,11 @@ def vladimirov_kernel_apply(
     return _kernel_prefactor(p, alpha) * total
 
 
-def _kernel_sample_points(idx: WaveletIndex, count: int = 6) -> list[Fraction]:
+def _kernel_sample_points(idx: WaveletIndex) -> list[Fraction]:
     p = idx.prime
     c_f, l_f = idx.support_center, idx.support_level
     pts = list(ball_coset_representatives(p, c_f, l_f, idx.resolution_level + 1))
-    return pts[:count]
+    return pts[:6]
 
 
 def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> VladimirovResult:

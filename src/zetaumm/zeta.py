@@ -288,15 +288,6 @@ def xi(s: complex) -> complex:
     return _unbox(pref * zeta_unit(s), scalar)
 
 
-def log_xi(s: complex) -> complex:
-    """Principal-log decomposition ln(1/2) + ln s + ln((s-1)zeta(s))
-    + ln(pi^(-s/2)Gamma(s/2)); every factor is nonvanishing on the domains
-    the contour extractions use, so no branch tracking is required."""
-    s, scalar = _as_1d(s)
-    val = math.log(0.5) + np.log(s) + np.log(zeta_unit(s)) + log_zeta_real_place(s)
-    return _unbox(val, scalar)
-
-
 # ---------------------------------------------------------------------------
 # Primes
 # ---------------------------------------------------------------------------
@@ -360,13 +351,12 @@ class PrimeTable:
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_power_sum(x: float, primes: Optional[PrimeTable], weights) -> float:
+def _midpoint_power_sum(x: float, weights) -> float:
     """Sum of weights(table) over prime powers p^n <= x, half weight at a
     jump (x within 1e-9 of a prime power)."""
     if x <= 1.0:
         return 0.0
-    if primes is None or primes.limit < x:
-        primes = PrimeTable.build(int(x) + 1)
+    primes = PrimeTable.build(int(x) + 1)
     w = weights(primes)
     total = w[primes.power_values <= x + 1e-9].sum()
     n = round(x)
@@ -376,14 +366,14 @@ def _midpoint_power_sum(x: float, primes: Optional[PrimeTable], weights) -> floa
     return float(total)
 
 
-def chebyshev_psi_direct(x: float, primes: Optional[PrimeTable] = None) -> float:
+def chebyshev_psi_direct(x: float) -> float:
     """psi(x) = sum of ln p over prime powers p^n <= x, midpoint at jumps."""
-    return _midpoint_power_sum(x, primes, lambda t: t.power_weights)
+    return _midpoint_power_sum(x, lambda t: t.power_weights)
 
 
-def prime_count_j_direct(x: float, primes: Optional[PrimeTable] = None) -> float:
+def prime_count_j_direct(x: float) -> float:
     """J(x) = sum over prime powers p^n <= x of 1/n, midpoint at jumps."""
-    return _midpoint_power_sum(x, primes, lambda t: 1.0 / t.power_exponents)
+    return _midpoint_power_sum(x, lambda t: 1.0 / t.power_exponents)
 
 
 def local_count_direct(p: int, x: float) -> float:
@@ -465,28 +455,17 @@ class LiCoefficients:
 
 
 def li_coefficients_cauchy(n_max: int, radius: float = 0.45, nodes: int = 512) -> LiCoefficients:
-    """lambda_n = n [w^n] { (1+w)^(n-1) ln xi(1+w) } = n sum_k C(n-1,k) a_(n-k),
-    with a_j = [w^j] ln xi(1+w) from the shared contour extractor on
-    |w| = radius about s = 1 (spectrally accurate; ln xi analytic there).
-
-    radius must lie in (0, 1/2): the principal-log decomposition of ln xi
-    is singular at s = 0, which is |w| = 1, and the extractor's second
-    radius 1.4 * radius must stay inside that circle.  The r^-n rounding
-    floor of a_j shrinks as the radius grows.  error_estimate carries the
-    extractor's node-doubling and radius deltas through the binomial sum.
-    Fewer than 4 n_max nodes are raised to the smallest power of two >= 4 n_max.
+    """lambda_n = n Xi_n with Xi_n = [z^n] ln xi(1/(1-z)) (Keiper 1992; Li
+    1997), the series the symmetric model reads, from the shared contour
+    extractor on |z| = radius: radius in (0, 1), n_max < nodes, and the
+    extractor raises where ln xi winds or the coefficients move between
+    radii.  error_estimate is n times its node-doubling and radius deltas.
     """
-    if not 0.0 < radius < 0.5:
-        raise ValueError("radius must lie in (0, 1/2)")
-    nodes = max(nodes, 1 << (4 * n_max - 1).bit_length())
-    from .resolvent import contour_coefficients
+    from .resolvent import _xi_log_series
 
-    c = contour_coefficients(lambda w: log_xi(1.0 + w), n_max, radius, nodes)
-    n = range(1, n_max + 1)
-    # lambda_n = sum_j n C(n-1, n-j) a_j: lower-triangular binomial weights
-    weights = np.array([[m * math.comb(m - 1, m - j) if j <= m else 0 for j in n] for m in n], dtype=float)
-    deltas = c.doubling_deltas + c.radius_deltas
-    return LiCoefficients(weights @ c.coefficients.real, weights @ deltas)
+    c = _xi_log_series(n_max, radius, nodes)
+    n = np.arange(1, n_max + 1)
+    return LiCoefficients(n * c.coefficients.real, n * (c.doubling_deltas + c.radius_deltas))
 
 
 def li_coefficients_zero_sum(

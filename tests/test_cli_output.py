@@ -17,24 +17,6 @@ from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_exp
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
-def _li_oracle(nmax):
-    """lambda_n = n sum_j C(n-1, n-j) a_j with a_j = [u^j] ln xi(1+u), from
-    the Stieltjes constants (for (s-1) zeta(s)), polygamma values at 1/2 (for
-    ln Gamma(s/2)) and ln(1+u), in 40-digit mpmath arithmetic."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-        unit = [mp.mpf(1)] + [(-1) ** k * mp.stieltjes(k) / mp.factorial(k) for k in range(nmax)]
-        a = [mp.mpf(0)] * (nmax + 1)  # ln of the unit series, by the log recurrence
-        for n in range(1, nmax + 1):
-            a[n] = unit[n] - mp.fsum(k * a[k] * unit[n - k] for k in range(1, n)) / n
-        for k in range(1, nmax + 1):
-            a[k] += mp.mpf(-1) ** (k + 1) / k + mp.psi(k - 1, mp.mpf(1) / 2) / (mp.factorial(k) * 2**k)
-        a[1] -= mp.log(mp.pi) / 2
-        return np.array([float(n * mp.fsum(mp.binomial(n - 1, n - j) * a[j] for j in range(1, n + 1)))
-                         for n in range(1, nmax + 1)])
-
-
 class TestOutput:
     def test_csv_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -112,6 +94,8 @@ class TestCLI:
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "-5"],
          "N_max must be >= 1"),
         (["betas", "--model", "local", "--prime", "2", "--mmax", "64", "--nodes", "64"],
+         "M = 64 needs more than Q = 64 nodes"),
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "64", "--nodes", "64"],
          "M = 64 needs more than Q = 64 nodes"),
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
@@ -285,13 +269,29 @@ class TestCLI:
         assert "holds 10000 < n_zeros = 20000" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_li_twenty_coefficients_agree(self, tmp_path):
+    def test_li_twenty_coefficients_agree(self, tmp_path, li_oracle_20):
         out = str(tmp_path / "li20.csv")
         rc = main(["li", "--zeros", bundled_zeros_path(), "--nmax", "20", "--nzeros", "2000",
                    "--out", out])
         assert rc == 0
         cols, _ = output.read_csv(out)
-        assert np.abs(cols["cauchy"] - _li_oracle(20)).max() < 1e-5
+        assert np.abs(cols["cauchy"] - li_oracle_20).max() < 1e-7
+
+    def test_li_radius_where_ln_xi_winds_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "li.csv"
+        rc = main(["li", "--zeros", bundled_zeros_path(), "--radius", "0.99", "--out", str(out)])
+        assert rc == 2
+        assert "winds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cue_sample_one_bin(self, tmp_path):
+        out = str(tmp_path / "pc1.csv")
+        assert main(["cue-sample", "--n", "12", "--samples", "100", "--bins", "1", "--out", out]) == 0
+        cols, md = output.read_csv(out)
+        assert cols["r"].tolist() == [2.5]
+        # the one bin spans [0, r_max]
+        gap = abs(cols["r2"][0] - cols["sine_kernel"][0])
+        assert float(md["l2-distance"]) == pytest.approx(gap * math.sqrt(5.0), rel=1e-12)
 
     def test_explicit_formula_psi(self, tmp_path):
         out = str(tmp_path / "ef.csv")

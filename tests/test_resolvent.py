@@ -24,7 +24,7 @@ from zetaumm.resolvent import (
     ungapped_density,
     xi_log_coefficients,
 )
-from zetaumm.zeta import NumericConsistencyError, li_coefficients_cauchy
+from zetaumm.zeta import NumericConsistencyError
 
 
 def local_beta_series_oracle(p, order=6):
@@ -112,10 +112,11 @@ class TestResolvent:
             resolvent(model, -1.0)
 
     def test_shifted_and_xi_reflection_by_construction(self):
-        for model in (ResolventModel("shifted", s0=1.5), ResolventModel("xi")):
-            z = 0.4 - 0.1j
-            val = resolvent(model, z) + resolvent(model, 1.0 / z)
-            assert abs(val - 1.0) < 1e-12
+        model, z = ResolventModel("shifted", s0=1.5), 0.4 - 0.1j
+        assert abs(resolvent(model, z) + resolvent(model, 1.0 / z) - 1.0) < 1e-12
+        # the xi model has coefficients only
+        with pytest.raises(ValueError, match="no pointwise resolvent"):
+            resolvent(ResolventModel("xi"), z)
 
     def test_model_preconditions(self):
         for kind, p, s0 in (("local", None, None), ("local", 4, None), ("shifted", None, None),
@@ -422,13 +423,10 @@ class TestRenormalized:
         expected_r1 = -0.5 * math.log(math.pi) - 0.5 * np.euler_gamma - math.log(2.0)
         assert abs(r1 - expected_r1) < 1e-10
 
-    def test_xi_series_generates_li_coefficients(self):
-        # cross-module oracle: [z^m] ln xi(1/(1-z)) = lambda_m / m
-        M = 10
-        Xi = xi_log_coefficients(M, 0.5, 1024)
-        lam = li_coefficients_cauchy(M)
-        m = np.arange(1, M + 1)
-        assert np.abs(Xi.real - lam.values / m).max() < 1e-8
+    def test_xi_series_generates_li_coefficients(self, li_oracle_20):
+        # [z^m] ln xi(1/(1-z)) = lambda_m / m against the Stieltjes-constant oracle
+        m = np.arange(1, 21)
+        assert np.abs(m * xi_log_coefficients(20, 0.5, 1024).real - li_oracle_20).max() < 1e-8
 
     def test_route_preconditions(self):
         with pytest.raises(ValueError):
