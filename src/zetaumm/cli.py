@@ -49,6 +49,13 @@ def _prime(text: str) -> int:
     return int(text)
 
 
+def _prime_list(text: str) -> str:
+    """padic-check's --primes, kept as text: comma-separated primes."""
+    for entry in text.split(","):
+        _prime(entry)
+    return text
+
+
 def _prime_or_all(text: str) -> str:
     """comb's --prime, kept as text: 'all' or a prime."""
     if text != "all":
@@ -88,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap._command_parsers = sub.choices  # config-file keys are checked against the command's options
 
     sp = sub.add_parser("padic-check", help="norm/character/Haar verification report")
-    sp.add_argument("--primes", default="2,3,5,7")
+    sp.add_argument("--primes", type=_prime_list, default="2,3,5,7")
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
@@ -461,33 +468,45 @@ _HANDLERS = {
 }
 
 
-def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> tuple[list[str], set[str]]:
     """argv with the `--config` file's pairs inserted as flags right after
-    the command.  The file is read before the full parse, so it can supply
-    required options; explicit flags come later in argv and win."""
+    the command, and the options that only the file sets.  The file is read
+    before the full parse, so it can supply required options; explicit
+    flags come later in argv and win."""
     command_parser = ap._command_parsers.get(argv[0]) if argv else None
     if command_parser is None:
-        return argv
+        return argv, set()
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     path = probe.parse_known_args(argv[1:])[0].config
     if path is None:
-        return argv
-    flags = {a.dest: a.option_strings[-1] for a in command_parser._actions
+        return argv, set()
+    flags = {a.dest: a.option_strings for a in command_parser._actions
              if a.option_strings and a.dest not in ("help", "config")}
+    pairs = _parse_config_file(path)
     extra = []
-    for key, val in _parse_config_file(path).items():
+    for key, val in pairs.items():
         if key not in flags:
             raise ValueError(f"config key {key!r} is not a known option")
-        extra.append(f"{flags[key]}={val}")
-    return argv[:1] + extra + argv[1:]
+        extra.append(f"{flags[key][-1]}={val}")
+    # argparse takes any unambiguous prefix of a long option
+    given = {token.partition("=")[0] for token in argv[1:] if token.startswith("--") and token != "--"}
+    explicit = {key for key in pairs if any(flag.startswith(t) for flag in flags[key] for t in given)}
+    return argv[:1] + extra + argv[1:], set(pairs) - explicit
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(_with_config(ap, argv))
+        argv, from_config = _with_config(ap, argv)
+        args = ap.parse_args(argv)
+        if args.command == "betas":
+            # a config file's prime and s0 are defaults for the models that
+            # read them; given as flags to any other model they exit 1
+            for dest, kind in (("prime", "local"), ("s0", "shifted")):
+                if dest in from_config and args.model != kind:
+                    setattr(args, dest, None)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0

@@ -97,7 +97,7 @@ class ShellSum:
 
     `value` is the K-shell partial sum, `tail_bound` a geometric bound on
     the omitted shells, `closed_form` the limit (p-1)/p * p^-s/(1-p^-s).
-    All three are exact Fractions for exact real s and binary64 complex
+    All three are exact Fractions for integer s and binary64 complex
     otherwise.
     """
 
@@ -106,7 +106,7 @@ class ShellSum:
     closed_form: Union[Fraction, complex]
 
 
-def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> ShellSum:
+def haar_integrate_norm_power(p: int, s: Union[int, float, complex], K: int) -> ShellSum:
     """Integrate |xi|_p^(s-1) over the region {|xi|_p < 1} shell by shell.
 
     Shell |xi|_p = p^-k has measure (1-1/p) p^-k, so the integral is
@@ -121,18 +121,14 @@ def haar_integrate_norm_power(p: int, s: Union[Rational, complex], K: int) -> Sh
     if sigma <= 0:
         raise ValueError(f"Re(s) = {sigma} <= 0: shell sum diverges")
 
-    if isinstance(s, (int, Fraction)):
-        s_frac = Fraction(s)
-        if s_frac.denominator == 1:
-            # integer exponent: every shell term is an exact rational
-            w = Fraction(p - 1, p)
-            q = Fraction(1, p**s_frac.numerator) if s_frac >= 0 else Fraction(p ** (-s_frac.numerator))
-            value = w * sum(q**k for k in range(1, K + 1))
-            tail = w * q ** (K + 1) / (1 - q)
-            closed = w * q / (1 - q)
-            return ShellSum(value, tail, closed)
-        # non-integer rational exponent: fall through to float arithmetic
-        s = float(s)
+    if isinstance(s, int):
+        # integer exponent (s >= 1 here): every shell term is an exact rational
+        w = Fraction(p - 1, p)
+        q = Fraction(1, p**s)
+        value = w * sum(q**k for k in range(1, K + 1))
+        tail = w * q ** (K + 1) / (1 - q)
+        closed = w * q / (1 - q)
+        return ShellSum(value, tail, closed)
 
     sc = complex(s)
     w = (p - 1) / p

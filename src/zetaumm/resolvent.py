@@ -51,6 +51,8 @@ class ResolventModel:
             raise ValueError("shifted model needs the recentring abscissa s0 > 1")
         if self.kind != "shifted" and self.s0 is not None:
             raise ValueError(f"s0 is read by the shifted model only, not by {self.kind!r}")
+        if self.kind != "local" and self.p is not None:
+            raise ValueError(f"p is read by the local model only, not by {self.kind!r}")
 
     @property
     def label(self) -> str:
@@ -148,16 +150,19 @@ def _taylor_from_samples(samples: np.ndarray, r: float, M: int) -> np.ndarray:
 
 def _unwound_log_samples(values: np.ndarray) -> np.ndarray:
     """log f along a closed contour with continuous argument; a nonzero
-    total winding means zeros/poles inside and is surfaced as an error."""
+    total winding is surfaced as an error.  It means zeros/poles inside,
+    unless a phase step between neighbouring nodes exceeds pi/2: then the
+    nodes cannot follow the phase and the winding count is not trusted."""
     mag = np.log(np.abs(values))
     ang = np.unwrap(np.angle(values))
     closing = np.angle(values[0] / values[-1])
     total = ang[-1] + closing - ang[0]
     if abs(total) > math.pi:
-        raise NumericConsistencyError(
-            f"contour log winds by {total / TWO_PI:.2f} turns: "
-            "the function has zeros or poles inside the contour"
-        )
+        step = max(np.abs(np.diff(ang)).max(), abs(closing))
+        cause = (f"the phase is under-resolved by the nodes (largest step between "
+                 f"neighbouring nodes {step:.2f} rad)" if step > 0.5 * math.pi
+                 else "the function has zeros or poles inside the contour")
+        raise NumericConsistencyError(f"contour log winds by {total / TWO_PI:.2f} turns: {cause}")
     return mag + 1j * ang
 
 

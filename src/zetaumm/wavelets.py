@@ -24,41 +24,21 @@ from .padics import (
 
 @dataclass(frozen=True)
 class WaveletIndex:
-    """Kozyrev label (scale n, translation m, character index j).
-
-    m is the canonical coset representative in [0,1) with denominator a
-    power of p; j runs over 1..p-1.
-    """
+    """Kozyrev label of psi_{n,0,1}: scale n, translation 0, character
+    index 1, the family the restricted basis is drawn from."""
 
     prime: int
     scale: int
-    translation: Fraction = Fraction(0)
-    j: int = 1
 
     def __post_init__(self):
         require_prime(self.prime)
-        if not 1 <= self.j <= self.prime - 1:
-            raise ValueError(f"j must be in 1..{self.prime - 1}")
-        m = Fraction(self.translation)
-        if not 0 <= m < 1:
-            raise ValueError("translation must be the canonical rep in [0,1)")
-        if m != 0:
-            den = m.denominator
-            while den % self.prime == 0:
-                den //= self.prime
-            if den != 1:
-                raise ValueError("translation denominator must be a power of p")
-
-    @property
-    def support_center(self) -> Fraction:
-        return Fraction(self.translation) * Fraction(self.prime) ** (-self.scale)
 
     @property
     def support_level(self) -> int:
-        """Support is the ball |xi - center|_p <= p^(-support_level).
+        """Support is the ball |xi|_p <= p^(-support_level).
 
-        |p^n xi - m| <= 1 unwinds to |xi - p^(-n) m| <= p^n, so the level
-        is -n: contractions (n <= 0) live inside Z_p.
+        |p^n xi| <= 1 unwinds to |xi| <= p^n, so the level is -n:
+        contractions (n <= 0) live inside Z_p.
         """
         return -self.scale
 
@@ -76,20 +56,19 @@ def restricted_index(p: int, n: int) -> WaveletIndex:
     """Basis label n >= 1 of H_-^(p): the wavelet psi_{-n+1, 0, 1}."""
     if n < 1:
         raise ValueError("restricted-basis labels are n = 1, 2, ...")
-    return WaveletIndex(p, 1 - n, Fraction(0), 1)
+    return WaveletIndex(p, 1 - n)
 
 
 def kozyrev_eval(idx: WaveletIndex, xi: Rational) -> complex:
-    """psi_{n,m,j}(xi) = p^(-n/2) chi(j p^(n-1) xi) 1[|p^n xi - m|_p <= 1].
+    """psi_{n,0,1}(xi) = p^(-n/2) chi(p^(n-1) xi) 1[|p^n xi|_p <= 1].
 
     Modulus is exact (a power of p or zero); the phase is binary64.
     """
     v = Fraction(xi)
     p, n = idx.prime, idx.scale
-    arg = Fraction(p) ** n * v - Fraction(idx.translation)
-    if padic_norm(arg, p) > 1:
+    if padic_norm(Fraction(p) ** n * v, p) > 1:
         return 0.0 + 0.0j
-    chi = additive_character(p, idx.j * Fraction(p) ** (n - 1) * v)
+    chi = additive_character(p, Fraction(p) ** (n - 1) * v)
     return idx.norm_factor * chi
 
 
@@ -97,25 +76,17 @@ def inner_product(a: WaveletIndex, b: WaveletIndex) -> complex:
     """<psi_a, psi_b> by exact coset-sum quadrature at level K, one past the
     finer resolution level.
 
-    Both wavelets are locally constant at their resolution levels, so the
-    level-K sum restricted to the (ultrametric) intersection of supports is
-    exact once K resolves both.
+    Both wavelets are locally constant at their resolution levels and both
+    supports are balls around 0, so the level-K sum over the smaller ball
+    is exact once K resolves both.
     """
     if a.prime != b.prime:
         raise ValueError("inner products need a common prime")
     p = a.prime
     K = max(a.resolution_level, b.resolution_level) + 1
-    ca, la = a.support_center, a.support_level
-    cb, lb = b.support_center, b.support_level
-    # ultrametric balls are nested or disjoint
-    if la <= lb:
-        c_out, l_out, c_in, l_in = ca, la, cb, lb
-    else:
-        c_out, l_out, c_in, l_in = cb, lb, ca, la
-    if padic_norm(c_in - c_out, p) > Fraction(p) ** (-l_out):
-        return 0.0 + 0.0j
+    level = max(a.support_level, b.support_level)
     acc = 0.0 + 0.0j
-    for r in ball_coset_representatives(p, c_in, l_in, K):
+    for r in ball_coset_representatives(p, Fraction(0), level, K):
         acc += kozyrev_eval(a, r) * kozyrev_eval(b, r).conjugate()
     return acc * float(p) ** (-K)
 
@@ -150,7 +121,7 @@ class VladimirovResult:
 
 
 def vladimirov_eigenvalue(p: int, alpha: complex, scale: int) -> complex:
-    """Spectral action: D^alpha psi_{n,m,j} = p^(alpha(1-n)) psi_{n,m,j}."""
+    """Spectral action: D^alpha psi_{n,0,1} = p^(alpha(1-n)) psi_{n,0,1}."""
     return complex(p) ** (complex(alpha) * (1 - scale))
 
 
@@ -163,15 +134,14 @@ def _kernel_prefactor(p: int, alpha: complex) -> complex:
 def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
     """int_{|xi'-center| <= p^-level} psi dxi', exact via resolution cosets."""
     p = idx.prime
-    r0 = idx.resolution_level
-    c_f, l_f = idx.support_center, idx.support_level
+    l_f = idx.support_level
     if level <= l_f:
         # the ball swallows the support (they intersect since callers pass
         # centers inside the support): mean-zero makes this exactly 0
         return 0.0 + 0.0j
-    if padic_norm(center - c_f, p) > Fraction(p) ** (-l_f):
+    if padic_norm(center, p) > Fraction(p) ** (-l_f):
         return 0.0 + 0.0j
-    K = max(r0, level)
+    K = max(idx.resolution_level, level)
     acc = 0.0 + 0.0j
     for r in ball_coset_representatives(p, center, level, K):
         acc += kozyrev_eval(idx, r)
@@ -197,9 +167,7 @@ def vladimirov_kernel_apply(
             "diverges otherwise (and the normalisation has a pole at alpha = -1)"
         )
     r0 = idx.resolution_level
-    c_f, l_f = idx.support_center, idx.support_level
-    support_norm = max(padic_norm(c_f, p), Fraction(p) ** (-l_f)) if c_f else Fraction(p) ** (-l_f)
-    if Fraction(p) ** B < support_norm:
+    if B < -idx.support_level:
         raise ValueError(f"domain cutoff p^{B} does not cover the support")
     f_xi = kozyrev_eval(idx, xi)
     pf = float(p)
@@ -220,13 +188,6 @@ def vladimirov_kernel_apply(
     return _kernel_prefactor(p, alpha) * total
 
 
-def _kernel_sample_points(idx: WaveletIndex) -> list[Fraction]:
-    p = idx.prime
-    c_f, l_f = idx.support_center, idx.support_level
-    pts = list(ball_coset_representatives(p, c_f, l_f, idx.resolution_level + 1))
-    return pts[:6]
-
-
 def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> VladimirovResult:
     """Apply D^alpha to a basis wavelet: the exact eigenvalue p^(alpha(1-n)),
     checked against the integral kernel (domain cutoff p^B)
@@ -234,8 +195,9 @@ def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> Vladimir
     deviation from eigenvalue * psi.
     """
     lam = vladimirov_eigenvalue(idx.prime, alpha, idx.scale)
+    K = idx.resolution_level + 1
     residual = 0.0
-    for xi in _kernel_sample_points(idx):
+    for xi in list(ball_coset_representatives(idx.prime, Fraction(0), idx.support_level, K))[:6]:
         val = vladimirov_kernel_apply(idx, alpha, xi, B)
         residual = max(residual, abs(val - lam * kozyrev_eval(idx, xi)))
     return VladimirovResult(lam, residual)

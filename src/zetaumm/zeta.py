@@ -498,7 +498,10 @@ def li_coefficients_zero_sum(
     return LiCoefficients(lam, err)
 
 
-def _li_tail_integrals(n_max: int, T: float, U: float = 1e9) -> tuple[np.ndarray, np.ndarray]:
+_LI_TAIL_U = 1e9  # height U where the Li tail switches from quadrature to closed form
+
+
+def _li_tail_integrals(n_max: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     """int_T^inf 2(1 - cos(n phi(t))) dN(t) for n = 1..n_max, and an
     estimate of the quadrature error of each.
 
@@ -509,7 +512,7 @@ def _li_tail_integrals(n_max: int, T: float, U: float = 1e9) -> tuple[np.ndarray
     ~ n^2/t^2 ln(t/2pi)/2pi, integrated in closed form.
     """
     n = np.arange(1, n_max + 1)[:, None]
-    lo, hi = math.log(T), math.log(U)
+    lo, hi = math.log(T), math.log(_LI_TAIL_U)
     nodes, weights = np.polynomial.legendre.leggauss(8)
 
     def rule(panels: int) -> np.ndarray:
@@ -521,7 +524,7 @@ def _li_tail_integrals(n_max: int, T: float, U: float = 1e9) -> tuple[np.ndarray
 
     panels = max(1, math.ceil(hi - lo))
     fine = rule(2 * panels)
-    remainder = n[:, 0] ** 2 * (math.log(U / (2 * math.pi)) + 1.0) / (2.0 * math.pi * U)
+    remainder = n[:, 0] ** 2 * (math.log(_LI_TAIL_U / (2 * math.pi)) + 1.0) / (2.0 * math.pi * _LI_TAIL_U)
     return fine + remainder, np.abs(fine - rule(panels))
 
 

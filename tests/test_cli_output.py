@@ -115,6 +115,10 @@ class TestCLI:
         (["betas", "--s0", "5", "--model", "local", "--prime", "2"], "s0 is read by the shifted model only"),
         (["betas", "--s0", "5", "--model", "gamma"], "s0 is read by the shifted model only"),
         (["betas", "--s0", "5", "--model", "xi"], "s0 is read by the shifted model only"),
+        (["betas", "--prime", "5", "--model", "gamma"], "p is read by the local model only"),
+        (["betas", "--prime", "5", "--s0", "1.5", "--model", "shifted"], "p is read by the local model only"),
+        (["betas", "--prime", "5", "--model", "xi"], "p is read by the local model only"),
+        (["padic-check", "--primes", "2,,3"], "'' is not a prime"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
     def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "x.csv")
@@ -164,6 +168,19 @@ class TestCLI:
         assert md["model"] == "GammaPlace"
         cfg.write_text(f"model=local\nprime=2\nout={out}\nbogus=1\n")
         assert main(["betas", "--config", str(cfg)]) == 1
+
+    def test_config_defaults_a_model_does_not_read_are_dropped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prime=2\ns0=1.5\nmmax=3\n")
+        out = str(tmp_path / "b.csv")
+        for model, kept, dropped in (("gamma", [], ["prime", "s0"]), ("shifted", ["s0"], ["prime"]),
+                                     ("local", ["prime"], ["s0"])):
+            assert main(["betas", "--model", model, "--config", str(cfg), "--out", out]) == 0
+            _, md = output.read_csv(out)
+            assert all(k in md for k in kept) and not any(k in md for k in dropped)
+        # the same option given as a flag, or as a prefix of one, is refused
+        for flag in ("--prime", "--pri"):
+            assert main(["betas", "--model", "gamma", flag, "2", "--config", str(cfg), "--out", out]) == 1
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -120,7 +120,8 @@ class TestResolvent:
 
     def test_model_preconditions(self):
         for kind, p, s0 in (("local", None, None), ("local", 4, None), ("shifted", None, None),
-                            ("shifted", None, 1.0), ("shifted", None, 0.8), ("nope", None, None)):
+                            ("shifted", None, 1.0), ("shifted", None, 0.8), ("nope", None, None),
+                            ("gamma", 2, None), ("shifted", 2, 1.5), ("xi", 2, None)):
             with pytest.raises(ValueError):
                 ResolventModel(kind, p=p, s0=s0)
 
@@ -196,11 +197,19 @@ class TestBetaContour:
         # ln(1 - z/0.6): analytic on |z| = 0.5, but the guard's second
         # radius 0.7 encloses the zero, so the logarithm winds there
         f = lambda z: 1.0 - z / 0.6
-        with pytest.raises(NumericConsistencyError, match="winds"):
+        with pytest.raises(NumericConsistencyError, match="winds .* zeros or poles inside"):
             contour_coefficients(f, 8, 0.5, 256, log=True)
         c = contour_coefficients(f, 8, 0.3, 256, log=True)  # second radius 0.42
         m = np.arange(1, 9)
         assert np.abs(c.coefficients + 1.0 / (m * 0.6**m)).max() < 1e-12
+
+    def test_log_route_names_an_under_resolved_phase(self):
+        # ln xi(1/(1-z)) at r = 0.99: its zeros lie on |z| = 1, but the
+        # phase moves by about 3 rad between neighbouring nodes, so the
+        # winding is the nodes' and the message must not blame a zero
+        with pytest.raises(NumericConsistencyError, match="winds .* under-resolved") as err:
+            rv._xi_log_series(10, 0.99, 512)
+        assert "zeros or poles" not in str(err.value)
 
     def test_radius_guard_raises_on_a_pole_inside_second_radius(self):
         with pytest.raises(NumericConsistencyError, match="radii"):
