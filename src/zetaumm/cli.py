@@ -83,118 +83,31 @@ def _finite_list(text: str) -> str:
     return text
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", required=True, help="output file path")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--config", default=None, help="key=value defaults file")
+# the options every command ends with
+_COMMON = (
+    ("--out", dict(required=True, help="output file path")),
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+    ("--config", dict(default=None, help="key=value defaults file")),
+)
+
+# command name -> (help, options, handler); an option is (flag, add_argument keywords)
+COMMANDS: dict = {}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    ap._command_parsers = sub.choices  # config-file keys are checked against the command's options
-
-    sp = sub.add_parser("padic-check", help="norm/character/Haar verification report")
-    sp.add_argument("--primes", type=_prime_list, default="2,3,5,7")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=0)
-    _add_common(sp)
-
-    sp = sub.add_parser("wavelet-check", help="Gram matrix and Vladimirov residuals")
-    sp.add_argument("--prime", type=_prime, default=2)
-    sp.add_argument("--nmax", type=int, default=12)
-    sp.add_argument("--alpha", type=_finite, default=1.0)
-    sp.add_argument("--kernel-b", type=int, default=12)
-    _add_common(sp)
-
-    sp = sub.add_parser("betas", help="contour-extracted model coefficients")
-    sp.add_argument("--model", choices=("local", "gamma", "shifted", "xi"), required=True)
-    sp.add_argument("--prime", type=_prime, default=None)
-    sp.add_argument("--s0", type=_finite, default=None)
-    sp.add_argument("--mmax", type=int, default=20)
-    sp.add_argument("--radius", type=_finite, default=0.5)
-    sp.add_argument("--nodes", type=int, default=512)
-    _add_common(sp)
-
-    sp = sub.add_parser("density", help="local-model spike/potential profile")
-    sp.add_argument("--prime", type=_prime, required=True)
-    sp.add_argument("--spikes", type=int, default=5)
-    sp.add_argument("--grid-start", type=_finite, default=0.5)
-    sp.add_argument("--grid-stop", type=_finite, default=5.78)
-    sp.add_argument("--grid-points", type=int, default=64)
-    _add_common(sp)
-
-    sp = sub.add_parser("li", help="Li coefficients, both routes cross-checked")
-    sp.add_argument("--nmax", type=int, default=10)
-    sp.add_argument("--zeros", required=True)
-    sp.add_argument("--nzeros", type=int, default=2000)
-    sp.add_argument("--radius", type=_finite, default=0.45)
-    sp.add_argument("--nodes", type=int, default=512)
-    sp.add_argument("--tolerance", type=_finite, default=1e-3)
-    _add_common(sp)
-
-    sp = sub.add_parser("beta-ren", help="renormalized coefficients")
-    sp.add_argument("--method", choices=("prime_sum", "shifted_contour", "xi_decomposition"),
-                    required=True)
-    sp.add_argument("--mu", type=_finite, required=True)
-    sp.add_argument("--mmax", type=int, default=10)
-    sp.add_argument("--pmax", type=int, default=10**6)
-    sp.add_argument("--powers", type=int, default=60)
-    sp.add_argument("--radius", type=_finite, default=0.5)
-    sp.add_argument("--nodes", type=int, default=1024)
-    _add_common(sp)
-
-    sp = sub.add_parser("trace-check", help="trace-formula residual report")
-    sp.add_argument("--zeros", required=True)
-    sp.add_argument("--nzeros", type=int, default=100)
-    sp.add_argument("--primes-max", type=int, default=10**4)
-    sp.add_argument("--width", type=_finite, default=1.0)
-    _add_common(sp)
-
-    sp = sub.add_parser("explicit-formula", help="counting functions, direct vs zero expansion")
-    sp.add_argument("--kind", choices=("psi", "J", "j_local"), default="psi")
-    sp.add_argument("--x", type=_finite, required=True)
-    sp.add_argument("--zeros", default=None)
-    sp.add_argument("--nzeros", type=int, default=100)
-    sp.add_argument("--prime", type=_prime, default=2)
-    sp.add_argument("--terms", type=int, default=1000)
-    _add_common(sp)
-
-    sp = sub.add_parser("cue-sample", help="CUE pair-correlation report")
-    sp.add_argument("--n", type=int, default=40)
-    sp.add_argument("--samples", type=int, default=4000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--bins", type=int, default=50)
-    sp.add_argument("--rmax", type=_finite, default=5.0)
-    _add_common(sp)
-
-    sp = sub.add_parser("plaquette-mc", help="one-plaquette Metropolis run")
-    sp.add_argument("--n", type=int, default=32)
-    sp.add_argument("--betas", type=_finite_list, default="0.25",
-                    help="comma-separated beta_1,beta_2,...")
-    sp.add_argument("--sweeps", type=int, default=2000)
-    sp.add_argument("--burn-in", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--chains", type=int, default=4)
-    sp.add_argument("--bins", type=int, default=64)
-    _add_common(sp)
-
-    sp = sub.add_parser("comb", help="prime-power comb of the Wigner marginals")
-    sp.add_argument("--prime", type=_prime_or_all, default="all", help="a prime or 'all'")
-    sp.add_argument("--mu", type=_finite, default=0.5)
-    sp.add_argument("--qmax", type=_finite, default=5.0)
-    _add_common(sp)
-
-    return ap
+def _command(name: str, help: str, *options):
+    """Declare the decorated handler as `zetaumm name` with its options."""
+    def register(handler):
+        COMMANDS[name] = (help, options + _COMMON, handler)
+        return handler
+    return register
 
 
-def _metadata(args: argparse.Namespace) -> dict:
-    md = {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
-    md["version"] = __version__
-    return md
-
-
-def _emit(args, columns, payload, metadata):
+def _emit(args, columns, payload, extra: Optional[dict] = None) -> None:
+    """Write the artifact.  Its metadata echoes every option that is set,
+    then the version, then the handler's `extra` entries."""
+    echo = {k.replace("_", "-"): v for k, v in vars(args).items()}
+    metadata = {k: v for k, v in {**echo, "version": __version__, **(extra or {})}.items()
+                if v is not None}
     if args.format == "csv":
         output.write_csv(args.out, columns, metadata)
     else:
@@ -206,7 +119,11 @@ def _emit(args, columns, payload, metadata):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_padic_check(args) -> int:
+@_command("padic-check", "norm/character/Haar verification report",
+          ("--primes", dict(type=_prime_list, default="2,3,5,7")),
+          ("--samples", dict(type=int, default=200)),
+          ("--seed", dict(type=int, default=0)))
+def _cmd_padic_check(args) -> None:
     import random
 
     if args.samples < 1:
@@ -233,13 +150,19 @@ def _cmd_padic_check(args) -> int:
         names += [f"ultrametric(p={p})", f"character(p={p})", f"haar_shell(p={p})"]
         values += [worst_ultra, worst_char, shell_dev]
         bounds += [0.0, 1e-14, float(shell.tail_bound)]
-    ok = all(v <= b + 1e-30 for v, b in zip(values, bounds))
+    failed = [(n, v, b) for n, v, b in zip(names, values, bounds) if not v <= b + 1e-30]
     cols = {"check": names, "deviation": values, "bound": bounds}
-    _emit(args, cols, {"checks": cols, "pass": ok}, _metadata(args))
-    return 0 if ok else 2
+    _emit(args, cols, {"checks": cols, "pass": not failed})
+    if failed:
+        raise NumericConsistencyError("{}: deviation {:.3g} exceeds bound {:.3g}".format(*failed[0]))
 
 
-def _cmd_wavelet_check(args) -> int:
+@_command("wavelet-check", "Gram matrix and Vladimirov residuals",
+          ("--prime", dict(type=_prime, default=2)),
+          ("--nmax", dict(type=int, default=12)),
+          ("--alpha", dict(type=_finite, default=1.0)),
+          ("--kernel-b", dict(type=int, default=12)))
+def _cmd_wavelet_check(args) -> None:
     G = gram_matrix(args.prime, args.nmax)
     gram_dev = float(np.abs(G - np.eye(args.nmax)).max())
     rows = []
@@ -251,12 +174,21 @@ def _cmd_wavelet_check(args) -> int:
         "value": [gram_dev] + [abs(e) for _, e, _ in rows],
         "residual": [gram_dev] + [r for _, _, r in rows],
     }
-    ok = gram_dev < 1e-12 and all(r < 1e-6 for _, _, r in rows)
-    _emit(args, cols, {"gram_deviation": gram_dev, "kernel": cols, "pass": ok}, _metadata(args))
-    return 0 if ok else 2
+    checks = zip(cols["check"], cols["residual"], [1e-12] + [1e-6] * len(rows))
+    failed = [(n, r, limit) for n, r, limit in checks if not r < limit]
+    _emit(args, cols, {"gram_deviation": gram_dev, "kernel": cols, "pass": not failed})
+    if failed:
+        raise NumericConsistencyError("{}: residual {:.3g} is not below {:g}".format(*failed[0]))
 
 
-def _cmd_betas(args) -> int:
+@_command("betas", "contour-extracted model coefficients",
+          ("--model", dict(choices=("local", "gamma", "shifted", "xi"), required=True)),
+          ("--prime", dict(type=_prime, default=None)),
+          ("--s0", dict(type=_finite, default=None)),
+          ("--mmax", dict(type=int, default=20)),
+          ("--radius", dict(type=_finite, default=0.5)),
+          ("--nodes", dict(type=int, default=512)))
+def _cmd_betas(args) -> None:
     model = resolvent.ResolventModel(args.model, p=args.prime, s0=args.s0)
     series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
     cols = {
@@ -265,30 +197,30 @@ def _cmd_betas(args) -> int:
         "imag": series.coefficients.imag,
         "radius_consistency": series.radius_deltas,
     }
-    md = _metadata(args)
-    md.update(model=series.model, radius_error=series.radius_error,
-              doubling_error=series.doubling_error)
-    _emit(args, cols, {"series": cols}, md)
-    return 0
+    _emit(args, cols, {"series": cols}, {"model": series.model, "radius_error": series.radius_error,
+                                         "doubling_error": series.doubling_error})
 
 
-def _cmd_density(args) -> int:
+@_command("density", "local-model spike/potential profile",
+          ("--prime", dict(type=_prime, required=True)),
+          ("--spikes", dict(type=int, default=5)),
+          ("--grid-start", dict(type=_finite, default=0.5)),
+          ("--grid-stop", dict(type=_finite, default=5.78)),
+          ("--grid-points", dict(type=int, default=64)))
+def _cmd_density(args) -> None:
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     prof = resolvent.density_profile(args.prime, grid, args.spikes)
     kind = ["spike"] * prof.spike_angles.size + ["vprime"] * grid.size
     location = np.concatenate([prof.spike_angles, grid])
     value = np.concatenate([np.full(prof.spike_angles.size, prof.spike_weight), prof.vprime])
     cols = {"kind": kind, "location": location, "value": value}
-    md = _metadata(args)
-    md["spike-weight"] = prof.spike_weight
     _emit(args, cols, {
         "spike_angles": prof.spike_angles,
         "spike_indices": prof.spike_indices,
         "spike_weight": prof.spike_weight,
         "theta": grid,
         "vprime": prof.vprime,
-    }, md)
-    return 0
+    }, {"spike-weight": prof.spike_weight})
 
 
 def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
@@ -303,7 +235,14 @@ def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
     return table
 
 
-def _cmd_li(args) -> int:
+@_command("li", "Li coefficients, both routes cross-checked",
+          ("--nmax", dict(type=int, default=10)),
+          ("--zeros", dict(required=True)),
+          ("--nzeros", dict(type=int, default=2000)),
+          ("--radius", dict(type=_finite, default=0.45)),
+          ("--nodes", dict(type=int, default=512)),
+          ("--tolerance", dict(type=_finite, default=1e-3)))
+def _cmd_li(args) -> None:
     if args.tolerance < 0.0:
         raise ValueError(f"li needs --tolerance >= 0, got {args.tolerance!r}")
     table = _ingest(args.zeros, args.nzeros)
@@ -317,12 +256,20 @@ def _cmd_li(args) -> int:
         "difference": np.abs(a.values - b.values),
         "combined_tolerance": combined,
     }
-    _emit(args, cols, {"series": cols}, _metadata(args))
+    _emit(args, cols, {"series": cols})
     zt.check_agreement("lambda_{n}", a.values, b.values, combined, ("cauchy", "zero_sum"))
-    return 0
 
 
-def _cmd_beta_ren(args) -> int:
+@_command("beta-ren", "renormalized coefficients",
+          ("--method", dict(choices=("prime_sum", "shifted_contour", "xi_decomposition"),
+                            required=True)),
+          ("--mu", dict(type=_finite, required=True)),
+          ("--mmax", dict(type=int, default=10)),
+          ("--pmax", dict(type=int, default=10**6)),
+          ("--powers", dict(type=int, default=60)),
+          ("--radius", dict(type=_finite, default=0.5)),
+          ("--nodes", dict(type=int, default=1024)))
+def _cmd_beta_ren(args) -> None:
     if args.method == "prime_sum":
         series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax, args.powers)
     elif args.method == "shifted_contour":
@@ -340,13 +287,15 @@ def _cmd_beta_ren(args) -> int:
         "value": series.coefficients.real,
         "error": err,
     }
-    md = _metadata(args)
-    md["model"] = series.model
-    _emit(args, cols, {"series": cols}, md)
-    return 0
+    _emit(args, cols, {"series": cols}, {"model": series.model})
 
 
-def _cmd_trace_check(args) -> int:
+@_command("trace-check", "trace-formula residual report",
+          ("--zeros", dict(required=True)),
+          ("--nzeros", dict(type=int, default=100)),
+          ("--primes-max", dict(type=int, default=10**4)),
+          ("--width", dict(type=_finite, default=1.0)))
+def _cmd_trace_check(args) -> None:
     table = _ingest(args.zeros, max(args.nzeros, 50))
     primes = zt.PrimeTable.build(args.primes_max)
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
@@ -367,15 +316,21 @@ def _cmd_trace_check(args) -> int:
         "value": [rep.lhs_pole, rep.lhs_zero_sum, rep.lhs_digamma, rep.rhs_log_pi,
                   rep.rhs_prime_sum, rep.residual, rep.total_bound],
     }
-    _emit(args, cols, payload, _metadata(args))
+    _emit(args, cols, payload)
     bounds = payload["bounds"]
     big = max(("zero_tail", "prime_tail", "digamma_tail", "quadrature"), key=bounds.get)
     zt.check_agreement(f"trace formula residual vs total_bound (largest term {big} {bounds[big]:.3g})",
                        rep.lhs, rep.rhs, rep.total_bound, ("lhs", "rhs"))
-    return 0
 
 
-def _cmd_explicit_formula(args) -> int:
+@_command("explicit-formula", "counting functions, direct vs zero expansion",
+          ("--kind", dict(choices=("psi", "J", "j_local"), default="psi")),
+          ("--x", dict(type=_finite, required=True)),
+          ("--zeros", dict(default=None)),
+          ("--nzeros", dict(type=int, default=100)),
+          ("--prime", dict(type=_prime, default=2)),
+          ("--terms", dict(type=int, default=1000)))
+def _cmd_explicit_formula(args) -> None:
     if args.x <= 1.0:
         raise ValueError("counting functions are evaluated for x > 1")
     if args.kind == "j_local":
@@ -400,11 +355,16 @@ def _cmd_explicit_formula(args) -> int:
         "difference": [abs(direct - explicit)],
         "tail_estimate": [tail],
     }
-    _emit(args, cols, {"result": cols}, _metadata(args))
-    return 0
+    _emit(args, cols, {"result": cols})
 
 
-def _cmd_cue_sample(args) -> int:
+@_command("cue-sample", "CUE pair-correlation report",
+          ("--n", dict(type=int, default=40)),
+          ("--samples", dict(type=int, default=4000)),
+          ("--seed", dict(type=int, default=0)),
+          ("--bins", dict(type=int, default=50)),
+          ("--rmax", dict(type=_finite, default=5.0)))
+def _cmd_cue_sample(args) -> None:
     sample = ensemble.sample_cue(args.n, args.samples, args.seed)
     rep = ensemble.pair_correlation(sample, args.bins, args.rmax)
     cols = {
@@ -412,13 +372,20 @@ def _cmd_cue_sample(args) -> int:
         "r2": rep.r2,
         "sine_kernel": rep.reference,
     }
-    md = _metadata(args)
-    md["l2-distance"] = rep.l2_distance
-    _emit(args, cols, {"report": cols, "l2_distance": rep.l2_distance}, md)
-    return 0
+    _emit(args, cols, {"report": cols, "l2_distance": rep.l2_distance},
+          {"l2-distance": rep.l2_distance})
 
 
-def _cmd_plaquette_mc(args) -> int:
+@_command("plaquette-mc", "one-plaquette Metropolis run",
+          ("--n", dict(type=int, default=32)),
+          ("--betas", dict(type=_finite_list, default="0.25",
+                           help="comma-separated beta_1,beta_2,...")),
+          ("--sweeps", dict(type=int, default=2000)),
+          ("--burn-in", dict(type=int, default=500)),
+          ("--seed", dict(type=int, default=0)),
+          ("--chains", dict(type=int, default=4)),
+          ("--bins", dict(type=int, default=64)))
+def _cmd_plaquette_mc(args) -> None:
     betas = [float(b) for b in args.betas.split(",")] if args.betas else []
     run = ensemble.plaquette_mc(args.n, betas, args.sweeps, args.burn_in,
                                 args.seed, args.chains, args.bins)
@@ -430,68 +397,59 @@ def _cmd_plaquette_mc(args) -> int:
         "model_density": model,
         "bin_error": run.density_error(),
     }
-    md = _metadata(args)
-    md["acceptance-rate"] = run.acceptance_rate
-    md["acceptance-in-band"] = ensemble.acceptance_in_band(run)
-    md["gap-diagnostic"] = run.gap_diagnostic
     _emit(args, cols, {"histogram": cols, "acceptance_rate": run.acceptance_rate,
-                       "gap_diagnostic": run.gap_diagnostic}, md)
-    return 0
+                       "gap_diagnostic": run.gap_diagnostic},
+          {"acceptance-rate": run.acceptance_rate, "gap-diagnostic": run.gap_diagnostic,
+           "acceptance-in-band": ensemble.acceptance_in_band(run)})
 
 
-def _cmd_comb(args) -> int:
+@_command("comb", "prime-power comb of the Wigner marginals",
+          ("--prime", dict(type=_prime_or_all, default="all", help="a prime or 'all'")),
+          ("--mu", dict(type=_finite, default=0.5)),
+          ("--qmax", dict(type=_finite, default=5.0)))
+def _cmd_comb(args) -> None:
     comb = traceform.wigner_marginal_comb(args.prime, args.mu, args.qmax)
     cols = {"location": comb.locations, "weight": comb.weights}
-    md = _metadata(args)
-    if comb.position_period is not None:
-        md["position-period"] = comb.position_period
     _emit(args, cols, {
         "locations": comb.locations,
         "weights": comb.weights,
         "position_period": comb.position_period,
-    }, md)
-    return 0
+    }, {"position-period": comb.position_period})
 
 
-_HANDLERS = {
-    "padic-check": _cmd_padic_check,
-    "wavelet-check": _cmd_wavelet_check,
-    "betas": _cmd_betas,
-    "density": _cmd_density,
-    "li": _cmd_li,
-    "beta-ren": _cmd_beta_ren,
-    "trace-check": _cmd_trace_check,
-    "explicit-formula": _cmd_explicit_formula,
-    "cue-sample": _cmd_cue_sample,
-    "plaquette-mc": _cmd_plaquette_mc,
-    "comb": _cmd_comb,
-}
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
+    return ap
 
 
-def _with_config(ap: argparse.ArgumentParser, argv: list[str]) -> tuple[list[str], set[str]]:
+def _with_config(argv: list[str]) -> tuple[list[str], set[str]]:
     """argv with the `--config` file's pairs inserted as flags right after
     the command, and the options that only the file sets.  The file is read
     before the full parse, so it can supply required options; explicit
     flags come later in argv and win."""
-    command_parser = ap._command_parsers.get(argv[0]) if argv else None
-    if command_parser is None:
+    if not argv or argv[0] not in COMMANDS:
         return argv, set()
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     path = probe.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv, set()
-    flags = {a.dest: a.option_strings for a in command_parser._actions
-             if a.option_strings and a.dest not in ("help", "config")}
+    options = COMMANDS[argv[0]][1]
+    flags = {flag[2:].replace("-", "_"): flag for flag, _ in options if flag != "--config"}
     pairs = _parse_config_file(path)
     extra = []
     for key, val in pairs.items():
         if key not in flags:
             raise ValueError(f"config key {key!r} is not a known option")
-        extra.append(f"{flags[key][-1]}={val}")
+        extra.append(f"{flags[key]}={val}")
     # argparse takes any unambiguous prefix of a long option
     given = {token.partition("=")[0] for token in argv[1:] if token.startswith("--") and token != "--"}
-    explicit = {key for key in pairs if any(flag.startswith(t) for flag in flags[key] for t in given)}
+    explicit = {key for key in pairs if any(flags[key].startswith(t) for t in given)}
     return argv[:1] + extra + argv[1:], set(pairs) - explicit
 
 
@@ -499,7 +457,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv, from_config = _with_config(ap, argv)
+        argv, from_config = _with_config(argv)
         args = ap.parse_args(argv)
         if args.command == "betas":
             # a config file's prime and s0 are defaults for the models that
@@ -507,7 +465,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             for dest, kind in (("prime", "local"), ("s0", "shifted")):
                 if dest in from_config and args.model != kind:
                     setattr(args, dest, None)
-        return _HANDLERS[args.command](args)
+        COMMANDS[args.command][2](args)
+        return 0
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     except (ValueError, OSError) as exc:

@@ -419,7 +419,6 @@ def beta_renormalized_prime_sum(
     mu: float,
     P_max: int = 10**6,
     N_max: int = 60,
-    primes: Optional[zt.PrimeTable] = None,
 ) -> BetaSeries:
     """Renormalized coefficients from explicit prime-power data.
 
@@ -432,7 +431,7 @@ def beta_renormalized_prime_sum(
     prime-density integral (terms fall off too slowly for raw truncation
     to reach 1e-6 at feasible sieve sizes).  The Laguerre values are made
     and summed one row at a time, so memory is a few arrays of pi(P_max)
-    doubles whatever M is.  A `primes` table must reach P_max.
+    doubles whatever M is.
     """
     if mu <= 1.0:
         raise ValueError(
@@ -445,12 +444,7 @@ def beta_renormalized_prime_sum(
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
     if N_max < 1:
         raise ValueError(f"N_max must be >= 1 (prime powers summed), got {N_max}")
-    if primes is not None and primes.limit < P_max:
-        raise ValueError(
-            f"prime table reaches {primes.limit} only, short of P_max = {P_max}: "
-            "the primes above it would be dropped while the tail integral starts at P_max"
-        )
-    all_primes = zt.sieve_primes(P_max) if primes is None else primes.primes
+    all_primes = zt.sieve_primes(P_max)
     sigma = mu + 0.5
     # powers of large primes are invisible at working precision: the n-th
     # powers take the primes p <= cut, that is p <= min(floor(cut), P_max),

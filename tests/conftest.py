@@ -19,11 +19,6 @@ def zeros_all():
 
 
 @pytest.fixture(scope="session")
-def prime_table_1e6():
-    return zt.PrimeTable.build(10**6)
-
-
-@pytest.fixture(scope="session")
 def li_oracle_20():
     """lambda_1..lambda_20 as n sum_j C(n-1, n-j) a_j with a_j = [u^j] ln xi(1+u),
     from the Stieltjes constants (for (s-1) zeta(s)), polygamma values at 1/2

@@ -134,10 +134,10 @@ def test_criterion_07_li_coefficients(zeros_2000):
         assert (b.values > 0).all()
 
 
-def test_criterion_08_renormalized(prime_table_1e6):
+def test_criterion_08_renormalized():
     with _Timer("8 renormalized coefficient routes", 60.0):
         sh = resolvent.beta_contour(resolvent.ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
-        ps = resolvent.beta_renormalized_prime_sum(10, 1.5, 10**6, 60, primes=prime_table_1e6)
+        ps = resolvent.beta_renormalized_prime_sum(10, 1.5, 10**6, 60)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
         M = 20
         Xi = resolvent.xi_log_coefficients(M, 0.5, 1024)

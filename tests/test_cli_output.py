@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import zetaumm
-from zetaumm import output, traceform
-from zetaumm.cli import build_parser, main
+from zetaumm import cli, output, traceform
+from zetaumm.cli import COMMANDS, build_parser, main
+from zetaumm.padics import ShellSum
 from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_explicit
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -182,6 +183,18 @@ class TestCLI:
         for flag in ("--prime", "--pri"):
             assert main(["betas", "--model", "gamma", flag, "2", "--config", str(cfg), "--out", out]) == 1
 
+    @pytest.mark.parametrize("argv, cfg, key, value", [
+        (["plaquette-mc", "--n", "6", "--sweeps", "20", "--chains", "1"], "burn-in=7", "burn-in", "7"),
+        (["wavelet-check", "--nmax", "3"], "kernel-b = 9", "kernel-b", "9"),
+    ], ids=["burn-in", "kernel-b"])
+    def test_config_sets_a_hyphenated_option(self, tmp_path, argv, cfg, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(cfg + "\n")
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--config", str(path), "--out", out]) == 0
+        _, md = output.read_csv(out)
+        assert md[key] == value
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -226,6 +239,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "residual" in err and "total_bound" in err and "prime_tail 0.02" in err
         assert "differ by 0.5" in err
+
+    def test_wavelet_check_exit_two_names_its_reason(self, tmp_path, capsys):
+        # at alpha = 1e-10 the scale-0 kernel residual is 1.6e-6, over its 1e-6 limit
+        out = tmp_path / "w.json"
+        assert main(["wavelet-check", "--alpha", "1e-10", "--out", str(out), "--format", "json"]) == 2
+        assert json.loads(out.read_text())["pass"] is False  # written before the exit
+        err = capsys.readouterr().err
+        assert "kernel(scale=0): residual 1.6e-06 is not below 1e-06" in err
+
+    def test_padic_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
+        shell = ShellSum(value=1.0, tail_bound=1e-9, closed_form=1.5)
+        monkeypatch.setattr(cli, "haar_integrate_norm_power", lambda p, s, K: shell)
+        out = str(tmp_path / "p.csv")
+        assert main(["padic-check", "--primes", "3", "--samples", "5", "--out", out]) == 2
+        cols, _ = output.read_csv(out)
+        assert cols["deviation"][-1] == 0.5
+        err = capsys.readouterr().err
+        assert "haar_shell(p=3): deviation 0.5 exceeds bound 1e-09" in err
 
     def test_shifted_model_below_one_exits_one(self, tmp_path, capsys):
         # s0 = 0.8 puts the zeta pole at z = -3/7, inside both extraction circles
@@ -276,7 +307,7 @@ class TestCLI:
         lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("zetaumm ")]
         parser = build_parser()
         commands = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
-        assert sorted(commands) == sorted(parser._command_parsers)  # one line per command
+        assert sorted(commands) == sorted(COMMANDS)  # one line per command
 
     def test_li_refuses_a_short_table(self, tmp_path, capsys):
         out = tmp_path / "li.csv"

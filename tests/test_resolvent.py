@@ -314,7 +314,7 @@ class TestTraceFluctuation:
             trace_fluctuation(2, 1.0, 0.0, 10)
 
 
-def _reference_prime_sum(M, mu, P_max, N_max=60, primes=None):
+def _reference_prime_sum(M, mu, P_max, N_max=60):
     """The stacked-table prime sum that beta_renormalized_prime_sum
     replaced (an M x pi(P) Laguerre table, boolean-mask prime selections),
     kept as the bit-for-bit reference of the row-by-row sum."""
@@ -328,8 +328,7 @@ def _reference_prime_sum(M, mu, P_max, N_max=60, primes=None):
             out[m] = ((2.0 * m - x) * out[m - 1] - m * out[m - 2]) / m
         return out
 
-    all_primes = zt.sieve_primes(P_max) if primes is None else primes.primes
-    p_arr = all_primes[all_primes <= P_max].astype(float)
+    p_arr = zt.sieve_primes(P_max).astype(float)
     logp_all = np.log(p_arr)
     coeffs = np.zeros(M)
     sigma = mu + 0.5
@@ -347,15 +346,15 @@ def _reference_prime_sum(M, mu, P_max, N_max=60, primes=None):
 
 
 class TestRenormalized:
-    def test_prime_sum_matches_shifted_contour(self, prime_table_1e6):
+    def test_prime_sum_matches_shifted_contour(self):
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
-        ps = beta_renormalized_prime_sum(10, 1.5, 10**6, 60, primes=prime_table_1e6)
+        ps = beta_renormalized_prime_sum(10, 1.5, 10**6, 60)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
 
-    def test_prime_sum_at_spec_cutoff(self, prime_table_1e6):
+    def test_prime_sum_at_spec_cutoff(self):
         # P = 1e5 leaves a measured 1.2e-6 fluctuation gap to the contour
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
-        ps = beta_renormalized_prime_sum(10, 1.5, 10**5, 60, primes=prime_table_1e6)
+        ps = beta_renormalized_prime_sum(10, 1.5, 10**5, 60)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 2e-6
 
     @pytest.mark.parametrize("mu, P", [(1.2, 2.0), (1.2, 1e7), (1.7, 1e6), (2.5, 1e6)])
@@ -371,20 +370,12 @@ class TestRenormalized:
         got = rv._prime_tail_integrals(M, mu, P)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    @pytest.mark.parametrize("M, mu, P, table", [
-        (10, 1.5, 10**6, 10**6), (20, 1.05, 10**5, None), (3, 2.4, 2, None),
-        (1, 1.5, 1000, None), (10, 1.5, 5 * 10**4, 10**5),
+    @pytest.mark.parametrize("M, mu, P", [
+        (10, 1.5, 10**6), (20, 1.05, 10**5), (3, 2.4, 2), (1, 1.5, 1000), (10, 1.5, 5 * 10**4),
     ])
-    def test_prime_sum_bit_identical_to_table_reference(self, M, mu, P, table, prime_table_1e6):
-        primes = prime_table_1e6 if table == 10**6 else table and zt.PrimeTable.build(table)
-        got = beta_renormalized_prime_sum(M, mu, P, primes=primes).coefficients
-        assert np.array_equal(got, _reference_prime_sum(M, mu, P, primes=primes))
-
-    def test_prime_sum_refuses_short_table(self):
-        # a table short of P_max would drop the primes in (limit, P_max]
-        # while the tail integral still starts at P_max
-        with pytest.raises(ValueError, match=r"1000\b.*P_max = 1000000"):
-            beta_renormalized_prime_sum(3, 1.5, 10**6, primes=zt.PrimeTable.build(10**3))
+    def test_prime_sum_bit_identical_to_table_reference(self, M, mu, P):
+        got = beta_renormalized_prime_sum(M, mu, P).coefficients
+        assert np.array_equal(got, _reference_prime_sum(M, mu, P))
 
     def test_prime_sum_memory_does_not_grow_with_M(self):
         import tracemalloc

@@ -30,7 +30,7 @@ EXEMPT = {
     ("output", "read_csv"),
 }
 
-# Orphans whose deletion is scheduled (ROADMAP open item 5) but not yet
+# Orphans whose deletion is scheduled (ROADMAP open item 8) but not yet
 # done, so that one change does not take away more than a few dozen unit
 # tests at once.  A deferred class defers its members too.  This set only
 # ever shrinks.
