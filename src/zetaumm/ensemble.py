@@ -4,14 +4,21 @@ pair-correlation reports against the sine-kernel prediction.
 
 Determinism contract: every stream is a pure function of (seed, chain
 index); chains never share random state, so results are independent of how
-chains are scheduled.
+chains are scheduled.  CUE samples and Metropolis chains are split into one
+contiguous block per CPU the process may use (os.sched_getaffinity); each
+block past the first runs in a forked child.  A CUE block skips ahead in the
+single (seed, 0) stream by drawing and discarding the normals of the samples
+before it, so every result is bit-identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +35,60 @@ PLAQUETTE_DENSITY_SIGN = -1.0
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chain))))
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """Contiguous bounds [lo, hi) covering range(n), one per CPU this process
+    may use (none empty); a single block where os.fork is missing."""
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    w = max(1, min(n, cpus))
+    return [(k * n // w, (k + 1) * n // w) for k in range(w)]
+
+
+def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
+    """[fn(*args) for args in parts]: parts[0] here, each other part in a
+    forked child that pickles its result, or the exception it raised, into a
+    pipe.  A child's exception is raised again here; every child is reaped
+    on every path.  Forked children start with the modules and inputs
+    already in memory, where a spawned one would import numpy again."""
+    children = []
+    try:
+        for args in parts[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: never returns
+                try:
+                    os.close(r)
+                    try:
+                        payload = (True, fn(*args))
+                    except BaseException as exc:
+                        payload = (False, exc)
+                    with open(w, "wb") as fh:
+                        pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [fn(*parts[0])]
+        for pid, fh in children:
+            try:  # protocol 5 reads an array's bytes straight into its buffer
+                ok, value = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"worker process {pid} exited without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -47,15 +108,25 @@ def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    blocks = _in_parallel(_cue_block, [(N, seed, lo, hi) for lo, hi in _blocks(samples)])
+    return EnsembleSample(N, np.concatenate(blocks))
+
+
+def _cue_block(N: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Eigenphases of samples lo..hi-1: the (seed, 0) stream skips the two
+    N x N normal blocks of each earlier sample, one block at a time."""
     rng = _chain_rng(seed, 0)
-    out = np.empty((samples, N))
-    for k in range(samples):
+    skip = np.empty((N, N))
+    for _ in range(2 * lo):
+        rng.standard_normal(out=skip)
+    out = np.empty((hi - lo, N))
+    for k in range(hi - lo):
         A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
         Q, R = np.linalg.qr(A / math.sqrt(2.0))
         d = np.diagonal(R)
         Q = Q * (d / np.abs(d))
         out[k] = _eigenphases(Q)
-    return EnsembleSample(N, out)
+    return out
 
 
 def _eigenphases(Q: np.ndarray) -> np.ndarray:
@@ -115,44 +186,75 @@ class PlaquetteRun:
         return float(self.density.min())
 
 
-def _log_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log 4 sin^2((a_i - b_j)/2) per chain (row), with the i = j entry pinned
-    to log 1 = 0 so that a site drops out of its own Vandermonde sum."""
-    s = 4.0 * np.sin(0.5 * (a[:, :, None] - b[:, None, :])) ** 2
-    s.reshape(len(a), -1)[:, :: a.shape[1] + 1] = 1.0
-    return np.log(s)
+def _log_pairs(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """log 4 sin^2((a_i - b_j)/2) per chain (row) into out, with the i = j
+    entry pinned to log 1 = 0 so that a site drops out of its own
+    Vandermonde sum."""
+    np.subtract(a[:, :, None], b[:, None, :], out=out)
+    np.multiply(out, 0.5, out=out)
+    np.sin(out, out=out)
+    np.square(out, out=out)
+    np.multiply(out, 4.0, out=out)
+    diag = np.arange(a.shape[1])
+    out[:, diag, diag] = 1.0
+    np.log(out, out=out)
 
 
-def _sweep(theta, pairs, betas, widths, rngs) -> np.ndarray:
+def _sweep(theta, rows, swaps, betas, widths, rngs) -> np.ndarray:
     """One Metropolis sweep over all sites of all chains (rows of theta), in
     place; returns the accepted count per chain.  Each chain draws its N
-    proposals, then its N uniforms, from its own stream.  `pairs` is
-    _log_pairs(theta, theta), carried between sweeps; site i sums row i of
-    it and of the proposal table, and accepting site i swaps column i of
-    both for the column of its proposal."""
+    proposals, then its N uniforms, from its own stream.  rows[1] holds
+    _log_pairs(theta, theta), carried between sweeps, and the sweep writes
+    the proposal table into rows[0]; site i sums row i of both, and
+    accepting site i swaps column i of both for the column of its proposal,
+    taken from `swaps`.  Both buffers are (proposal/current, chain, N, N)."""
     C, N = theta.shape
     steps = np.array([r.standard_normal(N) for r in rngs])
     us = np.array([r.random(N) for r in rngs])
     props = theta + np.array(widths)[:, None] * steps
     props = (props + math.pi) % TWO_PI - math.pi
-    prop_theta = _log_pairs(props, theta)
-    rows = np.stack([prop_theta, pairs], axis=1)  # (chain, proposal/current, i, j)
+    _log_pairs(props, theta, rows[0])
+    _log_pairs(props, props, swaps[0])
     # sin^2 is even, so the transpose holds the current rows' proposal columns
-    swaps = np.stack([_log_pairs(props, props), prop_theta.swapaxes(1, 2)], axis=1)
+    np.copyto(swaps[1], rows[0].swapaxes(1, 2))
     pot = np.zeros((2, C, N))  # N sum_n (2 beta_n / n) cos(n theta) at (proposal, current)
     for n, beta in enumerate(betas):
         pot += (2.0 * beta / (n + 1)) * np.cos((n + 1) * np.stack([props, theta]))
     gain0, u = (N * pot[1] - N * pot[0]).T.tolist(), us.T.tolist()
     accept = np.zeros((C, N), dtype=bool)
     for i in range(N):
-        sums = np.add.reduce(rows[:, :, i], axis=-1).tolist()
-        for c, (s_new, s_old) in enumerate(sums):
-            if u[i][c] < math.exp(min(0.0, (s_new - s_old) + gain0[i][c])):
+        s_new, s_old = np.add.reduce(rows[:, :, i], axis=-1).tolist()
+        for c in range(C):
+            if u[i][c] < math.exp(min(0.0, (s_new[c] - s_old[c]) + gain0[i][c])):
                 accept[c, i] = True
-                rows[c, :, :, i] = swaps[c, :, :, i]
-    theta[accept] = props[accept]
-    pairs[:] = np.where(accept[:, :, None], rows[:, 0], rows[:, 1])
+                rows[:, c, :, i] = swaps[:, c, :, i]
+    np.copyto(theta, props, where=accept)
+    np.copyto(rows[1], rows[0], where=accept[:, :, None])
     return accept.sum(axis=1)
+
+
+def _chain_group(N: int, betas: np.ndarray, sweeps: int, burn_in: int, seed: int,
+                 first: int, stop: int) -> tuple[np.ndarray, int]:
+    """Chains first..stop-1 in lockstep: their retained phases (chain
+    first + c, sweep s in row c * sweeps + s) and the count of proposals
+    accepted after burn-in."""
+    rngs = [_chain_rng(seed, c) for c in range(first, stop)]
+    C = len(rngs)
+    theta = np.sort([r.uniform(-math.pi, math.pi, N) for r in rngs], axis=1)
+    rows = np.empty((2, C, N, N))  # (proposal/current, chain, i, j)
+    swaps = np.empty_like(rows)
+    _log_pairs(theta, theta, rows[1])
+    widths = [0.5] * C
+    for _ in range(burn_in):
+        acc = _sweep(theta, rows, swaps, betas, widths, rngs)
+        widths = [min(max(w * math.exp(0.5 * (a / N - 0.4)), 1e-3), math.pi)
+                  for w, a in zip(widths, acc)]
+    phases = np.empty((C * sweeps, N))
+    accepted = 0
+    for sweep in range(sweeps):
+        accepted += int(_sweep(theta, rows, swaps, betas, widths, rngs).sum())
+        phases[sweep::sweeps] = np.sort(theta, axis=1)
+    return phases, accepted
 
 
 def plaquette_mc(
@@ -179,20 +281,10 @@ def plaquette_mc(
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
     if min(N, chains, sweeps, bins) < 1 or burn_in < 0:
         raise ValueError("N, chains, sweeps and bins must be >= 1 and burn_in >= 0")
-    rngs = [_chain_rng(seed, c) for c in range(chains)]
-    theta = np.sort([r.uniform(-math.pi, math.pi, N) for r in rngs], axis=1)
-    pairs = _log_pairs(theta, theta)
-    widths = [0.5] * chains
-    for _ in range(burn_in):
-        acc = _sweep(theta, pairs, betas, widths, rngs)
-        widths = [min(max(w * math.exp(0.5 * (a / N - 0.4)), 1e-3), math.pi)
-                  for w, a in zip(widths, acc)]
-    phases = np.empty((chains * sweeps, N))  # chain c, sweep s in row c * sweeps + s
-    accepted_total = 0
-    for sweep in range(sweeps):
-        accepted_total += int(_sweep(theta, pairs, betas, widths, rngs).sum())
-        phases[sweep::sweeps] = np.sort(theta, axis=1)
-    rate = accepted_total / (chains * sweeps * N)
+    groups = _in_parallel(_chain_group, [(N, betas, sweeps, burn_in, seed, lo, hi)
+                                         for lo, hi in _blocks(chains)])
+    phases = np.concatenate([p for p, _ in groups])  # chain c, sweep s in row c * sweeps + s
+    rate = sum(a for _, a in groups) / (chains * sweeps * N)
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))
@@ -272,14 +364,14 @@ def pair_correlation(
             raise ValueError("need at least 10^3 points after pooling")
         N = points.size
         L = float(N)
-        refs = 0
-        for row in points.phases:
-            x = np.sort(row * N / TWO_PI)
-            d = (x[None, :] - x[:, None]) % L
-            np.fill_diagonal(d, np.inf)
+        diag = np.arange(N)
+        step = max(1, 32768 // (N * N))  # configurations per block: 256 KB of distances
+        for k in range(0, len(points.phases), step):
+            x = np.sort(points.phases[k : k + step] * N / TWO_PI, axis=1)
+            d = (x[:, None, :] - x[:, :, None]) % L
+            d[:, diag, diag] = np.inf
             counts += np.histogram(d[d <= r_max], bins=edges)[0]
-            refs += N
-        denom = refs * (edges[1] - edges[0])
+        denom = len(points.phases) * N * (edges[1] - edges[0])
     else:
         x = np.sort(np.asarray(points, dtype=float))
         if x.size < 1000:

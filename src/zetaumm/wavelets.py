@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .padics import (
     Rational,
     additive_character,
@@ -93,8 +95,6 @@ def inner_product(a: WaveletIndex, b: WaveletIndex) -> complex:
 
 def gram_matrix(p: int, n_max: int):
     """Gram matrix of the restricted basis labels 1..n_max."""
-    import numpy as np
-
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
@@ -125,8 +125,13 @@ def vladimirov_eigenvalue(p: int, alpha: complex, scale: int) -> complex:
     return complex(p) ** (complex(alpha) * (1 - scale))
 
 
+def _one_minus_power(p: int, a: complex) -> complex:
+    """1 - p^a without cancellation at small |a|."""
+    return complex(-np.expm1(complex(a) * np.log(p)))
+
+
 def _kernel_prefactor(p: int, alpha: complex) -> complex:
-    num = 1.0 - complex(p) ** complex(alpha)
+    num = _one_minus_power(p, alpha)
     den = 1.0 - complex(p) ** (-complex(alpha) - 1.0)
     return num / den
 
@@ -183,7 +188,7 @@ def vladimirov_kernel_apply(
         total += pf ** ((alpha + 1.0) * j) * shell_int
     # tail |xi'| > p^B: psi vanishes there and |xi'-xi| = |xi'|
     q = pf ** (-alpha)
-    tail = -f_xi * (1.0 - 1.0 / pf) * q ** (B + 1) / (1.0 - q)
+    tail = -f_xi * (1.0 - 1.0 / pf) * q ** (B + 1) / _one_minus_power(p, -alpha)
     total += tail
     return _kernel_prefactor(p, alpha) * total
 

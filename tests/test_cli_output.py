@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import zetaumm
-from zetaumm import cli, output, traceform
+from zetaumm import cli, output, traceform, wavelets
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
 from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_explicit
@@ -240,13 +240,23 @@ class TestCLI:
         assert "residual" in err and "total_bound" in err and "prime_tail 0.02" in err
         assert "differ by 0.5" in err
 
-    def test_wavelet_check_exit_two_names_its_reason(self, tmp_path, capsys):
-        # at alpha = 1e-10 the scale-0 kernel residual is 1.6e-6, over its 1e-6 limit
+    def test_wavelet_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
+        # an eigenvalue 1e-5 off makes the scale-0 relative residual 1e-5/2
+        monkeypatch.setattr(wavelets, "vladimirov_eigenvalue",
+                            lambda p, alpha, scale: complex(p) ** (alpha * (1 - scale)) + 1e-5)
         out = tmp_path / "w.json"
-        assert main(["wavelet-check", "--alpha", "1e-10", "--out", str(out), "--format", "json"]) == 2
+        assert main(["wavelet-check", "--out", str(out), "--format", "json"]) == 2
         assert json.loads(out.read_text())["pass"] is False  # written before the exit
         err = capsys.readouterr().err
-        assert "kernel(scale=0): residual 1.6e-06 is not below 1e-06" in err
+        assert "kernel(scale=0): residual 5e-06 is not below 1e-06" in err
+
+    @pytest.mark.parametrize("alpha", ["1e-10", "1e-11", "1e-12"])
+    def test_wavelet_check_passes_at_small_alpha(self, tmp_path, alpha):
+        # 1 - p^(+-alpha) by expm1: the plain difference lost ~|log10 alpha|
+        # digits and failed the 1e-6 limit here
+        out = tmp_path / "w.json"
+        assert main(["wavelet-check", "--alpha", alpha, "--out", str(out), "--format", "json"]) == 0
+        assert max(json.loads(out.read_text())["kernel"]["residual"]) < 1e-15
 
     def test_padic_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
         shell = ShellSum(value=1.0, tail_bound=1e-9, closed_form=1.5)

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from zetaumm import ensemble
 from zetaumm.ensemble import (
     PLAQUETTE_DENSITY_SIGN,
     _chain_rng,
@@ -59,6 +61,96 @@ class TestCUE:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             sample_cue(1, 10, seed=0)
+
+    @pytest.mark.parametrize("N, samples, seed, digest", [
+        (2, 1001, 3, "aae0fbce18965c0fca4192a0e18126ea0b78c6265ece27c2cc17ff636a0898f3"),
+        (8, 301, 4, "cbb690ffacba64920a2b66c10825d470f4b28da885138e8a3740e3d5054669b0"),
+        (40, 61, 5, "d9a0147f24874501708ed8933c31b932a4e43ed91e0a798cbb82db663f4822a0"),
+    ])
+    def test_phases_pinned(self, N, samples, seed, digest):
+        # sha256 of the phases of the one-process, one-matrix-at-a-time
+        # sampler (IEEE float64, x86-64 glibc libm); no sample count here
+        # is a multiple of 2 or 3
+        assert hashlib.sha256(sample_cue(N, samples, seed).phases.tobytes()).hexdigest() == digest
+
+
+def _cpus(monkeypatch, n):
+    """Make the ensemble layer see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """Blocks of CUE samples and groups of chains in forked children."""
+
+    @pytest.mark.parametrize("N, samples", [(2, 1001), (8, 301), (40, 61)])
+    def test_cue_independent_of_cpu_count(self, monkeypatch, N, samples):
+        runs = []
+        for n in (1, 2, 3):
+            _cpus(monkeypatch, n)
+            runs.append(sample_cue(N, samples, seed=N).phases)
+        assert all(np.array_equal(runs[0], r) for r in runs[1:])
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("chains", [1, 3, 4])
+    def test_plaquette_independent_of_cpu_count(self, monkeypatch, chains):
+        runs = []
+        for n in (1, 2, 3):
+            _cpus(monkeypatch, n)
+            run = plaquette_mc(10, [0.15, 0.04], sweeps=40, burn_in=15, seed=8, chains=chains)
+            runs.append((run.sample.phases, run.density, run.acceptance_rate))
+        for phases, density, rate in runs[1:]:
+            assert np.array_equal(phases, runs[0][0]) and np.array_equal(density, runs[0][1])
+            assert rate == runs[0][2]
+        _assert_no_child_left()
+
+    def test_blocks_cover_the_range(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        assert ensemble._blocks(7) == [(0, 2), (2, 4), (4, 7)]
+        assert ensemble._blocks(2) == [(0, 1), (1, 2)]
+        assert ensemble._blocks(0) == [(0, 0)]
+        monkeypatch.delattr(os, "fork")
+        assert ensemble._blocks(7) == [(0, 7)]
+
+    def _raise_in(self, monkeypatch, where, exc):
+        parent = os.getpid()
+        original = ensemble._eigenphases
+
+        def eigenphases(Q):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise exc
+            return original(Q)
+
+        monkeypatch.setattr(ensemble, "_eigenphases", eigenphases)
+
+    def test_child_exception_raised_in_parent(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        self._raise_in(monkeypatch, "child", FloatingPointError("raised in a child"))
+        with pytest.raises(FloatingPointError, match="raised in a child"):
+            sample_cue(8, 30, seed=1)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("raised here"), KeyboardInterrupt()])
+    def test_parent_exception_reaps_children(self, monkeypatch, exc):
+        _cpus(monkeypatch, 3)
+        self._raise_in(monkeypatch, "parent", exc)
+        with pytest.raises(type(exc)):
+            sample_cue(8, 30, seed=1)
+        _assert_no_child_left()
+
+    def test_child_without_result(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+        original = ensemble._eigenphases
+        monkeypatch.setattr(ensemble, "_eigenphases",
+                            lambda Q: original(Q) if os.getpid() == parent else os._exit(3))
+        with pytest.raises(ChildProcessError, match="without a result"):
+            sample_cue(8, 30, seed=1)
+        _assert_no_child_left()
 
 
 def _circular_error(a, b):
@@ -204,7 +296,29 @@ class TestPlaquetteMC:
         assert ks_2samp(mc_gaps, cue_gaps).pvalue > 1e-3
 
 
+def _reference_r2(sample, bins=50, r_max=5.0):
+    """The one-configuration-at-a-time histogram that pair_correlation's
+    blocked loop replaced."""
+    N = sample.size
+    edges = np.linspace(0.0, r_max, bins + 1)
+    counts = np.zeros(bins)
+    for row in sample.phases:
+        x = np.sort(row * N / TWO_PI)
+        d = (x[None, :] - x[:, None]) % float(N)
+        np.fill_diagonal(d, np.inf)
+        counts += np.histogram(d[d <= r_max], bins=edges)[0]
+    return counts / (len(sample.phases) * N * (edges[1] - edges[0]))
+
+
 class TestPairCorrelation:
+    @pytest.mark.parametrize("N, samples, bins, r_max", [
+        (40, 203, 50, 5.0), (80, 31, 50, 5.0), (181, 7, 30, 3.0), (6, 400, 20, 2.5),
+    ])
+    def test_blocked_histogram_matches_row_loop(self, N, samples, bins, r_max):
+        # 181^2 > 32768: blocks of one configuration
+        s = sample_cue(N, samples, seed=samples)
+        assert np.array_equal(pair_correlation(s, bins, r_max).r2, _reference_r2(s, bins, r_max))
+
     def test_cue_matches_sine_kernel(self):
         s = sample_cue(40, 800, seed=11)
         rep = pair_correlation(s, bins=50, r_max=5.0)
