@@ -108,6 +108,8 @@ def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     blocks = _in_parallel(_cue_block, [(N, seed, lo, hi) for lo, hi in _blocks(samples)])
     return EnsembleSample(N, np.concatenate(blocks))
 
@@ -186,50 +188,59 @@ class PlaquetteRun:
         return float(self.density.min())
 
 
-def _log_pairs(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """log 4 sin^2((a_i - b_j)/2) per chain (row) into out, with the i = j
-    entry pinned to log 1 = 0 so that a site drops out of its own
-    Vandermonde sum."""
-    np.subtract(a[:, :, None], b[:, None, :], out=out)
-    np.multiply(out, 0.5, out=out)
-    np.sin(out, out=out)
-    np.square(out, out=out)
-    np.multiply(out, 4.0, out=out)
-    diag = np.arange(a.shape[1])
-    out[:, diag, diag] = 1.0
-    np.log(out, out=out)
+def _site_terms(x: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos x, sin x) stacked, and sum_n (2 beta_n/n) cos(n x): the one-site action / N."""
+    pot = np.zeros_like(x)
+    for n, beta in enumerate(betas, 1):
+        pot += (2.0 * beta / n) * np.cos(n * x)
+    return np.stack([np.cos(x), np.sin(x)]), pot
 
 
-def _sweep(theta, rows, swaps, betas, widths, rngs) -> np.ndarray:
-    """One Metropolis sweep over all sites of all chains (rows of theta), in
+def _log_chords(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log |e^{i a_k} - e^{i b_j}|^2 = log((cos a_k - cos b_j)^2 + (sin a_k -
+    sin b_j)^2) at [chain, k, j], from (cos, sin) stacks of shape (2, chain,
+    N); k = j is pinned to log 1 = 0: a site drops out of its own sum."""
+    d = np.square(a[:, :, :, None] - b[:, :, None, :])
+    out = d[0] + d[1]
+    out.reshape(len(out), -1)[:, :: a.shape[2] + 1] = 1.0  # the k = j entries
+    return np.log(out, out=out)
+
+
+def _sweep(theta, trig, pot, B, betas, widths, rngs) -> np.ndarray:
+    """One Metropolis sweep over the sites of every chain (rows of theta), in
     place; returns the accepted count per chain.  Each chain draws its N
-    proposals, then its N uniforms, from its own stream.  rows[1] holds
-    _log_pairs(theta, theta), carried between sweeps, and the sweep writes
-    the proposal table into rows[0]; site i sums row i of both, and
-    accepting site i swaps column i of both for the column of its proposal,
-    taken from `swaps`.  Both buffers are (proposal/current, chain, N, N)."""
+    proposals, then its N uniforms, from its own stream and visits its sites
+    in order.  trig, pot = _site_terms(theta) and B = L(theta, theta), L =
+    _log_chords, are carried.  Site i's change of the log Vandermonde sum
+    starts as the row-i sum of A = L(props, theta) minus B's; accepting site
+    k adds row k of W = P - A - A^T + B, P = L(props, props), to each later
+    site's.  The decisions, so the phases, are the site-by-site loop's: it
+    sums in another order, rounds its potential otherwise and takes
+    log 4 sin^2 for the chord form (error <~ 5e-16/|chord|), so they can
+    differ only where a uniform lands that close to its threshold."""
     C, N = theta.shape
     steps = np.array([r.standard_normal(N) for r in rngs])
     us = np.array([r.random(N) for r in rngs])
     props = theta + np.array(widths)[:, None] * steps
     props = (props + math.pi) % TWO_PI - math.pi
-    _log_pairs(props, theta, rows[0])
-    _log_pairs(props, props, swaps[0])
-    # sin^2 is even, so the transpose holds the current rows' proposal columns
-    np.copyto(swaps[1], rows[0].swapaxes(1, 2))
-    pot = np.zeros((2, C, N))  # N sum_n (2 beta_n / n) cos(n theta) at (proposal, current)
-    for n, beta in enumerate(betas):
-        pot += (2.0 * beta / (n + 1)) * np.cos((n + 1) * np.stack([props, theta]))
-    gain0, u = (N * pot[1] - N * pot[0]).T.tolist(), us.T.tolist()
+    trig_p, pot_p = _site_terms(props, betas)
+    A, P = _log_chords(trig_p, trig), _log_chords(trig_p, trig_p)
+    delta = A.sum(axis=2) - B.sum(axis=2)
+    W = P - A - A.swapaxes(1, 2) + B
+    gain = (N * pot - N * pot_p).tolist()
     accept = np.zeros((C, N), dtype=bool)
-    for i in range(N):
-        s_new, s_old = np.add.reduce(rows[:, :, i], axis=-1).tolist()
-        for c in range(C):
-            if u[i][c] < math.exp(min(0.0, (s_new[c] - s_old[c]) + gain0[i][c])):
+    for c in range(C):
+        d, w, u, g = delta[c], W[c], us[c].tolist(), gain[c]
+        for i in range(N):
+            if u[i] < math.exp(min(0.0, d[i] + g[i])):
                 accept[c, i] = True
-                rows[:, c, :, i] = swaps[:, c, :, i]
-    np.copyto(theta, props, where=accept)
-    np.copyto(rows[1], rows[0], where=accept[:, :, None])
+                d[i + 1 :] += w[i, i + 1 :]
+    # next B: L(theta_i, props_j) for accepted j, then L(props_i, new_j) in accepted rows
+    np.copyto(B, A.swapaxes(1, 2), where=accept[:, None, :])
+    np.copyto(A, P, where=accept[:, None, :])
+    np.copyto(B, A, where=accept[:, :, None])
+    for old, new in ((theta, props), (trig, trig_p), (pot, pot_p)):
+        np.copyto(old, new, where=accept)
     return accept.sum(axis=1)
 
 
@@ -239,20 +250,18 @@ def _chain_group(N: int, betas: np.ndarray, sweeps: int, burn_in: int, seed: int
     first + c, sweep s in row c * sweeps + s) and the count of proposals
     accepted after burn-in."""
     rngs = [_chain_rng(seed, c) for c in range(first, stop)]
-    C = len(rngs)
     theta = np.sort([r.uniform(-math.pi, math.pi, N) for r in rngs], axis=1)
-    rows = np.empty((2, C, N, N))  # (proposal/current, chain, i, j)
-    swaps = np.empty_like(rows)
-    _log_pairs(theta, theta, rows[1])
-    widths = [0.5] * C
+    trig, pot = _site_terms(theta, betas)
+    state = (theta, trig, pot, _log_chords(trig, trig))
+    widths = [0.5] * len(rngs)
     for _ in range(burn_in):
-        acc = _sweep(theta, rows, swaps, betas, widths, rngs)
+        acc = _sweep(*state, betas, widths, rngs)
         widths = [min(max(w * math.exp(0.5 * (a / N - 0.4)), 1e-3), math.pi)
                   for w, a in zip(widths, acc)]
-    phases = np.empty((C * sweeps, N))
+    phases = np.empty((len(rngs) * sweeps, N))
     accepted = 0
     for sweep in range(sweeps):
-        accepted += int(_sweep(theta, rows, swaps, betas, widths, rngs).sum())
+        accepted += int(_sweep(*state, betas, widths, rngs).sum())
         phases[sweep::sweeps] = np.sort(theta, axis=1)
     return phases, accepted
 
@@ -288,12 +297,7 @@ def plaquette_mc(
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))
-    return PlaquetteRun(
-        sample=EnsembleSample(N, phases),
-        bin_edges=edges,
-        density=density,
-        acceptance_rate=float(rate),
-    )
+    return PlaquetteRun(EnsembleSample(N, phases), edges, density, float(rate))
 
 
 def acceptance_in_band(run: PlaquetteRun) -> bool:
@@ -350,41 +354,42 @@ def pair_correlation(
 
     CUE samples unfold circularly by N/2pi (unit mean spacing); a point
     array is taken as already unfolded (zero ordinates: pass
-    unfold_zeros(ts)).  Directed pair distances up to r_max are
-    histogrammed and normalised per reference point.
+    unfold_zeros(ts)).  Distances from each reference point to its m-th
+    successor, m = 1, 2, ..., grow with m; they are histogrammed up to the
+    first m that brings none within r_max, normalised per reference point.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     if not r_max > 0:
         raise ValueError("r_max must be positive")
     edges = np.linspace(0.0, r_max, bins + 1)
-    counts = np.zeros(bins)
     if isinstance(points, EnsembleSample):
-        if points.phases.size < 1000:
-            raise ValueError("need at least 10^3 points after pooling")
-        N = points.size
-        L = float(N)
-        diag = np.arange(N)
-        step = max(1, 32768 // (N * N))  # configurations per block: 256 KB of distances
-        for k in range(0, len(points.phases), step):
-            x = np.sort(points.phases[k : k + step] * N / TWO_PI, axis=1)
-            d = (x[:, None, :] - x[:, :, None]) % L
-            d[:, diag, diag] = np.inf
-            counts += np.histogram(d[d <= r_max], bins=edges)[0]
-        denom = len(points.phases) * N * (edges[1] - edges[0])
+        N, phases = points.size, points.phases
+        step = max(1, 8192 // N)  # configurations per block: 64 KB of phases
+        blocks = (np.sort(phases[k : k + step] * N / TWO_PI, axis=1)
+                  for k in range(0, len(phases), step))
+        size, refs, period = phases.size, N, float(N)  # every point is a reference
     else:
-        x = np.sort(np.asarray(points, dtype=float))
-        if x.size < 1000:
-            raise ValueError("need at least 10^3 points after pooling")
         # one-sided directed distances: for a stationary unit-density
-        # process, E[#{j: x_j - x_i in dr}] = R2(r) dr per reference point
-        interior = np.nonzero(x <= x[-1] - r_max)[0]
-        refs = int(interior.size)
-        hi = np.searchsorted(x, x[interior] + r_max, side="right")
-        dists = np.concatenate(
-            [x[i + 1 : h] - x[i] for i, h in zip(interior, hi)]
-        ) if refs else np.zeros(0)
-        counts += np.histogram(dists, bins=edges)[0]
-        denom = refs * (edges[1] - edges[0])
+        # process, E[#{j: x_j - x_i in dr}] = R2(r) dr per interior
+        # reference point, x_i <= x_max - r_max
+        x = np.sort(np.asarray(points, dtype=float))[None, :]
+        refs = int(np.count_nonzero(x <= x[:, -1:] - r_max))
+        blocks, size, period = [x], x.size, None
+    if size < 1000:
+        raise ValueError("need at least 10^3 points after pooling")
+    counts = np.zeros(bins)
+    for x in blocks:
+        rows = x if period is None else np.tile(x, 2)  # rows[:, i + m] = x[:, (i + m) % N]
+        for m in range(1, x.shape[1]):
+            k = min(refs, rows.shape[1] - m)
+            d = rows[:, m : m + k] - rows[:, :k]
+            if period is not None:
+                d %= period
+            d = d[d <= r_max]
+            if not d.size:
+                break
+            counts += np.histogram(d, bins=edges)[0]
+    denom = (refs if period is None else size) * (edges[1] - edges[0])
     centers = 0.5 * (edges[1:] + edges[:-1])
     return CorrelationReport(centers, counts / denom, sine_kernel_r2(centers))

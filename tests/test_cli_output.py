@@ -18,6 +18,11 @@ from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_exp
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def _read(path, mode="r", **kwargs):
+    with open(path, mode, **kwargs) as fh:
+        return fh.read()
+
+
 class TestOutput:
     def test_csv_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -34,7 +39,7 @@ class TestOutput:
     def test_json_structure(self, tmp_path):
         path = str(tmp_path / "t.json")
         output.write_json(path, {"arr": np.array([1.5, 2.5]), "z": 1 + 2j}, {"k": 3})
-        doc = json.loads(open(path).read())
+        doc = json.loads(_read(path))
         assert doc["metadata"]["k"] == 3
         assert doc["arr"] == [1.5, 2.5]
         assert doc["z"] == {"real": 1.0, "imag": 2.0}
@@ -49,9 +54,9 @@ class TestCLI:
     def test_output_reproducible_bit_for_bit(self, tmp_path, argv):
         out = str(tmp_path / "pc.csv")
         assert main(argv + ["--out", out]) == 0
-        first = open(out, "rb").read()
+        first = _read(out, "rb")
         assert main(argv + ["--out", out]) == 0
-        assert open(out, "rb").read() == first
+        assert _read(out, "rb") == first
 
     def test_csv_and_json_carry_same_numbers(self, tmp_path):
         csv_path = str(tmp_path / "b.csv")
@@ -60,7 +65,7 @@ class TestCLI:
         assert main(base + ["--out", csv_path]) == 0
         assert main(base + ["--out", json_path, "--format", "json"]) == 0
         cols, _ = output.read_csv(csv_path)
-        doc = json.loads(open(json_path).read())
+        doc = json.loads(_read(json_path))
         assert np.array_equal(np.asarray(doc["series"]["value"]), cols["value"])
 
     def test_unknown_flag_exits_one(self, capsys):
@@ -82,6 +87,8 @@ class TestCLI:
         (["betas", "--model", "gamma", "--mmax", "0"], "M must be >= 1"),
         (["cue-sample", "--n", "4", "--samples", "10", "--bins", "0"], "bins must be >= 1"),
         (["cue-sample", "--n", "4", "--samples", "10", "--rmax", "0"], "r_max must be positive"),
+        (["cue-sample", "--n", "4", "--samples", "-5"], "samples must be >= 1"),
+        (["cue-sample", "--n", "4", "--samples", "0"], "samples must be >= 1"),
         (["plaquette-mc", "--bins", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--sweeps", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--chains", "0"], "chains, sweeps and bins must be >= 1"),
@@ -208,7 +215,7 @@ class TestCLI:
                    "--primes-max", "10000", "--width", "1.0",
                    "--out", out, "--format", "json"])
         assert rc == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(_read(out))
         assert abs(doc["residual"]) <= doc["bounds"]["total"]
 
     def test_li_disagreement_exits_two(self, tmp_path, zeros_2000, capsys):
@@ -235,7 +242,7 @@ class TestCLI:
         rc = main(["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "50",
                    "--primes-max", "100", "--out", out, "--format", "json"])
         assert rc == 2
-        assert json.loads(open(out).read())["residual"] == 0.5
+        assert json.loads(_read(out))["residual"] == 0.5
         err = capsys.readouterr().err
         assert "residual" in err and "total_bound" in err and "prime_tail 0.02" in err
         assert "differ by 0.5" in err
@@ -294,7 +301,7 @@ class TestCLI:
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert err == f"zetaumm: 2 of 4 ordinates of {zeros} failed validation (first t = 17.25)\n"
-        assert "17.25" not in open(out).read()
+        assert "17.25" not in _read(out)
         zeros.write_text("17.25\n")  # nothing left to expand over
         for argv in (argv, ["li", "--zeros", str(zeros), "--out", out],
                      ["trace-check", "--zeros", str(zeros), "--out", out]):
@@ -312,7 +319,7 @@ class TestCLI:
         assert cols["explicit"][0] == local_count_explicit(3, 10.0, 500)
 
     def test_readme_commands_parse(self):
-        text = open(README, encoding="utf-8").read()
+        text = _read(README, encoding="utf-8")
         block = re.search(r"## CLI\n.*?```\n(.*?)```", text, re.S).group(1)
         lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("zetaumm ")]
         parser = build_parser()

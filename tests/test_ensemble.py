@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
@@ -61,6 +62,9 @@ class TestCUE:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             sample_cue(1, 10, seed=0)
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                sample_cue(4, samples, seed=0)
 
     @pytest.mark.parametrize("N, samples, seed, digest", [
         (2, 1001, 3, "aae0fbce18965c0fca4192a0e18126ea0b78c6265ece27c2cc17ff636a0898f3"),
@@ -198,7 +202,8 @@ class TestCayleyPhases:
 
 def _reference_chain(N, betas, sweeps, burn_in, seed, chain):
     """The single-chain, site-by-site Metropolis loop that plaquette_mc
-    replaced, kept as the bit-for-bit reference of the lockstep sweep."""
+    replaced, kept as the bit-for-bit reference of the lockstep sweep:
+    retained phases and the count of proposals accepted after burn-in."""
 
     def potential(t):
         return N * sum((2.0 * b / (n + 1)) * math.cos((n + 1) * t) for n, b in enumerate(betas))
@@ -223,11 +228,11 @@ def _reference_chain(N, betas, sweeps, burn_in, seed, chain):
     width = 0.5
     for _ in range(burn_in):
         width = min(max(width * math.exp(0.5 * (sweep(theta, width) / N - 0.4)), 1e-3), math.pi)
-    out = []
+    out, accepted = [], 0
     for _ in range(sweeps):
-        sweep(theta, width)
+        accepted += sweep(theta, width)
         out.append(np.sort(theta))
-    return np.array(out)
+    return np.array(out), accepted
 
 
 class TestPlaquetteMC:
@@ -275,8 +280,33 @@ class TestPlaquetteMC:
     @pytest.mark.parametrize("N, betas, chains", [(6, [], 2), (9, [0.15, -0.05, 0.02], 3)])
     def test_matches_one_chain_reference(self, N, betas, chains):
         run = plaquette_mc(N, betas, sweeps=30, burn_in=25, seed=3, chains=chains)
-        ref = np.concatenate([_reference_chain(N, betas, 30, 25, 3, c) for c in range(chains)])
+        ref = np.concatenate([_reference_chain(N, betas, 30, 25, 3, c)[0] for c in range(chains)])
         assert np.array_equal(run.sample.phases, ref)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("N, betas, chains", [(48, [0.2, 0.05], 1), (32, [0.25], 4)])
+    def test_matches_reference_at_benchmark_shapes(self, N, betas, chains, seed):
+        # the shapes of the benchmark's plaquette-mc jobs: one chain, and
+        # four chains in one group per usable CPU
+        run = plaquette_mc(N, betas, sweeps=300, burn_in=60, seed=seed, chains=chains)
+        refs = [_reference_chain(N, betas, 300, 60, seed, c) for c in range(chains)]
+        assert np.array_equal(run.sample.phases, np.concatenate([p for p, _ in refs]))
+        assert run.acceptance_rate == sum(a for _, a in refs) / (chains * 300 * N)
+
+    def test_chord_table_against_sine_form(self):
+        # log |e^{ia} - e^{ib}|^2 = log 4 sin^2((a - b)/2), in 40-digit
+        # arithmetic from the same doubles; pairs 1e-3 apart, two of them
+        # across the cut at +-pi
+        a = np.array([-math.pi + 5e-4, math.pi - 5e-4, math.pi - 1.5e-3, 0.0, 1e-3, 2e-3,
+                      0.7, 1.3, -2.2, 3.0, -3.0, -1.0, -1.001])
+        gaps = np.abs(np.angle(np.exp(1j * (a[:, None] - a[None, :]))))
+        assert gaps[~np.eye(a.size, dtype=bool)].min() > 0.999e-3
+        L = ensemble._log_chords(*[np.stack([np.cos(a), np.sin(a)])[:, None, :]] * 2)[0]
+        with mpmath.workdps(40):
+            ref = np.array([[float(mpmath.log(4 * mpmath.sin((mpmath.mpf(x) - mpmath.mpf(y)) / 2) ** 2))
+                             if i != j else 0.0 for j, y in enumerate(a)] for i, x in enumerate(a)])
+        assert np.abs(L - ref).max() <= 1e-12
+        assert (np.diagonal(L) == 0.0).all()
 
     def test_same_seed_same_histogram(self):
         a = plaquette_mc(16, [0.2], sweeps=100, burn_in=50, seed=11, chains=2)
@@ -297,8 +327,8 @@ class TestPlaquetteMC:
 
 
 def _reference_r2(sample, bins=50, r_max=5.0):
-    """The one-configuration-at-a-time histogram that pair_correlation's
-    blocked loop replaced."""
+    """The one-configuration-at-a-time, all-pairs histogram that
+    pair_correlation's loop over forward offsets replaced."""
     N = sample.size
     edges = np.linspace(0.0, r_max, bins + 1)
     counts = np.zeros(bins)
@@ -310,14 +340,38 @@ def _reference_r2(sample, bins=50, r_max=5.0):
     return counts / (len(sample.phases) * N * (edges[1] - edges[0]))
 
 
+def _reference_point_r2(points, bins, r_max):
+    """The per-reference-point list comprehension that pair_correlation's
+    loop over forward offsets replaced, for an unfolded point array."""
+    edges = np.linspace(0.0, r_max, bins + 1)
+    x = np.sort(np.asarray(points, dtype=float))
+    interior = np.nonzero(x <= x[-1] - r_max)[0]
+    hi = np.searchsorted(x, x[interior] + r_max, side="right")
+    dists = np.concatenate([x[i + 1 : h] - x[i] for i, h in zip(interior, hi)])
+    return np.histogram(dists, bins=edges)[0] / (interior.size * (edges[1] - edges[0]))
+
+
 class TestPairCorrelation:
     @pytest.mark.parametrize("N, samples, bins, r_max", [
         (40, 203, 50, 5.0), (80, 31, 50, 5.0), (181, 7, 30, 3.0), (6, 400, 20, 2.5),
+        (2, 500, 10, 1.0), (2, 500, 16, 2.0), (3, 400, 25, 5.0), (8, 130, 40, 8.0),
+        (40, 30, 50, 50.0), (80, 13, 40, 0.3),
     ])
     def test_blocked_histogram_matches_row_loop(self, N, samples, bins, r_max):
-        # 181^2 > 32768: blocks of one configuration
+        # r_max >= N takes every offset of every row
         s = sample_cue(N, samples, seed=samples)
         assert np.array_equal(pair_correlation(s, bins, r_max).r2, _reference_r2(s, bins, r_max))
+
+    @pytest.mark.parametrize("bins, r_max", [(50, 5.0), (40, 4.0), (30, 0.3), (20, 50.0)])
+    def test_point_histogram_matches_list_comprehension(self, zeros_all, bins, r_max):
+        x = unfold_zeros(zeros_all.ts)
+        assert np.array_equal(pair_correlation(x, bins, r_max).r2, _reference_point_r2(x, bins, r_max))
+
+    def test_point_histogram_near_the_end_of_the_array(self):
+        # r_max is 60 % of the span, so the offsets run past the end of the
+        # array for the last reference points
+        pts = np.random.Generator(np.random.PCG64(3)).uniform(0.0, 100.0, 1000)
+        assert np.array_equal(pair_correlation(pts, 30, 60.0).r2, _reference_point_r2(pts, 30, 60.0))
 
     def test_cue_matches_sine_kernel(self):
         s = sample_cue(40, 800, seed=11)
