@@ -10,6 +10,7 @@ from their own metadata.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -17,11 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from . import ensemble, output, resolvent, traceform
+# each handler imports the other modules it calls, so a process loads only
+# what its command runs
+from . import __version__, output
 from . import zeta as zt
 from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
-from .wavelets import WaveletIndex, gram_matrix, vladimirov_apply
 from .zeta import NumericConsistencyError
 
 
@@ -163,6 +164,7 @@ def _cmd_padic_check(args) -> None:
           ("--alpha", dict(type=_finite, default=1.0)),
           ("--kernel-b", dict(type=int, default=12)))
 def _cmd_wavelet_check(args) -> None:
+    from .wavelets import WaveletIndex, gram_matrix, vladimirov_apply
     G = gram_matrix(args.prime, args.nmax)
     gram_dev = float(np.abs(G - np.eye(args.nmax)).max())
     rows = []
@@ -189,6 +191,7 @@ def _cmd_wavelet_check(args) -> None:
           ("--radius", dict(type=_finite, default=0.5)),
           ("--nodes", dict(type=int, default=512)))
 def _cmd_betas(args) -> None:
+    from . import resolvent
     model = resolvent.ResolventModel(args.model, p=args.prime, s0=args.s0)
     series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
     cols = {
@@ -208,6 +211,7 @@ def _cmd_betas(args) -> None:
           ("--grid-stop", dict(type=_finite, default=5.78)),
           ("--grid-points", dict(type=int, default=64)))
 def _cmd_density(args) -> None:
+    from . import resolvent
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     prof = resolvent.density_profile(args.prime, grid, args.spikes)
     kind = ["spike"] * prof.spike_angles.size + ["vprime"] * grid.size
@@ -270,6 +274,7 @@ def _cmd_li(args) -> None:
           ("--radius", dict(type=_finite, default=0.5)),
           ("--nodes", dict(type=int, default=1024)))
 def _cmd_beta_ren(args) -> None:
+    from . import resolvent
     if args.method == "prime_sum":
         series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax, args.powers)
     elif args.method == "shifted_contour":
@@ -296,6 +301,7 @@ def _cmd_beta_ren(args) -> None:
           ("--primes-max", dict(type=int, default=10**4)),
           ("--width", dict(type=_finite, default=1.0)))
 def _cmd_trace_check(args) -> None:
+    from . import traceform
     table = _ingest(args.zeros, max(args.nzeros, 50))
     primes = zt.PrimeTable.build(args.primes_max)
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
@@ -365,6 +371,7 @@ def _cmd_explicit_formula(args) -> None:
           ("--bins", dict(type=int, default=50)),
           ("--rmax", dict(type=_finite, default=5.0)))
 def _cmd_cue_sample(args) -> None:
+    from . import ensemble
     sample = ensemble.sample_cue(args.n, args.samples, args.seed)
     rep = ensemble.pair_correlation(sample, args.bins, args.rmax)
     cols = {
@@ -386,6 +393,7 @@ def _cmd_cue_sample(args) -> None:
           ("--chains", dict(type=int, default=4)),
           ("--bins", dict(type=int, default=64)))
 def _cmd_plaquette_mc(args) -> None:
+    from . import ensemble
     betas = [float(b) for b in args.betas.split(",")] if args.betas else []
     run = ensemble.plaquette_mc(args.n, betas, args.sweeps, args.burn_in,
                                 args.seed, args.chains, args.bins)
@@ -408,6 +416,7 @@ def _cmd_plaquette_mc(args) -> None:
           ("--mu", dict(type=_finite, default=0.5)),
           ("--qmax", dict(type=_finite, default=5.0)))
 def _cmd_comb(args) -> None:
+    from . import traceform
     comb = traceform.wigner_marginal_comb(args.prime, args.mu, args.qmax)
     cols = {"location": comb.locations, "weight": comb.weights}
     _emit(args, cols, {
@@ -477,5 +486,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
-if __name__ == "__main__":  # pragma: no cover
+def run() -> None:
+    """Process entry of `python -m zetaumm.cli` and the `zetaumm` script.
+    The heap the imports built is frozen before the command runs: the
+    exit skips its cyclic-GC sweep and forked workers inherit it frozen.
+    In-process callers use main()."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    run()

@@ -378,6 +378,9 @@ def pair_correlation(
         blocks, size, period = [x], x.size, None
     if size < 1000:
         raise ValueError("need at least 10^3 points after pooling")
+    if not refs:  # every point of the array lies within r_max of the largest
+        raise ValueError(f"r_max = {r_max:g} is not below the span {x[0, -1] - x[0, 0]:g} "
+                         "of the points: no reference point")
     counts = np.zeros(bins)
     for x in blocks:
         rows = x if period is None else np.tile(x, 2)  # rows[:, i + m] = x[:, (i + m) % N]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,28 +50,14 @@ def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Bernoulli numbers (exact, computed once)
-# ---------------------------------------------------------------------------
-
-
-def _bernoulli_upto(m: int) -> list[Fraction]:
-    """B_0..B_m by the defining recurrence, exact."""
-    out = [Fraction(1)]
-    for n in range(1, m + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += Fraction(math.comb(n + 1, k)) * out[k]
-        out.append(-acc / (n + 1))
-    return out
-
-
 _EM_ORDER = 12  # Bernoulli corrections of the Euler-Maclaurin kernel
-_BERNOULLI = _bernoulli_upto(2 * _EM_ORDER)
-# B_{2k} / (2k)! as binary64, k = 1.._EM_ORDER
-_B2K_OVER_FACT = np.array(
-    [float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(1, _EM_ORDER + 1)]
-)
+# B_{2k} / (2k)! as binary64, k = 1.._EM_ORDER (tests/test_zeta.py derives
+# them and _STIRLING from the exact Bernoulli numbers)
+_B2K_OVER_FACT = np.array([
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
+    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
+    8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+])
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +65,12 @@ _B2K_OVER_FACT = np.array(
 # ---------------------------------------------------------------------------
 
 # B_2k / (2k (2k-1)), k = 1.._EM_ORDER: Stirling's series of ln Gamma
-_STIRLING = np.array([float(_BERNOULLI[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, _EM_ORDER + 1)])
-# B_2k / 2k: the series of its derivative, digamma
+_STIRLING = np.array([
+    0.08333333333333333, -0.002777777777777778, 0.0007936507936507937, -0.0005952380952380953,
+    0.0008417508417508417, -0.0019175269175269176, 0.00641025641025641, -0.029550653594771242,
+    0.17964437236883057, -1.3924322169059011, 13.402864044168393, -156.84828462600203,
+])
+# (2k - 1) _STIRLING, B_2k / 2k to rounding: the series of its derivative, digamma
 _STIRLING_D = (2.0 * np.arange(1, _EM_ORDER + 1) - 1.0) * _STIRLING
 
 

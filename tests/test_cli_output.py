@@ -395,6 +395,53 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_package_import_loads_no_submodule(self):
+        proc = _fresh_python(
+            "import sys, zetaumm; loaded = lambda: sorted(m for m in sys.modules if "
+            "m.startswith('zetaumm.')); print(loaded()); print(zetaumm.ensemble.__name__, loaded())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "zetaumm.ensemble ['zetaumm.ensemble', "
+                                            "'zetaumm.padics', 'zetaumm.resolvent', 'zetaumm.zeta']"]
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            zetaumm.nope
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["padic-check", "--samples", "5"], []),
+        (["comb"], ["traceform"]),
+        (["cue-sample", "--n", "12", "--samples", "150"], ["ensemble", "resolvent"]),
+    ], ids=["padic-check", "comb", "cue-sample"])
+    def test_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
+        # main() leaves the heap unfrozen: only the process entry freezes it
+        proc = _fresh_python("import gc, sys; from zetaumm.cli import main; rc = main(sys.argv[1:]); "
+                             "print(rc, gc.get_freeze_count(), sorted(m.split('.')[1] for m in "
+                             "sys.modules if m.startswith('zetaumm.')))",
+                             *argv, "--out", "out.csv", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        eager = ["cli", "output", "padics", "zeta"]
+        assert proc.stdout.strip() == f"0 0 {sorted(eager + loaded)}"
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_process_entry_writes_what_main_writes(self, tmp_path, monkeypatch, entry):
+        # `python -m zetaumm.cli` and the console script that pyproject.toml declares
+        script = re.search(r'^zetaumm = "(.+)"$', _read(os.path.join(os.path.dirname(README),
+                                                                     "pyproject.toml")), re.M)
+        mod, _, fn = script.group(1).partition(":")
+        code = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); " + (
+            "import runpy; runpy.run_module('zetaumm.cli', run_name='__main__', alter_sys=True)"
+            if entry == "module" else f"from {mod} import {fn}; {fn}()")
+        argv = ["comb", "--prime", "all", "--mu", "0.5", "--qmax", "5", "--out", "comb.csv"]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        proc = _fresh_python(code, *argv, cwd=fresh)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "True\n"  # the entry froze the heap
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert (fresh / "comb.csv").read_bytes() == (tmp_path / "comb.csv").read_bytes()
+        proc = _fresh_python(code, "cue-sample", "--samples", "0", "--out", "pc.csv", cwd=fresh)
+        assert proc.returncode == 1
+        assert proc.stderr == "zetaumm: samples must be >= 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["betas", "--model", "local", "--prime", "2"],
         ["betas", "--model", "shifted", "--s0", "2"],

@@ -404,6 +404,16 @@ class TestPairCorrelation:
         with pytest.raises(ValueError):
             pair_correlation(np.linspace(0, 100, 500))
 
+    def test_r_max_beyond_the_span_rejected(self):
+        # no point has r_max room ahead of it: R2 would be 0/0 in every bin
+        x = np.linspace(0, 100, 1000)
+        with pytest.raises(ValueError, match=r"r_max = 150 is not below the span 100"):
+            pair_correlation(x, r_max=150.0)
+        with np.errstate(all="raise"):
+            rep = pair_correlation(x, bins=20, r_max=99.9)  # one reference point, x = 0
+        assert np.isfinite(rep.r2).all()
+        assert np.array_equal(rep.r2, _reference_point_r2(x, 20, 99.9))
+
     def test_sine_kernel_reference(self):
         r = np.array([1e-9, 0.5, 1.0, 2.5])
         vals = sine_kernel_r2(r)

@@ -4,6 +4,7 @@ import random
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -33,6 +34,32 @@ from zetaumm.zeta import (
     zeta_and_derivative,
     zeta_unit,
 )
+
+
+def _bernoulli_upto(m):
+    """B_0..B_m by the defining recurrence, exact."""
+    out = [Fraction(1)]
+    for n in range(1, m + 1):
+        acc = Fraction(0)
+        for k in range(n):
+            acc += Fraction(math.comb(n + 1, k)) * out[k]
+        out.append(-acc / (n + 1))
+    return out
+
+
+def test_bernoulli_tables_are_the_exact_values_rounded():
+    """The Euler-Maclaurin and Stirling coefficients are float(Fraction) of
+    the exact B_2k expressions, bit for bit; the digamma table is (2k - 1)
+    times the Stirling one, which differs from float(B_2k / 2k) by an ulp
+    at k = 4, 5 and 12, so that product is what is checked."""
+    B = _bernoulli_upto(24)
+    k = range(1, 13)
+    over_fact = [float(B[2 * j] / math.factorial(2 * j)) for j in k]
+    stirling = [float(B[2 * j] / (2 * j * (2 * j - 1))) for j in k]
+    assert zt._B2K_OVER_FACT.tolist() == over_fact
+    assert zt._STIRLING.tolist() == stirling
+    assert zt._STIRLING_D.tolist() == [(2 * j - 1) * s for j, s in zip(k, stirling)]
+    assert B[12] == Fraction(-691, 2730)
 
 
 def direct_series_zeta2(N=200_000):
