@@ -161,15 +161,14 @@ def _cmd_padic_check(args) -> None:
 @_command("wavelet-check", "Gram matrix and Vladimirov residuals",
           ("--prime", dict(type=_prime, default=2)),
           ("--nmax", dict(type=int, default=12)),
-          ("--alpha", dict(type=_finite, default=1.0)),
-          ("--kernel-b", dict(type=int, default=12)))
+          ("--alpha", dict(type=_finite, default=1.0)))
 def _cmd_wavelet_check(args) -> None:
     from .wavelets import WaveletIndex, gram_matrix, vladimirov_apply
     G = gram_matrix(args.prime, args.nmax)
     gram_dev = float(np.abs(G - np.eye(args.nmax)).max())
     rows = []
     for scale in (0, 1):
-        res = vladimirov_apply(WaveletIndex(args.prime, scale), args.alpha, args.kernel_b)
+        res = vladimirov_apply(WaveletIndex(args.prime, scale), args.alpha)
         rows.append((scale, res.eigenvalue, res.residual / abs(res.eigenvalue)))
     cols = {
         "check": [f"gram(nmax={args.nmax})"] + [f"kernel(scale={s})" for s, _, _ in rows],
@@ -270,13 +269,12 @@ def _cmd_li(args) -> None:
           ("--mu", dict(type=_finite, required=True)),
           ("--mmax", dict(type=int, default=10)),
           ("--pmax", dict(type=int, default=10**6)),
-          ("--powers", dict(type=int, default=60)),
           ("--radius", dict(type=_finite, default=0.5)),
           ("--nodes", dict(type=int, default=1024)))
 def _cmd_beta_ren(args) -> None:
     from . import resolvent
     if args.method == "prime_sum":
-        series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax, args.powers)
+        series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax)
     elif args.method == "shifted_contour":
         model = resolvent.ResolventModel("shifted", s0=args.mu)
         series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)

@@ -93,7 +93,8 @@ def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
 
 @dataclass(frozen=True)
 class EnsembleSample:
-    """Sorted eigenphase configurations theta in (-pi, pi]."""
+    """Eigenphase configurations theta in [-pi, pi] (CUE: (-pi, pi]), each
+    row ascending: pair_correlation relies on the order and does not sort."""
 
     size: int
     phases: np.ndarray  # (samples, size)
@@ -366,8 +367,7 @@ def pair_correlation(
     if isinstance(points, EnsembleSample):
         N, phases = points.size, points.phases
         step = max(1, 8192 // N)  # configurations per block: 64 KB of phases
-        blocks = (np.sort(phases[k : k + step] * N / TWO_PI, axis=1)
-                  for k in range(0, len(phases), step))
+        blocks = (phases[k : k + step] * N / TWO_PI for k in range(0, len(phases), step))
         size, refs, period = phases.size, N, float(N)  # every point is a reference
     else:
         # one-sided directed distances: for a stationary unit-density

@@ -19,9 +19,6 @@ FLOAT_FMT = "%.17g"
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return (FLOAT_FMT + "%+" + FLOAT_FMT[1:] + "j") % (c.real, c.imag)
     return str(value)
 
 
@@ -51,14 +48,9 @@ def write_json(path: str, payload: Mapping[str, object], metadata: Mapping[str, 
 
 def _json_ready(value):
     if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return {"real": value.real.tolist(), "imag": value.imag.tolist()}
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return {"real": c.real, "imag": c.imag}
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -9,6 +9,7 @@ nodes is one FFT of the samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -418,7 +419,6 @@ def beta_renormalized_prime_sum(
     M: int,
     mu: float,
     P_max: int = 10**6,
-    N_max: int = 60,
 ) -> BetaSeries:
     """Renormalized coefficients from explicit prime-power data.
 
@@ -442,16 +442,16 @@ def beta_renormalized_prime_sum(
         raise ValueError("M must be >= 1")
     if P_max < 2:
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
-    if N_max < 1:
-        raise ValueError(f"N_max must be >= 1 (prime powers summed), got {N_max}")
     all_primes = zt.sieve_primes(P_max)
     sigma = mu + 0.5
     # powers of large primes are invisible at working precision: the n-th
     # powers take the primes p <= cut, that is p <= min(floor(cut), P_max),
     # a prefix of the ascending primes; every prefix is found before the
-    # sum, so that primes sieved here are freed before it
+    # sum, so that primes sieved here are freed before it.  The loop ends
+    # at the first n with 2^(n sigma) > e^48 (cut < 2): n <= 46 are summed,
+    # as sigma > 3/2
     ends = []
-    for n in range(1, N_max + 1):
+    for n in itertools.count(1):
         cut = min(math.floor(math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))), P_max)
         if cut < 2:
             break

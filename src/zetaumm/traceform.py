@@ -65,8 +65,7 @@ def wigner_marginal_comb(
         sel = primes.power_values <= math.exp(q_max)
         locs = primes.power_exponents[sel] * primes.power_weights[sel]
         wts = primes.power_weights[sel] * np.exp(-mu * locs)
-        order = np.argsort(locs)
-        return PrimePowerComb(locs[order], wts[order], None)
+        return PrimePowerComb(locs, wts, None)  # k ln p ascends with p^k
     p = int(p)
     require_prime(p)
     lp = math.log(p)

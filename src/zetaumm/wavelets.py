@@ -130,6 +130,9 @@ def _one_minus_power(p: int, a: complex) -> complex:
     return complex(-np.expm1(complex(a) * np.log(p)))
 
 
+_KERNEL_B = 12  # kernel domain cutoff p^B: past the support it moves only rounding
+
+
 def _kernel_prefactor(p: int, alpha: complex) -> complex:
     num = _one_minus_power(p, alpha)
     den = 1.0 - complex(p) ** (-complex(alpha) - 1.0)
@@ -153,17 +156,15 @@ def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
     return acc * float(p) ** (-K)
 
 
-def vladimirov_kernel_apply(
-    idx: WaveletIndex, alpha: complex, xi: Fraction, B: int = 12
-) -> complex:
+def vladimirov_kernel_apply(idx: WaveletIndex, alpha: complex, xi: Fraction) -> complex:
     """Evaluate (D^alpha psi)(xi) through the integral kernel
 
         C(alpha) int (psi(xi') - psi(xi)) / |xi'-xi|^(alpha+1) dxi'
 
-    by exact distance-shell summation over |xi'| <= p^B (the subtraction
-    kills the shells finer than the resolution level exactly) plus the
-    closed-form geometric tail beyond p^B.  Each ball integral sums cosets
-    at its own level, at least the resolution level.
+    by exact distance-shell summation over |xi'| <= p^B, B = _KERNEL_B (the
+    subtraction kills the shells finer than the resolution level exactly)
+    plus the closed-form geometric tail beyond p^B.  Each ball integral
+    sums cosets at its own level, at least the resolution level.
     """
     p, alpha = idx.prime, complex(alpha)
     if alpha.real <= 0:
@@ -171,7 +172,7 @@ def vladimirov_kernel_apply(
             "kernel mode needs Re(alpha) > 0: the tail of the kernel integral "
             "diverges otherwise (and the normalisation has a pole at alpha = -1)"
         )
-    r0 = idx.resolution_level
+    r0, B = idx.resolution_level, _KERNEL_B
     if B < -idx.support_level:
         raise ValueError(f"domain cutoff p^{B} does not cover the support")
     f_xi = kozyrev_eval(idx, xi)
@@ -193,16 +194,15 @@ def vladimirov_kernel_apply(
     return _kernel_prefactor(p, alpha) * total
 
 
-def vladimirov_apply(idx: WaveletIndex, alpha: complex, B: int = 12) -> VladimirovResult:
+def vladimirov_apply(idx: WaveletIndex, alpha: complex) -> VladimirovResult:
     """Apply D^alpha to a basis wavelet: the exact eigenvalue p^(alpha(1-n)),
-    checked against the integral kernel (domain cutoff p^B)
-    at sample points in the support; residual is the maximum pointwise
-    deviation from eigenvalue * psi.
+    checked against the integral kernel at sample points in the support;
+    residual is the maximum pointwise deviation from eigenvalue * psi.
     """
     lam = vladimirov_eigenvalue(idx.prime, alpha, idx.scale)
     K = idx.resolution_level + 1
     residual = 0.0
     for xi in list(ball_coset_representatives(idx.prime, Fraction(0), idx.support_level, K))[:6]:
-        val = vladimirov_kernel_apply(idx, alpha, xi, B)
+        val = vladimirov_kernel_apply(idx, alpha, xi)
         residual = max(residual, abs(val - lam * kozyrev_eval(idx, xi)))
     return VladimirovResult(lam, residual)

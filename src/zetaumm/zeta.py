@@ -647,9 +647,6 @@ class ZeroTable:
     def __len__(self) -> int:
         return int(self.ts.size)
 
-    def __getitem__(self, idx):
-        return self.ts[idx]
-
 
 def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
     """Load a zero table (one ascending positive decimal per line, '#'

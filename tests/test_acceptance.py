@@ -79,7 +79,7 @@ def test_criterion_04_vladimirov_and_gram():
         for p in (2, 3):
             for alpha in (1.0, 2.0, 1.0 + 1.0j):
                 for scale in (0, 1):
-                    res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12)
+                    res = vladimirov_apply(WaveletIndex(p, scale), alpha)
                     assert res.residual / abs(res.eigenvalue) < 1e-6
         for p in (2, 3, 5):
             G = gram_matrix(p, 12)
@@ -137,7 +137,7 @@ def test_criterion_07_li_coefficients(zeros_2000):
 def test_criterion_08_renormalized():
     with _Timer("8 renormalized coefficient routes", 60.0):
         sh = resolvent.beta_contour(resolvent.ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
-        ps = resolvent.beta_renormalized_prime_sum(10, 1.5, 10**6, 60)
+        ps = resolvent.beta_renormalized_prime_sum(10, 1.5, 10**6)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
         M = 20
         Xi = resolvent.xi_log_coefficients(M, 0.5, 1024)

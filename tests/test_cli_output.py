@@ -13,6 +13,7 @@ import zetaumm
 from zetaumm import cli, output, traceform, wavelets
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
+from zetaumm.resolvent import local_potential_derivative
 from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_explicit
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -38,11 +39,10 @@ class TestOutput:
 
     def test_json_structure(self, tmp_path):
         path = str(tmp_path / "t.json")
-        output.write_json(path, {"arr": np.array([1.5, 2.5]), "z": 1 + 2j}, {"k": 3})
+        output.write_json(path, {"arr": np.array([1.5, 2.5])}, {"k": 3})
         doc = json.loads(_read(path))
         assert doc["metadata"]["k"] == 3
         assert doc["arr"] == [1.5, 2.5]
-        assert doc["z"] == {"real": 1.0, "imag": 2.0}
 
 
 class TestCLI:
@@ -97,10 +97,6 @@ class TestCLI:
         (["density", "--prime", "2", "--spikes", "-3"], "n_spikes must be >= 0"),
         (["density", "--prime", "2", "--grid-points", "0"], "theta grid must be non-empty"),
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "1"], "P_max must be >= 2"),
-        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "0"],
-         "N_max must be >= 1"),
-        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "-5"],
-         "N_max must be >= 1"),
         (["betas", "--model", "local", "--prime", "2", "--mmax", "64", "--nodes", "64"],
          "M = 64 needs more than Q = 64 nodes"),
         (["li", "--zeros", bundled_zeros_path(), "--nmax", "64", "--nodes", "64"],
@@ -192,8 +188,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv, cfg, key, value", [
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--chains", "1"], "burn-in=7", "burn-in", "7"),
-        (["wavelet-check", "--nmax", "3"], "kernel-b = 9", "kernel-b", "9"),
-    ], ids=["burn-in", "kernel-b"])
+        (["density", "--prime", "2"], "grid-points = 9", "grid-points", "9"),
+    ], ids=["burn-in", "grid-points"])
     def test_config_sets_a_hyphenated_option(self, tmp_path, argv, cfg, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(cfg + "\n")
@@ -201,6 +197,42 @@ class TestCLI:
         assert main(argv + ["--config", str(path), "--out", out]) == 0
         _, md = output.read_csv(out)
         assert md[key] == value
+
+    @pytest.mark.parametrize("argv, cfg, message", [
+        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "60"], None,
+         "unrecognized arguments: --powers 60"),
+        (["wavelet-check", "--nmax", "3", "--kernel-b", "12"], None,
+         "unrecognized arguments: --kernel-b 12"),
+        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3"], "powers=60",
+         "config key 'powers' is not a known option"),
+    ], ids=["powers", "kernel-b", "config-powers"])
+    def test_retired_truncation_options_exit_one(self, tmp_path, capsys, argv, cfg, message):
+        # the prime-power loop and the Vladimirov kernel's domain cutoff are
+        # fixed where they move no result: neither is an option
+        if cfg is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(cfg + "\n")
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_density_custom_grid(self, tmp_path, capsys):
+        out = str(tmp_path / "d.json")
+        grid = ["--grid-start", "1.25", "--grid-stop", "4.5", "--grid-points", "7"]
+        assert main(["density", "--prime", "3", *grid, "--format", "json", "--out", out]) == 0
+        doc = json.loads(_read(out))
+        theta = np.linspace(1.25, 4.5, 7)
+        assert np.array_equal(doc["theta"], theta)
+        assert np.array_equal(doc["vprime"], local_potential_derivative(3, theta))
+        # a grid reaching 2 pi meets the theta = 0 accumulation point
+        out = tmp_path / "d.csv"
+        assert main(["density", "--prime", "3", "--grid-stop", repr(2.0 * math.pi),
+                     "--out", str(out)]) == 1
+        assert "strictly inside (0, 2pi)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

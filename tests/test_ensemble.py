@@ -254,6 +254,11 @@ class TestPlaquetteMC:
         c_fit = np.cos(run.sample.phases.ravel()).mean()
         assert abs(c_fit - PLAQUETTE_DENSITY_SIGN * 0.25) < 0.02
 
+    def test_phases_sorted(self):
+        # pair_correlation reads each stored configuration as ascending
+        run = plaquette_mc(10, [0.2], sweeps=50, burn_in=10, seed=6, chains=3)
+        assert (np.diff(run.sample.phases, axis=1) >= 0).all()
+
     def test_burn_in_changes_histogram(self):
         a = plaquette_mc(16, [0.25], sweeps=200, burn_in=0, seed=4, chains=2)
         b = plaquette_mc(16, [0.25], sweeps=200, burn_in=200, seed=4, chains=2)

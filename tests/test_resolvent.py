@@ -348,13 +348,13 @@ def _reference_prime_sum(M, mu, P_max, N_max=60):
 class TestRenormalized:
     def test_prime_sum_matches_shifted_contour(self):
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
-        ps = beta_renormalized_prime_sum(10, 1.5, 10**6, 60)
+        ps = beta_renormalized_prime_sum(10, 1.5, 10**6)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
 
     def test_prime_sum_at_spec_cutoff(self):
         # P = 1e5 leaves a measured 1.2e-6 fluctuation gap to the contour
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
-        ps = beta_renormalized_prime_sum(10, 1.5, 10**5, 60)
+        ps = beta_renormalized_prime_sum(10, 1.5, 10**5)
         assert np.abs(ps.coefficients - sh.coefficients).max() < 2e-6
 
     @pytest.mark.parametrize("mu, P", [(1.2, 2.0), (1.2, 1e7), (1.7, 1e6), (2.5, 1e6)])

@@ -138,6 +138,8 @@ class TestWignerCombs:
         comb = wigner_marginal_comb("all", 0.5, 3.0)
         assert (comb.locations > 0).all()
         assert (comb.weights > 0).all()
+        # the table's powers ascend, and so do their logarithms: no sort
+        assert (np.diff(wigner_marginal_comb("all", 0.5, 12.0).locations) > 0).all()
 
     def test_q_max_validated(self):
         with pytest.raises(ValueError):

@@ -78,7 +78,7 @@ class TestVladimirov:
         assert vladimirov_eigenvalue(3, 1.0, 1) == 1
 
     def test_kernel_example(self):
-        res = vladimirov_apply(WaveletIndex(2, 0), 1.0, 12)
+        res = vladimirov_apply(WaveletIndex(2, 0), 1.0)
         assert abs(res.eigenvalue - 2.0) < 1e-14
         assert res.residual < 1e-6
 
@@ -86,7 +86,7 @@ class TestVladimirov:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.0 + 1.0j])
     @pytest.mark.parametrize("scale", [0, 1])
     def test_kernel_matches_spectral(self, p, alpha, scale):
-        res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12)
+        res = vladimirov_apply(WaveletIndex(p, scale), alpha)
         assert res.residual / abs(res.eigenvalue) < 1e-6
 
     def test_kernel_pinned(self):
@@ -98,14 +98,14 @@ class TestVladimirov:
         for p in (2, 3):
             for scale in (0, 1):
                 for alpha in (1.0, 2.0, 1.0 + 1.0j):
-                    res = vladimirov_apply(WaveletIndex(p, scale), alpha, 12)
+                    res = vladimirov_apply(WaveletIndex(p, scale), alpha)
                     h.update(np.array([res.eigenvalue]).tobytes())
                     h.update(np.array([res.residual]).tobytes())
         assert h.hexdigest() == "83fee1d5976400e56a25f95d2febe0051d7675fbc4c28ef650609cd143067e22"
 
     def test_kernel_on_restricted_basis_states(self):
         for n in (1, 2, 3):
-            res = vladimirov_apply(restricted_index(2, n), 1.0, 12)
+            res = vladimirov_apply(restricted_index(2, n), 1.0)
             # log_p D eigenvalue on label n is n, i.e. D^1 eigenvalue p^n
             assert abs(res.eigenvalue - 2.0**n) < 1e-12
             assert res.residual / abs(res.eigenvalue) < 1e-6
@@ -119,8 +119,9 @@ class TestVladimirov:
             vladimirov_apply(WaveletIndex(2, 0), -0.5)
 
     def test_kernel_domain_must_cover_support(self):
-        with pytest.raises(ValueError):
-            vladimirov_apply(WaveletIndex(2, 1), 1.0, B=-2)
+        # scale 13 spreads the support to |xi| <= 2^13, past the cutoff p^12
+        with pytest.raises(ValueError, match="does not cover the support"):
+            vladimirov_apply(WaveletIndex(2, 13), 1.0)
 
     def test_composition_law_on_eigenvalues(self):
         for a1, a2 in [(1.0, 2.0), (0.5, -0.25), (1 + 1j, 1 - 1j)]:

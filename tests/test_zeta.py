@@ -146,7 +146,7 @@ class TestXi:
         assert abs(xi(1e-8) - 0.5) < 1e-6
 
     def test_vanishes_at_first_zero(self, zeros_2000):
-        assert abs(xi(0.5 + 1j * zeros_2000[0])) < 1e-6
+        assert abs(xi(0.5 + 1j * zeros_2000.ts[0])) < 1e-6
 
     def test_symmetry_on_random_strip_points(self):
         rng = random.Random(42)
@@ -578,6 +578,6 @@ class TestIngestZeros:
         assert generated == data_lines(bundled_zeros_path())[:5]
 
     def test_bundled_table_first_ordinate(self, zeros_2000):
-        assert abs(zeros_2000[0] - 14.134725141734694) < 1e-9
+        assert abs(zeros_2000.ts[0] - 14.134725141734694) < 1e-9
         assert zeros_2000.residuals[0] < 1e-6
         assert (np.diff(zeros_2000.ts) > 0).all()
