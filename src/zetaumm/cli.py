@@ -243,15 +243,12 @@ def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
           ("--zeros", dict(required=True)),
           ("--nzeros", dict(type=int, default=2000)),
           ("--radius", dict(type=_finite, default=0.45)),
-          ("--nodes", dict(type=int, default=512)),
-          ("--tolerance", dict(type=_finite, default=1e-3)))
+          ("--nodes", dict(type=int, default=512)))
 def _cmd_li(args) -> None:
-    if args.tolerance < 0.0:
-        raise ValueError(f"li needs --tolerance >= 0, got {args.tolerance!r}")
     table = _ingest(args.zeros, args.nzeros)
     a = zt.li_coefficients_cauchy(args.nmax, args.radius, args.nodes)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
-    combined = a.error_estimate + b.error_estimate + args.tolerance
+    combined = a.error_estimate + b.error_estimate
     cols = {
         "index": np.arange(1, args.nmax + 1),
         "cauchy": a.values,
@@ -300,7 +297,7 @@ def _cmd_beta_ren(args) -> None:
           ("--width", dict(type=_finite, default=1.0)))
 def _cmd_trace_check(args) -> None:
     from . import traceform
-    table = _ingest(args.zeros, max(args.nzeros, 50))
+    table = _ingest(args.zeros, args.nzeros)
     primes = zt.PrimeTable.build(args.primes_max)
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
     payload = {

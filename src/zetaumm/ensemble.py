@@ -22,8 +22,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .resolvent import ungapped_density
-
 TWO_PI = 2.0 * math.pi
 
 # Sign convention frozen from the Gross-Witten-type calibration run: with
@@ -96,8 +94,7 @@ class EnsembleSample:
     """Eigenphase configurations theta in [-pi, pi] (CUE: (-pi, pi]), each
     row ascending: pair_correlation relies on the order and does not sort."""
 
-    size: int
-    phases: np.ndarray  # (samples, size)
+    phases: np.ndarray  # (samples, N)
 
 
 def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
@@ -112,7 +109,7 @@ def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     blocks = _in_parallel(_cue_block, [(N, seed, lo, hi) for lo, hi in _blocks(samples)])
-    return EnsembleSample(N, np.concatenate(blocks))
+    return EnsembleSample(np.concatenate(blocks))
 
 
 def _cue_block(N: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -298,12 +295,22 @@ def plaquette_mc(
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))
-    return PlaquetteRun(EnsembleSample(N, phases), edges, density, float(rate))
+    return PlaquetteRun(EnsembleSample(phases), edges, density, float(rate))
 
 
 def acceptance_in_band(run: PlaquetteRun) -> bool:
     """Tuning diagnostic: healthy Metropolis acceptance sits in [0.1, 0.9]."""
     return 0.1 <= run.acceptance_rate <= 0.9
+
+
+def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
+    """No-gap eigenvalue density (1/2pi)(1 + 2 sum beta_n cos n theta),
+    normalised to unit mass on (-pi, pi]."""
+    th = np.asarray(theta, dtype=float)
+    out = np.ones_like(th)
+    for n, b in enumerate(betas, start=1):
+        out += 2.0 * float(np.real(b)) * np.cos(n * th)
+    return out / TWO_PI
 
 
 def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
@@ -365,7 +372,7 @@ def pair_correlation(
         raise ValueError("r_max must be positive")
     edges = np.linspace(0.0, r_max, bins + 1)
     if isinstance(points, EnsembleSample):
-        N, phases = points.size, points.phases
+        N, phases = points.phases.shape[1], points.phases
         step = max(1, 8192 // N)  # configurations per block: 64 KB of phases
         blocks = (phases[k : k + step] * N / TWO_PI for k in range(0, len(phases), step))
         size, refs, period = phases.size, N, float(N)  # every point is a reference

@@ -314,16 +314,6 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
     )
 
 
-def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
-    """No-gap eigenvalue density (1/2pi)(1 + 2 sum beta_n cos n theta),
-    normalised to unit mass on (-pi, pi]."""
-    th = np.asarray(theta, dtype=float)
-    out = np.ones_like(th)
-    for n, b in enumerate(betas, start=1):
-        out += 2.0 * float(np.real(b)) * np.cos(n * th)
-    return out / TWO_PI
-
-
 @dataclass(frozen=True)
 class TraceFluctuation:
     partial: complex

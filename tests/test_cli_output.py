@@ -14,7 +14,8 @@ from zetaumm import cli, output, traceform, wavelets
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
 from zetaumm.resolvent import local_potential_derivative
-from zetaumm.zeta import bundled_zeros_path, local_count_direct, local_count_explicit
+from zetaumm.zeta import (bundled_zeros_path, li_coefficients_cauchy, li_coefficients_zero_sum,
+                          local_count_direct, local_count_explicit)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -115,7 +116,6 @@ class TestCLI:
         (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,,0.05"], "invalid float value: ''"),
         (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,"], "invalid float value: ''"),
         (["plaquette-mc", "--sweeps", "1", "--betas", "nan"], "'nan' is not a finite number"),
-        (["li", "--zeros", bundled_zeros_path(), "--tolerance", "-1"], "li needs --tolerance >= 0"),
         (["betas", "--s0", "5", "--model", "local", "--prime", "2"], "s0 is read by the shifted model only"),
         (["betas", "--s0", "5", "--model", "gamma"], "s0 is read by the shifted model only"),
         (["betas", "--s0", "5", "--model", "xi"], "s0 is read by the shifted model only"),
@@ -205,10 +205,15 @@ class TestCLI:
          "unrecognized arguments: --kernel-b 12"),
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3"], "powers=60",
          "config key 'powers' is not a known option"),
-    ], ids=["powers", "kernel-b", "config-powers"])
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "1", "--tolerance", "0.001"], None,
+         "unrecognized arguments: --tolerance 0.001"),
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "1"], "tolerance=0.001",
+         "config key 'tolerance' is not a known option"),
+    ], ids=["powers", "kernel-b", "config-powers", "tolerance", "config-tolerance"])
     def test_retired_truncation_options_exit_one(self, tmp_path, capsys, argv, cfg, message):
         # the prime-power loop and the Vladimirov kernel's domain cutoff are
-        # fixed where they move no result: neither is an option
+        # fixed where they move no result, and li's bar is the two routes'
+        # own error estimates: none of them is an option
         if cfg is not None:
             path = tmp_path / "run.cfg"
             path.write_text(cfg + "\n")
@@ -256,13 +261,25 @@ class TestCLI:
         crooked = tmp_path / "crooked.txt"
         crooked.write_text("\n".join(str(t) for t in zeros_2000.ts[1:300]) + "\n")
         out = str(tmp_path / "li.csv")
-        rc = main(["li", "--zeros", str(crooked), "--nmax", "4", "--nzeros", "299",
-                   "--tolerance", "1e-4", "--out", out])
+        rc = main(["li", "--zeros", str(crooked), "--nmax", "4", "--nzeros", "299", "--out", out])
         assert rc == 2
         cols, _ = output.read_csv(out)  # the artifact is written before the exit
         assert cols["index"].size == 4
         err = capsys.readouterr().err
         assert re.search(r"lambda_1: cauchy \S+ vs zero_sum \S+ differ by \S+ \(> bar \S+\)", err)
+
+    def test_li_missing_sixth_zero_exits_two(self, tmp_path, capsys):
+        # the first 2000 bundled ordinates less t = 37.586: lambda_1 moves by
+        # 7.1e-4, within a slack of 1e-3 but 32 times the two routes' bar
+        lines = [ln for ln in _read(bundled_zeros_path()).splitlines() if not ln.startswith("#")]
+        crooked = tmp_path / "drop6.txt"
+        crooked.write_text("\n".join(lines[:5] + lines[6:2000]) + "\n")
+        out = str(tmp_path / "li.csv")
+        rc = main(["li", "--zeros", str(crooked), "--nmax", "1", "--nzeros", "1999", "--out", out])
+        assert rc == 2
+        cols, _ = output.read_csv(out)  # the artifact is written before the exit
+        assert cols["index"].tolist() == [1]
+        assert re.search(r"lambda_1: .* \(> bar 2\.21e-05\)", capsys.readouterr().err)
 
     def test_trace_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
         report = traceform.TraceReport(
@@ -366,13 +383,17 @@ class TestCLI:
         assert "holds 10000 < n_zeros = 20000" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_li_twenty_coefficients_agree(self, tmp_path, li_oracle_20):
+    def test_li_twenty_coefficients_agree(self, tmp_path, li_oracle_20, zeros_2000):
         out = str(tmp_path / "li20.csv")
         rc = main(["li", "--zeros", bundled_zeros_path(), "--nmax", "20", "--nzeros", "2000",
                    "--out", out])
         assert rc == 0
         cols, _ = output.read_csv(out)
         assert np.abs(cols["cauchy"] - li_oracle_20).max() < 1e-7
+        # the bar is the two routes' own error estimates, with no slack added
+        bar = (li_coefficients_cauchy(20, 0.45, 512).error_estimate
+               + li_coefficients_zero_sum(20, zeros_2000.ts, 2000).error_estimate)
+        assert np.array_equal(cols["combined_tolerance"], bar)
 
     def test_li_radius_where_ln_xi_winds_exits_two(self, tmp_path, capsys):
         out = tmp_path / "li.csv"
@@ -432,16 +453,17 @@ class TestImportPath:
             "import sys, zetaumm; loaded = lambda: sorted(m for m in sys.modules if "
             "m.startswith('zetaumm.')); print(loaded()); print(zetaumm.ensemble.__name__, loaded())")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "zetaumm.ensemble ['zetaumm.ensemble', "
-                                            "'zetaumm.padics', 'zetaumm.resolvent', 'zetaumm.zeta']"]
+        assert proc.stdout.splitlines() == ["[]", "zetaumm.ensemble ['zetaumm.ensemble']"]
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             zetaumm.nope
 
     @pytest.mark.parametrize("argv, loaded", [
         (["padic-check", "--samples", "5"], []),
         (["comb"], ["traceform"]),
-        (["cue-sample", "--n", "12", "--samples", "150"], ["ensemble", "resolvent"]),
-    ], ids=["padic-check", "comb", "cue-sample"])
+        (["cue-sample", "--n", "12", "--samples", "150"], ["ensemble"]),
+        (["plaquette-mc", "--n", "6", "--sweeps", "20", "--burn-in", "5", "--chains", "1"],
+         ["ensemble"]),
+    ], ids=["padic-check", "comb", "cue-sample", "plaquette-mc"])
     def test_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
         # main() leaves the heap unfrozen: only the process entry freezes it
         proc = _fresh_python("import gc, sys; from zetaumm.cli import main; rc = main(sys.argv[1:]); "

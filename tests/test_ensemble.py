@@ -334,7 +334,7 @@ class TestPlaquetteMC:
 def _reference_r2(sample, bins=50, r_max=5.0):
     """The one-configuration-at-a-time, all-pairs histogram that
     pair_correlation's loop over forward offsets replaced."""
-    N = sample.size
+    N = sample.phases.shape[1]
     edges = np.linspace(0.0, r_max, bins + 1)
     counts = np.zeros(bins)
     for row in sample.phases:

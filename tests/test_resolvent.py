@@ -7,6 +7,7 @@ import pytest
 
 from zetaumm import resolvent as rv
 from zetaumm import zeta as zt
+from zetaumm.ensemble import ungapped_density
 from zetaumm.resolvent import (
     ResolventModel,
     beta_contour,
@@ -21,7 +22,6 @@ from zetaumm.resolvent import (
     potential_sum_local,
     resolvent,
     trace_fluctuation,
-    ungapped_density,
     xi_log_coefficients,
 )
 from zetaumm.zeta import NumericConsistencyError
