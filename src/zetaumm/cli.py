@@ -199,7 +199,7 @@ def _cmd_betas(args) -> None:
         "imag": series.coefficients.imag,
         "radius_consistency": series.radius_deltas,
     }
-    _emit(args, cols, {"series": cols}, {"model": series.model, "radius_error": series.radius_error,
+    _emit(args, cols, {"series": cols}, {"radius_error": series.radius_error,
                                          "doubling_error": series.doubling_error})
 
 
@@ -287,7 +287,7 @@ def _cmd_beta_ren(args) -> None:
         "value": series.coefficients.real,
         "error": err,
     }
-    _emit(args, cols, {"series": cols}, {"model": series.model})
+    _emit(args, cols, {"series": cols})
 
 
 @_command("trace-check", "trace-formula residual report",
@@ -394,6 +394,7 @@ def _cmd_plaquette_mc(args) -> None:
                                 args.seed, args.chains, args.bins)
     centers = 0.5 * (run.bin_edges[1:] + run.bin_edges[:-1])
     model = ensemble.plaquette_model_density(centers, betas)
+    gap = float(run.density.min())  # a bin collapsing toward 0 signals a gapped phase
     cols = {
         "theta": centers,
         "density": run.density,
@@ -401,8 +402,8 @@ def _cmd_plaquette_mc(args) -> None:
         "bin_error": run.density_error(),
     }
     _emit(args, cols, {"histogram": cols, "acceptance_rate": run.acceptance_rate,
-                       "gap_diagnostic": run.gap_diagnostic},
-          {"acceptance-rate": run.acceptance_rate, "gap-diagnostic": run.gap_diagnostic,
+                       "gap_diagnostic": gap},
+          {"acceptance-rate": run.acceptance_rate, "gap-diagnostic": gap,
            "acceptance-in-band": ensemble.acceptance_in_band(run)})
 
 
@@ -473,7 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # overflow: an input beyond binary64
         print(f"zetaumm: {exc}", file=sys.stderr)
         return 1
     except NumericConsistencyError as exc:

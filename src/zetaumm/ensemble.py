@@ -18,17 +18,11 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Sign convention frozen from the Gross-Witten-type calibration run: with
-# the action S = N sum_i sum_n (2 beta_n/n) cos(n theta_i) - log Vandermonde,
-# the no-gap empirical density is (1/2pi)(1 + 2 sum_n c_n cos n theta) with
-# c_n = PLAQUETTE_DENSITY_SIGN * beta_n.
-PLAQUETTE_DENSITY_SIGN = -1.0
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
@@ -89,16 +83,9 @@ def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
             os.waitpid(pid, 0)
 
 
-@dataclass(frozen=True)
-class EnsembleSample:
-    """Eigenphase configurations theta in [-pi, pi] (CUE: (-pi, pi]), each
-    row ascending: pair_correlation relies on the order and does not sort."""
-
-    phases: np.ndarray  # (samples, N)
-
-
-def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
-    """Haar-distributed eigenphases of U(N).
+def sample_cue(N: int, samples: int, seed: int) -> np.ndarray:
+    """Haar-distributed eigenphases of U(N): a (samples, N) array, each row
+    ascending in (-pi, pi].
 
     Complex Ginibre matrices are QR-factorised and the R-diagonal phases
     divided out, which corrects the plain QR measure to exactly Haar;
@@ -109,7 +96,7 @@ def sample_cue(N: int, samples: int, seed: int) -> EnsembleSample:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     blocks = _in_parallel(_cue_block, [(N, seed, lo, hi) for lo, hi in _blocks(samples)])
-    return EnsembleSample(np.concatenate(blocks))
+    return np.concatenate(blocks)
 
 
 def _cue_block(N: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -166,24 +153,20 @@ def _eigenphases(Q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlaquetteRun:
-    """Metropolis output: retained configurations plus density histogram."""
+    """Metropolis output: retained configurations plus density histogram.
+    sample holds the retained phases, chain c, sweep s in row
+    c * sweeps + s, each row ascending in [-pi, pi]."""
 
-    sample: EnsembleSample
+    sample: np.ndarray
     bin_edges: np.ndarray
     density: np.ndarray
     acceptance_rate: float
 
     def density_error(self) -> np.ndarray:
         """Poisson scale of each histogram bin (no autocorrelation factor)."""
-        total = self.sample.phases.size
+        total = self.sample.size
         width = self.bin_edges[1] - self.bin_edges[0]
         return np.sqrt(np.maximum(self.density, 1e-12) / (total * width))
-
-    @property
-    def gap_diagnostic(self) -> float:
-        """Smallest histogram bin: a value collapsing toward zero signals a
-        gapped phase.  Reported, never interpreted here."""
-        return float(self.density.min())
 
 
 def _site_terms(x: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +278,7 @@ def plaquette_mc(
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts, _ = np.histogram(phases.ravel(), bins=edges)
     density = counts / (phases.size * (edges[1] - edges[0]))
-    return PlaquetteRun(EnsembleSample(phases), edges, density, float(rate))
+    return PlaquetteRun(phases, edges, density, float(rate))
 
 
 def acceptance_in_band(run: PlaquetteRun) -> bool:
@@ -303,20 +286,16 @@ def acceptance_in_band(run: PlaquetteRun) -> bool:
     return 0.1 <= run.acceptance_rate <= 0.9
 
 
-def ungapped_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
-    """No-gap eigenvalue density (1/2pi)(1 + 2 sum beta_n cos n theta),
-    normalised to unit mass on (-pi, pi]."""
+def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
+    """Analytic no-gap density (1/2pi)(1 - 2 sum beta_n cos n theta) of the
+    action S = N sum_i sum_n (2 beta_n/n) cos(n theta_i) - log Vandermonde,
+    normalised to unit mass on (-pi, pi].  The minus sign was frozen from a
+    Gross-Witten-type calibration run."""
     th = np.asarray(theta, dtype=float)
     out = np.ones_like(th)
     for n, b in enumerate(betas, start=1):
-        out += 2.0 * float(np.real(b)) * np.cos(n * th)
+        out -= 2.0 * float(np.real(b)) * np.cos(n * th)
     return out / TWO_PI
-
-
-def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
-    """Analytic no-gap density for the action convention used here."""
-    signed = [PLAQUETTE_DENSITY_SIGN * float(np.real(b)) for b in betas]
-    return ungapped_density(theta, signed)
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +333,16 @@ def unfold_zeros(ts: np.ndarray) -> np.ndarray:
 
 
 def pair_correlation(
-    points: Union[EnsembleSample, np.ndarray],
+    points: np.ndarray,
     bins: int = 50,
     r_max: float = 5.0,
 ) -> CorrelationReport:
     """Empirical two-point correlation R_2 of unfolded points.
 
-    CUE samples unfold circularly by N/2pi (unit mean spacing); a point
-    array is taken as already unfolded (zero ordinates: pass
+    A 2-D array holds eigenphase configurations, one ascending row each
+    (as sample_cue and PlaquetteRun.sample give them; rows are not
+    sorted here), unfolded circularly by N/2pi (unit mean spacing).  A 1-D
+    array holds points already unfolded (zero ordinates: pass
     unfold_zeros(ts)).  Distances from each reference point to its m-th
     successor, m = 1, 2, ..., grow with m; they are histogrammed up to the
     first m that brings none within r_max, normalised per reference point.
@@ -370,24 +351,28 @@ def pair_correlation(
         raise ValueError("bins must be >= 1")
     if not r_max > 0:
         raise ValueError("r_max must be positive")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"points must be a 2-D array of configurations or a 1-D array of "
+                         f"unfolded points, not a {pts.ndim}-D array")
+    if pts.size < 1000:
+        raise ValueError("need at least 10^3 points after pooling")
     edges = np.linspace(0.0, r_max, bins + 1)
-    if isinstance(points, EnsembleSample):
-        N, phases = points.phases.shape[1], points.phases
+    if pts.ndim == 2:
+        N = pts.shape[1]
         step = max(1, 8192 // N)  # configurations per block: 64 KB of phases
-        blocks = (phases[k : k + step] * N / TWO_PI for k in range(0, len(phases), step))
-        size, refs, period = phases.size, N, float(N)  # every point is a reference
+        blocks = (pts[k : k + step] * N / TWO_PI for k in range(0, len(pts), step))
+        refs, period = N, float(N)  # every point is a reference
     else:
         # one-sided directed distances: for a stationary unit-density
         # process, E[#{j: x_j - x_i in dr}] = R2(r) dr per interior
         # reference point, x_i <= x_max - r_max
-        x = np.sort(np.asarray(points, dtype=float))[None, :]
+        x = np.sort(pts)[None, :]
         refs = int(np.count_nonzero(x <= x[:, -1:] - r_max))
-        blocks, size, period = [x], x.size, None
-    if size < 1000:
-        raise ValueError("need at least 10^3 points after pooling")
-    if not refs:  # every point of the array lies within r_max of the largest
-        raise ValueError(f"r_max = {r_max:g} is not below the span {x[0, -1] - x[0, 0]:g} "
-                         "of the points: no reference point")
+        if not refs:  # every point of the array lies within r_max of the largest
+            raise ValueError(f"r_max = {r_max:g} is not below the span {x[0, -1] - x[0, 0]:g} "
+                             "of the points: no reference point")
+        blocks, period = [x], None
     counts = np.zeros(bins)
     for x in blocks:
         rows = x if period is None else np.tile(x, 2)  # rows[:, i + m] = x[:, (i + m) % N]
@@ -400,6 +385,6 @@ def pair_correlation(
             if not d.size:
                 break
             counts += np.histogram(d, bins=edges)[0]
-    denom = (refs if period is None else size) * (edges[1] - edges[0])
+    denom = (refs if period is None else pts.size) * (edges[1] - edges[0])
     centers = 0.5 * (edges[1:] + edges[:-1])
     return CorrelationReport(centers, counts / denom, sine_kernel_r2(centers))

@@ -57,30 +57,3 @@ def _json_ready(value):
         return [_json_ready(v) for v in value]
     return value
 
-
-def read_csv(path: str):
-    """Round-trip reader for files produced by write_csv: returns
-    (columns dict of float arrays where possible, metadata dict)."""
-    metadata: dict[str, str] = {}
-    rows: list[list[str]] = []
-    header: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, val = line[2:].partition("=")
-                metadata[key] = val
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            if line:
-                rows.append(line.split(","))
-    columns: dict[str, object] = {}
-    for j, name in enumerate(header or []):
-        vals = [r[j] for r in rows]
-        try:
-            columns[name] = np.array([float(v) for v in vals])
-        except ValueError:
-            columns[name] = vals
-    return columns, metadata

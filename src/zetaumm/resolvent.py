@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,16 +54,6 @@ class ResolventModel:
             raise ValueError(f"s0 is read by the shifted model only, not by {self.kind!r}")
         if self.kind != "local" and self.p is not None:
             raise ValueError(f"p is read by the local model only, not by {self.kind!r}")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "local":
-            return f"LocalZeta({self.p})"
-        if self.kind == "gamma":
-            return "GammaPlace"
-        if self.kind == "shifted":
-            return f"ShiftedZeta({self.s0})"
-        return "SymmetricXi"
 
 
 def _mul(a, b) -> np.ndarray:
@@ -124,7 +114,6 @@ class BetaSeries:
     per-coefficient |Δbeta_n| under node doubling and on the second radius
     (zero for the prime-sum route, which carries error_estimates)."""
 
-    model: str
     coefficients: np.ndarray  # complex, index 0 holds beta_1
     doubling_deltas: np.ndarray
     radius_deltas: np.ndarray
@@ -213,7 +202,7 @@ def contour_coefficients(
             f"contour coefficients moved by {deltas.max():.3e} between radii "
             f"{r} and {r2}; not returning a value"
         )
-    return BetaSeries("contour", values, doubling, deltas)
+    return BetaSeries(values, doubling, deltas)
 
 
 def beta_contour(
@@ -229,7 +218,7 @@ def beta_contour(
         # the xi series is a log series, read by the unwinding extractor
         return beta_symmetric(M, r, Q)
     f = lambda z: _fluctuation_inside(model, z)
-    return replace(contour_coefficients(f, M, r, Q), model=model.label)
+    return contour_coefficients(f, M, r, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +362,7 @@ def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
 def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z))."""
     c, scale = _xi_log_series(M, r, Q), 2.0 * math.log(2.0)
-    return replace(c, model="SymmetricXi", coefficients=-c.coefficients / scale,
-                   doubling_deltas=c.doubling_deltas / scale, radius_deltas=c.radius_deltas / scale)
+    return BetaSeries(-c.coefficients / scale, c.doubling_deltas / scale, c.radius_deltas / scale)
 
 
 def _laguerre_alpha1_rows(M: int, x: np.ndarray):
@@ -465,8 +453,7 @@ def beta_renormalized_prime_sum(
     coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12
     zero = np.zeros(M)
-    return BetaSeries(f"Renormalized(mu={mu}, prime_sum)", coeffs.astype(complex), zero, zero,
-                      error_estimates=err)
+    return BetaSeries(coeffs.astype(complex), zero, zero, error_estimates=err)
 
 
 def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
@@ -485,6 +472,5 @@ def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) ->
     regularisation making the symmetric-model comparison an identity:
     Xi_m = 2/m + R_m + G_m.  The factor z cancels the zeta pole at s = 1,
     which makes the literal ln zeta multivalued on the contour."""
-    c = contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, r, Q, log=True)
-    return replace(c, model="Renormalized(mu=0.5, xi_decomposition)")
+    return contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, r, Q, log=True)
 

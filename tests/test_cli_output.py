@@ -25,12 +25,40 @@ def _read(path, mode="r", **kwargs):
         return fh.read()
 
 
+def read_csv(path: str):
+    """Round-trip reader for files produced by output.write_csv: returns
+    (columns dict of float arrays where possible, metadata dict)."""
+    metadata: dict[str, str] = {}
+    rows: list[list[str]] = []
+    header: list[str] | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("# "):
+                key, _, val = line[2:].partition("=")
+                metadata[key] = val
+                continue
+            if header is None:
+                header = line.split(",")
+                continue
+            if line:
+                rows.append(line.split(","))
+    columns: dict[str, object] = {}
+    for j, name in enumerate(header or []):
+        vals = [r[j] for r in rows]
+        try:
+            columns[name] = np.array([float(v) for v in vals])
+        except ValueError:
+            columns[name] = vals
+    return columns, metadata
+
+
 class TestOutput:
     def test_csv_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "t.csv")
         vals = np.array([1.0 / 3.0, math.pi, 1e-300, 7.0])
         output.write_csv(path, {"x": vals}, {"alpha": 0.1, "name": "run"})
-        cols, md = output.read_csv(path)
+        cols, md = read_csv(path)
         assert np.array_equal(cols["x"], vals)  # 17 digits round-trip float64
         assert md["name"] == "run"
 
@@ -65,7 +93,7 @@ class TestCLI:
         base = ["betas", "--model", "local", "--prime", "3", "--mmax", "6"]
         assert main(base + ["--out", csv_path]) == 0
         assert main(base + ["--out", json_path, "--format", "json"]) == 0
-        cols, _ = output.read_csv(csv_path)
+        cols, _ = read_csv(csv_path)
         doc = json.loads(_read(json_path))
         assert np.array_equal(np.asarray(doc["series"]["value"]), cols["value"])
 
@@ -123,6 +151,9 @@ class TestCLI:
         (["betas", "--prime", "5", "--s0", "1.5", "--model", "shifted"], "p is read by the local model only"),
         (["betas", "--prime", "5", "--model", "xi"], "p is read by the local model only"),
         (["padic-check", "--primes", "2,,3"], "'' is not a prime"),
+        (["comb", "--qmax", "1000"], "math range error"),
+        (["betas", "--model", "local", "--prime", "2", "--radius", "1e-300"],
+         "Numerical result out of range"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
     def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "x.csv")
@@ -134,11 +165,23 @@ class TestCLI:
     def test_metadata_echo(self, tmp_path):
         out = str(tmp_path / "c.csv")
         assert main(["comb", "--prime", "3", "--qmax", "4.0", "--out", out]) == 0
-        _, md = output.read_csv(out)
+        _, md = read_csv(out)
         assert md["command"] == "comb"
         assert md["qmax"] == "4"
         assert "version" in md
         assert abs(float(md["position-period"]) - 2 * math.pi / math.log(3)) < 1e-12
+
+    @pytest.mark.parametrize("argv", [
+        ["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--pmax", "10000"],
+        ["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "3"],
+    ], ids=["prime_sum", "shifted_contour"])
+    def test_beta_ren_metadata_is_its_options(self, tmp_path, argv):
+        # the echoed --method and --mu say which series the file holds
+        out = str(tmp_path / "b.csv")
+        assert main(argv + ["--out", out]) == 0
+        _, md = read_csv(out)
+        assert md["method"] == argv[2] and md["mu"] == "1.5"
+        assert "model" not in md
 
     def test_config_file_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -146,13 +189,13 @@ class TestCLI:
         out = str(tmp_path / "b.csv")
         assert main(["betas", "--model", "local", "--prime", "2",
                      "--config", str(cfg), "--out", out]) == 0
-        cols, md = output.read_csv(out)
+        cols, md = read_csv(out)
         assert cols["index"].size == 7
         assert float(md["radius"]) == 0.45
         # explicit flag wins over the config default
         assert main(["betas", "--model", "local", "--prime", "2", "--mmax", "4",
                      "--config", str(cfg), "--out", out]) == 0
-        cols, _ = output.read_csv(out)
+        cols, _ = read_csv(out)
         assert cols["index"].size == 4
 
     def test_config_supplies_required_options(self, tmp_path):
@@ -160,16 +203,16 @@ class TestCLI:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"model=local\nprime=2\nmmax=5\nout={out}\n")
         assert main(["betas", "--config", str(cfg)]) == 0
-        cols, md = output.read_csv(str(out))
+        cols, md = read_csv(str(out))
         assert cols["index"].size == 5
-        assert md["model"] == "LocalZeta(2)"
+        assert md["model"] == "local" and md["prime"] == "2"
         # explicit flags still win over the file, required ones included
         other = str(tmp_path / "explicit.csv")
         assert main(["betas", "--config", str(cfg), "--model", "gamma", "--mmax", "3",
                      "--out", other]) == 0
-        cols, md = output.read_csv(other)
+        cols, md = read_csv(other)
         assert cols["index"].size == 3
-        assert md["model"] == "GammaPlace"
+        assert md["model"] == "gamma" and "prime" not in md
         cfg.write_text(f"model=local\nprime=2\nout={out}\nbogus=1\n")
         assert main(["betas", "--config", str(cfg)]) == 1
 
@@ -180,7 +223,7 @@ class TestCLI:
         for model, kept, dropped in (("gamma", [], ["prime", "s0"]), ("shifted", ["s0"], ["prime"]),
                                      ("local", ["prime"], ["s0"])):
             assert main(["betas", "--model", model, "--config", str(cfg), "--out", out]) == 0
-            _, md = output.read_csv(out)
+            _, md = read_csv(out)
             assert all(k in md for k in kept) and not any(k in md for k in dropped)
         # the same option given as a flag, or as a prefix of one, is refused
         for flag in ("--prime", "--pri"):
@@ -195,7 +238,7 @@ class TestCLI:
         path.write_text(cfg + "\n")
         out = str(tmp_path / "x.csv")
         assert main(argv + ["--config", str(path), "--out", out]) == 0
-        _, md = output.read_csv(out)
+        _, md = read_csv(out)
         assert md[key] == value
 
     @pytest.mark.parametrize("argv, cfg, message", [
@@ -263,7 +306,7 @@ class TestCLI:
         out = str(tmp_path / "li.csv")
         rc = main(["li", "--zeros", str(crooked), "--nmax", "4", "--nzeros", "299", "--out", out])
         assert rc == 2
-        cols, _ = output.read_csv(out)  # the artifact is written before the exit
+        cols, _ = read_csv(out)  # the artifact is written before the exit
         assert cols["index"].size == 4
         err = capsys.readouterr().err
         assert re.search(r"lambda_1: cauchy \S+ vs zero_sum \S+ differ by \S+ \(> bar \S+\)", err)
@@ -277,7 +320,7 @@ class TestCLI:
         out = str(tmp_path / "li.csv")
         rc = main(["li", "--zeros", str(crooked), "--nmax", "1", "--nzeros", "1999", "--out", out])
         assert rc == 2
-        cols, _ = output.read_csv(out)  # the artifact is written before the exit
+        cols, _ = read_csv(out)  # the artifact is written before the exit
         assert cols["index"].tolist() == [1]
         assert re.search(r"lambda_1: .* \(> bar 2\.21e-05\)", capsys.readouterr().err)
 
@@ -319,7 +362,7 @@ class TestCLI:
         monkeypatch.setattr(cli, "haar_integrate_norm_power", lambda p, s, K: shell)
         out = str(tmp_path / "p.csv")
         assert main(["padic-check", "--primes", "3", "--samples", "5", "--out", out]) == 2
-        cols, _ = output.read_csv(out)
+        cols, _ = read_csv(out)
         assert cols["deviation"][-1] == 0.5
         err = capsys.readouterr().err
         assert "haar_shell(p=3): deviation 0.5 exceeds bound 1e-09" in err
@@ -363,7 +406,7 @@ class TestCLI:
         rc = main(["explicit-formula", "--kind", "j_local", "--prime", "3", "--x", "10",
                    "--terms", "500", "--out", out])
         assert rc == 0
-        cols, _ = output.read_csv(out)
+        cols, _ = read_csv(out)
         assert cols["direct"][0] == local_count_direct(3, 10.0) == 2.0
         assert cols["explicit"][0] == local_count_explicit(3, 10.0, 500)
 
@@ -388,7 +431,7 @@ class TestCLI:
         rc = main(["li", "--zeros", bundled_zeros_path(), "--nmax", "20", "--nzeros", "2000",
                    "--out", out])
         assert rc == 0
-        cols, _ = output.read_csv(out)
+        cols, _ = read_csv(out)
         assert np.abs(cols["cauchy"] - li_oracle_20).max() < 1e-7
         # the bar is the two routes' own error estimates, with no slack added
         bar = (li_coefficients_cauchy(20, 0.45, 512).error_estimate
@@ -405,7 +448,7 @@ class TestCLI:
     def test_cue_sample_one_bin(self, tmp_path):
         out = str(tmp_path / "pc1.csv")
         assert main(["cue-sample", "--n", "12", "--samples", "100", "--bins", "1", "--out", out]) == 0
-        cols, md = output.read_csv(out)
+        cols, md = read_csv(out)
         assert cols["r"].tolist() == [2.5]
         # the one bin spans [0, r_max]
         gap = abs(cols["r2"][0] - cols["sine_kernel"][0])
@@ -416,7 +459,7 @@ class TestCLI:
         rc = main(["explicit-formula", "--kind", "psi", "--x", "10.5",
                    "--zeros", bundled_zeros_path(), "--nzeros", "100", "--out", out])
         assert rc == 0
-        cols, _ = output.read_csv(out)
+        cols, _ = read_csv(out)
         assert abs(cols["direct"][0] - 7.832015) < 1e-5
         assert cols["difference"][0] < 0.1
 
@@ -425,7 +468,7 @@ class TestCLI:
         rc = main(["plaquette-mc", "--n", "12", "--betas", "0.2", "--sweeps", "80",
                    "--burn-in", "40", "--chains", "2", "--out", out])
         assert rc == 0
-        _, md = output.read_csv(out)
+        _, md = read_csv(out)
         assert md["acceptance-in-band"] == "True"
         assert 0.0 < float(md["acceptance-rate"]) < 1.0
 

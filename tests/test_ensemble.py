@@ -9,7 +9,6 @@ from scipy.stats import ks_2samp, kstest
 
 from zetaumm import ensemble
 from zetaumm.ensemble import (
-    PLAQUETTE_DENSITY_SIGN,
     _chain_rng,
     _eigenphases,
     acceptance_in_band,
@@ -35,25 +34,25 @@ class TestCUE:
     def test_mean_circular_spacing_is_exact(self):
         s = sample_cue(16, 200, seed=1)
         # N circular gaps always sum to 2pi, so the mean is identically 2pi/N
-        assert abs(_circular_spacings(s.phases).mean() - TWO_PI / 16) < 1e-12
+        assert abs(_circular_spacings(s).mean() - TWO_PI / 16) < 1e-12
 
     def test_same_seed_reproduces_stream(self):
         a = sample_cue(8, 50, seed=42)
         b = sample_cue(8, 50, seed=42)
-        assert np.array_equal(a.phases, b.phases)
+        assert np.array_equal(a, b)
         c = sample_cue(8, 50, seed=43)
-        assert not np.array_equal(a.phases, c.phases)
+        assert not np.array_equal(a, c)
 
     def test_phases_sorted_in_interval(self):
         s = sample_cue(12, 100, seed=5)
-        assert (np.diff(s.phases, axis=1) >= 0).all()
-        assert s.phases.max() <= math.pi and s.phases.min() > -math.pi
+        assert (np.diff(s, axis=1) >= 0).all()
+        assert s.max() <= math.pi and s.min() > -math.pi
 
     def test_two_by_two_spacing_law(self):
         # joint density |e^{i a} - e^{i b}|^2 makes a uniformly chosen
         # circular gap follow sin^2(g/2)/pi; KS against its CDF
         s = sample_cue(2, 100_000, seed=9)
-        gaps = _circular_spacings(s.phases)
+        gaps = _circular_spacings(s)
         pick = np.random.Generator(np.random.PCG64(1234)).integers(0, 2, gaps.shape[0])
         g = gaps[np.arange(gaps.shape[0]), pick]
         res = kstest(g, lambda x: (x - np.sin(x)) / TWO_PI)
@@ -75,7 +74,7 @@ class TestCUE:
         # sha256 of the phases of the one-process, one-matrix-at-a-time
         # sampler (IEEE float64, x86-64 glibc libm); no sample count here
         # is a multiple of 2 or 3
-        assert hashlib.sha256(sample_cue(N, samples, seed).phases.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(sample_cue(N, samples, seed).tobytes()).hexdigest() == digest
 
 
 def _cpus(monkeypatch, n):
@@ -96,7 +95,7 @@ class TestWorkers:
         runs = []
         for n in (1, 2, 3):
             _cpus(monkeypatch, n)
-            runs.append(sample_cue(N, samples, seed=N).phases)
+            runs.append(sample_cue(N, samples, seed=N))
         assert all(np.array_equal(runs[0], r) for r in runs[1:])
         _assert_no_child_left()
 
@@ -106,7 +105,7 @@ class TestWorkers:
         for n in (1, 2, 3):
             _cpus(monkeypatch, n)
             run = plaquette_mc(10, [0.15, 0.04], sweeps=40, burn_in=15, seed=8, chains=chains)
-            runs.append((run.sample.phases, run.density, run.acceptance_rate))
+            runs.append((run.sample, run.density, run.acceptance_rate))
         for phases, density, rate in runs[1:]:
             assert np.array_equal(phases, runs[0][0]) and np.array_equal(density, runs[0][1])
             assert rate == runs[0][2]
@@ -178,7 +177,7 @@ class TestCayleyPhases:
     def test_sample_cue_matches_eigvals(self, N, samples, seed):
         # _haar replays the draws of sample_cue, so these are its matrices;
         # about one in six takes the guarded second pass
-        phases = sample_cue(N, samples, seed).phases
+        phases = sample_cue(N, samples, seed)
         rng = _chain_rng(seed, 0)
         for row in phases:
             ref = np.angle(np.linalg.eigvals(_haar(N, rng)))
@@ -248,16 +247,22 @@ class TestPlaquetteMC:
         assert np.abs(run.density - model).max() < 0.03
 
     def test_sign_convention_frozen(self):
-        # the calibration that froze PLAQUETTE_DENSITY_SIGN: fitted first
-        # Fourier coefficient has magnitude beta_1 and the recorded sign
+        # the calibration that froze the minus sign of
+        # plaquette_model_density: fitted first Fourier coefficient has
+        # magnitude beta_1 and the opposite sign
         run = plaquette_mc(32, [0.25], sweeps=800, burn_in=300, seed=3, chains=4)
-        c_fit = np.cos(run.sample.phases.ravel()).mean()
-        assert abs(c_fit - PLAQUETTE_DENSITY_SIGN * 0.25) < 0.02
+        c_fit = np.cos(run.sample.ravel()).mean()
+        assert abs(c_fit + 0.25) < 0.02
+
+    def test_ungapped_density_normalised(self):
+        th = np.linspace(-math.pi, math.pi, 20001)
+        rho = plaquette_model_density(th, [-0.25, 0.1])
+        assert abs(np.trapezoid(rho, th) - 1.0) < 1e-6
 
     def test_phases_sorted(self):
         # pair_correlation reads each stored configuration as ascending
         run = plaquette_mc(10, [0.2], sweeps=50, burn_in=10, seed=6, chains=3)
-        assert (np.diff(run.sample.phases, axis=1) >= 0).all()
+        assert (np.diff(run.sample, axis=1) >= 0).all()
 
     def test_burn_in_changes_histogram(self):
         a = plaquette_mc(16, [0.25], sweeps=200, burn_in=0, seed=4, chains=2)
@@ -267,7 +272,7 @@ class TestPlaquetteMC:
     def test_chain_streams_independent_of_chain_count(self):
         a = plaquette_mc(8, [0.1], sweeps=50, burn_in=20, seed=7, chains=1)
         b = plaquette_mc(8, [0.1], sweeps=50, burn_in=20, seed=7, chains=3)
-        assert np.array_equal(a.sample.phases[:50], b.sample.phases[:50])
+        assert np.array_equal(a.sample[:50], b.sample[:50])
 
     @pytest.mark.parametrize("N, betas, sweeps, burn_in, seed, chains, digest", [
         (8, [0.1, 0.03], 60, 20, 7, 1,
@@ -280,13 +285,13 @@ class TestPlaquetteMC:
         # that preceded the lockstep sweep; the rewrite must reproduce them
         # bit for bit (IEEE float64, x86-64 glibc libm)
         run = plaquette_mc(N, betas, sweeps, burn_in, seed, chains)
-        assert hashlib.sha256(run.sample.phases.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(run.sample.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("N, betas, chains", [(6, [], 2), (9, [0.15, -0.05, 0.02], 3)])
     def test_matches_one_chain_reference(self, N, betas, chains):
         run = plaquette_mc(N, betas, sweeps=30, burn_in=25, seed=3, chains=chains)
         ref = np.concatenate([_reference_chain(N, betas, 30, 25, 3, c)[0] for c in range(chains)])
-        assert np.array_equal(run.sample.phases, ref)
+        assert np.array_equal(run.sample, ref)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("N, betas, chains", [(48, [0.2, 0.05], 1), (32, [0.25], 4)])
@@ -295,7 +300,7 @@ class TestPlaquetteMC:
         # four chains in one group per usable CPU
         run = plaquette_mc(N, betas, sweeps=300, burn_in=60, seed=seed, chains=chains)
         refs = [_reference_chain(N, betas, 300, 60, seed, c) for c in range(chains)]
-        assert np.array_equal(run.sample.phases, np.concatenate([p for p, _ in refs]))
+        assert np.array_equal(run.sample, np.concatenate([p for p, _ in refs]))
         assert run.acceptance_rate == sum(a for _, a in refs) / (chains * 300 * N)
 
     def test_chord_table_against_sine_form(self):
@@ -326,23 +331,23 @@ class TestPlaquetteMC:
         # heavy thinning and one gap per configuration keep the two-sample
         # KS comparison effectively independent
         run = plaquette_mc(16, [], sweeps=2000, burn_in=300, seed=5, chains=2)
-        mc_gaps = _circular_spacings(run.sample.phases[::10])[::2, 0]
-        cue_gaps = _circular_spacings(sample_cue(16, mc_gaps.size, seed=6).phases)[:, 0]
+        mc_gaps = _circular_spacings(run.sample[::10])[::2, 0]
+        cue_gaps = _circular_spacings(sample_cue(16, mc_gaps.size, seed=6))[:, 0]
         assert ks_2samp(mc_gaps, cue_gaps).pvalue > 1e-3
 
 
 def _reference_r2(sample, bins=50, r_max=5.0):
     """The one-configuration-at-a-time, all-pairs histogram that
     pair_correlation's loop over forward offsets replaced."""
-    N = sample.phases.shape[1]
+    N = sample.shape[1]
     edges = np.linspace(0.0, r_max, bins + 1)
     counts = np.zeros(bins)
-    for row in sample.phases:
+    for row in sample:
         x = np.sort(row * N / TWO_PI)
         d = (x[None, :] - x[:, None]) % float(N)
         np.fill_diagonal(d, np.inf)
         counts += np.histogram(d[d <= r_max], bins=edges)[0]
-    return counts / (len(sample.phases) * N * (edges[1] - edges[0]))
+    return counts / (len(sample) * N * (edges[1] - edges[0]))
 
 
 def _reference_point_r2(points, bins, r_max):
@@ -404,6 +409,11 @@ class TestPairCorrelation:
         assert rep.l2_distance < 0.08
         rep_default = pair_correlation(unfold_zeros(zeros_all.ts), bins=50, r_max=5.0)
         assert rep_default.l2_distance < 0.1
+
+    @pytest.mark.parametrize("shape", [(), (10, 10, 20)])
+    def test_rank_other_than_one_or_two_rejected(self, shape):
+        with pytest.raises(ValueError, match=f"not a {len(shape)}-D array"):
+            pair_correlation(np.zeros(shape))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 
 from zetaumm import resolvent as rv
 from zetaumm import zeta as zt
-from zetaumm.ensemble import ungapped_density
 from zetaumm.resolvent import (
     ResolventModel,
     beta_contour,
@@ -284,11 +283,6 @@ class TestDensityProfile:
         for p in (1, 4):
             with pytest.raises(ValueError, match="not a prime"):
                 density_profile(p, [2.0], 3)
-
-    def test_ungapped_density_normalised(self):
-        th = np.linspace(-math.pi, math.pi, 20001)
-        rho = ungapped_density(th, [0.25, -0.1])
-        assert abs(np.trapezoid(rho, th) - 1.0) < 1e-6
 
 
 class TestTraceFluctuation:

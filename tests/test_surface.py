@@ -26,8 +26,6 @@ EXEMPT = {
     # the README tells users to pass zero ordinates to pair_correlation
     # through it
     ("ensemble", "unfold_zeros"),
-    # the artifact reader that the CLI round-trip tests use
-    ("output", "read_csv"),
 }
 
 # Orphans whose deletion is scheduled (ROADMAP open item 8) but not yet
