@@ -300,27 +300,12 @@ def _cmd_trace_check(args) -> None:
     table = _ingest(args.zeros, args.nzeros)
     primes = zt.PrimeTable.build(args.primes_max)
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
-    payload = {
-        "lhs": {"pole": rep.lhs_pole, "zero_sum": rep.lhs_zero_sum, "digamma": rep.lhs_digamma},
-        "rhs": {"log_pi": rep.rhs_log_pi, "prime_sum": rep.rhs_prime_sum},
-        "residual": rep.residual,
-        "bounds": {
-            "zero_tail": rep.zero_tail_bound,
-            "prime_tail": rep.prime_tail_bound,
-            "digamma_tail": rep.digamma_tail_bound,
-            "quadrature": rep.quadrature_error,
-            "total": rep.total_bound,
-        },
-    }
-    cols = {
-        "term": ["pole", "zero_sum", "digamma", "log_pi", "prime_sum", "residual", "bound"],
-        "value": [rep.lhs_pole, rep.lhs_zero_sum, rep.lhs_digamma, rep.rhs_log_pi,
-                  rep.rhs_prime_sum, rep.residual, rep.total_bound],
-    }
-    _emit(args, cols, payload)
-    bounds = payload["bounds"]
-    big = max(("zero_tail", "prime_tail", "digamma_tail", "quadrature"), key=bounds.get)
-    zt.check_agreement(f"trace formula residual vs total_bound (largest term {big} {bounds[big]:.3g})",
+    terms = {**rep.lhs_terms, **rep.rhs_terms, "residual": rep.residual, "bound": rep.total_bound}
+    cols = {"term": list(terms), "value": list(terms.values())}
+    _emit(args, cols, {"lhs": rep.lhs_terms, "rhs": rep.rhs_terms, "residual": rep.residual,
+                       "bounds": {**rep.bounds, "total": rep.total_bound}})
+    big = max(rep.bounds, key=rep.bounds.get)
+    zt.check_agreement(f"trace formula residual vs total_bound (largest term {big} {rep.bounds[big]:.3g})",
                        rep.lhs, rep.rhs, rep.total_bound, ("lhs", "rhs"))
 
 
@@ -415,11 +400,7 @@ def _cmd_comb(args) -> None:
     from . import traceform
     comb = traceform.wigner_marginal_comb(args.prime, args.mu, args.qmax)
     cols = {"location": comb.locations, "weight": comb.weights}
-    _emit(args, cols, {
-        "locations": comb.locations,
-        "weights": comb.weights,
-        "position_period": comb.position_period,
-    }, {"position-period": comb.position_period})
+    _emit(args, cols, vars(comb), {"position-period": comb.position_period})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +455,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    except (ValueError, OSError, OverflowError) as exc:  # overflow: an input beyond binary64
+    # overflow: an input beyond binary64; memory: an allocation beyond the machine
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"zetaumm: {exc}", file=sys.stderr)
         return 1
     except NumericConsistencyError as exc:

@@ -360,6 +360,9 @@ def pair_correlation(
     edges = np.linspace(0.0, r_max, bins + 1)
     if pts.ndim == 2:
         N = pts.shape[1]
+        if r_max > N:
+            raise ValueError(f"r_max = {r_max:g} exceeds N = {N}: a configuration unfolds "
+                             "to a circle of length N")
         step = max(1, 8192 // N)  # configurations per block: 64 KB of phases
         blocks = (pts[k : k + step] * N / TWO_PI for k in range(0, len(pts), step))
         refs, period = N, float(N)  # every point is a reference

@@ -39,21 +39,15 @@ def write_csv(path: str, columns: Mapping[str, Sequence], metadata: Mapping[str,
 
 
 def write_json(path: str, payload: Mapping[str, object], metadata: Mapping[str, object]) -> None:
-    doc = {"metadata": {k: _json_ready(v) for k, v in sorted(metadata.items())}}
-    doc.update({k: _json_ready(v) for k, v in payload.items()})
+    doc = {"metadata": dict(sorted(metadata.items())), **payload}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=False)
+        json.dump(doc, fh, indent=1, default=_plain)
         fh.write("\n")
 
 
-def _json_ready(value):
-    if isinstance(value, np.ndarray):
+def _plain(value):
+    """json.dump's hook for numpy arrays and scalars (np.float64 is a float
+    and never reaches it)."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
-
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")

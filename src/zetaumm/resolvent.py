@@ -420,35 +420,25 @@ def beta_renormalized_prime_sum(
         raise ValueError("M must be >= 1")
     if P_max < 2:
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
-    all_primes = zt.sieve_primes(P_max)
+    logp_all = np.log(zt.sieve_primes(P_max))
     sigma = mu + 0.5
     # powers of large primes are invisible at working precision: the n-th
-    # powers take the primes p <= cut, that is p <= min(floor(cut), P_max),
-    # a prefix of the ascending primes; every prefix is found before the
-    # sum, so that primes sieved here are freed before it.  The loop ends
-    # at the first n with 2^(n sigma) > e^48 (cut < 2): n <= 46 are summed,
-    # as sigma > 3/2
-    ends = []
+    # powers take the primes p <= cut, a prefix of the ascending primes.  The
+    # loop ends at the first n with 2^(n sigma) > e^48 (cut < 2): n <= 46 are
+    # summed, as sigma > 3/2
+    coeffs = np.zeros(M)
     for n in itertools.count(1):
         cut = min(math.floor(math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))), P_max)
         if cut < 2:
             break
-        ends.append(int(np.searchsorted(all_primes, cut, side="right")))
-    logp_all = np.log(all_primes[: max(ends, default=0)])
-    del all_primes
-    coeffs = np.zeros(M)
-    for n, end in enumerate(ends, start=1):
-        logp = logp_all[:end]
+        # np.log, as for the table, so that a prime equal to cut stays in
+        logp = logp_all[: np.searchsorted(logp_all, np.log(cut), side="right")]
         w = np.multiply(-n * sigma, logp)
         np.exp(w, out=w)
         w *= logp  # ln p * p^(-n sigma)
         prod = np.empty_like(w)
-        lag_max = 0.0
         for m, row in enumerate(_laguerre_alpha1_rows(M, n * logp)):
             coeffs[m] -= np.multiply(w, row, out=prod).sum()
-            lag_max = max(lag_max, np.abs(row, out=prod).max())  # max |L| over the table
-        if w.max() * lag_max < 1e-18:
-            break
     tails = _prime_tail_integrals(M, mu, float(P_max))
     coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12

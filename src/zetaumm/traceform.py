@@ -82,35 +82,29 @@ def wigner_marginal_comb(
 
 @dataclass(frozen=True)
 class TraceReport:
-    """Both sides of the trace formula with honest truncation bounds."""
+    """Both sides of the trace formula term by term, with honest truncation
+    bounds.  Each map keeps the order its artifact prints it in."""
 
-    lhs_pole: float
-    lhs_zero_sum: float
-    lhs_digamma: float
-    rhs_log_pi: float
-    rhs_prime_sum: float
-    residual: float
-    zero_tail_bound: float
-    prime_tail_bound: float
-    digamma_tail_bound: float
-    quadrature_error: float
+    lhs_terms: dict[str, float]  # pole, zero_sum, digamma
+    rhs_terms: dict[str, float]  # log_pi, prime_sum
+    bounds: dict[str, float]  # zero_tail, prime_tail, digamma_tail, quadrature
 
     @property
     def lhs(self) -> float:
-        return self.lhs_pole - self.lhs_zero_sum + self.lhs_digamma
+        t = self.lhs_terms
+        return t["pole"] - t["zero_sum"] + t["digamma"]
 
     @property
     def rhs(self) -> float:
-        return self.rhs_log_pi + self.rhs_prime_sum
+        return self.rhs_terms["log_pi"] + self.rhs_terms["prime_sum"]
+
+    @property
+    def residual(self) -> float:
+        return float(self.lhs - self.rhs)
 
     @property
     def total_bound(self) -> float:
-        return (
-            self.zero_tail_bound
-            + self.prime_tail_bound
-            + self.digamma_tail_bound
-            + self.quadrature_error
-        )
+        return sum(self.bounds.values())
 
 
 def _g(a: float, q):
@@ -183,16 +177,13 @@ def trace_formula_check(
     # |Re psi(1/4 + iu/2)| <= ln(2+u) + 2 past the cutoff
     dig_tail = float((math.log(2.0 + U) + 2.0) * math.erfc(a * U / math.sqrt(2.0)))
 
-    residual = (pole - zero_sum + dig) - (LN_PI + prime_sum)
     return TraceReport(
-        lhs_pole=pole,
-        lhs_zero_sum=zero_sum,
-        lhs_digamma=dig,
-        rhs_log_pi=LN_PI,
-        rhs_prime_sum=prime_sum,
-        residual=float(residual),
-        zero_tail_bound=zero_tail,
-        prime_tail_bound=prime_tail,
-        digamma_tail_bound=dig_tail,
-        quadrature_error=float(quad_err / TWO_PI + 1e-13 * (abs(pole) + abs(prime_sum))),
+        lhs_terms={"pole": pole, "zero_sum": zero_sum, "digamma": dig},
+        rhs_terms={"log_pi": LN_PI, "prime_sum": prime_sum},
+        bounds={
+            "zero_tail": zero_tail,
+            "prime_tail": prime_tail,
+            "digamma_tail": dig_tail,
+            "quadrature": float(quad_err / TWO_PI + 1e-13 * (abs(pole) + abs(prime_sum))),
+        },
     )

@@ -305,7 +305,6 @@ class PrimeTable:
     """Primes and prime powers up to `limit`, with von Mangoldt weights."""
 
     limit: int
-    primes: np.ndarray
     # parallel arrays over prime powers p^k <= limit, ascending by value
     power_values: np.ndarray
     power_exponents: np.ndarray
@@ -328,7 +327,6 @@ class PrimeTable:
         order = np.argsort(vals)
         return cls(
             limit=limit,
-            primes=primes,
             power_values=vals[order],
             power_exponents=np.repeat(np.arange(1, len(levels) + 1, dtype=np.int64), sizes)[order],
             power_weights=np.concatenate([logs[:k] for k in sizes])[order],

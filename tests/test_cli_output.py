@@ -14,8 +14,8 @@ from zetaumm import cli, output, traceform, wavelets
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
 from zetaumm.resolvent import local_potential_derivative
-from zetaumm.zeta import (bundled_zeros_path, li_coefficients_cauchy, li_coefficients_zero_sum,
-                          local_count_direct, local_count_explicit)
+from zetaumm.zeta import (PrimeTable, bundled_zeros_path, ingest_zeros, li_coefficients_cauchy,
+                          li_coefficients_zero_sum, local_count_direct, local_count_explicit)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -72,6 +72,22 @@ class TestOutput:
         doc = json.loads(_read(path))
         assert doc["metadata"]["k"] == 3
         assert doc["arr"] == [1.5, 2.5]
+
+    def test_json_numpy_values_written_as_their_python_twins(self, tmp_path):
+        # np.float64 is a float; arrays, integers and booleans go through the hook
+        def doc(f, i, b, arr):
+            return {"f": f(1.0 / 3.0), "i": i(-7), "b": b(True),
+                    "nested": {"arr": arr([[0.1, 2.0], [1e-300, -4.5]]), "list": [f(math.pi), i(2)]}}
+        np_path, py_path = str(tmp_path / "np.json"), str(tmp_path / "py.json")
+        output.write_json(np_path, doc(np.float64, np.int64, np.bool_, np.array),
+                          {"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(False)})
+        output.write_json(py_path, doc(float, int, bool, lambda rows: rows),
+                          {"x": 0.1, "n": 3, "ok": False})
+        assert _read(np_path) == _read(py_path)
+
+    def test_json_refuses_other_objects(self, tmp_path):
+        with pytest.raises(TypeError, match="complex"):
+            output.write_json(str(tmp_path / "t.json"), {"z": 1j}, {})
 
 
 class TestCLI:
@@ -154,6 +170,12 @@ class TestCLI:
         (["comb", "--qmax", "1000"], "math range error"),
         (["betas", "--model", "local", "--prime", "2", "--radius", "1e-300"],
          "Numerical result out of range"),
+        # sizes beyond the 2^47-byte address space, so that nothing is touched
+        (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "100000000000000000"],
+         "Unable to allocate"),
+        (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "100000000000000000"],
+         "Unable to allocate"),
+        (["cue-sample", "--n", "4", "--samples", "300"], "r_max = 5 exceeds N = 4"),
     ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
     def test_size_option_exits_one(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "x.csv")
@@ -298,6 +320,21 @@ class TestCLI:
         doc = json.loads(_read(out))
         assert abs(doc["residual"]) <= doc["bounds"]["total"]
 
+    def test_trace_check_artifacts_carry_the_report_terms(self, tmp_path):
+        argv = ["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "100"]
+        csv_out, json_out = str(tmp_path / "tr.csv"), str(tmp_path / "tr.json")
+        assert main(argv + ["--out", csv_out]) == 0
+        assert main(argv + ["--out", json_out, "--format", "json"]) == 0
+        rep = traceform.trace_formula_check(1.0, ingest_zeros(bundled_zeros_path(), 100), 100,
+                                            PrimeTable.build(10**4))
+        cols, _ = read_csv(csv_out)
+        assert cols["term"] == [*rep.lhs_terms, *rep.rhs_terms, "residual", "bound"]
+        doc = json.loads(_read(json_out))
+        assert list(doc) == ["metadata", "lhs", "rhs", "residual", "bounds"]
+        assert list(doc["lhs"]) == list(rep.lhs_terms) and list(doc["rhs"]) == list(rep.rhs_terms)
+        assert list(doc["bounds"]) == [*rep.bounds, "total"]
+        assert doc["residual"] == rep.residual and doc["bounds"]["total"] == rep.total_bound
+
     def test_li_disagreement_exits_two(self, tmp_path, zeros_2000, capsys):
         # a zero table with the first ordinate dropped still validates, but
         # the two Li routes then disagree beyond the combined tolerance
@@ -326,9 +363,9 @@ class TestCLI:
 
     def test_trace_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
         report = traceform.TraceReport(
-            lhs_pole=1.0, lhs_zero_sum=0.0, lhs_digamma=0.0, rhs_log_pi=0.0, rhs_prime_sum=0.5,
-            residual=0.5, zero_tail_bound=1e-3, prime_tail_bound=2e-2, digamma_tail_bound=0.0,
-            quadrature_error=1e-9)
+            lhs_terms={"pole": 1.0, "zero_sum": 0.0, "digamma": 0.0},
+            rhs_terms={"log_pi": 0.0, "prime_sum": 0.5},
+            bounds={"zero_tail": 1e-3, "prime_tail": 2e-2, "digamma_tail": 0.0, "quadrature": 1e-9})
         monkeypatch.setattr(traceform, "trace_formula_check", lambda *args: report)
         out = str(tmp_path / "tr.json")
         rc = main(["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "50",

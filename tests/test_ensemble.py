@@ -364,11 +364,11 @@ def _reference_point_r2(points, bins, r_max):
 class TestPairCorrelation:
     @pytest.mark.parametrize("N, samples, bins, r_max", [
         (40, 203, 50, 5.0), (80, 31, 50, 5.0), (181, 7, 30, 3.0), (6, 400, 20, 2.5),
-        (2, 500, 10, 1.0), (2, 500, 16, 2.0), (3, 400, 25, 5.0), (8, 130, 40, 8.0),
-        (40, 30, 50, 50.0), (80, 13, 40, 0.3),
+        (2, 500, 10, 1.0), (2, 500, 16, 2.0), (3, 400, 25, 3.0), (8, 130, 40, 8.0),
+        (40, 30, 50, 40.0), (80, 13, 40, 0.3),
     ])
     def test_blocked_histogram_matches_row_loop(self, N, samples, bins, r_max):
-        # r_max >= N takes every offset of every row
+        # r_max = N takes every offset of every row
         s = sample_cue(N, samples, seed=samples)
         assert np.array_equal(pair_correlation(s, bins, r_max).r2, _reference_r2(s, bins, r_max))
 
@@ -428,6 +428,13 @@ class TestPairCorrelation:
             rep = pair_correlation(x, bins=20, r_max=99.9)  # one reference point, x = 0
         assert np.isfinite(rep.r2).all()
         assert np.array_equal(rep.r2, _reference_point_r2(x, 20, 99.9))
+
+    def test_r_max_beyond_the_circle_rejected(self):
+        # a U(N) row unfolds to a circle of length N: no separation reaches N
+        s = sample_cue(4, 300, seed=0)
+        with pytest.raises(ValueError, match=r"r_max = 5 exceeds N = 4"):
+            pair_correlation(s, r_max=5.0)
+        assert pair_correlation(s, bins=8, r_max=4.0).r2.size == 8
 
     def test_sine_kernel_reference(self):
         r = np.array([1e-9, 0.5, 1.0, 2.5])

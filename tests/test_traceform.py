@@ -70,8 +70,8 @@ class TestTraceFormula:
 
     def test_terms_reported(self, zeros_2000, primes_1e4):
         rep = trace_formula_check(1.0, zeros_2000, 100, primes_1e4)
-        assert abs(rep.lhs_pole - 2 * math.sqrt(2 * math.pi) * math.exp(0.125)) < 1e-12
-        assert abs(rep.rhs_log_pi - math.log(math.pi)) < 1e-14
+        assert abs(rep.lhs_terms["pole"] - 2 * math.sqrt(2 * math.pi) * math.exp(0.125)) < 1e-12
+        assert abs(rep.rhs_terms["log_pi"] - math.log(math.pi)) < 1e-14
         assert rep.lhs - rep.rhs == pytest.approx(rep.residual, abs=1e-15)
 
     def test_width_preconditions(self, zeros_2000, primes_1e4):
@@ -86,13 +86,13 @@ class TestTraceFormula:
 
     def test_gaussian_family_carries_its_width(self, zeros_2000, primes_1e4):
         rep = trace_formula_check(1.5, zeros_2000, 100, primes_1e4)
-        assert rep.lhs_pole == pytest.approx(2 * 1.5 * math.sqrt(2 * math.pi) * math.exp(1.5**2 / 8),
-                                             rel=1e-14)
+        assert rep.lhs_terms["pole"] == pytest.approx(
+            2 * 1.5 * math.sqrt(2 * math.pi) * math.exp(1.5**2 / 8), rel=1e-14)
 
     def test_prime_power_at_the_limit_included(self, zeros_2000):
         # 3125 = 5^5 is a prime power at the limit; its term is ~1.6e-3 at a = 3
         rep = trace_formula_check(3.0, zeros_2000, 100, PrimeTable.build(3125))
-        assert rep.rhs_prime_sum == pytest.approx(_prime_side(3.0, 3125), rel=1e-12, abs=0.0)
+        assert rep.rhs_terms["prime_sum"] == pytest.approx(_prime_side(3.0, 3125), rel=1e-12, abs=0.0)
 
 
 class TestWignerCombs:
@@ -129,7 +129,7 @@ class TestWignerCombs:
         # the comb and the trace formula's prime side both match the term-by-term sum
         want = _prime_side(1.0, 10**4)
         rep = trace_formula_check(1.0, zeros_2000, 100, primes_1e4)
-        assert rep.rhs_prime_sum == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert rep.rhs_terms["prime_sum"] == pytest.approx(want, rel=1e-12, abs=0.0)
         comb = wigner_marginal_comb("all", 0.5, math.log(10**4))
         from_comb = 2.0 * (comb.weights * _g(1.0, comb.locations)).sum()
         assert from_comb == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -326,7 +326,6 @@ class TestPrimeTable:
         table = PrimeTable.build(limit)
         vals, exps, wts = self._reference_prime_table(limit)
         assert table.limit == limit
-        assert np.array_equal(table.primes, sieve_primes(limit))
         assert table.power_values.dtype == np.int64 and np.array_equal(table.power_values, vals)
         assert table.power_exponents.dtype == np.int64 and np.array_equal(table.power_exponents, exps)
         assert table.power_weights.tobytes() == wts.tobytes()
