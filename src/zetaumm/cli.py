@@ -9,6 +9,11 @@ from their own metadata.  Exit codes: 0 success, 1 validation error,
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # pragma: no cover
+    from ._entry import one_blas_thread
+
+    one_blas_thread()  # before numpy loads
+
 import argparse
 import gc
 import math
@@ -465,7 +470,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    """Process entry of `python -m zetaumm.cli` and the `zetaumm` script.
+    """Process entry of `python -m zetaumm.cli` and the `zetaumm` script,
+    after `_entry.one_blas_thread()`.
     The heap the imports built is frozen before the command runs: the
     exit skips its cyclic-GC sweep and forked workers inherit it frozen.
     In-process callers use main()."""

@@ -393,6 +393,11 @@ def _laguerre_alpha1_table(M: int, x: np.ndarray) -> np.ndarray:
     return np.array([row.copy() for row in _laguerre_alpha1_rows(M, x)])
 
 
+# primes per chunk of the prime sum: the smallest power of two above
+# pi(10^6) = 78498, so a level with no more primes than that is one chunk
+_PRIME_CHUNK = 2**17
+
+
 def beta_renormalized_prime_sum(
     M: int,
     mu: float,
@@ -407,9 +412,12 @@ def beta_renormalized_prime_sum(
 
     then the prime tail beyond P_max is completed by the smooth
     prime-density integral (terms fall off too slowly for raw truncation
-    to reach 1e-6 at feasible sieve sizes).  The Laguerre values are made
-    and summed one row at a time, so memory is a few arrays of pi(P_max)
-    doubles whatever M is.
+    to reach 1e-6 at feasible sieve sizes).  Each power level is summed
+    over contiguous chunks of _PRIME_CHUNK primes, and within a chunk one
+    Laguerre row at a time, so memory is the pi(P_max) table of ln p plus
+    a fixed working set of a few chunk-sized arrays, whatever M and P_max
+    are.  A level with at most _PRIME_CHUNK primes is one chunk, summed in
+    the order of a single pass over its primes.
     """
     if mu <= 1.0:
         raise ValueError(
@@ -422,6 +430,7 @@ def beta_renormalized_prime_sum(
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
     logp_all = np.log(zt.sieve_primes(P_max))
     sigma = mu + 0.5
+    w_buf, x_buf, prod_buf = np.empty((3, min(_PRIME_CHUNK, logp_all.size)))
     # powers of large primes are invisible at working precision: the n-th
     # powers take the primes p <= cut, a prefix of the ascending primes.  The
     # loop ends at the first n with 2^(n sigma) > e^48 (cut < 2): n <= 46 are
@@ -432,13 +441,16 @@ def beta_renormalized_prime_sum(
         if cut < 2:
             break
         # np.log, as for the table, so that a prime equal to cut stays in
-        logp = logp_all[: np.searchsorted(logp_all, np.log(cut), side="right")]
-        w = np.multiply(-n * sigma, logp)
-        np.exp(w, out=w)
-        w *= logp  # ln p * p^(-n sigma)
-        prod = np.empty_like(w)
-        for m, row in enumerate(_laguerre_alpha1_rows(M, n * logp)):
-            coeffs[m] -= np.multiply(w, row, out=prod).sum()
+        end = int(np.searchsorted(logp_all, np.log(cut), side="right"))
+        for start in range(0, end, _PRIME_CHUNK):
+            logp = logp_all[start : min(start + _PRIME_CHUNK, end)]
+            w, x, prod = w_buf[: logp.size], x_buf[: logp.size], prod_buf[: logp.size]
+            np.multiply(-n * sigma, logp, out=w)
+            np.exp(w, out=w)
+            w *= logp  # ln p * p^(-n sigma)
+            np.multiply(n, logp, out=x)
+            for m, row in enumerate(_laguerre_alpha1_rows(M, x)):
+                coeffs[m] -= np.multiply(w, row, out=prod).sum()
     tails = _prime_tail_integrals(M, mu, float(P_max))
     coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12

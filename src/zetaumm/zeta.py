@@ -592,11 +592,16 @@ def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding: each phase is off by a few ulp of t ln t, over 2 sum n^(-1/2) <= 4 sqrt(a)."""
     a = np.sqrt(t / (2.0 * math.pi))
     N = np.floor(a).astype(np.int64)
-    main = np.zeros_like(t)
-    theta = _siegel_theta(t)
+    # in ascending t the points with N >= n are a suffix, so each term is
+    # added on a slice; the sums go back to the caller's order at the end
+    order = np.argsort(t, kind="stable")
+    t_up, theta_up, N_up = t[order], _siegel_theta(t)[order], N[order]
+    main_up = np.zeros_like(t)
     for n in range(1, int(N.max(initial=0)) + 1):
-        live = N >= n
-        main[live] += np.cos(theta[live] - t[live] * math.log(n)) / math.sqrt(n)
+        live = slice(int(np.searchsorted(N_up, n)), None)
+        main_up[live] += np.cos(theta_up[live] - t_up[live] * math.log(n)) / math.sqrt(n)
+    main = np.empty_like(t)
+    main[order] = main_up
     x = a - N - 0.5
     corr = np.zeros_like(t)
     for k in reversed(range(len(_RS_COEFFS))):

@@ -517,6 +517,23 @@ def _fresh_python(code, *args, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
+def _entry_code(entry):
+    """Python code that runs the command line of sys.argv as `python -m
+    zetaumm.cli` does ("module"), as the console script that pyproject.toml
+    declares does ("script"), or through an in-process main() ("main")."""
+    if entry == "module":
+        return "import runpy; runpy.run_module('zetaumm.cli', run_name='__main__', alter_sys=True)"
+    if entry == "main":
+        return "import sys; from zetaumm.cli import main; main(sys.argv[1:])"
+    script = re.search(r'^zetaumm = "(.+)"$', _read(os.path.join(os.path.dirname(README),
+                                                                 "pyproject.toml")), re.M)
+    mod, _, fn = script.group(1).partition(":")
+    return f"from {mod} import {fn}; {fn}()"
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestImportPath:
     """The package needs numpy alone: no import and no command loads scipy,
     and every command writes the same bytes with scipy blocked as with it
@@ -556,13 +573,8 @@ class TestImportPath:
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_process_entry_writes_what_main_writes(self, tmp_path, monkeypatch, entry):
-        # `python -m zetaumm.cli` and the console script that pyproject.toml declares
-        script = re.search(r'^zetaumm = "(.+)"$', _read(os.path.join(os.path.dirname(README),
-                                                                     "pyproject.toml")), re.M)
-        mod, _, fn = script.group(1).partition(":")
         code = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); " + (
-            "import runpy; runpy.run_module('zetaumm.cli', run_name='__main__', alter_sys=True)"
-            if entry == "module" else f"from {mod} import {fn}; {fn}()")
+            _entry_code(entry))
         argv = ["comb", "--prime", "all", "--mu", "0.5", "--qmax", "5", "--out", "comb.csv"]
         fresh = tmp_path / "fresh"
         fresh.mkdir()
@@ -575,6 +587,30 @@ class TestImportPath:
         proc = _fresh_python(code, "cue-sample", "--samples", "0", "--out", "pc.csv", cwd=fresh)
         assert proc.returncode == 1
         assert proc.stderr == "zetaumm: samples must be >= 1\n"
+
+    @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "explicit"])
+    @pytest.mark.parametrize("entry", ["module", "script", "main"])
+    def test_process_entry_sets_one_blas_thread_before_numpy(self, tmp_path, entry, preset):
+        # the thread variables as numpy finds them when it starts to load
+        code = (
+            f"import os, sys\nfor name in {_BLAS_THREADS!r}:\n    os.environ.pop(name, None)\n"
+            f"if {preset!r}:\n    os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}\n"
+            "seen = []\n"
+            "class Probe:\n"
+            "    @staticmethod\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            f"            seen.append([os.environ.get(v) for v in {_BLAS_THREADS!r}])\n"
+            "sys.meta_path.insert(0, Probe)\n"
+            "import atexit\n"
+            "atexit.register(lambda: print(seen))\n"
+            + _entry_code(entry))
+        proc = _fresh_python(code, "comb", "--prime", "2", "--qmax", "2", "--out", "comb.csv",
+                             cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        default = None if entry == "main" else "1"
+        want = [preset or default, default, default]
+        assert proc.stdout.splitlines()[-1] == repr([want])
 
     @pytest.mark.parametrize("argv", [
         ["betas", "--model", "local", "--prime", "2"],

@@ -339,6 +339,21 @@ def _reference_prime_sum(M, mu, P_max, N_max=60):
     return (coeffs + rv._prime_tail_integrals(M, mu, float(P_max))).astype(complex)
 
 
+def _prime_sum_magnitude(M, mu, P_max, N_max=60):
+    """sum |ln p p^(-n sigma) L^(1)_(m-1)(n ln p)| over the prime powers the
+    prime sum takes (those of _reference_prime_sum), for m = 1..M."""
+    p_arr = zt.sieve_primes(P_max).astype(float)
+    logp_all = np.log(p_arr)
+    out = np.zeros(M)
+    sigma = mu + 0.5
+    for n in range(1, N_max + 1):
+        logp = logp_all[p_arr <= math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))]
+        if logp.size == 0:
+            break
+        out += np.abs(logp * np.exp(-n * sigma * logp) * rv._laguerre_alpha1_table(M, n * logp)).sum(axis=1)
+    return out
+
+
 class TestRenormalized:
     def test_prime_sum_matches_shifted_contour(self):
         sh = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.5, 1024)
@@ -382,6 +397,36 @@ class TestRenormalized:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 8 * pi_p
+
+    @pytest.mark.parametrize("M", [1, 10, 25])
+    @pytest.mark.parametrize("mu", [1.05, 1.5, 2.4])
+    def test_prime_sum_in_many_chunks_matches_table_reference(self, monkeypatch, M, mu):
+        # pi(10^5) = 9592 primes: level 1 runs as ten chunks, the last one short
+        monkeypatch.setattr(rv, "_PRIME_CHUNK", 1000)
+        got = beta_renormalized_prime_sum(M, mu, 10**5).coefficients.real
+        want = _reference_prime_sum(M, mu, 10**5).real
+        # both add the same rounded terms in two orders.  Each is within
+        # (S + 32) eps sum|terms| of their exact sum: S <= 100 partial sums
+        # (per chunk or per level) accumulate in sequence, and numpy's
+        # pairwise sum of <= 10^4 terms adds <= 16 in sequence per block of
+        # 128, then ceil(log2(10^4 / 128)) = 7 levels.  Both then add the
+        # same tail, one more rounding of the result each
+        bound = 2 * (100 + 32) * zt.EPS * _prime_sum_magnitude(M, mu, 10**5) + 2 * zt.EPS * np.abs(want)
+        assert (np.abs(got - want) <= bound).all()
+
+    def test_prime_sum_memory_does_not_grow_with_P(self):
+        import tracemalloc
+
+        pi_p = 664579  # primes up to 10^7: 6 chunks at level 1
+        tracemalloc.start()
+        try:
+            beta_renormalized_prime_sum(10, 1.7, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the ln p table and a few chunk-sized arrays (2.4x); one pass per
+        # level held seven pi(P)-length arrays (7.0x)
+        assert peak <= 3 * 8 * pi_p
 
     def test_prime_sum_requires_convergent_mu(self):
         with pytest.raises(ValueError, match="sigma"):

@@ -4,6 +4,7 @@ import random
 import signal
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -461,6 +462,24 @@ class TestLiCoefficients:
             zt.check_agreement("x_{n}", [1.0, float("nan")], [1.0, 2.0], 1.0, ("a", "b"))
 
 
+def _masked_riemann_siegel(t):
+    """Z by Riemann-Siegel with the main sum as first written: term n added
+    under the boolean mask N >= n, in the caller's order of t.  The
+    bit-for-bit reference of the sum on slices of ascending t."""
+    a = np.sqrt(t / (2.0 * math.pi))
+    N = np.floor(a).astype(np.int64)
+    main = np.zeros_like(t)
+    theta = zt._siegel_theta(t)
+    for n in range(1, int(N.max(initial=0)) + 1):
+        live = N >= n
+        main[live] += np.cos(theta[live] - t[live] * math.log(n)) / math.sqrt(n)
+    x = a - N - 0.5
+    corr = np.zeros_like(t)
+    for k in reversed(range(len(zt._RS_COEFFS))):
+        corr = corr / a + np.polyval(zt._RS_COEFFS[k], x * x) * (x if k % 2 else 1.0)
+    return 2.0 * main + np.where(N % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
+
+
 class TestHardyZ:
     @pytest.mark.parametrize("lo, hi", [(14.0, 200.0), (200.0, 1000.0), (1000.0, 1e4)])
     def test_against_mpmath_within_bound(self, lo, hi):
@@ -478,6 +497,19 @@ class TestHardyZ:
         em, em_err = zt._z_euler_maclaurin(t)
         assert (np.abs(rs - em) <= rs_err + em_err).all()
         assert np.abs(rs - em).max() > 1e-12  # two routes, not one route twice
+
+    def test_riemann_siegel_bit_identical_to_masked_loop(self):
+        # the points ingestion evaluates for the bundled table, t - delta,
+        # t and t + delta side by side (not ascending), that take this route
+        with open(bundled_zeros_path(), encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+        ts = np.array([float(line) for line in lines])
+        delta = np.array([max(zt._DELTA_MIN, 0.5 * 10.0 ** Decimal(line).as_tuple().exponent)
+                          for line in lines])
+        t = np.concatenate([ts - delta, ts, ts + delta])
+        t = t[t >= zt._RS_MIN_T]
+        assert t.size > 29000 and (np.diff(t) < 0).any()
+        assert np.array_equal(zt._z_riemann_siegel(t)[0], _masked_riemann_siegel(t))
 
     def test_riemann_siegel_coefficients_match_generator(self):
         tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "riemann_siegel_coefficients.py")
