@@ -1,12 +1,15 @@
-"""Process entry of the `zetaumm` script and of `python -m zetaumm.cli`.
+"""The one process entry: the `zetaumm` script and `python -m zetaumm.cli`
+both run `run`.
 
 A process gets one BLAS thread unless its environment names another
 count: the ensemble forks one worker per CPU, and a BLAS pool of one
 thread per CPU in every worker oversubscribes the machine.  The defaults
 must be set before numpy loads.  In-process callers of `cli.main` keep
-their environment."""
+their environment and an unfrozen heap."""
 
+import gc
 import os
+import sys
 
 
 def one_blas_thread() -> None:
@@ -17,8 +20,11 @@ def one_blas_thread() -> None:
 
 
 def run() -> None:
-    """The `zetaumm` script: `cli.run` after one_blas_thread()."""
+    """one_blas_thread(), then `cli.main()` as the process's exit status.
+    The heap the imports built is frozen before the command runs: the
+    exit skips its cyclic-GC sweep and forked workers inherit it frozen."""
     one_blas_thread()
     from . import cli
 
-    cli.run()
+    gc.freeze()
+    sys.exit(cli.main())

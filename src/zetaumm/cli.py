@@ -4,18 +4,19 @@ library modules.
 Every run writes CSV or JSON with a metadata block echoing the complete
 configuration (no timestamps), so outputs are reproducible bit-for-bit
 from their own metadata.  Exit codes: 0 success, 1 validation error,
-2 numeric-consistency failure.
+2 numeric-consistency failure.  A process enters through `_entry.run`
+(the `zetaumm` script, and `python -m zetaumm.cli` below); in-process
+callers use main().
 """
 
 from __future__ import annotations
 
 if __name__ == "__main__":  # pragma: no cover
-    from ._entry import one_blas_thread
+    from ._entry import run
 
-    one_blas_thread()  # before numpy loads
+    run()  # the command runs in the imported zetaumm.cli; this copy stops here
 
 import argparse
-import gc
 import math
 import sys
 from fractions import Fraction
@@ -467,17 +468,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericConsistencyError as exc:
         print(f"zetaumm: numeric consistency failure: {exc}", file=sys.stderr)
         return 2
-
-
-def run() -> None:
-    """Process entry of `python -m zetaumm.cli` and the `zetaumm` script,
-    after `_entry.one_blas_thread()`.
-    The heap the imports built is frozen before the command runs: the
-    exit skips its cyclic-GC sweep and forked workers inherit it frozen.
-    In-process callers use main()."""
-    gc.freeze()
-    sys.exit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

@@ -365,32 +365,24 @@ def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     return BetaSeries(-c.coefficients / scale, c.doubling_deltas / scale, c.radius_deltas / scale)
 
 
-def _laguerre_alpha1_rows(M: int, x: np.ndarray):
-    """Yield L^(1)_m(x) for m = 0..M-1 at a 1-D x by the three-term
-    recurrence m L_m = (2m - x) L_(m-1) - m L_(m-2), carried on three
-    reusable rows: a yielded row is overwritten two steps later, so use it
-    before asking for the next one.  The in-place steps follow the order of
+def _laguerre_alpha1_sums(M: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i L^(1)_m(x_i) for m = 0..M-1 at a 1-D x, by the three-term
+    recurrence m L_m = (2m - x) L_(m-1) - m L_(m-2) from L_(-1) = 0 and
+    L_0 = 1, carried on three rows.  The in-place steps follow the order of
     ((2m - x) L_(m-1) - m L_(m-2)) / m, so each element is the double that
-    expression gives."""
-    rows = [np.ones_like(x), np.empty_like(x), np.empty_like(x)]
-    yield rows[0]
-    if M > 1:
-        np.subtract(2.0, x, out=rows[1])
-        yield rows[1]
-    for m in range(2, M):
+    expression gives; each sum is numpy's pairwise sum of the products."""
+    rows = [np.ones_like(x), np.empty_like(x), np.zeros_like(x)]  # L_0, -, L_(-1)
+    prod, sums = np.empty_like(x), np.empty(M)
+    for m in range(M):
         cur, prev1, prev2 = rows[m % 3], rows[(m - 1) % 3], rows[(m - 2) % 3]
-        np.subtract(2.0 * m, x, out=cur)
-        cur *= prev1
-        prev2 *= m  # L_(m-2) is not read again
-        cur -= prev2
-        cur /= m
-        yield cur
-
-
-def _laguerre_alpha1_table(M: int, x: np.ndarray) -> np.ndarray:
-    """L^(1)_m(x) for m = 0..M-1 at a 1-D x, stacked into an M x len(x)
-    table."""
-    return np.array([row.copy() for row in _laguerre_alpha1_rows(M, x)])
+        if m:
+            np.subtract(2.0 * m, x, out=cur)
+            cur *= prev1
+            prev2 *= m  # L_(m-2) is not read again
+            cur -= prev2
+            cur /= m
+        sums[m] = np.multiply(w, cur, out=prod).sum()
+    return sums
 
 
 # primes per chunk of the prime sum: the smallest power of two above
@@ -413,11 +405,11 @@ def beta_renormalized_prime_sum(
     then the prime tail beyond P_max is completed by the smooth
     prime-density integral (terms fall off too slowly for raw truncation
     to reach 1e-6 at feasible sieve sizes).  Each power level is summed
-    over contiguous chunks of _PRIME_CHUNK primes, and within a chunk one
-    Laguerre row at a time, so memory is the pi(P_max) table of ln p plus
-    a fixed working set of a few chunk-sized arrays, whatever M and P_max
-    are.  A level with at most _PRIME_CHUNK primes is one chunk, summed in
-    the order of a single pass over its primes.
+    over contiguous chunks of _PRIME_CHUNK primes, one Laguerre row at a
+    time, so memory is the pi(P_max) table of ln p plus six chunk-sized
+    arrays (weights, arguments, three Laguerre rows and their product),
+    whatever M and P_max are.  A level with at most _PRIME_CHUNK primes is
+    one chunk, summed in the order of a single pass over its primes.
     """
     if mu <= 1.0:
         raise ValueError(
@@ -430,7 +422,7 @@ def beta_renormalized_prime_sum(
         raise ValueError(f"P_max must be >= 2 (no prime up to {P_max})")
     logp_all = np.log(zt.sieve_primes(P_max))
     sigma = mu + 0.5
-    w_buf, x_buf, prod_buf = np.empty((3, min(_PRIME_CHUNK, logp_all.size)))
+    w_buf, x_buf = np.empty((2, min(_PRIME_CHUNK, logp_all.size)))
     # powers of large primes are invisible at working precision: the n-th
     # powers take the primes p <= cut, a prefix of the ascending primes.  The
     # loop ends at the first n with 2^(n sigma) > e^48 (cut < 2): n <= 46 are
@@ -444,13 +436,12 @@ def beta_renormalized_prime_sum(
         end = int(np.searchsorted(logp_all, np.log(cut), side="right"))
         for start in range(0, end, _PRIME_CHUNK):
             logp = logp_all[start : min(start + _PRIME_CHUNK, end)]
-            w, x, prod = w_buf[: logp.size], x_buf[: logp.size], prod_buf[: logp.size]
+            w, x = w_buf[: logp.size], x_buf[: logp.size]
             np.multiply(-n * sigma, logp, out=w)
             np.exp(w, out=w)
             w *= logp  # ln p * p^(-n sigma)
             np.multiply(n, logp, out=x)
-            for m, row in enumerate(_laguerre_alpha1_rows(M, x)):
-                coeffs[m] -= np.multiply(w, row, out=prod).sum()
+            coeffs -= _laguerre_alpha1_sums(M, x, w)
     tails = _prime_tail_integrals(M, mu, float(P_max))
     coeffs += tails
     err = np.abs(tails) * 0.02 + 1e-12
@@ -466,7 +457,7 @@ def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
     up to rounding."""
     a = mu - 0.5
     v, w = np.polynomial.laguerre.laggauss(-(-M // 2) + 1)
-    return -(P**-a) / a * (_laguerre_alpha1_table(M, math.log(P) + v / a) @ w)
+    return -(P**-a) / a * _laguerre_alpha1_sums(M, math.log(P) + v / a, w)
 
 
 def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:

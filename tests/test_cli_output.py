@@ -588,6 +588,15 @@ class TestImportPath:
         assert proc.returncode == 1
         assert proc.stderr == "zetaumm: samples must be >= 1\n"
 
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_process_entry_exits_2_on_a_consistency_failure(self, tmp_path, entry):
+        # at radius 0.99 the contour nodes under-resolve the phase of xi
+        proc = _fresh_python(_entry_code(entry), "li", "--zeros", bundled_zeros_path(),
+                             "--radius", "0.99", "--out", "li.csv", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"zetaumm: numeric consistency failure: .* winds .*\n", proc.stderr)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "explicit"])
     @pytest.mark.parametrize("entry", ["module", "script", "main"])
     def test_process_entry_sets_one_blas_thread_before_numpy(self, tmp_path, entry, preset):

@@ -308,20 +308,22 @@ class TestTraceFluctuation:
             trace_fluctuation(2, 1.0, 0.0, 10)
 
 
+def laguerre_table(M, x):
+    """L^(1)_m(x) for m = 0..M-1, stacked into an M x len(x) table by the
+    three-term recurrence."""
+    out = np.empty((M,) + np.shape(x))
+    out[0] = 1.0
+    if M > 1:
+        out[1] = 2.0 - x
+    for m in range(2, M):
+        out[m] = ((2.0 * m - x) * out[m - 1] - m * out[m - 2]) / m
+    return out
+
+
 def _reference_prime_sum(M, mu, P_max, N_max=60):
     """The stacked-table prime sum that beta_renormalized_prime_sum
     replaced (an M x pi(P) Laguerre table, boolean-mask prime selections),
     kept as the bit-for-bit reference of the row-by-row sum."""
-
-    def laguerre_table(x):
-        out = np.empty((M,) + np.shape(x))
-        out[0] = 1.0
-        if M > 1:
-            out[1] = 2.0 - x
-        for m in range(2, M):
-            out[m] = ((2.0 * m - x) * out[m - 1] - m * out[m - 2]) / m
-        return out
-
     p_arr = zt.sieve_primes(P_max).astype(float)
     logp_all = np.log(p_arr)
     coeffs = np.zeros(M)
@@ -332,7 +334,7 @@ def _reference_prime_sum(M, mu, P_max, N_max=60):
         if logp.size == 0:
             break
         damp = np.exp(-n * sigma * logp)
-        lag = laguerre_table(n * logp)
+        lag = laguerre_table(M, n * logp)
         coeffs -= (logp * damp * lag).sum(axis=1)
         if np.abs(logp * damp).max() * np.abs(lag).max() < 1e-18:
             break
@@ -350,7 +352,7 @@ def _prime_sum_magnitude(M, mu, P_max, N_max=60):
         logp = logp_all[p_arr <= math.exp(min(48.0 / (n * sigma), math.log(P_max) + 1.0))]
         if logp.size == 0:
             break
-        out += np.abs(logp * np.exp(-n * sigma * logp) * rv._laguerre_alpha1_table(M, n * logp)).sum(axis=1)
+        out += np.abs(logp * np.exp(-n * sigma * logp) * laguerre_table(M, n * logp)).sum(axis=1)
     return out
 
 
@@ -378,6 +380,22 @@ class TestRenormalized:
                 [u0, u0 + 10, u0 + 40, u0 + 100, mpmath.inf])) for m in range(1, M + 1)])
         got = rv._prime_tail_integrals(M, mu, P)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("M", [1, 2, 10, 25])
+    def test_laguerre_sums_against_mpmath(self, M):
+        import mpmath
+
+        rng = np.random.default_rng(M)
+        x = np.concatenate([[0.0, 60.0], rng.uniform(0.0, 60.0, 300)])
+        w = rng.standard_normal(x.size)
+        got = rv._laguerre_alpha1_sums(M, x, w)
+        with mpmath.workdps(40):
+            terms = [[wi * mpmath.laguerre(m, 1, xi) for xi, wi in zip(x, w)] for m in range(M)]
+            want = np.array([float(mpmath.fsum(row)) for row in terms])
+            scale = np.array([float(mpmath.fsum(map(abs, row))) for row in terms])
+        # measured <= 0.52 eps of sum |w_i L_m(x_i)| at M = 25
+        assert got.shape == (M,)
+        assert (np.abs(got - want) <= 1e-14 * scale).all()
 
     @pytest.mark.parametrize("M, mu, P", [
         (10, 1.5, 10**6), (20, 1.05, 10**5), (3, 2.4, 2), (1, 1.5, 1000), (10, 1.5, 5 * 10**4),
@@ -424,9 +442,10 @@ class TestRenormalized:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the ln p table and a few chunk-sized arrays (2.4x); one pass per
-        # level held seven pi(P)-length arrays (7.0x)
-        assert peak <= 3 * 8 * pi_p
+        # the ln p table and six chunk-sized arrays (1 + 6 * 2^17 / pi_p =
+        # 2.18x); a stale Laguerre row kept between chunks made it 2.38x, and
+        # one pass per level held seven pi(P)-length arrays (7.0x)
+        assert peak <= 2.25 * 8 * pi_p
 
     def test_prime_sum_requires_convergent_mu(self):
         with pytest.raises(ValueError, match="sigma"):

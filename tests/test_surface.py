@@ -7,7 +7,9 @@ only its own tests call is dead surface.  References are `ast.Name` and
 `ast.Attribute` nodes and imported names; docstrings and other strings
 do not count.  A member (field, method or property of a public class) is
 consumed only by an `ast.Attribute` read outside its own class body: a
-constructor argument is a write, not a read.
+constructor argument is a write, not a read.  A read on the argparse
+namespace `args` names an option, so it consumes neither a member nor a
+function.
 """
 
 import ast
@@ -48,13 +50,18 @@ def _walk(node, skip=None):
             stack.extend(ast.iter_child_nodes(n))
 
 
+def _on_args(node) -> bool:
+    """Whether `node` is an attribute of the argparse namespace `args`."""
+    return isinstance(node.value, ast.Name) and node.value.id == "args"
+
+
 def _references(node, skip=None) -> set:
     """Names referenced in `node`, not descending into `skip`."""
     out = set()
     for n in _walk(node, skip):
         if isinstance(n, ast.Name):
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and not _on_args(n):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.rpartition(".")[2])
@@ -64,7 +71,7 @@ def _references(node, skip=None) -> set:
 def _attribute_reads(node, skip=None) -> set:
     """Attribute names read (not written) in `node`, not descending into `skip`."""
     return {n.attr for n in _walk(node, skip)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and not _on_args(n)}
 
 
 def _members(cls: ast.ClassDef) -> list:
@@ -117,5 +124,6 @@ def test_guard_sees_an_orphan(tmp_path):
         "def dead():\n    return dead()\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("from pkg.a import used\n")
+    # an option of the same name read off the argparse namespace is no reader
+    user.write_text("from pkg.a import used\n\ndef main(args):\n    return used() + args.written\n")
     assert _orphans(pkg, [user]) == ["a.Record.written", "a.dead"]
