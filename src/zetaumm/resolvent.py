@@ -413,8 +413,10 @@ def beta_renormalized_prime_sum(
     """
     if mu <= 1.0:
         raise ValueError(
-            "prime_sum needs mu > 1: the double sum over primes and powers "
-            "converges absolutely only for sigma <= mu with sigma = 1"
+            "prime_sum needs mu > 1, the domain of the shifted model it expands: "
+            "zeta's pole at s = 1 leaves the disk only for s0 = mu > 1 (the double "
+            "sum over primes and powers, at sigma = mu + 1/2, converges absolutely "
+            "already for mu > 1/2)"
         )
     if M < 1:
         raise ValueError("M must be >= 1")

@@ -282,17 +282,27 @@ def xi(s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+_SIEVE_BLOCK = 2**20  # odd slots marked at a time: 1 MB of mask, 2^21 consecutive integers
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """Primes <= limit, ascending, as int64: Eratosthenes on a numpy byte
     mask over the odd numbers only (slot i stands for 2i + 1, and slot 0
-    for 2), so the mask takes limit/2 bytes."""
+    for 2), so the mask takes limit/2 bytes.  The odd primes up to
+    sqrt(limit) mark their multiples one block of _SIEVE_BLOCK slots at a
+    time, so the slots being marked stay in cache."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     mask = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
-        if mask[i]:
-            p = 2 * i + 1
-            mask[p * p // 2 :: p] = False
+    base = sieve_primes(math.isqrt(limit))[1:].tolist()
+    for lo in range(0, mask.size, _SIEVE_BLOCK):
+        block = mask[lo : lo + _SIEVE_BLOCK]
+        for p in base:
+            # odd multiples of p from p^2 on sit at slots = (p^2 - 1)/2 mod p
+            first = p * p // 2
+            if first >= lo + block.size:
+                break
+            block[max(first - lo, (first - lo) % p) :: p] = False
     primes = np.flatnonzero(mask)
     primes *= 2
     primes += 1
@@ -322,7 +332,7 @@ class PrimeTable:
                 break
             levels.append(levels[-1][:j] * primes[:j])
         sizes = [level.size for level in levels]
-        logs = np.array([math.log(p) for p in primes.tolist()], dtype=float)
+        logs = np.fromiter(map(math.log, primes.tolist()), dtype=float, count=primes.size)
         vals = np.concatenate(levels)
         order = np.argsort(vals)
         return cls(
@@ -581,8 +591,18 @@ _RS_COEFFS = (
 
 
 def _siegel_theta(t: np.ndarray) -> np.ndarray:
-    """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi, continuous in t."""
-    return _log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LN_PI
+    """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi, continuous in t.
+    From t = _RS_MIN_T on, its asymptotic series (Edwards 1974, 6.5)
+        (t/2) ln(t/2pi) - t/2 - pi/8 + 1/48t + 7/5760t^3 + 31/80640t^5 + 127/430080t^7,
+    whose next term is below 1e-24 there; ln Gamma below."""
+    theta = np.empty_like(t)
+    big = t >= _RS_MIN_T
+    u, small = t[big], t[~big]
+    r = 1.0 / (u * u)
+    theta[big] = (0.5 * u * np.log(u / (2.0 * math.pi)) - 0.5 * u - 0.125 * math.pi
+                  + (1.0 / 48.0 + r * (7.0 / 5760.0 + r * (31.0 / 80640.0 + r * (127.0 / 430080.0)))) / u)
+    theta[~big] = _log_gamma(0.25 + 0.5j * small).imag - 0.5 * small * LN_PI
+    return theta
 
 
 def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -596,10 +616,15 @@ def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # added on a slice; the sums go back to the caller's order at the end
     order = np.argsort(t, kind="stable")
     t_up, theta_up, N_up = t[order], _siegel_theta(t)[order], N[order]
-    main_up = np.zeros_like(t)
+    main_up, term = np.zeros_like(t), np.empty_like(t)
     for n in range(1, int(N.max(initial=0)) + 1):
         live = slice(int(np.searchsorted(N_up, n)), None)
-        main_up[live] += np.cos(theta_up[live] - t_up[live] * math.log(n)) / math.sqrt(n)
+        out = term[live]  # cos(theta - t ln n) / sqrt(n), in place
+        np.multiply(t_up[live], math.log(n), out=out)
+        np.subtract(theta_up[live], out, out=out)
+        np.cos(out, out=out)
+        out /= math.sqrt(n)
+        main_up[live] += out
     main = np.empty_like(t)
     main[order] = main_up
     x = a - N - 0.5
@@ -651,6 +676,16 @@ class ZeroTable:
         return int(self.ts.size)
 
 
+def _last_digit_exponent(line: str) -> int:
+    """Decimal(line).as_tuple().exponent, the power of ten of the last digit
+    printed, for a line that float() reads as finite: taken from the text
+    (exponent less the digits after the point) when the line is ASCII."""
+    if not line.isascii():
+        return Decimal(line).as_tuple().exponent
+    mantissa, _, exponent = line.lower().partition("e")
+    return (int(exponent) if exponent else 0) - len(mantissa.partition(".")[2].replace("_", ""))
+
+
 def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
     """Load a zero table (one ascending positive decimal per line, '#'
     comments) and validate each ordinate by a sign change of Hardy's Z.
@@ -665,7 +700,7 @@ def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
     if max_zeros is not None and max_zeros < 1:
         raise ValueError(f"max_zeros must be >= 1, got {max_zeros}")
     ts: list[float] = []
-    deltas: list[float] = []
+    exponents: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -683,12 +718,13 @@ def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
                 kind = "duplicate" if t == ts[-1] else "descending"
                 raise ValueError(f"{path}:{lineno}: {kind} ordinate {t!r}")
             ts.append(t)
-            deltas.append(max(_DELTA_MIN, 0.5 * 10.0 ** Decimal(line).as_tuple().exponent))
+            exponents.append(_last_digit_exponent(line))
             if max_zeros is not None and len(ts) >= max_zeros:
                 break
     if not ts:
         raise ValueError(f"{path}: no ordinates found")
-    arr, delta = np.asarray(ts), np.asarray(deltas)
+    arr = np.asarray(ts)
+    delta = np.maximum(_DELTA_MIN, 0.5 * 10.0 ** np.asarray(exponents, dtype=float))
     z, err = hardy_z(np.concatenate([arr - delta, arr, arr + delta]))
     (below, at, above), (err_below, _, err_above) = z.reshape(3, -1), err.reshape(3, -1)
     ok = (below * above < 0) & (np.abs(below) > err_below) & (np.abs(above) > err_above)

@@ -401,6 +401,11 @@ class TestPairCorrelation:
         x = unfold_zeros(zeros_2000.ts)
         spacing = np.diff(x).mean()
         assert abs(spacing - 1.0) < 0.01
+        # the n-th zero unfolds to n - 1/2 up to S(t): a mean offset of 4e-5
+        # and a largest of 0.79 here, where a 1 % scale error reads 10
+        offset = x - (np.arange(1, x.size + 1) - 0.5)
+        assert abs(offset.mean()) <= 0.02
+        assert np.abs(offset).max() < 1.0
 
     def test_unfolded_zeros_near_sine_kernel(self, zeros_all):
         # low-height zeros carry a visible 1/ln(t) correction at small r,

@@ -306,6 +306,29 @@ class TestPrimeTable:
             assert sieve_primes(p)[-1] == p
 
     @staticmethod
+    def _flat_sieve(limit):
+        """The flat odd-only sieve that the blocked one replaced, kept as its
+        reference: one mask over all (limit + 1) // 2 odd slots."""
+        if limit < 2:
+            return np.zeros(0, dtype=np.int64)
+        mask = np.ones((limit + 1) // 2, dtype=bool)
+        for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+            if mask[i]:
+                p = 2 * i + 1
+                mask[p * p // 2 :: p] = False
+        primes = np.flatnonzero(mask)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+        return primes
+
+    @pytest.mark.parametrize("limit", [2**21 - 1, 2**21, 2**21 + 1, 2**22 - 1, 2**22, 2**22 + 1, 10**7])
+    def test_blocked_sieve_matches_flat_sieve(self, limit):
+        # block k holds the 2^20 odd numbers in [k 2^21, (k + 1) 2^21): limits at its edges
+        got, want = sieve_primes(limit), self._flat_sieve(limit)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @staticmethod
     def _reference_prime_table(limit):
         """The per-power Python loop that PrimeTable.build replaced, kept as
         its bit-for-bit reference."""
@@ -491,6 +514,23 @@ class TestHardyZ:
         assert (np.abs(z - oracle) <= err).all()
         assert np.abs(zt._siegel_theta(t) - theta).max() < 1e-14 * hi * math.log(hi)
 
+    @pytest.mark.parametrize("t", [14.0, 199.999, 200.0, 1e3, 1e4, 1e6])
+    def test_siegel_theta_against_mpmath(self, t):
+        with mpmath.workdps(30):
+            want = float(mpmath.siegeltheta(t))
+        assert abs(zt._siegel_theta(np.array([t]))[0] - want) <= 1e-14 * t * math.log(t)
+
+    def test_siegel_theta_series_meets_log_gamma_at_the_switch(self):
+        # the asymptotic series from _RS_MIN_T on against ln Gamma at the same
+        # points, and the step between the last point below and 200 itself
+        t = np.array([zt._RS_MIN_T, 250.0])
+        by_log_gamma = zt._log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * zt.LN_PI
+        bound = zt._z_riemann_siegel(t)[1]
+        assert (np.abs(zt._siegel_theta(t) - by_log_gamma) < bound).all()
+        below = np.nextafter(zt._RS_MIN_T, 0.0)
+        jump = np.diff(zt._siegel_theta(np.array([below, zt._RS_MIN_T])))[0]
+        assert abs(jump) < bound[0]
+
     def test_routes_agree_across_the_overlap(self):
         t = np.linspace(200.0, 300.0, 101)
         rs, rs_err = zt._z_riemann_siegel(t)
@@ -532,6 +572,29 @@ class TestIngestZeros:
         table = ingest_zeros(str(f))
         assert len(table) == 2
         assert table.residuals.max() < 1e-6
+
+    @pytest.mark.parametrize("line", [
+        "14.134725141734694", "17.25", "21", "21.", ".5", "14.10", "1e3", "1.5e3", "1.5E+3",
+        "2.25e-2", "+14.1347", "-3.5", "+1.5E-4", "1_000.000_5", "1_4.1e1_0",
+        "\u0661\u0664.\u0661\u0663", "\uff11\uff14.\uff12\uff15e2",
+    ])
+    def test_last_digit_exponent_matches_decimal(self, line):
+        assert float(line)  # a line ingest_zeros reads
+        assert zt._last_digit_exponent(line) == Decimal(line).as_tuple().exponent
+
+    def test_sign_change_bracket_is_half_the_last_digit(self, tmp_path, monkeypatch):
+        # Z is taken at the points t - delta, t, t + delta of the per-line form
+        # delta = max(1e-6, 0.5 * 10^e), e the last printed digit's exponent, to the bit
+        lines = ["14.13472514", "17.25", "21.02204", "2.5e1", "3.2935e1", "37.6", "40.918719012147"]
+        f = tmp_path / "zeros.txt"
+        f.write_text("".join(line + "\n" for line in lines))
+        seen = []
+        monkeypatch.setattr(zt, "hardy_z", lambda t: seen.append(t) or (np.ones_like(t),) * 2)
+        ingest_zeros(str(f))
+        ts = np.array([float(line) for line in lines])
+        delta = np.array([max(zt._DELTA_MIN, 0.5 * 10.0 ** Decimal(line).as_tuple().exponent)
+                          for line in lines])
+        assert seen[0].tobytes() == np.concatenate([ts - delta, ts, ts + delta]).tobytes()
 
     def test_unparsable_line_number_reported(self, tmp_path):
         f = tmp_path / "zeros.txt"
