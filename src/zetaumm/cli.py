@@ -109,9 +109,9 @@ def _command(name: str, help: str, *options):
     return register
 
 
-def _emit(args, columns, payload, extra: Optional[dict] = None) -> None:
-    """Write the artifact.  Its metadata echoes every option that is set,
-    then the version, then the handler's `extra` entries."""
+def _emit(args, columns, payload, extra: Optional[dict] = None, failed=()) -> None:
+    """Write the artifact (its metadata: each set option, the version, `extra`),
+    then raise on the first `failed` message: a command's checks exit 2 here."""
     echo = {k.replace("_", "-"): v for k, v in vars(args).items()}
     metadata = {k: v for k, v in {**echo, "version": __version__, **(extra or {})}.items()
                 if v is not None}
@@ -119,6 +119,8 @@ def _emit(args, columns, payload, extra: Optional[dict] = None) -> None:
         output.write_csv(args.out, columns, metadata)
     else:
         output.write_json(args.out, payload, metadata)
+    if failed:
+        raise NumericConsistencyError(failed[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,10 @@ def _cmd_padic_check(args) -> None:
         names += [f"ultrametric(p={p})", f"character(p={p})", f"haar_shell(p={p})"]
         values += [worst_ultra, worst_char, shell_dev]
         bounds += [0.0, 1e-14, float(shell.tail_bound)]
-    failed = [(n, v, b) for n, v, b in zip(names, values, bounds) if not v <= b + 1e-30]
+    failed = [f"{n}: deviation {v:.3g} exceeds bound {b:.3g}"
+              for n, v, b in zip(names, values, bounds) if not v <= b + 1e-30]
     cols = {"check": names, "deviation": values, "bound": bounds}
-    _emit(args, cols, {"checks": cols, "pass": not failed})
-    if failed:
-        raise NumericConsistencyError("{}: deviation {:.3g} exceeds bound {:.3g}".format(*failed[0]))
+    _emit(args, cols, {"checks": cols, "pass": not failed}, failed=failed)
 
 
 @_command("wavelet-check", "Gram matrix and Vladimirov residuals",
@@ -181,11 +182,9 @@ def _cmd_wavelet_check(args) -> None:
         "value": [gram_dev] + [abs(e) for _, e, _ in rows],
         "residual": [gram_dev] + [r for _, _, r in rows],
     }
-    checks = zip(cols["check"], cols["residual"], [1e-12] + [1e-6] * len(rows))
-    failed = [(n, r, limit) for n, r, limit in checks if not r < limit]
-    _emit(args, cols, {"gram_deviation": gram_dev, "kernel": cols, "pass": not failed})
-    if failed:
-        raise NumericConsistencyError("{}: residual {:.3g} is not below {:g}".format(*failed[0]))
+    failed = [f"{n}: residual {r:.3g} is not below {limit:g}" for n, r, limit
+              in zip(cols["check"], cols["residual"], [1e-12] + [1e-6] * len(rows)) if not r < limit]
+    _emit(args, cols, {"gram_deviation": gram_dev, "kernel": cols, "pass": not failed}, failed=failed)
 
 
 @_command("betas", "contour-extracted model coefficients",
@@ -262,8 +261,8 @@ def _cmd_li(args) -> None:
         "difference": np.abs(a.values - b.values),
         "combined_tolerance": combined,
     }
-    _emit(args, cols, {"series": cols})
-    zt.check_agreement("lambda_{n}", a.values, b.values, combined, ("cauchy", "zero_sum"))
+    _emit(args, cols, {"series": cols},
+          failed=zt.check_agreement("lambda_{n}", a.values, b.values, combined, ("cauchy", "zero_sum")))
 
 
 @_command("beta-ren", "renormalized coefficients",
@@ -308,11 +307,11 @@ def _cmd_trace_check(args) -> None:
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
     terms = {**rep.lhs_terms, **rep.rhs_terms, "residual": rep.residual, "bound": rep.total_bound}
     cols = {"term": list(terms), "value": list(terms.values())}
-    _emit(args, cols, {"lhs": rep.lhs_terms, "rhs": rep.rhs_terms, "residual": rep.residual,
-                       "bounds": {**rep.bounds, "total": rep.total_bound}})
     big = max(rep.bounds, key=rep.bounds.get)
-    zt.check_agreement(f"trace formula residual vs total_bound (largest term {big} {rep.bounds[big]:.3g})",
-                       rep.lhs, rep.rhs, rep.total_bound, ("lhs", "rhs"))
+    failed = zt.check_agreement(f"trace formula residual vs total_bound (largest term {big} "
+                                f"{rep.bounds[big]:.3g})", rep.lhs, rep.rhs, rep.total_bound, ("lhs", "rhs"))
+    _emit(args, cols, {"lhs": rep.lhs_terms, "rhs": rep.rhs_terms, "residual": rep.residual,
+                       "bounds": {**rep.bounds, "total": rep.total_bound}}, failed=failed)
 
 
 @_command("explicit-formula", "counting functions, direct vs zero expansion",

@@ -266,8 +266,9 @@ def plaquette_mc(
     (seed, chain index).  An acceptance rate outside [0.1, 0.9] after
     burn-in is reported via the returned diagnostics.
     """
-    betas = np.asarray([float(np.real(b)) for b in betas])
-    if betas.size and np.abs(betas[0]) >= 0.5 and betas.size == 1:
+    # trailing zero couplings add nothing to the action
+    betas = np.trim_zeros(np.asarray([float(np.real(b)) for b in betas]), "b")
+    if betas.size == 1 and abs(betas[0]) >= 0.5:
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
     if min(N, chains, sweeps, bins) < 1 or burn_in < 0:
         raise ValueError("N, chains, sweeps and bins must be >= 1 and burn_in >= 0")

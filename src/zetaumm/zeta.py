@@ -34,20 +34,17 @@ class NumericConsistencyError(ArithmeticError):
     """Two independent evaluation routes disagree beyond combined tolerance."""
 
 
-def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> None:
-    """Surface (never average away) a disagreement of two routes: raise at
-    the first index n (from 1) where |a - b| exceeds `bar` or is NaN,
-    naming both values, the gap and the bar.  `label` may hold `{n}`."""
+def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> list[str]:
+    """Surface (never average away) a disagreement of two routes: a list
+    holding the message of the first index n (from 1) where |a - b| exceeds
+    `bar` or is NaN, naming both values, the gap and the bar; empty when
+    the routes agree.  `label` may hold `{n}`."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     gap = np.abs(a - b)
     bar = np.broadcast_to(bar, gap.shape)
     bad = np.nonzero(~(gap <= bar))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NumericConsistencyError(
-            f"{label.format(n=i + 1)}: {names[0]} {a[i]:.9g} vs {names[1]} {b[i]:.9g} "
-            f"differ by {gap[i]:.3g} (> bar {bar[i]:.3g})"
-        )
+    return [f"{label.format(n=i + 1)}: {names[0]} {a[i]:.9g} vs {names[1]} {b[i]:.9g} "
+            f"differ by {gap[i]:.3g} (> bar {bar[i]:.3g})" for i in bad[:1]]
 
 
 _EM_ORDER = 12  # Bernoulli corrections of the Euler-Maclaurin kernel

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import zetaumm
-from zetaumm import cli, output, traceform, wavelets
+from zetaumm import cli, output, traceform, wavelets, zeta
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
 from zetaumm.resolvent import local_potential_derivative
@@ -160,6 +161,10 @@ class TestCLI:
         (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,,0.05"], "invalid float value: ''"),
         (["plaquette-mc", "--sweeps", "1", "--betas", "0.1,"], "invalid float value: ''"),
         (["plaquette-mc", "--sweeps", "1", "--betas", "nan"], "'nan' is not a finite number"),
+        (["plaquette-mc", "--sweeps", "1", "--betas", "0.75"], "leaves the no-gap phase"),
+        (["plaquette-mc", "--sweeps", "1", "--betas", "0.75,0"], "leaves the no-gap phase"),
+        (["plaquette-mc", "--sweeps", "1", "--betas", "0.75,0,0"], "leaves the no-gap phase"),
+        (["plaquette-mc", "--sweeps", "1", "--betas=-0.75,-0"], "leaves the no-gap phase"),
         (["betas", "--s0", "5", "--model", "local", "--prime", "2"], "s0 is read by the shifted model only"),
         (["betas", "--s0", "5", "--model", "gamma"], "s0 is read by the shifted model only"),
         (["betas", "--s0", "5", "--model", "xi"], "s0 is read by the shifted model only"),
@@ -403,6 +408,22 @@ class TestCLI:
         assert cols["deviation"][-1] == 0.5
         err = capsys.readouterr().err
         assert "haar_shell(p=3): deviation 0.5 exceeds bound 1e-09" in err
+
+    def test_own_checks_exit_two_only_through_emit(self):
+        # handlers pass their failure messages to _emit, which writes the
+        # artifact before it raises; the two-route builder only reports
+        def raises(tree):
+            return [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None
+                    and "NumericConsistencyError" in ast.unparse(n.exc)]
+
+        def function(module, name):
+            tree = ast.parse(_read(module.__file__))
+            return tree, next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+        tree, emit = function(cli, "_emit")
+        assert len(raises(tree)) == len(raises(emit)) == 1
+        _, builder = function(zeta, "check_agreement")
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(builder))
 
     def test_shifted_model_below_one_exits_one(self, tmp_path, capsys):
         # s0 = 0.8 puts the zeta pole at z = -3/7, inside both extraction circles

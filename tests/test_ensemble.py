@@ -324,8 +324,21 @@ class TestPlaquetteMC:
         assert np.array_equal(a.density, b.density)
 
     def test_gap_phase_guard(self):
-        with pytest.raises(ValueError):
-            plaquette_mc(16, [0.6], sweeps=10, burn_in=0, seed=0)
+        # trailing zero couplings add nothing to the action, so they keep
+        # the single-coefficient refusal
+        for betas in ([0.6], [0.75, 0.0], [0.75, 0.0, 0.0], [-0.75, -0.0]):
+            with pytest.raises(ValueError, match="leaves the no-gap phase"):
+                plaquette_mc(16, betas, sweeps=10, burn_in=0, seed=0)
+
+    def test_trailing_zero_coupling_keeps_the_bits(self):
+        a = plaquette_mc(8, [0.25], sweeps=20, burn_in=5, seed=4, chains=2)
+        b = plaquette_mc(8, [0.25, 0.0, -0.0], sweeps=20, burn_in=5, seed=4, chains=2)
+        assert np.array_equal(a.sample, b.sample) and a.acceptance_rate == b.acceptance_rate
+
+    @pytest.mark.parametrize("rate, healthy", [(0.05, False), (0.1, True), (0.9, True), (0.95, False)])
+    def test_acceptance_band_edges(self, rate, healthy):
+        run = ensemble.PlaquetteRun(np.zeros((1, 1)), np.array([-math.pi, math.pi]), np.ones(1), rate)
+        assert acceptance_in_band(run) is healthy
 
     def test_zero_coupling_spacings_match_cue(self):
         # heavy thinning and one gap per configuration keep the two-sample

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from scipy.special import digamma, expi, loggamma
 
 from zetaumm import zeta as zt
 from zetaumm.zeta import (
-    NumericConsistencyError,
     PrimeTable,
     ZetaPole,
     bundled_zeros_path,
@@ -474,15 +474,15 @@ class TestLiCoefficients:
         def check(ts):
             b = li_coefficients_zero_sum(5, ts)
             bar = a.error_estimate + b.error_estimate + 1e-3
-            zt.check_agreement("lambda_{n}", a.values, b.values, bar, ("cauchy", "zero_sum"))
+            return zt.check_agreement("lambda_{n}", a.values, b.values, bar, ("cauchy", "zero_sum"))
 
-        check(zeros_2000.ts)  # clean table passes
+        assert check(zeros_2000.ts) == []  # clean table passes
         # dropping the first zero shifts lambda_1 by ~5e-3, beyond tolerance
-        with pytest.raises(NumericConsistencyError, match=r"lambda_1: cauchy .* zero_sum .* differ by"):
-            check(zeros_2000.ts[1:])
+        [message] = check(zeros_2000.ts[1:])
+        assert re.search(r"lambda_1: cauchy .* zero_sum .* differ by", message)
         # a NaN gap is a failure, not a pass
-        with pytest.raises(NumericConsistencyError, match="x_2"):
-            zt.check_agreement("x_{n}", [1.0, float("nan")], [1.0, 2.0], 1.0, ("a", "b"))
+        [message] = zt.check_agreement("x_{n}", [1.0, float("nan")], [1.0, 2.0], 1.0, ("a", "b"))
+        assert re.search("x_2", message)
 
 
 def _masked_riemann_siegel(t):
