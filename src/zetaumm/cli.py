@@ -334,11 +334,11 @@ def _cmd_explicit_formula(args) -> None:
         table = _ingest(args.zeros, args.nzeros)
         if args.kind == "psi":
             direct = zt.chebyshev_psi_direct(args.x)
-            explicit = zt.chebyshev_psi_explicit(args.x, table.ts, args.nzeros)
+            explicit = zt.chebyshev_psi_explicit(args.x, table.ts)
         else:
             direct = zt.prime_count_j_direct(args.x)
-            explicit = zt.prime_count_j_explicit(args.x, table.ts, args.nzeros)
-        tail = zt.explicit_tail_estimate(args.x, float(table.ts[min(args.nzeros, len(table)) - 1]))
+            explicit = zt.prime_count_j_explicit(args.x, table.ts)
+        tail = zt.explicit_tail_estimate(args.x, float(table.ts[-1]))
     cols = {
         "x": [args.x],
         "direct": [direct],
@@ -371,7 +371,8 @@ def _cmd_cue_sample(args) -> None:
 @_command("plaquette-mc", "one-plaquette Metropolis run",
           ("--n", dict(type=int, default=32)),
           ("--betas", dict(type=_finite_list, default="0.25",
-                           help="comma-separated beta_1,beta_2,...")),
+                           help="comma-separated beta_1,beta_2,...; a leading negative "
+                                "one needs the = form, --betas=-0.25,0.1")),
           ("--sweeps", dict(type=int, default=2000)),
           ("--burn-in", dict(type=int, default=500)),
           ("--seed", dict(type=int, default=0)),

@@ -289,9 +289,11 @@ def acceptance_in_band(run: PlaquetteRun) -> bool:
 
 def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     """Analytic no-gap density (1/2pi)(1 - 2 sum beta_n cos n theta) of the
-    action S = N sum_i sum_n (2 beta_n/n) cos(n theta_i) - log Vandermonde,
-    normalised to unit mass on (-pi, pi].  The minus sign was frozen from a
-    Gross-Witten-type calibration run."""
+    action S = N sum_i V(theta_i) - log Vandermonde, V(theta) = sum_n
+    (2 beta_n/n) cos(n theta), normalised to unit mass on (-pi, pi].  The
+    minus sign solves the large-N saddle equation V'(theta) = P int rho(phi)
+    cot((theta - phi)/2) dphi: the conjugate function of cos n theta is
+    sin n theta, so rho = (1/2pi)(1 + 2 sum a_n cos n theta) has a_n = -beta_n."""
     th = np.asarray(theta, dtype=float)
     out = np.ones_like(th)
     for n, b in enumerate(betas, start=1):

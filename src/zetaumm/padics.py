@@ -121,24 +121,19 @@ def haar_integrate_norm_power(p: int, s: Union[int, float, complex], K: int) -> 
     if sigma <= 0:
         raise ValueError(f"Re(s) = {sigma} <= 0: shell sum diverges")
 
-    if isinstance(s, int):
+    exact = isinstance(s, int)
+    if exact:
         # integer exponent (s >= 1 here): every shell term is an exact rational
-        w = Fraction(p - 1, p)
-        q = Fraction(1, p**s)
-        value = w * sum(q**k for k in range(1, K + 1))
-        tail = w * q ** (K + 1) / (1 - q)
-        closed = w * q / (1 - q)
-        return ShellSum(value, tail, closed)
-
-    sc = complex(s)
-    w = (p - 1) / p
-    q = p ** (-sc)
-    value = w * sum(q**k for k in range(1, K + 1))
+        w, q = Fraction(p - 1, p), Fraction(1, p**s)
+    else:
+        w, q = (p - 1) / p, p ** (-complex(s))
     qa = abs(q)
+    value = w * sum(q**k for k in range(1, K + 1))
     tail = w * qa ** (K + 1) / (1 - qa)
-    # binary64 path: pad the geometric bound with a rounding allowance so
-    # the reported bound stays honest once the tail drops below 1 ulp
-    tail += 16 * 2.220446049250313e-16 * (K + 2) * max(abs(value), 1.0)
+    if not exact:
+        # binary64 path: pad the geometric bound with a rounding allowance so
+        # the reported bound stays honest once the tail drops below 1 ulp
+        tail += 16 * 2.220446049250313e-16 * (K + 2) * max(abs(value), 1.0)
     closed = w * q / (1 - q)
     return ShellSum(value, tail, closed)
 

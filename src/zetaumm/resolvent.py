@@ -343,13 +343,9 @@ def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuat
 # ---------------------------------------------------------------------------
 
 
-def _xi_log_series(M: int, r: float, Q: int) -> BetaSeries:
+def xi_log_series(M: int, r: float, Q: int) -> BetaSeries:
+    """Xi_m = [z^m] ln xi(1/(1-z)) for m = 1..M, with the extractor's deltas."""
     return contour_coefficients(lambda z: zt.xi(1.0 / (1.0 - z)), M, r, Q, log=True)
-
-
-def xi_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
-    """Xi_m = [z^m] ln xi(1/(1-z))."""
-    return _xi_log_series(M, r, Q).coefficients
 
 
 def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
@@ -361,7 +357,7 @@ def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
 
 def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
     """beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z))."""
-    c, scale = _xi_log_series(M, r, Q), 2.0 * math.log(2.0)
+    c, scale = xi_log_series(M, r, Q), 2.0 * math.log(2.0)
     return BetaSeries(-c.coefficients / scale, c.doubling_deltas / scale, c.radius_deltas / scale)
 
 

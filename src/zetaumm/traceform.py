@@ -8,9 +8,12 @@ of width a, transform h(u) = int g(q) e^{iqu} dq = a sqrt(2pi) e^(-(au)^2/2)):
         + (1/2pi) int h(u) Re psi(1/4 + iu/2) du
     = g(0) ln pi + 2 sum_p ln p sum_n p^(-n/2) g(n ln p)
 
-with the zero sum running over both conjugate halves.  The archimedean
-integral carries a 1/(2pi) normalisation; the identity was pinned
-numerically to machine precision across widths before being frozen here.
+with the zero sum running over both conjugate halves: Weil's explicit
+formula (Weil 1952; Iwaniec & Kowalski 2004, ch. 5) for the pair
+g(q) = (1/2pi) int h(u) e^{-iqu} du.  The log-derivative
+(1/2) psi(s/2) - (1/2) ln pi of the gamma factor pi^(-s/2) Gamma(s/2),
+integrated against h on s = 1/2 + iu (ds = i du, over 2 pi i) for s and
+for 1 - s, gives the 1/(2pi) digamma integral and g(0) ln pi.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ def wigner_marginal_comb(
     if q_max <= 0:
         raise ValueError("q_max must be positive")
     if p == "all":
-        primes = PrimeTable.build(int(math.exp(q_max)) + 1)
-        sel = primes.power_values <= math.exp(q_max)
-        locs = primes.power_exponents[sel] * primes.power_weights[sel]
-        wts = primes.power_weights[sel] * np.exp(-mu * locs)
+        # an integer p^k is <= e^q_max exactly when it is <= floor(e^q_max)
+        primes = PrimeTable.build(int(math.exp(q_max)))
+        locs = primes.power_exponents * primes.power_weights
+        wts = primes.power_weights * np.exp(-mu * locs)
         return PrimePowerComb(locs, wts, None)  # k ln p ascends with p^k
     p = int(p)
     require_prime(p)

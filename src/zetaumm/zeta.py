@@ -384,14 +384,14 @@ def local_count_direct(p: int, x: float) -> float:
     return float(count)
 
 
-def chebyshev_psi_explicit(x: float, zeros: Sequence[float], n_zeros: int) -> float:
+def chebyshev_psi_explicit(x: float, zeros: Sequence[float]) -> float:
     """Explicit formula psi0(x) = x - sum_rho x^rho/rho - ln 2pi
-    - (1/2) ln(1 - x^-2), zeros conjugate-paired for a real result."""
-    if n_zeros < 1:
+    - (1/2) ln(1 - x^-2), summed over the zeros given, conjugate-paired."""
+    t = np.asarray(zeros, dtype=float)
+    if t.size < 1:
         raise ValueError("explicit mode needs at least one zero")
     if x <= 1.0:
         raise ValueError("explicit formula requires x > 1")
-    t = np.asarray(zeros, dtype=float)[:n_zeros]
     rho = 0.5 + 1j * t
     lnx = math.log(x)
     osc = 2.0 * (np.exp(rho * lnx) / rho).real.sum()
@@ -403,24 +403,18 @@ def explicit_tail_estimate(x: float, last_t: float) -> float:
     return 2.0 * math.sqrt(x) / abs(0.5 + 1j * last_t)
 
 
-def logarithmic_integral(x: float) -> float:
-    """Li(x) = PV int_0^x dt/ln t = Ei(ln x)."""
-    if x <= 0 or x == 1.0:
-        raise ValueError("Li defined for x > 0, x != 1")
-    return float(_expi(math.log(x))[0].real)
-
-
-def prime_count_j_explicit(x: float, zeros: Sequence[float], n_zeros: int) -> float:
-    """J(x) = Li(x) - sum_rho Li(x^rho) - ln 2 + int_x^inf dt/(t(t^2-1)),
-    zeros conjugate-paired; the last integral is (1/2) ln(x^2/(x^2-1))."""
-    if n_zeros < 1:
+def prime_count_j_explicit(x: float, zeros: Sequence[float]) -> float:
+    """J(x) = Li(x) - sum_rho Li(x^rho) - ln 2 + int_x^inf dt/(t(t^2-1)) over
+    the zeros given, conjugate-paired; Li(x) = Ei(ln x), and the last integral
+    is (1/2) ln(x^2/(x^2-1))."""
+    t = np.asarray(zeros, dtype=float)
+    if t.size < 1:
         raise ValueError("explicit mode needs at least one zero")
     if x <= 1.0:
         raise ValueError("explicit formula requires x > 1")
-    t = np.asarray(zeros, dtype=float)[:n_zeros]
     osc = 2.0 * _expi((0.5 + 1j * t) * math.log(x)).real.sum()
     tail_int = 0.5 * math.log(x * x / (x * x - 1.0))
-    return float(logarithmic_integral(x) - osc - math.log(2.0) + tail_int)
+    return float(_expi(math.log(x))[0].real - osc - math.log(2.0) + tail_int)
 
 
 def local_count_explicit(p: int, x: float, n_terms: int) -> float:
@@ -455,9 +449,9 @@ def li_coefficients_cauchy(n_max: int, radius: float = 0.45, nodes: int = 512) -
     extractor raises where ln xi winds or the coefficients move between
     radii.  error_estimate is n times its node-doubling and radius deltas.
     """
-    from .resolvent import _xi_log_series
+    from .resolvent import xi_log_series
 
-    c = _xi_log_series(n_max, radius, nodes)
+    c = xi_log_series(n_max, radius, nodes)
     n = np.arange(1, n_max + 1)
     return LiCoefficients(n * c.coefficients.real, n * (c.doubling_deltas + c.radius_deltas))
 

@@ -530,6 +530,14 @@ class TestCLI:
         assert md["acceptance-in-band"] == "True"
         assert 0.0 < float(md["acceptance-rate"]) < 1.0
 
+    def test_leading_negative_coupling_in_equals_form(self, tmp_path):
+        # argparse reads "--betas -0.25,0.1" as a flag; the = form passes it
+        out = str(tmp_path / "mc.csv")
+        rc = main(["plaquette-mc", "--n", "6", "--betas=-0.25,0.1", "--sweeps", "20",
+                   "--burn-in", "5", "--chains", "1", "--out", out])
+        assert rc == 0
+        assert "# betas=-0.25,0.1\n" in _read(out)
+
 
 def _fresh_python(code, *args, cwd=None):
     """Run `code` in a new interpreter that imports this checkout's package."""

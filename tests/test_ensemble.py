@@ -247,12 +247,32 @@ class TestPlaquetteMC:
         assert np.abs(run.density - model).max() < 0.03
 
     def test_sign_convention_frozen(self):
-        # the calibration that froze the minus sign of
-        # plaquette_model_density: fitted first Fourier coefficient has
-        # magnitude beta_1 and the opposite sign
+        # the minus sign of plaquette_model_density, seen in a run: the
+        # saddle equation of the action gives a_n = -beta_n (derived in
+        # test_density_solves_the_saddle_equation_of_the_sampled_action), so
+        # the fitted first Fourier coefficient has magnitude beta_1 and the
+        # opposite sign
         run = plaquette_mc(32, [0.25], sweeps=800, burn_in=300, seed=3, chains=4)
         c_fit = np.cos(run.sample.ravel()).mean()
         assert abs(c_fit + 0.25) < 0.02
+
+    def test_density_solves_the_saddle_equation_of_the_sampled_action(self):
+        # at large N the action's saddle equation is V'(theta) = P int
+        # rho(phi) cot((theta - phi)/2) dphi, with V the one-site potential
+        # the sampler evaluates; (1/2pi) P int f(phi) cot((theta - phi)/2)
+        # dphi is the conjugate function of f, the Fourier multiplier
+        # -i sign(n), so V' = 2 pi conj(rho).  Both are trigonometric
+        # polynomials far below the grid's Nyquist order: exact up to rounding
+        n_grid = 256
+        th = TWO_PI * np.arange(n_grid) / n_grid - math.pi
+        k = np.fft.fftfreq(n_grid, 1.0 / n_grid)
+        rng = np.random.default_rng(13)
+        for order in (1, 2, 3, 5):
+            betas = rng.uniform(-0.1, 0.1, order)
+            pot = ensemble._site_terms(th, betas)[1]
+            vprime = np.fft.ifft(1j * k * np.fft.fft(pot)).real
+            conj = np.fft.ifft(-1j * np.sign(k) * np.fft.fft(plaquette_model_density(th, betas))).real
+            assert np.abs(vprime - TWO_PI * conj).max() < 1e-13
 
     def test_ungapped_density_normalised(self):
         th = np.linspace(-math.pi, math.pi, 20001)

@@ -13,6 +13,11 @@ def primes_1e4():
     return PrimeTable.build(10**4)
 
 
+@pytest.fixture(scope="module")
+def primes_1e7():
+    return PrimeTable.build(10**7)
+
+
 def _prime_side(a, limit):
     """2 sum_{p^k <= limit} ln p p^(-k/2) g(k ln p), term by term over trial-divided primes."""
     terms = []
@@ -93,6 +98,18 @@ class TestTraceFormula:
         # 3125 = 5^5 is a prime power at the limit; its term is ~1.6e-3 at a = 3
         rep = trace_formula_check(3.0, zeros_2000, 100, PrimeTable.build(3125))
         assert rep.rhs_terms["prime_sum"] == pytest.approx(_prime_side(3.0, 3125), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("limit", [3125, 10**4])
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    def test_prime_tail_bounds_the_omitted_prime_powers_sharply(self, a, limit, zeros_2000,
+                                                                 primes_1e7):
+        # the prime powers past the limit, summed up to 10^7 (the rest is
+        # below 0.1 % of it at a = 3), against the reported bound: the bound
+        # must cover them and stay within its x3 margin of them
+        rep = trace_formula_check(a, zeros_2000, 100, PrimeTable.build(limit))
+        full = trace_formula_check(a, zeros_2000, 100, primes_1e7)
+        true = full.rhs_terms["prime_sum"] - rep.rhs_terms["prime_sum"]
+        assert true <= rep.bounds["prime_tail"] <= 4.0 * true
 
 
 class TestWignerCombs:

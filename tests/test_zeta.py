@@ -397,26 +397,26 @@ class TestCounting:
 
     def test_psi_explicit_close_at_first_sample_point(self, zeros_2000):
         direct = chebyshev_psi_direct(10.5)
-        assert abs(chebyshev_psi_explicit(10.5, zeros_2000.ts, 100) - direct) < 0.1
+        assert abs(chebyshev_psi_explicit(10.5, zeros_2000.ts[:100]) - direct) < 0.1
 
     def test_psi_explicit_behaviour_at_second_sample_point(self, zeros_2000):
         # conditionally convergent zero sum: the pointwise error at 100
         # zeros is O(1) here and shrinks as the truncation deepens
         direct = chebyshev_psi_direct(100.5)
-        e100 = abs(chebyshev_psi_explicit(100.5, zeros_2000.ts, 100) - direct)
-        e200 = abs(chebyshev_psi_explicit(100.5, zeros_2000.ts, 200) - direct)
-        e2000 = abs(chebyshev_psi_explicit(100.5, zeros_2000.ts, 2000) - direct)
+        e100 = abs(chebyshev_psi_explicit(100.5, zeros_2000.ts[:100]) - direct)
+        e200 = abs(chebyshev_psi_explicit(100.5, zeros_2000.ts[:200]) - direct)
+        e2000 = abs(chebyshev_psi_explicit(100.5, zeros_2000.ts) - direct)
         assert e100 < 1.2
         assert e200 < e100
         assert e2000 < 0.2
 
     def test_psi_explicit_requires_zeros(self):
         with pytest.raises(ValueError):
-            chebyshev_psi_explicit(10.5, [], 0)
+            chebyshev_psi_explicit(10.5, [])
 
     def test_j_explicit_matches_direct(self, zeros_2000):
-        assert abs(prime_count_j_explicit(20.0, zeros_2000.ts, 200) - prime_count_j_direct(20.0)) < 1e-2
-        assert abs(prime_count_j_explicit(100.5, zeros_2000.ts, 1000) - prime_count_j_direct(100.5)) < 0.05
+        assert abs(prime_count_j_explicit(20.0, zeros_2000.ts[:200]) - prime_count_j_direct(20.0)) < 1e-2
+        assert abs(prime_count_j_explicit(100.5, zeros_2000.ts[:1000]) - prime_count_j_direct(100.5)) < 0.05
 
     def test_local_explicit_matches_direct(self):
         assert abs(local_count_explicit(2, 10.0, 4000) - 3.0) < 1e-3
