@@ -2,6 +2,13 @@
 one-plaquette Metropolis Monte Carlo over the eigenvalue action, and
 pair-correlation reports against the sine-kernel prediction.
 
+The action of N eigenphases with couplings beta_1, beta_2, ... is
+
+    S = N sum_i V(theta_i) - sum_{i<j} ln |4 sin^2((theta_i - theta_j)/2)|,
+    V(theta) = sum_n (2 beta_n/n) cos(n theta),
+
+the second term being log Vandermonde; configurations carry weight e^-S.
+
 Determinism contract: every stream is a pure function of (seed, chain
 index); chains never share random state, so results are independent of how
 chains are scheduled.  CUE samples and Metropolis chains are split into one
@@ -256,10 +263,7 @@ def plaquette_mc(
     chains: int = 4,
     bins: int = 64,
 ) -> PlaquetteRun:
-    """Metropolis over eigenphases with the action
-
-        S = N sum_i sum_n (2 beta_n/n) cos(n theta_i)
-            - sum_{i<j} ln |4 sin^2((theta_i - theta_j)/2)|.
+    """Metropolis over eigenphases with the module docstring's action S.
 
     Single-site Gaussian proposals; the width adapts toward 0.4 acceptance
     during burn-in only, per chain, so each chain is a pure function of
@@ -289,11 +293,11 @@ def acceptance_in_band(run: PlaquetteRun) -> bool:
 
 def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     """Analytic no-gap density (1/2pi)(1 - 2 sum beta_n cos n theta) of the
-    action S = N sum_i V(theta_i) - log Vandermonde, V(theta) = sum_n
-    (2 beta_n/n) cos(n theta), normalised to unit mass on (-pi, pi].  The
-    minus sign solves the large-N saddle equation V'(theta) = P int rho(phi)
-    cot((theta - phi)/2) dphi: the conjugate function of cos n theta is
-    sin n theta, so rho = (1/2pi)(1 + 2 sum a_n cos n theta) has a_n = -beta_n."""
+    action S of the module docstring, normalised to unit mass on (-pi, pi].
+    The minus sign solves the large-N saddle equation V'(theta) = P int
+    rho(phi) cot((theta - phi)/2) dphi: the conjugate function of cos n theta
+    is sin n theta, so rho = (1/2pi)(1 + 2 sum a_n cos n theta) has
+    a_n = -beta_n."""
     th = np.asarray(theta, dtype=float)
     out = np.ones_like(th)
     for n, b in enumerate(betas, start=1):

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import zeta as zt
-from .padics import is_prime, require_prime
+from .padics import haar_integrate_norm_power, is_prime, require_prime
 from .zeta import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi
@@ -266,8 +266,10 @@ def local_spike_angles(p: int, n_spikes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def local_potential_derivative(p: int, theta: np.ndarray) -> np.ndarray:
-    """V'(theta) = (1/(4 sin^2(theta/2))) cot((ln p/2) cot(theta/2)),
-    the symmetric-pair resummation of the conditionally convergent pole sum."""
+    """-V'(theta) = (1/(4 sin^2(theta/2))) cot((ln p/2) cot(theta/2)) for the
+    `ensemble` action with V(theta) = 2 Re F(e^{i theta}), F =
+    `potential_sum_local`: the symmetric-pair resummation of the pole sum, and
+    the Abel limit of 2 Im R_<(r e^{i theta}), since dF/dtheta = i (R_< - 1)."""
     th = np.asarray(theta, dtype=float)
     x = 1.0 / np.tan(0.5 * th)
     return 1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))
@@ -313,8 +315,10 @@ class TraceFluctuation:
 
 def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuation:
     """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
-    basis: partial sum and geometric closed form p^-w/(1 - p^-w) with
-    w = eps + i cot(theta/2), plus the exact geometric tail bound.
+    basis: partial sum of p^-nw, n = 1..N, and geometric closed form
+    p^-w/(1 - p^-w) with w = eps + i cot(theta/2), plus the geometric tail
+    bound.  That sum is the Haar shell sum of |xi|_p^(w-1) over p Z_p
+    divided by the shell weight 1 - 1/p.
 
     pole_proximity flags w approaching a local-factor pole (closed form
     denominator nearly vanishing as eps -> 0 on a spike angle).
@@ -322,20 +326,13 @@ def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuat
     if eps <= 0:
         raise ValueError("Abel parameter eps must be positive")
     w = complex(eps, _cot_half(theta))
-    lnp = math.log(p)
-    n = np.arange(1, N + 1)
-    partial = complex(np.exp(-w * lnp * n).sum())
-    q = np.exp(-w * lnp)
-    den = 1.0 - q
-    closed = complex(q / den)
-    tail = float(p ** (-(N + 1) * eps) / (1.0 - p ** (-eps)))
-    # the geometric bound is exactly tight on spike angles; cover the
-    # rounding of an N-term partial sum so the reported bound stays honest
-    tail += 8.0 * 2.220446049250313e-16 * N * max(1.0, abs(partial))
+    shells = haar_integrate_norm_power(p, w, N)
+    scale = p / (p - 1)
     # on a spike angle the denominator is pinned at the Abel regulator
     # 1 - p^-eps and blows up as eps -> 0: flag that regime explicitly
-    near_pole = abs(den) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
-    return TraceFluctuation(partial, closed, tail, bool(near_pole))
+    near_pole = abs(1.0 - p ** -w) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
+    return TraceFluctuation(scale * shells.value, scale * shells.closed_form,
+                            scale * shells.tail_bound, bool(near_pole))
 
 
 # ---------------------------------------------------------------------------

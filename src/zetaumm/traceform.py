@@ -25,9 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .padics import require_prime
-from .zeta import PrimeTable, ZeroTable, _digamma
+from .zeta import LN_PI, PrimeTable, ZeroTable, _digamma
 
-LN_PI = math.log(math.pi)
 TWO_PI = 2.0 * math.pi
 
 

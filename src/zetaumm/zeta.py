@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,13 +48,12 @@ def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> list[str]:
 
 
 _EM_ORDER = 12  # Bernoulli corrections of the Euler-Maclaurin kernel
-# B_{2k} / (2k)! as binary64, k = 1.._EM_ORDER (tests/test_zeta.py derives
-# them and _STIRLING from the exact Bernoulli numbers)
-_B2K_OVER_FACT = np.array([
-    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05, -8.267195767195768e-07,
-    2.08767569878681e-08, -5.284190138687493e-10, 1.3382536530684679e-11, -3.3896802963225827e-13,
-    8.586062056277845e-15, -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
-])
+# the exact B_2k, k = 1.._EM_ORDER, from which both binary64 tables below come
+_B2K = [Fraction(n, d) for n, d in (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730))]
+# B_2k / (2k)!: the Euler-Maclaurin corrections
+_B2K_OVER_FACT = np.array([float(b / math.factorial(2 * k)) for k, b in enumerate(_B2K, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +61,7 @@ _B2K_OVER_FACT = np.array([
 # ---------------------------------------------------------------------------
 
 # B_2k / (2k (2k-1)), k = 1.._EM_ORDER: Stirling's series of ln Gamma
-_STIRLING = np.array([
-    0.08333333333333333, -0.002777777777777778, 0.0007936507936507937, -0.0005952380952380953,
-    0.0008417508417508417, -0.0019175269175269176, 0.00641025641025641, -0.029550653594771242,
-    0.17964437236883057, -1.3924322169059011, 13.402864044168393, -156.84828462600203,
-])
+_STIRLING = np.array([float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(_B2K, 1)])
 # (2k - 1) _STIRLING, B_2k / 2k to rounding: the series of its derivative, digamma
 _STIRLING_D = (2.0 * np.arange(1, _EM_ORDER + 1) - 1.0) * _STIRLING
 
@@ -669,10 +664,10 @@ class ZeroTable:
 
 def _last_digit_exponent(line: str) -> int:
     """Decimal(line).as_tuple().exponent, the power of ten of the last digit
-    printed, for a line that float() reads as finite: taken from the text
-    (exponent less the digits after the point) when the line is ASCII."""
-    if not line.isascii():
-        return Decimal(line).as_tuple().exponent
+    printed, for a line that float() reads as finite: the exponent less the
+    digits after the point.  float() takes only ASCII signs, points and
+    exponent letters around digits of any script, so the text is split on
+    those alone, and int() reads the exponent's digits in any script."""
     mantissa, _, exponent = line.lower().partition("e")
     return (int(exponent) if exponent else 0) - len(mantissa.partition(".")[2].replace("_", ""))
 

@@ -272,6 +272,16 @@ class TestDensityProfile:
         partial = local_potential_derivative_partial(3, 2.0, 10**5)
         assert abs(closed - partial) < 1e-6
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_vprime_is_minus_dv_in_the_abel_limit(self, p):
+        # V(theta) = 2 Re F(e^{i theta}), F = potential_sum_local, and
+        # dF/dtheta = i (R_<(z) - 1), so -V'(theta) = 2 Im R_< as r -> 1: the
+        # closed-form resolvent shares neither the cot resummation nor its sign
+        model = ResolventModel("local", p=p)
+        for theta in (0.7, 1.9, 2.8, 3.6, 4.4, 5.5):
+            abel = 2.0 * resolvent(model, (1.0 - 1e-9) * cmath.exp(1j * theta)).imag
+            assert local_potential_derivative(p, theta) == pytest.approx(abel, rel=1e-6)
+
     def test_grid_near_spike_rejected(self):
         th1 = local_spike_angles(2, 1)[0][-1]
         with pytest.raises(ValueError):

@@ -576,7 +576,8 @@ class TestIngestZeros:
     @pytest.mark.parametrize("line", [
         "14.134725141734694", "17.25", "21", "21.", ".5", "14.10", "1e3", "1.5e3", "1.5E+3",
         "2.25e-2", "+14.1347", "-3.5", "+1.5E-4", "1_000.000_5", "1_4.1e1_0",
-        "\u0661\u0664.\u0661\u0663", "\uff11\uff14.\uff12\uff15e2",
+        "\u0661\u0664.\u0661\u0663", "\uff11\uff14.\uff12\uff15e2", "1e\u0663",
+        "\u0967\u096a.\u0967\u0969E-\u0967",
     ])
     def test_last_digit_exponent_matches_decimal(self, line):
         assert float(line)  # a line ingest_zeros reads

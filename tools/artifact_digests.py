@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Print one digest line per `zetaumm ...` command in the README's code
-blocks: the artifact's sha256, the exit code and the sha256 of stderr.
+"""Print one digest line per command: the artifact's sha256, the exit code
+and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
+README's code blocks, every job of `perfbench/workloads.py` at seeds 1
+and 2 (that file is read, never written), and three edge cases: more
+ordinates asked of `li` than the table holds, a `li` radius whose
+logarithm winds, and a `trace-check` on 20 zeros.
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
-bundled zero table at `src/zetaumm/data/zeros10k.txt`, so the README's
-relative paths resolve there and the artifact's metadata is the same
-from any checkout.  Compare two checkouts with
+bundled zero table at `src/zetaumm/data/zeros10k.txt`.  The README's and
+the jobs' zero-table and artifact paths are relative to that directory,
+so the artifact's metadata is the same from any checkout.  Compare two
+checkouts with
 
     diff <(python3 tools/artifact_digests.py) \\
          <(python3 /path/to/other/tools/artifact_digests.py)
@@ -26,6 +31,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path("src/zetaumm/data/zeros10k.txt")
+EDGE_CASES = (
+    f"zetaumm li --zeros {TABLE} --nmax 10 --nzeros 20000 --out li-20000.csv",
+    f"zetaumm li --zeros {TABLE} --nmax 10 --radius 0.99 --out li-r099.csv",
+    f"zetaumm trace-check --zeros {TABLE} --nzeros 20 --out trace-20.csv",
+)
 
 
 def readme_commands(text: str) -> list[str]:
@@ -45,6 +55,16 @@ def readme_commands(text: str) -> list[str]:
             commands.append(line)
         line = ""
     return commands
+
+
+def benchmark_commands() -> list[str]:
+    """Every job of the benchmark's three workloads at seeds 1 and 2."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return ["zetaumm " + shlex.join(job.resolve(str(TABLE), f"{job.name}-{seed}.{job.ext}"))
+            for workload in workloads.WORKLOADS for seed in (1, 2)
+            for job in workloads.jobs(workload, seed)]
 
 
 def _sha256(data: bytes) -> str:
@@ -71,6 +91,7 @@ def main() -> None:
     from zetaumm.cli import main as cli_main
 
     commands = readme_commands((ROOT / "README.md").read_text(encoding="utf-8"))
+    commands += benchmark_commands() + list(EDGE_CASES)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / TABLE).parent.mkdir(parents=True)
