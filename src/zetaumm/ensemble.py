@@ -333,12 +333,6 @@ class CorrelationReport:
         return float(np.sqrt(((self.r2 - curve) ** 2 * width).sum()))
 
 
-def unfold_zeros(ts: np.ndarray) -> np.ndarray:
-    """Smooth zero-counting unfolding N(t) = (t/2pi) ln(t/(2 pi e)) + 7/8."""
-    t = np.asarray(ts, dtype=float)
-    return t / TWO_PI * np.log(t / (TWO_PI * math.e)) + 7.0 / 8.0
-
-
 def pair_correlation(
     points: np.ndarray,
     bins: int = 50,
@@ -349,10 +343,10 @@ def pair_correlation(
     A 2-D array holds eigenphase configurations, one ascending row each
     (as sample_cue and PlaquetteRun.sample give them; rows are not
     sorted here), unfolded circularly by N/2pi (unit mean spacing).  A 1-D
-    array holds points already unfolded (zero ordinates: pass
-    unfold_zeros(ts)).  Distances from each reference point to its m-th
-    successor, m = 1, 2, ..., grow with m; they are histogrammed up to the
-    first m that brings none within r_max, normalised per reference point.
+    array holds points that are already unfolded.  Distances from each
+    reference point to its m-th successor, m = 1, 2, ..., grow with m; they
+    are histogrammed up to the first m that brings none within r_max,
+    normalised per reference point.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")

@@ -3,11 +3,11 @@ their zero expansions, Li coefficients, prime sieve, Hardy's Z and
 zero-table ingestion.
 
 zeta is evaluated by one Euler-Maclaurin kernel over an array of s with
-N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections;
-the reflection identity covers Re(s) < 0.  Hardy's Z, which validates zero
-tables, takes the Riemann-Siegel formula from t = 200 on.  ln Gamma,
-digamma and Ei are numpy kernels below and the Li tail is a fixed
-Gauss-Legendre rule: the package needs numpy alone.
+N = max(20, ceil max|Im s| + 20) direct terms and 12 Bernoulli corrections,
+on Re(s) >= 0.  Hardy's Z, which validates zero tables, takes the
+Riemann-Siegel formula from t = 200 on.  ln Gamma, digamma and Ei are
+numpy kernels below and the Li tail is a fixed Gauss-Legendre rule: the
+package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -205,31 +205,20 @@ def _em_kernel(s: np.ndarray, derivative: bool = False):
     return core, pole, dzeta
 
 
-def _reflection(s: np.ndarray) -> np.ndarray:
-    """chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s), so zeta(s) = chi(s) zeta(1-s)."""
-    return 2.0**s * math.pi ** (s - 1.0) * np.sin(0.5 * math.pi * s) * np.exp(_log_gamma(1.0 - s))
-
-
 def zeta(s: complex) -> complex:
-    """Riemann zeta on C \\ {1}.  Re(s) >= 0 by Euler-Maclaurin, Re(s) < 0
-    through the reflection identity
-    zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)."""
+    """Riemann zeta on Re(s) >= 0, s != 1, by Euler-Maclaurin."""
     s, scalar = _as_1d(s)
     _reject_pole(s)
     return _unbox(zeta_unit(s) / (s - 1.0), scalar)
 
 
 def zeta_unit(s: complex) -> complex:
-    """(s-1) * zeta(s) evaluated as a single analytic unit (value 1 at s=1)."""
+    """(s-1) * zeta(s) as a single analytic unit (value 1 at s=1), on Re(s) >= 0."""
     s, scalar = _as_1d(s)
-    left = s.real < 0.0
-    w = np.where(left, 1.0 - s, s)  # Re(w) > 1 where reflected
-    core, pole, _ = _em_kernel(w)
-    val = (w - 1.0) * core + pole  # (w-1) zeta(w)
-    if left.any():
-        # (s-1) zeta(s) = (s-1) chi(s) zeta(w); zeta(w) regular, no care needed
-        val[left] *= (s[left] - 1.0) / (w[left] - 1.0) * _reflection(s[left])
-    return _unbox(val, scalar)
+    if (s.real < 0.0).any():
+        raise ValueError("zeta implemented for Re(s) >= 0 only")
+    core, pole, _ = _em_kernel(s)
+    return _unbox((s - 1.0) * core + pole, scalar)
 
 
 def zeta_and_derivative(s: complex) -> tuple[complex, complex]:
@@ -265,8 +254,9 @@ def xi(s: complex) -> complex:
     cancelled analytically rather than numerically.
     """
     s, scalar = _as_1d(s)
+    unit = zeta_unit(s)  # refuses Re(s) < 0 before ln Gamma meets its poles
     pref = np.exp(_log_gamma(0.5 * s + 1.0) - 0.5 * s * LN_PI)
-    return _unbox(pref * zeta_unit(s), scalar)
+    return _unbox(pref * unit, scalar)
 
 
 # ---------------------------------------------------------------------------

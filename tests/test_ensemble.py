@@ -17,7 +17,6 @@ from zetaumm.ensemble import (
     plaquette_model_density,
     sample_cue,
     sine_kernel_r2,
-    unfold_zeros,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -407,7 +406,7 @@ class TestPairCorrelation:
 
     @pytest.mark.parametrize("bins, r_max", [(50, 5.0), (40, 4.0), (30, 0.3), (20, 50.0)])
     def test_point_histogram_matches_list_comprehension(self, zeros_all, bins, r_max):
-        x = unfold_zeros(zeros_all.ts)
+        x = zeros_all.ts
         assert np.array_equal(pair_correlation(x, bins, r_max).r2, _reference_point_r2(x, bins, r_max))
 
     def test_point_histogram_near_the_end_of_the_array(self):
@@ -429,24 +428,6 @@ class TestPairCorrelation:
         rep = pair_correlation(pts, bins=50, r_max=5.0)
         assert rep.l2_distance > 0.2
         assert rep.l2_distance_to(np.ones(50)) < 0.15
-
-    def test_zero_unfolding_has_unit_mean_spacing(self, zeros_2000):
-        x = unfold_zeros(zeros_2000.ts)
-        spacing = np.diff(x).mean()
-        assert abs(spacing - 1.0) < 0.01
-        # the n-th zero unfolds to n - 1/2 up to S(t): a mean offset of 4e-5
-        # and a largest of 0.79 here, where a 1 % scale error reads 10
-        offset = x - (np.arange(1, x.size + 1) - 0.5)
-        assert abs(offset.mean()) <= 0.02
-        assert np.abs(offset).max() < 1.0
-
-    def test_unfolded_zeros_near_sine_kernel(self, zeros_all):
-        # low-height zeros carry a visible 1/ln(t) correction at small r,
-        # so the distance depends on binning; both conventions below hold
-        rep = pair_correlation(unfold_zeros(zeros_all.ts), bins=40, r_max=4.0)
-        assert rep.l2_distance < 0.08
-        rep_default = pair_correlation(unfold_zeros(zeros_all.ts), bins=50, r_max=5.0)
-        assert rep_default.l2_distance < 0.1
 
     @pytest.mark.parametrize("shape", [(), (10, 10, 20)])
     def test_rank_other_than_one_or_two_rejected(self, shape):

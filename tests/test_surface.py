@@ -24,12 +24,6 @@ CONSUMERS = [
     *sorted((ROOT / "perfbench").rglob("*.py")),
 ]
 
-EXEMPT = {
-    # the README tells users to pass zero ordinates to pair_correlation
-    # through it
-    ("ensemble", "unfold_zeros"),
-}
-
 # Orphans whose deletion is scheduled (ROADMAP open item 8) but not yet
 # done, so that one change does not take away more than a few dozen unit
 # tests at once.  A deferred class defers its members too.  This set only
@@ -97,7 +91,7 @@ def _orphans(src: Path, consumers: list) -> list:
                 continue
             if (stem, node.name) in DEFERRED:
                 continue
-            if not (node.name in outside or (stem, node.name) in EXEMPT
+            if not (node.name in outside
                     or any(node.name in _references(other, skip=node) for other in modules.values())):
                 orphans.append(f"{stem}.{node.name}")
             if not isinstance(node, ast.ClassDef):

@@ -2,16 +2,20 @@
 """Print one digest line per command: the artifact's sha256, the exit code
 and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
 README's code blocks, every job of `perfbench/workloads.py` at seeds 1
-and 2 (that file is read, never written), and three edge cases: more
+and 2 (that file is read, never written), and eight edge cases: more
 ordinates asked of `li` than the table holds, a `li` radius whose
-logarithm winds, and a `trace-check` on 20 zeros.
+logarithm winds, a `trace-check` on 20 zeros, and the CLI routes that
+neither the README nor the jobs reach: `explicit-formula --kind j_local`,
+`beta-ren --method xi_decomposition`, `comb` for one prime, a JSON
+artifact (`comb --format json`) and a `--config` file whose prime the
+xi model does not read.
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
-bundled zero table at `src/zetaumm/data/zeros10k.txt`.  The README's and
-the jobs' zero-table and artifact paths are relative to that directory,
-so the artifact's metadata is the same from any checkout.  Compare two
-checkouts with
+bundled zero table at `src/zetaumm/data/zeros10k.txt` and the config
+file `xi.cfg`.  The zero-table, config and artifact paths are relative
+to that directory, so the artifact's metadata is the same from any
+checkout.  Compare two checkouts with
 
     diff <(python3 tools/artifact_digests.py) \\
          <(python3 /path/to/other/tools/artifact_digests.py)
@@ -35,7 +39,14 @@ EDGE_CASES = (
     f"zetaumm li --zeros {TABLE} --nmax 10 --nzeros 20000 --out li-20000.csv",
     f"zetaumm li --zeros {TABLE} --nmax 10 --radius 0.99 --out li-r099.csv",
     f"zetaumm trace-check --zeros {TABLE} --nzeros 20 --out trace-20.csv",
+    "zetaumm explicit-formula --kind j_local --prime 3 --x 10.5 --out jlocal-3.csv",
+    "zetaumm beta-ren --method xi_decomposition --mu 0.5 --mmax 10 --out bren-xi.csv",
+    "zetaumm comb --prime 2 --out comb-2.csv",
+    "zetaumm comb --format json --out comb.json",
+    "zetaumm betas --model xi --config xi.cfg --out betas-xi-cfg.csv",
 )
+# the file `--config xi.cfg` reads: a prime that `--model xi` drops
+XI_CFG = "# a prime for the local model\nprime = 3\nmmax = 12\n"
 
 
 def readme_commands(text: str) -> list[str]:
@@ -96,6 +107,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / TABLE).parent.mkdir(parents=True)
         shutil.copyfile(ROOT / TABLE, Path(tmp) / TABLE)
+        (Path(tmp) / "xi.cfg").write_text(XI_CFG, encoding="utf-8")
         os.chdir(tmp)
         try:
             for command in commands:
