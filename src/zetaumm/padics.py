@@ -68,8 +68,6 @@ def fractional_part(x: Rational, p: int) -> Fraction:
     expansion, as a rational in [0, 1) with denominator a power of p."""
     require_prime(p)
     x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
     den = x.denominator
     k = 0
     while den % p == 0:
@@ -85,10 +83,7 @@ def fractional_part(x: Rational, p: int) -> Fraction:
 
 def additive_character(p: int, x: Rational) -> complex:
     """chi(x) = exp(2 pi i {x}_p), the rank-one additive character of Q_p."""
-    frac = fractional_part(x, p)
-    if frac == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * cmath.pi * float(frac))
+    return cmath.exp(2j * cmath.pi * float(fractional_part(x, p)))
 
 
 @dataclass(frozen=True)

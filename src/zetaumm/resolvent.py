@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import zeta as zt
-from .padics import haar_integrate_norm_power, is_prime, require_prime
+from .padics import is_prime, require_prime
 from .zeta import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi
@@ -303,36 +303,6 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
         spike_weight=math.pi / math.log(p),
         vprime=local_potential_derivative(p, grid),
     )
-
-
-@dataclass(frozen=True)
-class TraceFluctuation:
-    partial: complex
-    closed_form: complex
-    tail_bound: float
-    pole_proximity: bool
-
-
-def trace_fluctuation(p: int, theta: float, eps: float, N: int) -> TraceFluctuation:
-    """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
-    basis: partial sum of p^-nw, n = 1..N, and geometric closed form
-    p^-w/(1 - p^-w) with w = eps + i cot(theta/2), plus the geometric tail
-    bound.  That sum is the Haar shell sum of |xi|_p^(w-1) over p Z_p
-    divided by the shell weight 1 - 1/p.
-
-    pole_proximity flags w approaching a local-factor pole (closed form
-    denominator nearly vanishing as eps -> 0 on a spike angle).
-    """
-    if eps <= 0:
-        raise ValueError("Abel parameter eps must be positive")
-    w = complex(eps, _cot_half(theta))
-    shells = haar_integrate_norm_power(p, w, N)
-    scale = p / (p - 1)
-    # on a spike angle the denominator is pinned at the Abel regulator
-    # 1 - p^-eps and blows up as eps -> 0: flag that regime explicitly
-    near_pole = abs(1.0 - p ** -w) <= 2.0 * (1.0 - p ** (-eps)) + 1e-14
-    return TraceFluctuation(scale * shells.value, scale * shells.closed_form,
-                            scale * shells.tail_bound, bool(near_pole))
 
 
 # ---------------------------------------------------------------------------

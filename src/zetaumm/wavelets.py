@@ -142,12 +142,9 @@ def _kernel_prefactor(p: int, alpha: complex) -> complex:
 def _ball_integral(idx: WaveletIndex, center: Fraction, level: int) -> complex:
     """int_{|xi'-center| <= p^-level} psi dxi', exact via resolution cosets."""
     p = idx.prime
-    l_f = idx.support_level
-    if level <= l_f:
-        # the ball swallows the support (they intersect since callers pass
-        # centers inside the support): mean-zero makes this exactly 0
-        return 0.0 + 0.0j
-    if padic_norm(center, p) > Fraction(p) ** (-l_f):
+    if level <= idx.support_level:
+        # a ball at least as large as the support swallows it or misses it:
+        # mean-zero makes this exactly 0 either way
         return 0.0 + 0.0j
     K = max(idx.resolution_level, level)
     acc = 0.0 + 0.0j

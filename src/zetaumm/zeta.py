@@ -333,8 +333,6 @@ class PrimeTable:
 def _midpoint_power_sum(x: float, weights) -> float:
     """Sum of weights(table) over prime powers p^n <= x, half weight at a
     jump (x within 1e-9 of a prime power)."""
-    if x <= 1.0:
-        return 0.0
     primes = PrimeTable.build(int(x) + 1)
     w = weights(primes)
     total = w[primes.power_values <= x + 1e-9].sum()
@@ -358,8 +356,6 @@ def prime_count_j_direct(x: float) -> float:
 def local_count_direct(p: int, x: float) -> float:
     """j_p(x) = #{n >= 1 : p^n <= x}, midpoint at jumps."""
     require_prime(p)
-    if x <= 1.0:
-        return 0.0
     count, pk = 0, p
     while pk <= x + 1e-9:
         count += 1

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,6 +117,7 @@ class TestCLI:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["betas", "--model", "local", "--prime", "2", "--zzz", "1", "--out", "x"]) == 1
+        assert main(["no-such-command"]) == 1
 
     def test_missing_precondition_exits_one(self, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -409,6 +411,15 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "haar_shell(p=3): deviation 0.5 exceeds bound 1e-09" in err
 
+    def test_padic_check_ultrametric_can_fail(self, tmp_path, monkeypatch, capsys):
+        # the archimedean norm |x| breaks |a + b| <= max(|a|, |b|) whenever a, b share a sign
+        monkeypatch.setattr(cli, "padic_norm", lambda x, p: abs(Fraction(x)))
+        out = tmp_path / "p.json"
+        assert main(["padic-check", "--samples", "5", "--out", str(out), "--format", "json"]) == 2
+        assert json.loads(out.read_text())["pass"] is False  # written before the exit
+        err = capsys.readouterr().err
+        assert "ultrametric(p=2): deviation" in err and "exceeds bound 0" in err
+
     def test_own_checks_exit_two_only_through_emit(self):
         # handlers pass their failure messages to _emit, which writes the
         # artifact before it raises; the two-route builder only reports
@@ -437,7 +448,8 @@ class TestCLI:
         out = str(tmp_path / "x.csv")
         for argv in (["density", "--prime", "1"], ["betas", "--model", "local", "--prime", "4"],
                      ["explicit-formula", "--kind", "j_local", "--prime", "4", "--x", "10"],
-                     ["comb", "--prime", "4"], ["wavelet-check", "--prime", "x"]):
+                     ["comb", "--prime", "4"], ["wavelet-check", "--prime", "x"],
+                     ["density", "--prime", "9"]):
             assert main(argv + ["--out", out]) == 1
             err = capsys.readouterr().err
             assert "is not a prime" in err and "Traceback" not in err

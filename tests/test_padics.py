@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -115,6 +116,31 @@ class TestHaarIntegral:
             # the geometric term, not the rounding pad, sets the bound here,
             # so the bound must also be sharp: within 4x of the true tail
             assert float(res.tail_bound) <= 4 * err
+
+
+def abel_trace(p, theta, eps, N):
+    """Abel-regularised trace of D^(-i cot(theta/2)) over the restricted
+    basis, sum of p^(-n w) for n = 1..N with w = eps + i cot(theta/2): the
+    Haar shell sum of |xi|_p^(w-1) over p Z_p divided by the shell weight
+    1 - 1/p.  Returns (partial sum, closed form, tail bound)."""
+    w = complex(eps, math.cos(0.5 * theta) / math.sin(0.5 * theta))
+    shells = haar_integrate_norm_power(p, w, N)
+    scale = p / (p - 1)
+    return scale * shells.value, scale * shells.closed_form, scale * shells.tail_bound
+
+
+class TestAbelTrace:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("theta", [0.5, math.pi, 4.0])
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
+    def test_partial_within_tail_bound(self, p, theta, eps):
+        partial, closed_form, tail_bound = abel_trace(p, theta, eps, 200)
+        assert abs(partial - closed_form) <= tail_bound + 1e-14
+
+    def test_closed_form_example(self):
+        _, closed_form, _ = abel_trace(2, math.pi, 0.1, 200)
+        q = 2.0**-0.1
+        assert abs(closed_form - q / (1.0 - q)) < 1e-12
 
 
 def ball_measure(p, level, K=3):

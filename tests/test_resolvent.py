@@ -20,7 +20,6 @@ from zetaumm.resolvent import (
     local_spike_angles,
     potential_sum_local,
     resolvent,
-    trace_fluctuation,
     xi_log_series,
 )
 from zetaumm.zeta import NumericConsistencyError
@@ -293,29 +292,6 @@ class TestDensityProfile:
         for p in (1, 4):
             with pytest.raises(ValueError, match="not a prime"):
                 density_profile(p, [2.0], 3)
-
-
-class TestTraceFluctuation:
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    @pytest.mark.parametrize("theta", [0.5, math.pi, 4.0])
-    @pytest.mark.parametrize("eps", [0.05, 0.2, 1.0])
-    def test_partial_within_tail_bound(self, p, theta, eps):
-        tf = trace_fluctuation(p, theta, eps, 200)
-        assert abs(tf.partial - tf.closed_form) <= tf.tail_bound + 1e-14
-
-    def test_closed_form_example(self):
-        tf = trace_fluctuation(2, math.pi, 0.1, 200)
-        q = 2.0**-0.1
-        assert abs(tf.closed_form - q / (1.0 - q)) < 1e-12
-
-    def test_divergence_flagged_on_spike(self):
-        th1 = 2.0 * math.atan(math.log(2.0) / (2.0 * math.pi))
-        assert trace_fluctuation(2, th1, 1e-6, 10).pole_proximity
-        assert not trace_fluctuation(2, 1.0, 1e-6, 10).pole_proximity
-
-    def test_positive_eps_required(self):
-        with pytest.raises(ValueError):
-            trace_fluctuation(2, 1.0, 0.0, 10)
 
 
 def laguerre_table(M, x):

@@ -9,7 +9,8 @@ do not count.  A member (field, method or property of a public class) is
 consumed only by an `ast.Attribute` read outside its own class body: a
 constructor argument is a write, not a read.  A read on the argparse
 namespace `args` names an option, so it consumes neither a member nor a
-function.
+function.  No name is exempt: an orphan is deleted, and its unit tests go
+with it or move onto the code that does the work.
 """
 
 import ast
@@ -23,16 +24,6 @@ CONSUMERS = [
     *sorted((ROOT / "tools").rglob("*.py")),
     *sorted((ROOT / "perfbench").rglob("*.py")),
 ]
-
-# Orphans whose deletion is scheduled (ROADMAP open item 8) but not yet
-# done, so that one change does not take away more than a few dozen unit
-# tests at once.  A deferred class defers its members too.  This set only
-# ever shrinks.
-DEFERRED = {
-    ("resolvent", "trace_fluctuation"),
-    ("resolvent", "TraceFluctuation"),
-}
-
 
 def _walk(node, skip=None):
     """The nodes of `node`, not descending into `skip`."""
@@ -88,8 +79,6 @@ def _orphans(src: Path, consumers: list) -> list:
     for stem, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if (stem, node.name) in DEFERRED:
                 continue
             if not (node.name in outside
                     or any(node.name in _references(other, skip=node) for other in modules.values())):

@@ -13,6 +13,7 @@ from zetaumm.wavelets import (
     restricted_index,
     vladimirov_apply,
     vladimirov_eigenvalue,
+    vladimirov_kernel_apply,
 )
 
 
@@ -102,6 +103,20 @@ class TestVladimirov:
                     h.update(np.array([res.eigenvalue]).tobytes())
                     h.update(np.array([res.residual]).tobytes())
         assert h.hexdigest() == "83fee1d5976400e56a25f95d2febe0051d7675fbc4c28ef650609cd143067e22"
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 1.0 + 1.0j])
+    @pytest.mark.parametrize("scale", [0, 1])
+    def test_kernel_vanishes_off_the_support(self, p, alpha, scale):
+        # D^alpha psi = lambda psi is 0 where psi is; vladimirov_apply
+        # samples only points inside the support |xi|_p <= p^scale
+        idx = WaveletIndex(p, scale)
+        lam = vladimirov_eigenvalue(p, alpha, scale)
+        for k in (1, 2, 3):
+            for a in (1, -1, p + 1):
+                xi = Fraction(a, p ** (scale + k))
+                assert kozyrev_eval(idx, xi) == 0
+                assert abs(vladimirov_kernel_apply(idx, alpha, xi)) / abs(lam) < 1e-6
 
     def test_kernel_on_restricted_basis_states(self):
         for n in (1, 2, 3):

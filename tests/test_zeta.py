@@ -387,6 +387,12 @@ class TestCounting:
     def test_local_direct_example(self):
         assert local_count_direct(2, 10.0) == 3.0
 
+    @pytest.mark.parametrize("x", [-3.0, 0.0, 0.5, 1.0, 1.5])
+    def test_counts_vanish_below_the_first_prime_power(self, x):
+        counts = [chebyshev_psi_direct(x), prime_count_j_direct(x),
+                  local_count_direct(2, x), local_count_direct(3, x)]
+        assert counts == [0.0] * 4 and all(type(c) is float for c in counts)
+
     def test_midpoint_convention_at_jumps(self):
         assert abs(chebyshev_psi_direct(8.0) - (chebyshev_psi_direct(7.9) + 0.5 * math.log(2))) < 1e-12
         assert abs(prime_count_j_direct(9.0) - (prime_count_j_direct(8.9) + 0.25)) < 1e-12

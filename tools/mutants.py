@@ -56,6 +56,9 @@ MUTANTS = [
     ("local_potential_derivative sign flip", "src/zetaumm/resolvent.py",
      "    return 1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))",
      "    return -1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))"),
+    ("padic-check worst_ultra update -> pass", "src/zetaumm/cli.py",
+     "                worst_ultra = max(worst_ultra, float(ns / max(na, nb)) - 1.0)",
+     "                pass"),
 ]
 
 
