@@ -3,10 +3,11 @@ library modules.
 
 Every run writes CSV or JSON with a metadata block echoing the complete
 configuration (no timestamps), so outputs are reproducible bit-for-bit
-from their own metadata.  Exit codes: 0 success, 1 validation error,
-2 numeric-consistency failure.  A process enters through `_entry.run`
-(the `zetaumm` script, and `python -m zetaumm.cli` below); in-process
-callers use main().
+from their own metadata.  `@FILE` reads options from FILE, one
+`key = value` a line; flags on the command line win.  Exit codes:
+0 success, 1 validation error, 2 numeric-consistency failure.  A process
+enters through `_entry.run` (the `zetaumm` script, and `python -m
+zetaumm.cli` below); in-process callers use main().
 """
 
 from __future__ import annotations
@@ -30,21 +31,6 @@ from . import __version__, output
 from . import zeta as zt
 from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
 from .zeta import NumericConsistencyError
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    """Plain key=value defaults; '#' comments; flags override."""
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
 
 
 def _prime(text: str) -> int:
@@ -94,7 +80,6 @@ def _finite_list(text: str) -> str:
 _COMMON = (
     ("--out", dict(required=True, help="output file path")),
     ("--format", dict(choices=("csv", "json"), default="csv")),
-    ("--config", dict(default=None, help="key=value defaults file")),
 )
 
 # command name -> (help, options, handler); an option is (flag, add_argument keywords)
@@ -409,8 +394,20 @@ def _cmd_comb(args) -> None:
     _emit(args, cols, vars(comb), {"position-period": comb.position_period})
 
 
+def _options_line(line: str) -> list[str]:
+    """An @FILE line `key = value` as the flag --key=value; '#' and blank lines give none."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return []
+    key, eq, value = line.partition("=")
+    if not eq:
+        raise ValueError(f"options file line {line!r}: expected key = value")
+    return [f"--{key.strip().replace('_', '-')}={value.strip()}"]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__)
+    ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__, fromfile_prefix_chars="@")
+    ap.convert_arg_line_to_args = _options_line
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
@@ -419,44 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _with_config(argv: list[str]) -> tuple[list[str], set[str]]:
-    """argv with the `--config` file's pairs inserted as flags right after
-    the command, and the options that only the file sets.  The file is read
-    before the full parse, so it can supply required options; explicit
-    flags come later in argv and win."""
-    if not argv or argv[0] not in COMMANDS:
-        return argv, set()
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    path = probe.parse_known_args(argv[1:])[0].config
-    if path is None:
-        return argv, set()
-    options = COMMANDS[argv[0]][1]
-    flags = {flag[2:].replace("-", "_"): flag for flag, _ in options if flag != "--config"}
-    pairs = _parse_config_file(path)
-    extra = []
-    for key, val in pairs.items():
-        if key not in flags:
-            raise ValueError(f"config key {key!r} is not a known option")
-        extra.append(f"{flags[key]}={val}")
-    # argparse takes any unambiguous prefix of a long option
-    given = {token.partition("=")[0] for token in argv[1:] if token.startswith("--") and token != "--"}
-    explicit = {key for key in pairs if any(flags[key].startswith(t) for t in given)}
-    return argv[:1] + extra + argv[1:], set(pairs) - explicit
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # options files go right after the command, so the flags that follow win
+    argv = argv[:1] + sorted(argv[1:], key=lambda arg: not arg.startswith("@"))
     try:
-        argv, from_config = _with_config(argv)
         args = ap.parse_args(argv)
-        if args.command == "betas":
-            # a config file's prime and s0 are defaults for the models that
-            # read them; given as flags to any other model they exit 1
-            for dest, kind in (("prime", "local"), ("s0", "shifted")):
-                if dest in from_config and args.model != kind:
-                    setattr(args, dest, None)
         COMMANDS[args.command][2](args)
         return 0
     except SystemExit as exc:

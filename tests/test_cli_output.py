@@ -216,57 +216,65 @@ class TestCLI:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mmax=7\nradius=0.45\n")
         out = str(tmp_path / "b.csv")
-        assert main(["betas", "--model", "local", "--prime", "2",
-                     "--config", str(cfg), "--out", out]) == 0
+        assert main(["betas", "--model", "local", "--prime", "2", f"@{cfg}", "--out", out]) == 0
         cols, md = read_csv(out)
         assert cols["index"].size == 7
         assert float(md["radius"]) == 0.45
-        # explicit flag wins over the config default
-        assert main(["betas", "--model", "local", "--prime", "2", "--mmax", "4",
-                     "--config", str(cfg), "--out", out]) == 0
-        cols, _ = read_csv(out)
-        assert cols["index"].size == 4
+        # an explicit flag wins over the file, before it or after it
+        for argv in (["--mmax", "4", f"@{cfg}"], [f"@{cfg}", "--mmax", "4"]):
+            assert main(["betas", "--model", "local", "--prime", "2", *argv, "--out", out]) == 0
+            cols, md = read_csv(out)
+            assert cols["index"].size == 4 and float(md["radius"]) == 0.45
 
     def test_config_supplies_required_options(self, tmp_path):
         out = tmp_path / "from_config.csv"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"model=local\nprime=2\nmmax=5\nout={out}\n")
-        assert main(["betas", "--config", str(cfg)]) == 0
+        assert main(["betas", f"@{cfg}"]) == 0
         cols, md = read_csv(str(out))
         assert cols["index"].size == 5
         assert md["model"] == "local" and md["prime"] == "2"
         # explicit flags still win over the file, required ones included
-        other = str(tmp_path / "explicit.csv")
-        assert main(["betas", "--config", str(cfg), "--model", "gamma", "--mmax", "3",
-                     "--out", other]) == 0
-        cols, md = read_csv(other)
+        other = tmp_path / "explicit.csv"
+        assert main(["betas", f"@{cfg}", "--mmax", "3", "--out", str(other)]) == 0
+        cols, md = read_csv(str(other))
         assert cols["index"].size == 3
-        assert md["model"] == "gamma" and "prime" not in md
+        assert md["model"] == "local" and md["out"] == str(other)
+        # the file's prime reaches a model that does not read it, as the flag would
+        other.unlink()
+        assert main(["betas", f"@{cfg}", "--model", "gamma", "--out", str(other)]) == 1
+        assert not other.exists()
         cfg.write_text(f"model=local\nprime=2\nout={out}\nbogus=1\n")
-        assert main(["betas", "--config", str(cfg)]) == 1
+        assert main(["betas", f"@{cfg}"]) == 1
 
-    def test_config_defaults_a_model_does_not_read_are_dropped(self, tmp_path):
+    @pytest.mark.parametrize("argv, key, message", [
+        (["--model", "xi"], "prime = 3", "p is read by the local model only, not by 'xi'"),
+        (["--model", "local", "--prime", "2"], "s0 = 1.5",
+         "s0 is read by the shifted model only, not by 'local'"),
+    ], ids=["xi-prime", "local-s0"])
+    def test_options_file_keys_a_model_does_not_read_exit_one(self, tmp_path, capsys, argv, key,
+                                                              message):
+        # the file's key is refused as the same flag is: no per-model dropping
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("prime=2\ns0=1.5\nmmax=3\n")
-        out = str(tmp_path / "b.csv")
-        for model, kept, dropped in (("gamma", [], ["prime", "s0"]), ("shifted", ["s0"], ["prime"]),
-                                     ("local", ["prime"], ["s0"])):
-            assert main(["betas", "--model", model, "--config", str(cfg), "--out", out]) == 0
-            _, md = read_csv(out)
-            assert all(k in md for k in kept) and not any(k in md for k in dropped)
-        # the same option given as a flag, or as a prefix of one, is refused
-        for flag in ("--prime", "--pri"):
-            assert main(["betas", "--model", "gamma", flag, "2", "--config", str(cfg), "--out", out]) == 1
+        cfg.write_text(f"{key}\nmmax = 3\n")
+        out = tmp_path / "b.csv"
+        flag, value = key.split(" = ")
+        for extra in ([f"@{cfg}"], [f"--{flag}", value]):
+            assert main(["betas", *argv, *extra, "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv, cfg, key, value", [
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--chains", "1"], "burn-in=7", "burn-in", "7"),
+        (["plaquette-mc", "--n", "6", "--sweeps", "20", "--chains", "1"],
+         "# a comment\n\n  burn_in =  7  ", "burn-in", "7"),
         (["density", "--prime", "2"], "grid-points = 9", "grid-points", "9"),
-    ], ids=["burn-in", "grid-points"])
+    ], ids=["burn-in", "burn_in", "grid-points"])
     def test_config_sets_a_hyphenated_option(self, tmp_path, argv, cfg, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(cfg + "\n")
         out = str(tmp_path / "x.csv")
-        assert main(argv + ["--config", str(path), "--out", out]) == 0
+        assert main(argv + [f"@{path}", "--out", out]) == 0
         _, md = read_csv(out)
         assert md[key] == value
 
@@ -276,11 +284,11 @@ class TestCLI:
         (["wavelet-check", "--nmax", "3", "--kernel-b", "12"], None,
          "unrecognized arguments: --kernel-b 12"),
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3"], "powers=60",
-         "config key 'powers' is not a known option"),
+         "unrecognized arguments: --powers=60"),
         (["li", "--zeros", bundled_zeros_path(), "--nmax", "1", "--tolerance", "0.001"], None,
          "unrecognized arguments: --tolerance 0.001"),
         (["li", "--zeros", bundled_zeros_path(), "--nmax", "1"], "tolerance=0.001",
-         "config key 'tolerance' is not a known option"),
+         "unrecognized arguments: --tolerance=0.001"),
     ], ids=["powers", "kernel-b", "config-powers", "tolerance", "config-tolerance"])
     def test_retired_truncation_options_exit_one(self, tmp_path, capsys, argv, cfg, message):
         # the prime-power loop and the Vladimirov kernel's domain cutoff are
@@ -289,7 +297,7 @@ class TestCLI:
         if cfg is not None:
             path = tmp_path / "run.cfg"
             path.write_text(cfg + "\n")
-            argv = argv + ["--config", str(path)]
+            argv = argv + [f"@{path}"]
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -311,12 +319,38 @@ class TestCLI:
         assert "strictly inside (0, 2pi)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
-        out = str(tmp_path / "b.csv")
-        assert main(["betas", "--model", "local", "--prime", "2",
-                     "--config", str(cfg), "--out", out]) == 1
+        out = tmp_path / "b.csv"
+        assert main(["betas", "--model", "local", "--prime", "2", f"@{cfg}", "--out", str(out)]) == 1
+        assert "--bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("mmax = 3\nradius 0.45\n", "options file line 'radius 0.45': expected key = value"),
+    ], ids=["missing", "no-equals"])
+    def test_unreadable_options_file_exits_one(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "b.csv"
+        assert main(["betas", "--model", "local", "--prime", "2", f"@{cfg}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_options_file_artifact_is_the_flags_artifact(self, tmp_path):
+        cfg = tmp_path / "xi.cfg"
+        cfg.write_text("# the xi model's order\nmmax = 12\n")
+        out = tmp_path / "b.csv"
+        assert main(["betas", "--model", "xi", "--mmax", "12", "--out", str(out)]) == 0
+        flags = out.read_bytes()
+        out.unlink()
+        assert main(["betas", "--model", "xi", f"@{cfg}", "--out", str(out)]) == 0
+        assert out.read_bytes() == flags
+        assert "config" not in read_csv(str(out))[1]
 
     def test_trace_check_exit_zero_iff_within_bound(self, tmp_path):
         out = str(tmp_path / "tr.json")
@@ -372,7 +406,7 @@ class TestCLI:
         report = traceform.TraceReport(
             lhs_terms={"pole": 1.0, "zero_sum": 0.0, "digamma": 0.0},
             rhs_terms={"log_pi": 0.0, "prime_sum": 0.5},
-            bounds={"zero_tail": 1e-3, "prime_tail": 2e-2, "digamma_tail": 0.0, "quadrature": 1e-9})
+            bounds={"prime_tail": 2e-2, "digamma_tail": 0.0, "quadrature": 1e-9})
         monkeypatch.setattr(traceform, "trace_formula_check", lambda *args: report)
         out = str(tmp_path / "tr.json")
         rc = main(["trace-check", "--zeros", bundled_zeros_path(), "--nzeros", "50",

@@ -7,13 +7,13 @@ ordinates asked of `li` than the table holds, a `li` radius whose
 logarithm winds, a `trace-check` on 20 zeros, and the CLI routes that
 neither the README nor the jobs reach: `explicit-formula --kind j_local`,
 `beta-ren --method xi_decomposition`, `comb` for one prime, a JSON
-artifact (`comb --format json`) and a `--config` file whose prime the
-xi model does not read.
+artifact (`comb --format json`) and an `@FILE` options file with a
+comment line.
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
-bundled zero table at `src/zetaumm/data/zeros10k.txt` and the config
-file `xi.cfg`.  The zero-table, config and artifact paths are relative
+bundled zero table at `src/zetaumm/data/zeros10k.txt` and the options
+file `xi.cfg`.  The zero-table, options and artifact paths are relative
 to that directory, so the artifact's metadata is the same from any
 checkout.  Compare two checkouts with
 
@@ -43,10 +43,10 @@ EDGE_CASES = (
     "zetaumm beta-ren --method xi_decomposition --mu 0.5 --mmax 10 --out bren-xi.csv",
     "zetaumm comb --prime 2 --out comb-2.csv",
     "zetaumm comb --format json --out comb.json",
-    "zetaumm betas --model xi --config xi.cfg --out betas-xi-cfg.csv",
+    "zetaumm betas --model xi @xi.cfg --out betas-xi-cfg.csv",
 )
-# the file `--config xi.cfg` reads: a prime that `--model xi` drops
-XI_CFG = "# a prime for the local model\nprime = 3\nmmax = 12\n"
+# the file `@xi.cfg` reads
+XI_CFG = "# the xi model's order\nmmax = 12\n"
 
 
 def readme_commands(text: str) -> list[str]:

@@ -38,9 +38,6 @@ MUTANTS = [
     ("prime-sum bar 0.02 -> 0.2", "src/zetaumm/resolvent.py",
      "    err = np.abs(tails) * 0.02 + 1e-12",
      "    err = np.abs(tails) * 0.2 + 1e-12"),
-    ("zero_tail x 100", "src/zetaumm/traceform.py",
-     "    zero_tail = float(3.0 * density * 2.0 * math.pi * math.erfc(a * T / math.sqrt(2.0)))",
-     "    zero_tail = 100 * float(3.0 * density * 2.0 * math.pi * math.erfc(a * T / math.sqrt(2.0)))"),
     ("prime_tail margin 6 -> 600", "src/zetaumm/traceform.py",
      "        6.0",
      "        600.0"),
@@ -59,6 +56,12 @@ MUTANTS = [
     ("padic-check worst_ultra update -> pass", "src/zetaumm/cli.py",
      "                worst_ultra = max(worst_ultra, float(ns / max(na, nb)) - 1.0)",
      "                pass"),
+    ("options file keys keep their _", "src/zetaumm/cli.py",
+     "    return [f\"--{key.strip().replace('_', '-')}={value.strip()}\"]",
+     "    return [f\"--{key.strip()}={value.strip()}\"]"),
+    ("options files stay where they stand", "src/zetaumm/cli.py",
+     "    argv = argv[:1] + sorted(argv[1:], key=lambda arg: not arg.startswith(\"@\"))",
+     "    pass"),
 ]
 
 
