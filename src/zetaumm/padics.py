@@ -59,8 +59,7 @@ def padic_norm(x: Rational, p: int) -> Fraction:
     x = Fraction(x)
     if x == 0:
         return Fraction(0)
-    v = valuation(x, p)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return Fraction(p) ** -valuation(x, p)
 
 
 def fractional_part(x: Rational, p: int) -> Fraction:
@@ -73,8 +72,6 @@ def fractional_part(x: Rational, p: int) -> Fraction:
     while den % p == 0:
         den //= p
         k += 1
-    if k == 0:
-        return Fraction(0)
     pk = p**k
     # x = a / (den * p^k) with p coprime to den; invert den mod p^k.
     a = x.numerator * pow(den, -1, pk)
@@ -141,6 +138,6 @@ def ball_coset_representatives(
     if K < level:
         raise ValueError("K must refine the ball: K >= level")
     # the ball is center + p^level Z_p, so reps step by p^level
-    step = Fraction(p**level) if level >= 0 else Fraction(1, p ** (-level))
+    step = Fraction(p) ** level
     for j in range(p ** (K - level)):
         yield center + j * step

@@ -98,8 +98,9 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
         raise ValueError("resolvent is not evaluated on the unit circle")
     if az < 1.0:
         return 1.0 + _fluctuation_inside(model, zc)
-    # for local and gamma the reflection is their |z| > 1 closed form:
-    # s(1/z) = -s(z) and z/(1-z)^2 is unchanged
+    # the reflection defines the branch outside the disk; it is not the
+    # closed form continued past |z| = 1 (for gamma that continuation has
+    # digamma poles at z = (2k+1)/(2k-1))
     return 1.0 - resolvent(model, 1.0 / zc)
 
 
@@ -215,8 +216,9 @@ def beta_contour(
     contour extractor on |z| = r, with its node-doubling and second-radius
     guards (analyticity says the coefficients cannot depend on r)."""
     if model.kind == "xi":
-        # the xi series is a log series, read by the unwinding extractor
-        return beta_symmetric(M, r, Q)
+        # beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z)), a log series
+        c, scale = xi_log_series(M, r, Q), 2.0 * math.log(2.0)
+        return BetaSeries(-c.coefficients / scale, c.doubling_deltas / scale, c.radius_deltas / scale)
     f = lambda z: _fluctuation_inside(model, z)
     return contour_coefficients(f, M, r, Q)
 
@@ -253,16 +255,14 @@ class DensityProfile:
     vprime: np.ndarray
 
 
-def local_spike_angles(p: int, n_spikes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles with cot(theta/2) = 2 pi n/ln p for n = -n_spikes..n_spikes.
+def local_spike_angles(p: int, ns: int | np.ndarray) -> np.ndarray:
+    """Angles with cot(theta/2) = 2 pi n/ln p for the integers n in `ns`.
 
-    n = 0 (theta = pi) is a genuine pole of the local factor at s = 0 and
-    is included; positive n land in (0, pi), mirrors in (pi, 2 pi).
+    n = 0 (theta = pi) is a genuine pole of the local factor at s = 0;
+    positive n land in (0, pi), mirrors in (pi, 2 pi).
     """
-    ns = np.arange(-n_spikes, n_spikes + 1)
-    angles = 2.0 * np.arctan2(math.log(p), TWO_PI * ns)
     # arctan2 keeps theta in (0, 2pi) going through pi at n = 0
-    return angles, ns
+    return 2.0 * np.arctan2(math.log(p), TWO_PI * ns)
 
 
 def local_potential_derivative(p: int, theta: np.ndarray) -> np.ndarray:
@@ -273,10 +273,6 @@ def local_potential_derivative(p: int, theta: np.ndarray) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
     x = 1.0 / np.tan(0.5 * th)
     return 1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))
-
-
-def _cot_half(theta: float) -> float:
-    return math.cos(0.5 * theta) / math.sin(0.5 * theta)
 
 
 def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> DensityProfile:
@@ -292,14 +288,13 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
         if min(abs(th), abs(TWO_PI - th)) < 1e-9:
             raise ValueError(f"grid point {th} too close to the theta = 0 artefact")
         # nearest spike without enumerating the accumulation near 0/2pi
-        n_near = round(_cot_half(th) * math.log(p) / TWO_PI)
-        th_near = 2.0 * math.atan2(math.log(p), TWO_PI * n_near)
-        if abs(th - th_near) < 1e-9:
+        n_near = round(math.log(p) / (TWO_PI * math.tan(0.5 * th)))
+        if abs(th - local_spike_angles(p, n_near)) < 1e-9:
             raise ValueError(f"grid point {th} sits on a density spike")
-    sel_angles, sel_ns = local_spike_angles(p, n_spikes)
+    ns = np.arange(-n_spikes, n_spikes + 1)
     return DensityProfile(
-        spike_angles=sel_angles,
-        spike_indices=sel_ns,
+        spike_angles=local_spike_angles(p, ns),
+        spike_indices=ns,
         spike_weight=math.pi / math.log(p),
         vprime=local_potential_derivative(p, grid),
     )
@@ -320,12 +315,6 @@ def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
     # loggamma is already branch-continuous on the right half-plane image
     f = lambda z: zt.log_zeta_real_place(1.0 / (1.0 - z))
     return contour_coefficients(f, M, r, Q).coefficients
-
-
-def beta_symmetric(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
-    """beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z))."""
-    c, scale = xi_log_series(M, r, Q), 2.0 * math.log(2.0)
-    return BetaSeries(-c.coefficients / scale, c.doubling_deltas / scale, c.radius_deltas / scale)
 
 
 def _laguerre_alpha1_sums(M: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -145,7 +145,7 @@ def test_criterion_08_renormalized():
         G = resolvent.beta_renormalized_xi_decomposition(M, 0.5, 1024).coefficients
         m = np.arange(1, M + 1)
         assert np.abs(Xi - (2.0 / m + R + G)).max() < 1e-8
-        bsym = resolvent.beta_symmetric(M, 0.5, 1024)
+        bsym = resolvent.beta_contour(resolvent.ResolventModel("xi"), M, 0.5, 1024)
         assert np.abs(-2.0 * math.log(2.0) * bsym.coefficients - Xi).max() < 1e-12
 
 

@@ -623,7 +623,8 @@ class TestImportPath:
     def test_package_import_loads_no_submodule(self):
         proc = _fresh_python(
             "import sys, zetaumm; loaded = lambda: sorted(m for m in sys.modules if "
-            "m.startswith('zetaumm.')); print(loaded()); print(zetaumm.ensemble.__name__, loaded())")
+            "m.startswith('zetaumm.')); print(loaded()); from zetaumm import ensemble; "
+            "print(ensemble.__name__, loaded())")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "zetaumm.ensemble ['zetaumm.ensemble']"]
         with pytest.raises(AttributeError, match="no attribute 'nope'"):

@@ -79,6 +79,9 @@ class TestCharacter:
         assert fractional_part(Fraction(3, 4), 2) == Fraction(3, 4)
         assert fractional_part(Fraction(1, 2) + 5, 2) == Fraction(1, 2)
         assert fractional_part(Fraction(22, 7), 7) == Fraction(1, 7)
+        # no p in the denominator: k = 0 and the general path gives 0
+        assert fractional_part(5, 2) == 0
+        assert fractional_part(Fraction(3, 5), 2) == 0
 
 
 class TestHaarIntegral:

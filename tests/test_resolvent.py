@@ -12,7 +12,6 @@ from zetaumm.resolvent import (
     beta_contour,
     beta_renormalized_prime_sum,
     beta_renormalized_xi_decomposition,
-    beta_symmetric,
     contour_coefficients,
     density_profile,
     gamma_log_coefficients,
@@ -116,6 +115,20 @@ class TestResolvent:
         with pytest.raises(ValueError, match="no pointwise resolvent"):
             resolvent(ResolventModel("xi"), z)
 
+    @pytest.mark.parametrize("model", [ResolventModel("local", p=2), ResolventModel("gamma"),
+                                       ResolventModel("shifted", s0=1.5)], ids=lambda m: m.kind)
+    def test_outside_branch_is_the_reflection_not_the_continuation(self, model):
+        # at this z the closed form continued past |z| = 1, 1 + g(z), lies
+        # more than 2 away from the reflection 1 - (1 + g(1/z))
+        import mpmath as mp
+
+        g = {"local": _local_fluctuation, "gamma": _gamma_fluctuation,
+             "shifted": _shifted_fluctuation}[model.kind]
+        z = mp.mpc(1.7, 0.4)
+        reflected = complex(-g(1 / z))
+        assert abs(resolvent(model, complex(z)) - reflected) < 1e-13
+        assert abs(complex(1 + g(z)) - reflected) > 2.0
+
     def test_model_preconditions(self):
         for kind, p, s0 in (("local", None, None), ("local", 4, None), ("shifted", None, None),
                             ("shifted", None, 1.0), ("shifted", None, 0.8), ("nope", None, None),
@@ -134,6 +147,13 @@ def cauchy_sum_oracle(g, M, r=0.5, Q=256):
         vals = [g(zq) for zq in z]
         return np.array([complex(mp.fsum(v * zq**-m for v, zq in zip(vals, z)) / Q)
                          for m in range(1, M + 1)])
+
+
+def _local_fluctuation(z, p=2):
+    import mpmath as mp
+
+    w = mp.power(p, -(1 + z) / (1 - z))
+    return z / (1 - z) ** 2 * w / (1 - w)
 
 
 def _gamma_fluctuation(z):
@@ -188,7 +208,8 @@ class TestBetaContour:
         assert np.abs(got - cauchy_sum_oracle(g, 20)).max() <= 1e-11
 
     def test_log_series_routes_report_node_doubling(self):
-        for series in (beta_symmetric(10, 0.5, 512), beta_renormalized_xi_decomposition(10, 0.5, 512)):
+        for series in (beta_contour(ResolventModel("xi"), 10, 0.5, 512),
+                       beta_renormalized_xi_decomposition(10, 0.5, 512)):
             assert 0.0 < series.doubling_error < 1e-9
 
     def test_log_route_with_zero_inside_second_radius_raises(self):
@@ -212,11 +233,6 @@ class TestBetaContour:
     def test_radius_guard_raises_on_a_pole_inside_second_radius(self):
         with pytest.raises(NumericConsistencyError, match="radii"):
             contour_coefficients(lambda z: 1.0 / (z - 0.6), 8, 0.5, 256)
-
-    def test_xi_model_routes_to_log_extractor(self):
-        a = beta_contour(ResolventModel("xi"), 8, 0.5, 1024)
-        b = beta_symmetric(8, 0.5, 1024)
-        assert np.abs(a.coefficients - b.coefficients).max() == 0.0
 
 
 class TestPotentialSum:
@@ -245,14 +261,13 @@ class TestPotentialSum:
 
 class TestDensityProfile:
     def test_first_spike_angle(self):
-        angles, ns = local_spike_angles(2, 3)
-        th1 = angles[ns == 1][0]
+        th1 = local_spike_angles(2, 1)
         assert abs(th1 - 0.2197470331732683) < 1e-12
 
     def test_spikes_match_conformal_pole_images(self):
         for p in (2, 3, 5):
-            angles, ns = local_spike_angles(p, 5)
-            for th, n in zip(angles, ns):
+            ns = np.arange(-5, 6)
+            for th, n in zip(local_spike_angles(p, ns), ns):
                 if n == 0:
                     assert abs(th - math.pi) < 1e-12
                     continue
@@ -282,7 +297,7 @@ class TestDensityProfile:
             assert local_potential_derivative(p, theta) == pytest.approx(abel, rel=1e-6)
 
     def test_grid_near_spike_rejected(self):
-        th1 = local_spike_angles(2, 1)[0][-1]
+        th1 = local_spike_angles(2, 1)
         with pytest.raises(ValueError):
             density_profile(2, [th1], 3)
         with pytest.raises(ValueError):
@@ -453,7 +468,7 @@ class TestRenormalized:
     def test_appendix_comparison_relation(self):
         M = 20
         Xi = xi_log_series(M, 0.5, 1024).coefficients
-        bsym = beta_symmetric(M, 0.5, 1024)
+        bsym = beta_contour(ResolventModel("xi"), M, 0.5, 1024)
         assert np.abs(-2.0 * math.log(2.0) * bsym.coefficients - Xi).max() < 1e-12
         assert bsym.radius_error < 1e-9
 

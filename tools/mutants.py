@@ -62,6 +62,12 @@ MUTANTS = [
     ("options files stay where they stand", "src/zetaumm/cli.py",
      "    argv = argv[:1] + sorted(argv[1:], key=lambda arg: not arg.startswith(\"@\"))",
      "    pass"),
+    ("padic_norm exponent sign flip", "src/zetaumm/padics.py",
+     "    return Fraction(p) ** -valuation(x, p)",
+     "    return Fraction(p) ** valuation(x, p)"),
+    ("xi model scale 2 ln 2 -> ln 2", "src/zetaumm/resolvent.py",
+     "        c, scale = xi_log_series(M, r, Q), 2.0 * math.log(2.0)",
+     "        c, scale = xi_log_series(M, r, Q), math.log(2.0)"),
 ]
 
 
