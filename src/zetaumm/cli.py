@@ -25,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-# each handler imports the other modules it calls, so a process loads only
-# what its command runs
+# numpy, `output`, `padics` and `zeta` load for every command, padic-check's
+# too, which runs neither numpy nor `zeta` (ROADMAP item 16); each handler
+# imports the other modules it calls
 from . import __version__, output
 from . import zeta as zt
 from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
@@ -232,11 +233,10 @@ def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
           ("--nmax", dict(type=int, default=10)),
           ("--zeros", dict(required=True)),
           ("--nzeros", dict(type=int, default=2000)),
-          ("--radius", dict(type=_finite, default=0.45)),
-          ("--nodes", dict(type=int, default=512)))
+          ("--radius", dict(type=_finite, default=0.45)))
 def _cmd_li(args) -> None:
     table = _ingest(args.zeros, args.nzeros)
-    a = zt.li_coefficients_cauchy(args.nmax, args.radius, args.nodes)
+    a = zt.li_coefficients_cauchy(args.nmax, args.radius)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
     combined = a.error_estimate + b.error_estimate
     cols = {
@@ -255,20 +255,18 @@ def _cmd_li(args) -> None:
                             required=True)),
           ("--mu", dict(type=_finite, required=True)),
           ("--mmax", dict(type=int, default=10)),
-          ("--pmax", dict(type=int, default=10**6)),
-          ("--radius", dict(type=_finite, default=0.5)),
-          ("--nodes", dict(type=int, default=1024)))
+          ("--pmax", dict(type=int, default=10**6)))
 def _cmd_beta_ren(args) -> None:
     from . import resolvent
     if args.method == "prime_sum":
         series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax)
     elif args.method == "shifted_contour":
         model = resolvent.ResolventModel("shifted", s0=args.mu)
-        series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
+        series = resolvent.beta_contour(model, args.mmax, 0.5, 1024)
     elif abs(args.mu - 0.5) > 1e-12:
         raise ValueError("xi_decomposition is the mu = 1/2 route")
     else:
-        series = resolvent.beta_renormalized_xi_decomposition(args.mmax, args.radius, args.nodes)
+        series = resolvent.beta_renormalized_xi_decomposition(args.mmax)
     err = series.error_estimates
     if err is None:
         err = np.full(len(series), series.radius_error)

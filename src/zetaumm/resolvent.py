@@ -310,11 +310,11 @@ def xi_log_series(M: int, r: float, Q: int) -> BetaSeries:
     return contour_coefficients(lambda z: zt.xi(1.0 / (1.0 - z)), M, r, Q, log=True)
 
 
-def gamma_log_coefficients(M: int, r: float = 0.5, Q: int = 1024) -> np.ndarray:
-    """R_m = [z^m] ln zeta_R(1/(1-z)) (archimedean log series)."""
+def gamma_log_coefficients(M: int) -> np.ndarray:
+    """R_m = [z^m] ln zeta_R(1/(1-z)) (archimedean log series) on |z| = 0.5, 1024 nodes."""
     # loggamma is already branch-continuous on the right half-plane image
     f = lambda z: zt.log_zeta_real_place(1.0 / (1.0 - z))
-    return contour_coefficients(f, M, r, Q).coefficients
+    return contour_coefficients(f, M, 0.5, 1024).coefficients
 
 
 def _laguerre_alpha1_sums(M: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -414,10 +414,10 @@ def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
     return -(P**-a) / a * _laguerre_alpha1_sums(M, math.log(P) + v / a, w)
 
 
-def beta_renormalized_xi_decomposition(M: int, r: float = 0.5, Q: int = 1024) -> BetaSeries:
-    """The mu = 1/2 coefficients G_m = [z^m] ln[z zeta(1/(1-z))], the unique
-    regularisation making the symmetric-model comparison an identity:
-    Xi_m = 2/m + R_m + G_m.  The factor z cancels the zeta pole at s = 1,
-    which makes the literal ln zeta multivalued on the contour."""
-    return contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, r, Q, log=True)
+def beta_renormalized_xi_decomposition(M: int) -> BetaSeries:
+    """The mu = 1/2 coefficients G_m = [z^m] ln[z zeta(1/(1-z))] on |z| = 0.5
+    (1024 nodes), the unique regularisation making the symmetric-model
+    comparison an identity: Xi_m = 2/m + R_m + G_m.  The factor z cancels the
+    zeta pole at s = 1, which makes the literal ln zeta multivalued there."""
+    return contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, 0.5, 1024, log=True)
 

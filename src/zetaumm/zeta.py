@@ -423,16 +423,16 @@ class LiCoefficients:
     error_estimate: np.ndarray
 
 
-def li_coefficients_cauchy(n_max: int, radius: float = 0.45, nodes: int = 512) -> LiCoefficients:
+def li_coefficients_cauchy(n_max: int, radius: float = 0.45) -> LiCoefficients:
     """lambda_n = n Xi_n with Xi_n = [z^n] ln xi(1/(1-z)) (Keiper 1992; Li
-    1997), the series the symmetric model reads, from the shared contour
-    extractor on |z| = radius: radius in (0, 1), n_max < nodes, and the
-    extractor raises where ln xi winds or the coefficients move between
-    radii.  error_estimate is n times its node-doubling and radius deltas.
+    1997), the series the symmetric model reads, by the shared contour
+    extractor on |z| = radius with 512 nodes: radius in (0, 1), n_max < 512,
+    and it raises where ln xi winds or the coefficients move between radii.
+    error_estimate is n times its node-doubling and radius deltas.
     """
     from .resolvent import xi_log_series
 
-    c = xi_log_series(n_max, radius, nodes)
+    c = xi_log_series(n_max, radius, 512)
     n = np.arange(1, n_max + 1)
     return LiCoefficients(n * c.coefficients.real, n * (c.doubling_deltas + c.radius_deltas))
 

@@ -141,8 +141,8 @@ def test_criterion_08_renormalized():
         assert np.abs(ps.coefficients - sh.coefficients).max() < 1e-6
         M = 20
         Xi = resolvent.xi_log_series(M, 0.5, 1024).coefficients
-        R = resolvent.gamma_log_coefficients(M, 0.5, 1024)
-        G = resolvent.beta_renormalized_xi_decomposition(M, 0.5, 1024).coefficients
+        R = resolvent.gamma_log_coefficients(M)
+        G = resolvent.beta_renormalized_xi_decomposition(M).coefficients
         m = np.arange(1, M + 1)
         assert np.abs(Xi - (2.0 / m + R + G)).max() < 1e-8
         bsym = resolvent.beta_contour(resolvent.ResolventModel("xi"), M, 0.5, 1024)

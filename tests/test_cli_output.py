@@ -15,7 +15,7 @@ import zetaumm
 from zetaumm import cli, output, traceform, wavelets, zeta
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
-from zetaumm.resolvent import local_potential_derivative
+from zetaumm.resolvent import beta_renormalized_xi_decomposition, local_potential_derivative
 from zetaumm.zeta import (PrimeTable, bundled_zeros_path, ingest_zeros, li_coefficients_cauchy,
                           li_coefficients_zero_sum, local_count_direct, local_count_explicit)
 
@@ -147,8 +147,10 @@ class TestCLI:
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "1"], "P_max must be >= 2"),
         (["betas", "--model", "local", "--prime", "2", "--mmax", "64", "--nodes", "64"],
          "M = 64 needs more than Q = 64 nodes"),
-        (["li", "--zeros", bundled_zeros_path(), "--nmax", "64", "--nodes", "64"],
-         "M = 64 needs more than Q = 64 nodes"),
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "512"],
+         "M = 512 needs more than Q = 512 nodes"),
+        (["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "1024"],
+         "M = 1024 needs more than Q = 1024 nodes"),
         (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
         (["padic-check", "--samples", "0"], "--samples >= 1"),
@@ -211,6 +213,27 @@ class TestCLI:
         _, md = read_csv(out)
         assert md["method"] == argv[2] and md["mu"] == "1.5"
         assert "model" not in md
+
+    def test_beta_ren_contours_are_the_library_routes(self, tmp_path):
+        # beta-ren's contour is |z| = 0.5 with 1024 nodes: its shifted route
+        # writes the value bytes of betas there, with betas' radius_error as
+        # every row's error, and its mu = 1/2 route writes G_m
+        def text_columns(path):
+            rows = [line.split(",") for line in _read(path).splitlines() if not line.startswith("# ")]
+            return {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+
+        ren, ref, xi = (str(tmp_path / name) for name in ("ren.csv", "betas.csv", "xi.csv"))
+        assert main(["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "10",
+                     "--out", ren]) == 0
+        assert main(["betas", "--model", "shifted", "--s0", "1.5", "--mmax", "10", "--nodes", "1024",
+                     "--out", ref]) == 0
+        got, want = text_columns(ren), text_columns(ref)
+        assert got["value"] == want["value"]
+        assert got["error"] == [read_csv(ref)[1]["radius_error"]] * 10
+        assert main(["beta-ren", "--method", "xi_decomposition", "--mu", "0.5", "--mmax", "10",
+                     "--out", xi]) == 0
+        values = read_csv(xi)[0]["value"]
+        assert np.array_equal(values, beta_renormalized_xi_decomposition(10).coefficients.real)
 
     def test_config_file_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -289,11 +312,23 @@ class TestCLI:
          "unrecognized arguments: --tolerance 0.001"),
         (["li", "--zeros", bundled_zeros_path(), "--nmax", "1"], "tolerance=0.001",
          "unrecognized arguments: --tolerance=0.001"),
-    ], ids=["powers", "kernel-b", "config-powers", "tolerance", "config-tolerance"])
+        (["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "3", "--radius", "0.5"],
+         None, "unrecognized arguments: --radius 0.5"),
+        (["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "3", "--nodes", "1024"],
+         None, "unrecognized arguments: --nodes 1024"),
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "1", "--nodes", "512"], None,
+         "unrecognized arguments: --nodes 512"),
+        (["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "3"], "nodes = 1024",
+         "unrecognized arguments: --nodes=1024"),
+    ], ids=["powers", "kernel-b", "config-powers", "tolerance", "config-tolerance",
+            "beta-ren-radius", "beta-ren-nodes", "li-nodes", "config-beta-ren-nodes"])
     def test_retired_truncation_options_exit_one(self, tmp_path, capsys, argv, cfg, message):
         # the prime-power loop and the Vladimirov kernel's domain cutoff are
-        # fixed where they move no result, and li's bar is the two routes'
-        # own error estimates: none of them is an option
+        # fixed where they move no result, li's bar is the two routes' own
+        # error estimates, and the contours of beta-ren (|z| = 0.5, 1024
+        # nodes) and of li (512 nodes) take Taylor coefficients of functions
+        # analytic on the unit disk, whose exact values no radius or node
+        # count changes: none of them is an option
         if cfg is not None:
             path = tmp_path / "run.cfg"
             path.write_text(cfg + "\n")
@@ -538,7 +573,7 @@ class TestCLI:
         cols, _ = read_csv(out)
         assert np.abs(cols["cauchy"] - li_oracle_20).max() < 1e-7
         # the bar is the two routes' own error estimates, with no slack added
-        bar = (li_coefficients_cauchy(20, 0.45, 512).error_estimate
+        bar = (li_coefficients_cauchy(20, 0.45).error_estimate
                + li_coefficients_zero_sum(20, zeros_2000.ts, 2000).error_estimate)
         assert np.array_equal(cols["combined_tolerance"], bar)
 

@@ -209,7 +209,7 @@ class TestBetaContour:
 
     def test_log_series_routes_report_node_doubling(self):
         for series in (beta_contour(ResolventModel("xi"), 10, 0.5, 512),
-                       beta_renormalized_xi_decomposition(10, 0.5, 512)):
+                       beta_renormalized_xi_decomposition(10)):
             assert 0.0 < series.doubling_error < 1e-9
 
     def test_log_route_with_zero_inside_second_radius_raises(self):
@@ -460,8 +460,8 @@ class TestRenormalized:
     def test_xi_decomposition_identity(self):
         M = 20
         Xi = xi_log_series(M, 0.5, 1024).coefficients
-        R = gamma_log_coefficients(M, 0.5, 1024)
-        G = beta_renormalized_xi_decomposition(M, 0.5, 1024).coefficients
+        R = gamma_log_coefficients(M)
+        G = beta_renormalized_xi_decomposition(M).coefficients
         m = np.arange(1, M + 1)
         assert np.abs(Xi - (2.0 / m + R + G)).max() < 1e-8
 
@@ -476,9 +476,9 @@ class TestRenormalized:
         # [z] ln(z zeta(1/(1-z))) = euler_gamma - 1 from the Laurent
         # expansion at the pole, and [z] ln zeta_R(1/(1-z)) evaluates to
         # -ln(pi)/2 + psi(1/2)/2 with psi(1/2) = -euler_gamma - 2 ln 2
-        g1 = beta_renormalized_xi_decomposition(1, 0.5, 1024).coefficients[0]
+        g1 = beta_renormalized_xi_decomposition(1).coefficients[0]
         assert abs(g1 - (np.euler_gamma - 1.0)) < 1e-10
-        r1 = gamma_log_coefficients(1, 0.5, 1024)[0]
+        r1 = gamma_log_coefficients(1)[0]
         expected_r1 = -0.5 * math.log(math.pi) - 0.5 * np.euler_gamma - math.log(2.0)
         assert abs(r1 - expected_r1) < 1e-10
 
@@ -499,7 +499,7 @@ class TestRenormalized:
         # and beta^gamma_m = (m/2) A_m
         M = 10
         bg = beta_contour(ResolventModel("gamma"), M, 0.5, 512)
-        R = gamma_log_coefficients(M, 0.5, 1024)
+        R = gamma_log_coefficients(M)
         for m in range(1, M + 1):
             A = 2.0 / m * bg.coefficients[m - 1]
             S = sum(

@@ -68,6 +68,9 @@ MUTANTS = [
     ("xi model scale 2 ln 2 -> ln 2", "src/zetaumm/resolvent.py",
      "        c, scale = xi_log_series(M, r, Q), 2.0 * math.log(2.0)",
      "        c, scale = xi_log_series(M, r, Q), math.log(2.0)"),
+    ("beta-ren shifted radius 0.5 -> 0.45", "src/zetaumm/cli.py",
+     "        series = resolvent.beta_contour(model, args.mmax, 0.5, 1024)",
+     "        series = resolvent.beta_contour(model, args.mmax, 0.45, 1024)"),
 ]
 
 
