@@ -43,13 +43,6 @@ def _prime(text: str) -> int:
     return int(text)
 
 
-def _prime_list(text: str) -> str:
-    """padic-check's --primes, kept as text: comma-separated primes."""
-    for entry in text.split(","):
-        _prime(entry)
-    return text
-
-
 def _prime_or_all(text: str) -> str:
     """comb's --prime, kept as text: 'all' or a prime."""
     if text != "all":
@@ -114,8 +107,7 @@ def _emit(args, columns, payload, extra: Optional[dict] = None, failed=()) -> No
 # ---------------------------------------------------------------------------
 
 
-@_command("padic-check", "norm/character/Haar verification report",
-          ("--primes", dict(type=_prime_list, default="2,3,5,7")),
+@_command("padic-check", "norm/character/Haar verification report at p = 2, 3, 5, 7",
           ("--samples", dict(type=int, default=200)),
           ("--seed", dict(type=int, default=0)))
 def _cmd_padic_check(args) -> None:
@@ -123,10 +115,9 @@ def _cmd_padic_check(args) -> None:
 
     if args.samples < 1:
         raise ValueError("padic-check needs --samples >= 1")
-    primes = [int(p) for p in args.primes.split(",")]
     rng = random.Random(args.seed)
     names, values, bounds = [], [], []
-    for p in primes:
+    for p in (2, 3, 5, 7):
         worst_ultra = 0.0
         for _ in range(args.samples):
             a = Fraction(rng.randrange(-(10**6), 10**6) or 1, rng.randrange(1, 10**6))
@@ -151,20 +142,16 @@ def _cmd_padic_check(args) -> None:
     _emit(args, cols, {"checks": cols, "pass": not failed}, failed=failed)
 
 
-@_command("wavelet-check", "Gram matrix and Vladimirov residuals",
-          ("--prime", dict(type=_prime, default=2)),
-          ("--nmax", dict(type=int, default=12)),
-          ("--alpha", dict(type=_finite, default=1.0)))
+@_command("wavelet-check", "Gram matrix (p = 2, labels 1..12) and D^1 residuals")
 def _cmd_wavelet_check(args) -> None:
     from .wavelets import WaveletIndex, gram_matrix, vladimirov_apply
-    G = gram_matrix(args.prime, args.nmax)
-    gram_dev = float(np.abs(G - np.eye(args.nmax)).max())
+    gram_dev = float(np.abs(gram_matrix(2, 12) - np.eye(12)).max())
     rows = []
     for scale in (0, 1):
-        res = vladimirov_apply(WaveletIndex(args.prime, scale), args.alpha)
+        res = vladimirov_apply(WaveletIndex(2, scale), 1.0)
         rows.append((scale, res.eigenvalue, res.residual / abs(res.eigenvalue)))
     cols = {
-        "check": [f"gram(nmax={args.nmax})"] + [f"kernel(scale={s})" for s, _, _ in rows],
+        "check": ["gram(nmax=12)"] + [f"kernel(scale={s})" for s, _, _ in rows],
         "value": [gram_dev] + [abs(e) for _, e, _ in rows],
         "residual": [gram_dev] + [r for _, _, r in rows],
     }
@@ -196,13 +183,10 @@ def _cmd_betas(args) -> None:
 
 @_command("density", "local-model spike/potential profile",
           ("--prime", dict(type=_prime, required=True)),
-          ("--spikes", dict(type=int, default=5)),
-          ("--grid-start", dict(type=_finite, default=0.5)),
-          ("--grid-stop", dict(type=_finite, default=5.78)),
-          ("--grid-points", dict(type=int, default=64)))
+          ("--spikes", dict(type=int, default=5)))
 def _cmd_density(args) -> None:
     from . import resolvent
-    grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
+    grid = np.linspace(0.5, 5.78, 64)
     prof = resolvent.density_profile(args.prime, grid, args.spikes)
     kind = ["spike"] * prof.spike_angles.size + ["vprime"] * grid.size
     location = np.concatenate([prof.spike_angles, grid])
@@ -232,11 +216,10 @@ def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
 @_command("li", "Li coefficients, both routes cross-checked",
           ("--nmax", dict(type=int, default=10)),
           ("--zeros", dict(required=True)),
-          ("--nzeros", dict(type=int, default=2000)),
-          ("--radius", dict(type=_finite, default=0.45)))
+          ("--nzeros", dict(type=int, default=2000)))
 def _cmd_li(args) -> None:
     table = _ingest(args.zeros, args.nzeros)
-    a = zt.li_coefficients_cauchy(args.nmax, args.radius)
+    a = zt.li_coefficients_cauchy(args.nmax)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
     combined = a.error_estimate + b.error_estimate
     cols = {
@@ -302,15 +285,15 @@ def _cmd_trace_check(args) -> None:
           ("--x", dict(type=_finite, required=True)),
           ("--zeros", dict(default=None)),
           ("--nzeros", dict(type=int, default=100)),
-          ("--prime", dict(type=_prime, default=2)),
-          ("--terms", dict(type=int, default=1000)))
+          ("--prime", dict(type=_prime, default=2)))
 def _cmd_explicit_formula(args) -> None:
     if args.x <= 1.0:
         raise ValueError("counting functions are evaluated for x > 1")
     if args.kind == "j_local":
+        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)
         direct = zt.local_count_direct(args.prime, args.x)
-        explicit = zt.local_count_explicit(args.prime, args.x, args.terms)
-        tail = 1.0 / (math.pi * args.terms)
+        explicit = zt.local_count_explicit(args.prime, args.x, terms)
+        tail = 1.0 / (math.pi * terms)
     else:
         if args.zeros is None:
             raise ValueError("explicit mode needs --zeros")
@@ -335,13 +318,11 @@ def _cmd_explicit_formula(args) -> None:
 @_command("cue-sample", "CUE pair-correlation report",
           ("--n", dict(type=int, default=40)),
           ("--samples", dict(type=int, default=4000)),
-          ("--seed", dict(type=int, default=0)),
-          ("--bins", dict(type=int, default=50)),
-          ("--rmax", dict(type=_finite, default=5.0)))
+          ("--seed", dict(type=int, default=0)))
 def _cmd_cue_sample(args) -> None:
     from . import ensemble
     sample = ensemble.sample_cue(args.n, args.samples, args.seed)
-    rep = ensemble.pair_correlation(sample, args.bins, args.rmax)
+    rep = ensemble.pair_correlation(sample)
     cols = {
         "r": rep.bin_centers,
         "r2": rep.r2,
@@ -359,13 +340,12 @@ def _cmd_cue_sample(args) -> None:
           ("--sweeps", dict(type=int, default=2000)),
           ("--burn-in", dict(type=int, default=500)),
           ("--seed", dict(type=int, default=0)),
-          ("--chains", dict(type=int, default=4)),
-          ("--bins", dict(type=int, default=64)))
+          ("--chains", dict(type=int, default=4)))
 def _cmd_plaquette_mc(args) -> None:
     from . import ensemble
     betas = [float(b) for b in args.betas.split(",")] if args.betas else []
     run = ensemble.plaquette_mc(args.n, betas, args.sweeps, args.burn_in,
-                                args.seed, args.chains, args.bins)
+                                args.seed, args.chains)
     centers = 0.5 * (run.bin_edges[1:] + run.bin_edges[:-1])
     model = ensemble.plaquette_model_density(centers, betas)
     gap = float(run.density.min())  # a bin collapsing toward 0 signals a gapped phase

@@ -423,16 +423,16 @@ class LiCoefficients:
     error_estimate: np.ndarray
 
 
-def li_coefficients_cauchy(n_max: int, radius: float = 0.45) -> LiCoefficients:
+def li_coefficients_cauchy(n_max: int) -> LiCoefficients:
     """lambda_n = n Xi_n with Xi_n = [z^n] ln xi(1/(1-z)) (Keiper 1992; Li
     1997), the series the symmetric model reads, by the shared contour
-    extractor on |z| = radius with 512 nodes: radius in (0, 1), n_max < 512,
-    and it raises where ln xi winds or the coefficients move between radii.
+    extractor on |z| = 0.45 with 512 nodes: n_max < 512, and it raises
+    where ln xi winds or the coefficients move between radii.
     error_estimate is n times its node-doubling and radius deltas.
     """
     from .resolvent import xi_log_series
 
-    c = xi_log_series(n_max, radius, 512)
+    c = xi_log_series(n_max, 0.45, 512)
     n = np.arange(1, n_max + 1)
     return LiCoefficients(n * c.coefficients.real, n * (c.doubling_deltas + c.radius_deltas))
 

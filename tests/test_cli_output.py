@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import zetaumm
-from zetaumm import cli, output, traceform, wavelets, zeta
+from zetaumm import cli, ensemble, output, traceform, wavelets, zeta
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
-from zetaumm.resolvent import beta_renormalized_xi_decomposition, local_potential_derivative
+from zetaumm.resolvent import (beta_renormalized_xi_decomposition, density_profile,
+                               local_potential_derivative)
 from zetaumm.zeta import (PrimeTable, bundled_zeros_path, ingest_zeros, li_coefficients_cauchy,
                           li_coefficients_zero_sum, local_count_direct, local_count_explicit)
 
@@ -133,17 +134,13 @@ class TestCLI:
     @pytest.mark.parametrize("argv, message", [
         (["li", "--zeros", bundled_zeros_path(), "--nmax", "0"], "M must be >= 1"),
         (["betas", "--model", "gamma", "--mmax", "0"], "M must be >= 1"),
-        (["cue-sample", "--n", "4", "--samples", "10", "--bins", "0"], "bins must be >= 1"),
-        (["cue-sample", "--n", "4", "--samples", "10", "--rmax", "0"], "r_max must be positive"),
         (["cue-sample", "--n", "4", "--samples", "-5"], "samples must be >= 1"),
         (["cue-sample", "--n", "4", "--samples", "0"], "samples must be >= 1"),
-        (["plaquette-mc", "--bins", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--sweeps", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--chains", "0"], "chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--n", "0"], "N, chains, sweeps and bins must be >= 1"),
         (["plaquette-mc", "--burn-in", "-5"], "burn_in >= 0"),
         (["density", "--prime", "2", "--spikes", "-3"], "n_spikes must be >= 0"),
-        (["density", "--prime", "2", "--grid-points", "0"], "theta grid must be non-empty"),
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--pmax", "1"], "P_max must be >= 2"),
         (["betas", "--model", "local", "--prime", "2", "--mmax", "64", "--nodes", "64"],
          "M = 64 needs more than Q = 64 nodes"),
@@ -151,7 +148,6 @@ class TestCLI:
          "M = 512 needs more than Q = 512 nodes"),
         (["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "1024"],
          "M = 1024 needs more than Q = 1024 nodes"),
-        (["wavelet-check", "--nmax", "0"], "n_max must be >= 1"),
         (["trace-check", "--zeros", bundled_zeros_path(), "--primes-max", "0"], "prime limit 0"),
         (["padic-check", "--samples", "0"], "--samples >= 1"),
         (["betas", "--model", "shifted", "--s0", "nan"], "'nan' is not a finite number"),
@@ -175,7 +171,6 @@ class TestCLI:
         (["betas", "--prime", "5", "--model", "gamma"], "p is read by the local model only"),
         (["betas", "--prime", "5", "--s0", "1.5", "--model", "shifted"], "p is read by the local model only"),
         (["betas", "--prime", "5", "--model", "xi"], "p is read by the local model only"),
-        (["padic-check", "--primes", "2,,3"], "'' is not a prime"),
         (["comb", "--qmax", "1000"], "math range error"),
         (["betas", "--model", "local", "--prime", "2", "--radius", "1e-300"],
          "Numerical result out of range"),
@@ -291,8 +286,9 @@ class TestCLI:
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--chains", "1"], "burn-in=7", "burn-in", "7"),
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--chains", "1"],
          "# a comment\n\n  burn_in =  7  ", "burn-in", "7"),
-        (["density", "--prime", "2"], "grid-points = 9", "grid-points", "9"),
-    ], ids=["burn-in", "burn_in", "grid-points"])
+        (["trace-check", "--zeros", bundled_zeros_path()], "primes-max = 1000",
+         "primes-max", "1000"),
+    ], ids=["burn-in", "burn_in", "primes-max"])
     def test_config_sets_a_hyphenated_option(self, tmp_path, argv, cfg, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(cfg + "\n")
@@ -304,7 +300,7 @@ class TestCLI:
     @pytest.mark.parametrize("argv, cfg, message", [
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3", "--powers", "60"], None,
          "unrecognized arguments: --powers 60"),
-        (["wavelet-check", "--nmax", "3", "--kernel-b", "12"], None,
+        (["wavelet-check", "--kernel-b", "12"], None,
          "unrecognized arguments: --kernel-b 12"),
         (["beta-ren", "--method", "prime_sum", "--mu", "1.5", "--mmax", "3"], "powers=60",
          "unrecognized arguments: --powers=60"),
@@ -320,15 +316,41 @@ class TestCLI:
          "unrecognized arguments: --nodes 512"),
         (["beta-ren", "--method", "shifted_contour", "--mu", "1.5", "--mmax", "3"], "nodes = 1024",
          "unrecognized arguments: --nodes=1024"),
+        (["padic-check", "--samples", "5", "--primes", "3"], None, "unrecognized arguments: --primes 3"),
+        (["wavelet-check", "--prime", "3"], None, "unrecognized arguments: --prime 3"),
+        (["wavelet-check", "--nmax", "3"], None, "unrecognized arguments: --nmax 3"),
+        (["wavelet-check", "--alpha", "2"], None, "unrecognized arguments: --alpha 2"),
+        (["density", "--prime", "2", "--grid-start", "1"], None, "unrecognized arguments: --grid-start 1"),
+        (["density", "--prime", "2", "--grid-stop", "5"], None, "unrecognized arguments: --grid-stop 5"),
+        (["density", "--prime", "2", "--grid-points", "9"], None,
+         "unrecognized arguments: --grid-points 9"),
+        (["density", "--prime", "2"], "grid_points = 9", "unrecognized arguments: --grid-points=9"),
+        (["li", "--zeros", bundled_zeros_path(), "--nmax", "1", "--radius", "0.02"], None,
+         "unrecognized arguments: --radius 0.02"),
+        (["explicit-formula", "--kind", "j_local", "--x", "10", "--terms", "500"], None,
+         "unrecognized arguments: --terms 500"),
+        (["cue-sample", "--n", "12", "--samples", "100", "--bins", "1"], None,
+         "unrecognized arguments: --bins 1"),
+        (["cue-sample", "--n", "12", "--samples", "100", "--rmax", "4"], None,
+         "unrecognized arguments: --rmax 4"),
+        (["plaquette-mc", "--n", "6", "--sweeps", "20", "--bins", "32"], None,
+         "unrecognized arguments: --bins 32"),
     ], ids=["powers", "kernel-b", "config-powers", "tolerance", "config-tolerance",
-            "beta-ren-radius", "beta-ren-nodes", "li-nodes", "config-beta-ren-nodes"])
+            "beta-ren-radius", "beta-ren-nodes", "li-nodes", "config-beta-ren-nodes",
+            "padic-primes", "wavelet-prime", "wavelet-nmax", "wavelet-alpha", "grid-start",
+            "grid-stop", "grid-points", "config-grid-points", "li-radius", "terms", "cue-bins",
+            "cue-rmax", "plaquette-bins"])
     def test_retired_truncation_options_exit_one(self, tmp_path, capsys, argv, cfg, message):
         # the prime-power loop and the Vladimirov kernel's domain cutoff are
         # fixed where they move no result, li's bar is the two routes' own
         # error estimates, and the contours of beta-ren (|z| = 0.5, 1024
-        # nodes) and of li (512 nodes) take Taylor coefficients of functions
-        # analytic on the unit disk, whose exact values no radius or node
-        # count changes: none of them is an option
+        # nodes) and of li (|z| = 0.45, 512 nodes) take Taylor coefficients
+        # of functions analytic on the unit disk, whose exact values no
+        # radius or node count changes.  The checks' sizes (padic-check at
+        # p = 2, 3, 5, 7; wavelet-check's 12 x 12 Gram matrix at p = 2 and
+        # alpha = 1), density's theta grid, j_local's 1000 terms and the
+        # histogram bins of cue-sample (50 up to r = 5) and plaquette-mc
+        # (64) are fixed too: none of them is an option
         if cfg is not None:
             path = tmp_path / "run.cfg"
             path.write_text(cfg + "\n")
@@ -339,20 +361,19 @@ class TestCLI:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_density_custom_grid(self, tmp_path, capsys):
+    def test_density_custom_grid(self, tmp_path):
+        # density writes the fixed grid; density_profile takes any grid
         out = str(tmp_path / "d.json")
-        grid = ["--grid-start", "1.25", "--grid-stop", "4.5", "--grid-points", "7"]
-        assert main(["density", "--prime", "3", *grid, "--format", "json", "--out", out]) == 0
+        assert main(["density", "--prime", "3", "--format", "json", "--out", out]) == 0
         doc = json.loads(_read(out))
-        theta = np.linspace(1.25, 4.5, 7)
+        theta = np.linspace(0.5, 5.78, 64)
         assert np.array_equal(doc["theta"], theta)
         assert np.array_equal(doc["vprime"], local_potential_derivative(3, theta))
+        theta = np.linspace(1.25, 4.5, 7)
+        assert np.array_equal(density_profile(3, theta, 5).vprime, local_potential_derivative(3, theta))
         # a grid reaching 2 pi meets the theta = 0 accumulation point
-        out = tmp_path / "d.csv"
-        assert main(["density", "--prime", "3", "--grid-stop", repr(2.0 * math.pi),
-                     "--out", str(out)]) == 1
-        assert "strictly inside (0, 2pi)" in capsys.readouterr().err
-        assert not out.exists()
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 2pi\)"):
+            density_profile(3, np.linspace(0.5, 2.0 * math.pi, 64), 5)
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -462,23 +483,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "kernel(scale=0): residual 5e-06 is not below 1e-06" in err
 
-    @pytest.mark.parametrize("alpha", ["1e-10", "1e-11", "1e-12"])
-    def test_wavelet_check_passes_at_small_alpha(self, tmp_path, alpha):
-        # 1 - p^(+-alpha) by expm1: the plain difference lost ~|log10 alpha|
-        # digits and failed the 1e-6 limit here
-        out = tmp_path / "w.json"
-        assert main(["wavelet-check", "--alpha", alpha, "--out", str(out), "--format", "json"]) == 0
-        assert max(json.loads(out.read_text())["kernel"]["residual"]) < 1e-15
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-11, 1e-12])
+    def test_wavelet_check_passes_at_small_alpha(self, alpha):
+        # wavelet-check's kernel residuals at alpha -> 0: 1 - p^(+-alpha) by
+        # expm1, where the plain difference lost ~|log10 alpha| digits and
+        # failed the 1e-6 limit
+        for scale in (0, 1):
+            res = wavelets.vladimirov_apply(wavelets.WaveletIndex(2, scale), alpha)
+            assert res.residual / abs(res.eigenvalue) < 1e-15
 
     def test_padic_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
         shell = ShellSum(value=1.0, tail_bound=1e-9, closed_form=1.5)
         monkeypatch.setattr(cli, "haar_integrate_norm_power", lambda p, s, K: shell)
         out = str(tmp_path / "p.csv")
-        assert main(["padic-check", "--primes", "3", "--samples", "5", "--out", out]) == 2
+        assert main(["padic-check", "--samples", "5", "--out", out]) == 2
         cols, _ = read_csv(out)
         assert cols["deviation"][-1] == 0.5
         err = capsys.readouterr().err
-        assert "haar_shell(p=3): deviation 0.5 exceeds bound 1e-09" in err
+        assert "haar_shell(p=2): deviation 0.5 exceeds bound 1e-09" in err
 
     def test_padic_check_ultrametric_can_fail(self, tmp_path, monkeypatch, capsys):
         # the archimedean norm |x| breaks |a + b| <= max(|a|, |b|) whenever a, b share a sign
@@ -517,8 +539,7 @@ class TestCLI:
         out = str(tmp_path / "x.csv")
         for argv in (["density", "--prime", "1"], ["betas", "--model", "local", "--prime", "4"],
                      ["explicit-formula", "--kind", "j_local", "--prime", "4", "--x", "10"],
-                     ["comb", "--prime", "4"], ["wavelet-check", "--prime", "x"],
-                     ["density", "--prime", "9"]):
+                     ["comb", "--prime", "4"], ["density", "--prime", "9"]):
             assert main(argv + ["--out", out]) == 1
             err = capsys.readouterr().err
             assert "is not a prime" in err and "Traceback" not in err
@@ -542,12 +563,13 @@ class TestCLI:
 
     def test_explicit_formula_j_local(self, tmp_path):
         out = str(tmp_path / "ef.csv")
-        rc = main(["explicit-formula", "--kind", "j_local", "--prime", "3", "--x", "10",
-                   "--terms", "500", "--out", out])
+        rc = main(["explicit-formula", "--kind", "j_local", "--prime", "3", "--x", "10", "--out", out])
         assert rc == 0
         cols, _ = read_csv(out)
         assert cols["direct"][0] == local_count_direct(3, 10.0) == 2.0
-        assert cols["explicit"][0] == local_count_explicit(3, 10.0, 500)
+        # the pole expansion runs to 1000 terms, with the 1/(pi K) tail
+        assert cols["explicit"][0] == local_count_explicit(3, 10.0, 1000)
+        assert cols["tail_estimate"][0] == 1.0 / (math.pi * 1000)
 
     def test_readme_commands_parse(self):
         text = _read(README, encoding="utf-8")
@@ -573,25 +595,16 @@ class TestCLI:
         cols, _ = read_csv(out)
         assert np.abs(cols["cauchy"] - li_oracle_20).max() < 1e-7
         # the bar is the two routes' own error estimates, with no slack added
-        bar = (li_coefficients_cauchy(20, 0.45).error_estimate
+        bar = (li_coefficients_cauchy(20).error_estimate
                + li_coefficients_zero_sum(20, zeros_2000.ts, 2000).error_estimate)
         assert np.array_equal(cols["combined_tolerance"], bar)
 
-    def test_li_radius_where_ln_xi_winds_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "li.csv"
-        rc = main(["li", "--zeros", bundled_zeros_path(), "--radius", "0.99", "--out", str(out)])
-        assert rc == 2
-        assert "winds" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_cue_sample_one_bin(self, tmp_path):
-        out = str(tmp_path / "pc1.csv")
-        assert main(["cue-sample", "--n", "12", "--samples", "100", "--bins", "1", "--out", out]) == 0
-        cols, md = read_csv(out)
-        assert cols["r"].tolist() == [2.5]
+    def test_cue_sample_one_bin(self):
+        rep = ensemble.pair_correlation(ensemble.sample_cue(12, 100, 0), bins=1)
+        assert rep.bin_centers.tolist() == [2.5]
         # the one bin spans [0, r_max]
-        gap = abs(cols["r2"][0] - cols["sine_kernel"][0])
-        assert float(md["l2-distance"]) == pytest.approx(gap * math.sqrt(5.0), rel=1e-12)
+        gap = abs(rep.r2[0] - rep.reference[0])
+        assert rep.l2_distance == pytest.approx(gap * math.sqrt(5.0), rel=1e-12)
 
     def test_explicit_formula_psi(self, tmp_path):
         out = str(tmp_path / "ef.csv")
@@ -702,8 +715,8 @@ class TestImportPath:
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_process_entry_exits_2_on_a_consistency_failure(self, tmp_path, entry):
         # at radius 0.99 the contour nodes under-resolve the phase of xi
-        proc = _fresh_python(_entry_code(entry), "li", "--zeros", bundled_zeros_path(),
-                             "--radius", "0.99", "--out", "li.csv", cwd=tmp_path)
+        proc = _fresh_python(_entry_code(entry), "betas", "--model", "xi", "--radius", "0.99",
+                             "--out", "betas.csv", cwd=tmp_path)
         assert proc.returncode == 2
         assert re.fullmatch(r"zetaumm: numeric consistency failure: .* winds .*\n", proc.stderr)
         assert list(tmp_path.iterdir()) == []

@@ -349,6 +349,10 @@ class TestPlaquetteMC:
             with pytest.raises(ValueError, match="leaves the no-gap phase"):
                 plaquette_mc(16, betas, sweeps=10, burn_in=0, seed=0)
 
+    def test_no_bins_rejected(self):
+        with pytest.raises(ValueError, match="chains, sweeps and bins must be >= 1"):
+            plaquette_mc(16, [0.2], sweeps=10, burn_in=0, seed=0, bins=0)
+
     def test_trailing_zero_coupling_keeps_the_bits(self):
         a = plaquette_mc(8, [0.25], sweeps=20, burn_in=5, seed=4, chains=2)
         b = plaquette_mc(8, [0.25, 0.0, -0.0], sweeps=20, burn_in=5, seed=4, chains=2)
@@ -433,6 +437,14 @@ class TestPairCorrelation:
     def test_rank_other_than_one_or_two_rejected(self, shape):
         with pytest.raises(ValueError, match=f"not a {len(shape)}-D array"):
             pair_correlation(np.zeros(shape))
+
+    @pytest.mark.parametrize("bins, r_max, message", [
+        (0, 5.0, "bins must be >= 1"), (50, 0.0, "r_max must be positive"),
+        (50, -1.0, "r_max must be positive"),
+    ])
+    def test_histogram_shape_rejected(self, bins, r_max, message):
+        with pytest.raises(ValueError, match=message):
+            pair_correlation(sample_cue(12, 100, seed=0), bins, r_max)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):

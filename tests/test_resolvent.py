@@ -308,6 +308,10 @@ class TestDensityProfile:
             with pytest.raises(ValueError, match="not a prime"):
                 density_profile(p, [2.0], 3)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="theta grid must be non-empty"):
+            density_profile(2, [], 3)
+
 
 def laguerre_table(M, x):
     """L^(1)_m(x) for m = 0..M-1, stacked into an M x len(x) table by the

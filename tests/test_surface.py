@@ -11,10 +11,21 @@ constructor argument is a write, not a read.  A read on the argparse
 namespace `args` names an option, so it consumes neither a member nor a
 function.  No name is exempt: an orphan is deleted, and its unit tests go
 with it or move onto the code that does the work.
+
+Every option of every command has a caller too: a README command, a
+benchmark job, a digest edge case of `tools/artifact_digests.py` (its
+`@xi.cfg` read as that tool writes it) or an argv list literal of
+`perfbench/test_perfbench.py` passes it.  The options every command
+shares (`--out`, `--format`) count once.  An option that only `tests/`
+sets is dead surface as well, and no option is exempt.
 """
 
 import ast
+import importlib.util
+import shlex
 from pathlib import Path
+
+from zetaumm import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "zetaumm"
@@ -110,3 +121,46 @@ def test_guard_sees_an_orphan(tmp_path):
     # an option of the same name read off the argparse namespace is no reader
     user.write_text("from pkg.a import used\n\ndef main(args):\n    return used() + args.written\n")
     assert _orphans(pkg, [user]) == ["a.Record.written", "a.dead"]
+
+
+def _calls() -> list:
+    """The argument lists, command first, of the callers the options guard counts."""
+    spec = importlib.util.spec_from_file_location("artifact_digests",
+                                                  ROOT / "tools" / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    lines = (digests.readme_commands((ROOT / "README.md").read_text(encoding="utf-8"))
+             + digests.benchmark_commands() + list(digests.EDGE_CASES))
+    cfg = [flag for line in digests.XI_CFG.splitlines() for flag in cli._options_line(line)]
+    calls = [[arg for word in shlex.split(line)[1:] for arg in (cfg if word == "@xi.cfg" else [word])]
+             for line in lines]
+    tree = ast.parse((ROOT / "perfbench" / "test_perfbench.py").read_text(encoding="utf-8"))
+    return calls + [[e.value for e in node.elts if isinstance(e, ast.Constant)]
+                    for node in ast.walk(tree) if isinstance(node, ast.List) and node.elts
+                    and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in cli.COMMANDS]
+
+
+def _orphan_options(commands: dict, common: set, calls: list) -> list:
+    """`command --flag` for each option of `commands` that no call passes;
+    an option of `common` is `--flag` and any command's call counts for it."""
+    def key(command, flag):
+        return flag if flag in common else f"{command} {flag}"
+
+    declared = [key(name, flag) for name, (_, options, _) in commands.items() for flag, _ in options]
+    passed = {key(call[0], arg.partition("=")[0]) for call in calls for arg in call[1:]
+              if isinstance(arg, str) and arg.startswith("--")}
+    return [option for option in dict.fromkeys(declared) if option not in passed]
+
+
+def test_every_option_has_a_caller():
+    orphans = _orphan_options(cli.COMMANDS, {flag for flag, _ in cli._COMMON}, _calls())
+    assert not orphans, "options no caller passes: " + ", ".join(orphans)
+
+
+def test_options_guard_sees_an_orphan():
+    common = (("--out", {}),)
+    commands = {"a": ("", (("--x", {}), ("--y", {})) + common, None),
+                "b": ("", (("--x", {}),) + common, None)}
+    # b's --y is no option of b, and a's --out covers b's
+    calls = [["a", "--x", "1", "--out", "o"], ["b", "--y=2"]]
+    assert _orphan_options(commands, {"--out"}, calls) == ["a --y", "b --x"]

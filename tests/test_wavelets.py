@@ -56,6 +56,10 @@ class TestOrthonormality:
         with pytest.raises(ValueError):
             inner_product(WaveletIndex(2, 0), WaveletIndex(3, 0))
 
+    def test_empty_gram_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            gram_matrix(2, 0)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_restricted_gram_is_identity(self, p):
         G = gram_matrix(p, 12)

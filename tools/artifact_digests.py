@@ -3,13 +3,14 @@
 and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
 README's code blocks, every job of `perfbench/workloads.py` at seeds 1
 and 2 (that file is read, never written), and eleven edge cases: more
-ordinates asked of `li` than the table holds, a `li` radius whose
-logarithm winds, a `trace-check` on 20 zeros, and the CLI routes that
-neither the README nor the jobs reach: `explicit-formula --kind j_local`,
-`beta-ren --method xi_decomposition`, `comb` for one prime, a JSON
-artifact (`comb --format json`), an `@FILE` options file with a comment
-line, the gamma model's closed form (`betas --model gamma`), and the half
-weights of psi and of j_local at a prime-power jump (x = 9).
+ordinates asked of `li` than the table holds, a `betas --model xi`
+radius where the logarithm winds, a `trace-check` on 20 zeros, and the
+CLI routes that neither the README nor the jobs reach: `explicit-formula
+--kind j_local`, `beta-ren --method xi_decomposition`, `comb` for one
+prime, a JSON artifact (`comb --format json`), an `@FILE` options file
+with a comment line, the gamma model's closed form (`betas --model
+gamma`), and the half weights of psi and of j_local at a prime-power
+jump (x = 9).
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path("src/zetaumm/data/zeros10k.txt")
 EDGE_CASES = (
     f"zetaumm li --zeros {TABLE} --nmax 10 --nzeros 20000 --out li-20000.csv",
-    f"zetaumm li --zeros {TABLE} --nmax 10 --radius 0.99 --out li-r099.csv",
+    "zetaumm betas --model xi --radius 0.99 --out betas-xi-r099.csv",
     f"zetaumm trace-check --zeros {TABLE} --nzeros 20 --out trace-20.csv",
     "zetaumm explicit-formula --kind j_local --prime 3 --x 10.5 --out jlocal-3.csv",
     "zetaumm beta-ren --method xi_decomposition --mu 0.5 --mmax 10 --out bren-xi.csv",

@@ -71,6 +71,9 @@ MUTANTS = [
     ("beta-ren shifted radius 0.5 -> 0.45", "src/zetaumm/cli.py",
      "        series = resolvent.beta_contour(model, args.mmax, 0.5, 1024)",
      "        series = resolvent.beta_contour(model, args.mmax, 0.45, 1024)"),
+    ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
+     "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
+     "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
 ]
 
 
