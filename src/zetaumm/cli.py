@@ -248,15 +248,14 @@ def _cmd_beta_ren(args) -> None:
         series = resolvent.beta_contour(model, args.mmax, 0.5, 1024)
     elif abs(args.mu - 0.5) > 1e-12:
         raise ValueError("xi_decomposition is the mu = 1/2 route")
-    else:
-        series = resolvent.beta_renormalized_xi_decomposition(args.mmax)
-    err = series.error_estimates
-    if err is None:
-        err = np.full(len(series), series.radius_error)
+    else:  # the shifted route's mu = 1/2 end: G_m = beta°_m / m
+        c, m = resolvent.beta_pole_free(0.5, args.mmax, 0.5, 1024), np.arange(1, args.mmax + 1)
+        rd = c.radius_deltas / m  # each row's error is the largest
+        series = resolvent.BetaSeries(c.coefficients / m, c.doubling_deltas / m, rd, np.full(m.size, rd.max()))
     cols = {
         "index": np.arange(1, len(series) + 1),
         "value": series.coefficients.real,
-        "error": err,
+        "error": series.error_estimates,
     }
     _emit(args, cols, {"series": cols})
 
@@ -290,11 +289,13 @@ def _cmd_explicit_formula(args) -> None:
     if args.x <= 1.0:
         raise ValueError("counting functions are evaluated for x > 1")
     if args.kind == "j_local":
+        args.zeros = args.nzeros = None  # not echoed: j_local reads no zeros
         terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)
         direct = zt.local_count_direct(args.prime, args.x)
         explicit = zt.local_count_explicit(args.prime, args.x, terms)
         tail = 1.0 / (math.pi * terms)
     else:
+        args.prime = None  # not echoed: psi and J read no prime
         if args.zeros is None:
             raise ValueError("explicit mode needs --zeros")
         table = _ingest(args.zeros, args.nzeros)
@@ -384,11 +385,13 @@ def _options_line(line: str) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__, fromfile_prefix_chars="@")
+    # allow_abbrev=False: `--primes` must not run as `--primes-max`
+    ap = argparse.ArgumentParser(prog="zetaumm", description=__doc__, fromfile_prefix_chars="@",
+                                 allow_abbrev=False)
     ap.convert_arg_line_to_args = _options_line
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, keywords in options:
             sp.add_argument(flag, **keywords)
     return ap

@@ -34,9 +34,10 @@ class ResolventModel:
 
     kind: 'local' (Euler factor at prime p), 'gamma' (archimedean factor),
     'shifted' (zeta log-derivative recentred at Re s = s0), 'xi'
-    (completed-zeta log series).  The shifted model needs s0 > 1: the unit
-    disk maps onto Re s > s0, so for s0 < 1 the zeta pole enters the disk,
-    and a pole inside both extraction circles escapes the radius check.
+    (completed-zeta log series).  The shifted model needs s0 > 1/2: its
+    coefficients add zeta's pole part in closed form to a pole-free contour
+    (beta_pole_free), which leaves no pole inside an extraction circle,
+    and at s0 = 1/2 that pole reaches z = 0, where the closed form fails.
     """
 
     kind: str
@@ -48,8 +49,8 @@ class ResolventModel:
             raise ValueError(f"unknown resolvent kind {self.kind!r}")
         if self.kind == "local" and not is_prime(self.p or 0):
             raise ValueError("local model needs a prime p")
-        if self.kind == "shifted" and (self.s0 is None or self.s0 <= 1.0):
-            raise ValueError("shifted model needs the recentring abscissa s0 > 1")
+        if self.kind == "shifted" and (self.s0 is None or self.s0 <= 0.5):
+            raise ValueError("shifted model needs the recentring abscissa s0 > 1/2")
         if self.kind != "shifted" and self.s0 is not None:
             raise ValueError(f"s0 is read by the shifted model only, not by {self.kind!r}")
         if self.kind != "local" and self.p is not None:
@@ -78,8 +79,7 @@ def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
     if model.kind == "gamma":
         return _mul(0.5 * pref, zt._digamma(0.5 * s) - zt.LN_PI)
     s = model.s0 + (1.0 + z) / (2.0 * (1.0 - z))
-    val, dval = zt.zeta_and_derivative(s)
-    return pref * (dval / val)
+    return pref * (zt.zeta_unit_log_derivative(s) - 1.0 / (s - 1.0))
 
 
 def resolvent(model: ResolventModel, z: complex) -> complex:
@@ -113,7 +113,8 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
 class BetaSeries:
     """Model coefficients beta_1..beta_M with their quadrature deltas:
     per-coefficient |Δbeta_n| under node doubling and on the second radius
-    (zero for the prime-sum route, which carries error_estimates)."""
+    (zero for the prime-sum route), and each coefficient's error bar where
+    the route has one (the prime sum, the shifted model)."""
 
     coefficients: np.ndarray  # complex, index 0 holds beta_1
     doubling_deltas: np.ndarray
@@ -157,13 +158,8 @@ def _unwound_log_samples(values: np.ndarray) -> np.ndarray:
     return mag + 1j * ang
 
 
-def contour_coefficients(
-    f: Callable[[np.ndarray], np.ndarray],
-    M: int,
-    r: float,
-    Q: int,
-    log: bool = False,
-) -> BetaSeries:
+def contour_coefficients(f: Callable[[np.ndarray], np.ndarray], M: int, r: float, Q: int,
+                         log: bool = False) -> BetaSeries:
     """Taylor coefficients [z^m] f(z), or [z^m] ln f(z) with `log`, of a
     function analytic on the closed disk |z| <= max(r, r2), by the
     trapezoid rule on |z| = r with 2Q nodes; the deltas are taken against
@@ -206,12 +202,7 @@ def contour_coefficients(
     return BetaSeries(values, doubling, deltas)
 
 
-def beta_contour(
-    model: ResolventModel,
-    M: int,
-    r: float = 0.5,
-    Q: int = 512,
-) -> BetaSeries:
+def beta_contour(model: ResolventModel, M: int, r: float = 0.5, Q: int = 512) -> BetaSeries:
     """beta_n = (1/2 pi i) oint dz z^-(n+1) (R_<(z) - 1) by the shared
     contour extractor on |z| = r, with its node-doubling and second-radius
     guards (analyticity says the coefficients cannot depend on r)."""
@@ -219,7 +210,30 @@ def beta_contour(
         # beta_m^sym = -(1/(2 ln 2)) [z^m] ln xi(1/(1-z)), a log series
         c, scale = xi_log_series(M, r, Q), 2.0 * math.log(2.0)
         return BetaSeries(-c.coefficients / scale, c.doubling_deltas / scale, c.radius_deltas / scale)
+    if model.kind == "shifted":
+        # the radius delta misses the second circle's rounding, which the
+        # doubling delta exceeds; rounding (-q)^m costs < (m + 2) eps |q|^m
+        c = beta_pole_free(model.s0, M, r, Q)
+        q = (3.0 - 2.0 * model.s0) / (2.0 * model.s0 - 1.0)
+        pole = np.array([(-q) ** m for m in range(1, M + 1)])
+        bar = c.radius_error + c.doubling_error + (np.arange(1, M + 1) + 2) * zt.EPS * np.abs(pole)
+        return BetaSeries(c.coefficients + pole, c.doubling_deltas, c.radius_deltas, bar)
     f = lambda z: _fluctuation_inside(model, z)
+    return contour_coefficients(f, M, r, Q)
+
+
+def beta_pole_free(mu: float, M: int, r: float, Q: int) -> BetaSeries:
+    """beta°_m = [z^m] of the shifted fluctuation at s0 = mu >= 1/2 less
+    zeta's pole part 1/(1 + q z), q = (3 - 2 mu)/(2 mu - 1), so that
+    beta_m = beta°_m + (-q)^m.  With s = mu + (1+z)/(2(1-z)), that is
+    z/(1-z)^2 (zeta'/zeta + 1/(s-1)) - 1/(1-z), analytic on the disk.  At
+    mu = 1/2, beta°_m = m G_m with G_m = [z^m] ln(z zeta(s)), the term of
+    Xi_m = 2/m + R_m + G_m that zeta gives, and beta°_1 = euler_gamma - 1."""
+
+    def f(z):
+        s = mu + (1.0 + z) / (2.0 * (1.0 - z))
+        return z / _mul(1.0 - z, 1.0 - z) * zt.zeta_unit_log_derivative(s) - 1.0 / (1.0 - z)
+
     return contour_coefficients(f, M, r, Q)
 
 
@@ -322,9 +336,10 @@ def _laguerre_alpha1_sums(M: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     recurrence m L_m = (2m - x) L_(m-1) - m L_(m-2) from L_(-1) = 0 and
     L_0 = 1, carried on three rows.  The in-place steps follow the order of
     ((2m - x) L_(m-1) - m L_(m-2)) / m, so each element is the double that
-    expression gives; each sum is numpy's pairwise sum of the products."""
+    expression gives; each sum is numpy's pairwise sum of the products,
+    which go to the spent L_(m-2) row (the next step's L_(m+1))."""
     rows = [np.ones_like(x), np.empty_like(x), np.zeros_like(x)]  # L_0, -, L_(-1)
-    prod, sums = np.empty_like(x), np.empty(M)
+    sums = np.empty(M)
     for m in range(M):
         cur, prev1, prev2 = rows[m % 3], rows[(m - 1) % 3], rows[(m - 2) % 3]
         if m:
@@ -333,7 +348,7 @@ def _laguerre_alpha1_sums(M: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
             prev2 *= m  # L_(m-2) is not read again
             cur -= prev2
             cur /= m
-        sums[m] = np.multiply(w, cur, out=prod).sum()
+        sums[m] = np.multiply(w, cur, out=prev2).sum()
     return sums
 
 
@@ -342,11 +357,7 @@ def _laguerre_alpha1_sums(M: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
 _PRIME_CHUNK = 2**17
 
 
-def beta_renormalized_prime_sum(
-    M: int,
-    mu: float,
-    P_max: int = 10**6,
-) -> BetaSeries:
+def beta_renormalized_prime_sum(M: int, mu: float, P_max: int = 10**6) -> BetaSeries:
     """Renormalized coefficients from explicit prime-power data.
 
     The line integral (1/4pi) int dx ((ix+1)/(ix-1))^m p^(-n(mu+ix/2)) is
@@ -358,10 +369,10 @@ def beta_renormalized_prime_sum(
     prime-density integral (terms fall off too slowly for raw truncation
     to reach 1e-6 at feasible sieve sizes).  Each power level is summed
     over contiguous chunks of _PRIME_CHUNK primes, one Laguerre row at a
-    time, so memory is the pi(P_max) table of ln p plus six chunk-sized
-    arrays (weights, arguments, three Laguerre rows and their product),
-    whatever M and P_max are.  A level with at most _PRIME_CHUNK primes is
-    one chunk, summed in the order of a single pass over its primes.
+    time, so memory is the pi(P_max) table of ln p plus five chunk-sized
+    arrays (weights, arguments, three Laguerre rows), whatever M and P_max
+    are.  A level with at most _PRIME_CHUNK primes is one chunk, summed in
+    the order of a single pass over its primes.
     """
     if mu <= 1.0:
         raise ValueError(
@@ -412,12 +423,3 @@ def _prime_tail_integrals(M: int, mu: float, P: float) -> np.ndarray:
     a = mu - 0.5
     v, w = np.polynomial.laguerre.laggauss(-(-M // 2) + 1)
     return -(P**-a) / a * _laguerre_alpha1_sums(M, math.log(P) + v / a, w)
-
-
-def beta_renormalized_xi_decomposition(M: int) -> BetaSeries:
-    """The mu = 1/2 coefficients G_m = [z^m] ln[z zeta(1/(1-z))] on |z| = 0.5
-    (1024 nodes), the unique regularisation making the symmetric-model
-    comparison an identity: Xi_m = 2/m + R_m + G_m.  The factor z cancels the
-    zeta pole at s = 1, which makes the literal ln zeta multivalued there."""
-    return contour_coefficients(lambda z: z * zt.zeta(1.0 / (1.0 - z)), M, 0.5, 1024, log=True)
-

@@ -160,11 +160,6 @@ def _unbox(x: np.ndarray, scalar: bool):
     return x[0].item() if scalar else x
 
 
-def _reject_pole(s: np.ndarray) -> None:
-    if (np.abs(s - 1.0) < 1e-12).any():
-        raise ZetaPole("zeta has a simple pole at s = 1")
-
-
 def _em_terms(s: np.ndarray) -> int:
     """N = max(20, ceil max|Im s| + 20), the direct terms _em_kernel sums."""
     return max(20, int(math.ceil(np.abs(s.imag).max(initial=0.0))) + 20)
@@ -174,10 +169,10 @@ def _em_kernel(s: np.ndarray, derivative: bool = False):
     """Euler-Maclaurin on a 1-D array s sharing N = _em_terms(s) direct
     terms and _EM_ORDER Bernoulli corrections.
 
-    Returns (core, pole, dzeta) with zeta(s) = core + pole/(s-1) and
-    pole = N^(1-s): splitting out the pole term lets (s-1) zeta(s) be
-    assembled without cancellation at s = 1.  dzeta is zeta'(s) when
-    `derivative` is set (Re s > 0), else None.
+    Returns (core, pole, dunit) with zeta(s) = core + pole/(s-1) and
+    pole = N^(1-s): splitting out the pole term lets (s-1) zeta(s) and,
+    with `derivative` set (Re s > 0), its derivative dunit be assembled
+    without cancellation at s = 1.  dunit is None otherwise.
     """
     N = _em_terms(s)
     ln_n = np.log(np.arange(1, N))
@@ -192,7 +187,7 @@ def _em_kernel(s: np.ndarray, derivative: bool = False):
     bern = _B2K_OVER_FACT * rising * (n_pow[:, None] * scale)
     core = powers.sum(axis=1) + 0.5 * n_pow + bern.sum(axis=1)
     pole = N * n_pow
-    dzeta = None
+    dunit = None
     if derivative:
         # d/ds of the rising product through its logarithmic derivative
         dlog_rising = np.cumsum(1.0 / factors, axis=1)[:, ::2]
@@ -201,14 +196,15 @@ def _em_kernel(s: np.ndarray, derivative: bool = False):
             - 0.5 * lnN * n_pow
             + (bern * (dlog_rising - lnN)).sum(axis=1)
         )
-        dzeta = dcore - pole * (lnN / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-    return core, pole, dzeta
+        dunit = core + (s - 1.0) * dcore - lnN * pole
+    return core, pole, dunit
 
 
 def zeta(s: complex) -> complex:
     """Riemann zeta on Re(s) >= 0, s != 1, by Euler-Maclaurin."""
     s, scalar = _as_1d(s)
-    _reject_pole(s)
+    if (np.abs(s - 1.0) < 1e-12).any():
+        raise ZetaPole("zeta has a simple pole at s = 1")
     return _unbox(zeta_unit(s) / (s - 1.0), scalar)
 
 
@@ -221,17 +217,15 @@ def zeta_unit(s: complex) -> complex:
     return _unbox((s - 1.0) * core + pole, scalar)
 
 
-def zeta_and_derivative(s: complex) -> tuple[complex, complex]:
-    """(zeta(s), zeta'(s)) by term-wise differentiated Euler-Maclaurin.
-
-    Re(s) > 0 only (that is the regime the contour extractions use).
-    """
+def zeta_unit_log_derivative(s: complex) -> complex:
+    """d/ds ln((s-1) zeta(s)) = zeta'/zeta(s) + 1/(s-1) on Re(s) > 0 by
+    term-wise differentiated Euler-Maclaurin: the pole terms cancel in
+    closed form, so it is regular at s = 1 (value euler_gamma there)."""
     s, scalar = _as_1d(s)
     if (s.real <= 0.0).any():
-        raise ValueError("zeta_and_derivative implemented for Re(s) > 0 only")
-    _reject_pole(s)
-    core, pole, dzeta = _em_kernel(s, derivative=True)
-    return _unbox(core + pole / (s - 1.0), scalar), _unbox(dzeta, scalar)
+        raise ValueError("zeta_unit_log_derivative implemented for Re(s) > 0 only")
+    core, pole, dunit = _em_kernel(s, derivative=True)
+    return _unbox(dunit / ((s - 1.0) * core + pole), scalar)
 
 
 # ---------------------------------------------------------------------------

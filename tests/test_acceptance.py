@@ -142,8 +142,8 @@ def test_criterion_08_renormalized():
         M = 20
         Xi = resolvent.xi_log_series(M, 0.5, 1024).coefficients
         R = resolvent.gamma_log_coefficients(M)
-        G = resolvent.beta_renormalized_xi_decomposition(M).coefficients
         m = np.arange(1, M + 1)
+        G = resolvent.beta_pole_free(0.5, M, 0.5, 1024).coefficients / m  # the shifted route at mu = 1/2
         assert np.abs(Xi - (2.0 / m + R + G)).max() < 1e-8
         bsym = resolvent.beta_contour(resolvent.ResolventModel("xi"), M, 0.5, 1024)
         assert np.abs(-2.0 * math.log(2.0) * bsym.coefficients - Xi).max() < 1e-12

@@ -15,8 +15,7 @@ import zetaumm
 from zetaumm import cli, ensemble, output, traceform, wavelets, zeta
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
-from zetaumm.resolvent import (beta_renormalized_xi_decomposition, density_profile,
-                               local_potential_derivative)
+from zetaumm.resolvent import beta_pole_free, density_profile, local_potential_derivative
 from zetaumm.zeta import (PrimeTable, bundled_zeros_path, ingest_zeros, li_coefficients_cauchy,
                           li_coefficients_zero_sum, local_count_direct, local_count_explicit)
 
@@ -128,7 +127,7 @@ class TestCLI:
         assert main(["explicit-formula", "--x", "0.5", "--out", out] + zeros) == 1
         assert main(["explicit-formula", "--kind", "psi", "--x", "10.5", "--out", out]) == 1
         assert main(["beta-ren", "--method", "xi_decomposition", "--mu", "0.7", "--out", out]) == 1
-        assert main(["beta-ren", "--method", "shifted_contour", "--mu", "0.9", "--out", out]) == 1
+        assert main(["beta-ren", "--method", "shifted_contour", "--mu", "0.5", "--out", out]) == 1
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv, message", [
@@ -211,8 +210,10 @@ class TestCLI:
 
     def test_beta_ren_contours_are_the_library_routes(self, tmp_path):
         # beta-ren's contour is |z| = 0.5 with 1024 nodes: its shifted route
-        # writes the value bytes of betas there, with betas' radius_error as
-        # every row's error, and its mu = 1/2 route writes G_m
+        # writes the value bytes of betas there, with betas' radius_error
+        # plus doubling_error as every row's error at mu = 1.5 (q = 0, so
+        # the pole part adds no rounding), and its mu = 1/2 route writes
+        # G_m = beta°_m / m
         def text_columns(path):
             rows = [line.split(",") for line in _read(path).splitlines() if not line.startswith("# ")]
             return {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
@@ -224,11 +225,14 @@ class TestCLI:
                      "--out", ref]) == 0
         got, want = text_columns(ren), text_columns(ref)
         assert got["value"] == want["value"]
-        assert got["error"] == [read_csv(ref)[1]["radius_error"]] * 10
+        md = read_csv(ref)[1]
+        assert np.array_equal(read_csv(ren)[0]["error"],
+                              np.full(10, float(md["radius_error"]) + float(md["doubling_error"])))
         assert main(["beta-ren", "--method", "xi_decomposition", "--mu", "0.5", "--mmax", "10",
                      "--out", xi]) == 0
         values = read_csv(xi)[0]["value"]
-        assert np.array_equal(values, beta_renormalized_xi_decomposition(10).coefficients.real)
+        G = beta_pole_free(0.5, 10, 0.5, 1024).coefficients / np.arange(1, 11)
+        assert np.array_equal(values, G.real)
 
     def test_config_file_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -335,11 +339,14 @@ class TestCLI:
          "unrecognized arguments: --rmax 4"),
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--bins", "32"], None,
          "unrecognized arguments: --bins 32"),
+        (["li", "--zeros", bundled_zeros_path(), "--nm", "2"], None, "unrecognized arguments: --nm 2"),
+        (["trace-check", "--zeros", bundled_zeros_path(), "--primes", "1000"], None,
+         "unrecognized arguments: --primes 1000"),
     ], ids=["powers", "kernel-b", "config-powers", "tolerance", "config-tolerance",
             "beta-ren-radius", "beta-ren-nodes", "li-nodes", "config-beta-ren-nodes",
             "padic-primes", "wavelet-prime", "wavelet-nmax", "wavelet-alpha", "grid-start",
             "grid-stop", "grid-points", "config-grid-points", "li-radius", "terms", "cue-bins",
-            "cue-rmax", "plaquette-bins"])
+            "cue-rmax", "plaquette-bins", "li-nm-abbreviation", "trace-primes-abbreviation"])
     def test_retired_truncation_options_exit_one(self, tmp_path, capsys, argv, cfg, message):
         # the prime-power loop and the Vladimirov kernel's domain cutoff are
         # fixed where they move no result, li's bar is the two routes' own
@@ -527,12 +534,14 @@ class TestCLI:
         _, builder = function(zeta, "check_agreement")
         assert not any(isinstance(n, ast.Raise) for n in ast.walk(builder))
 
-    def test_shifted_model_below_one_exits_one(self, tmp_path, capsys):
-        # s0 = 0.8 puts the zeta pole at z = -3/7, inside both extraction circles
+    def test_shifted_model_at_or_below_half_exits_one(self, tmp_path, capsys):
+        # at s0 = 1/2 zeta's pole reaches z = 0 and its closed-form part
+        # (-(3 - 2 s0)/(2 s0 - 1))^m has no value; below, the pole leaves the
+        # disk on the other side
         out = str(tmp_path / "b.csv")
-        for s0 in ("0.8", "1"):
+        for s0 in ("0.5", "0.3"):
             assert main(["betas", "--model", "shifted", "--s0", s0, "--out", out]) == 1
-            assert "s0 > 1" in capsys.readouterr().err
+            assert "s0 > 1/2" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_prime_option_checked(self, tmp_path, capsys):
@@ -570,6 +579,17 @@ class TestCLI:
         # the pole expansion runs to 1000 terms, with the 1/(pi K) tail
         assert cols["explicit"][0] == local_count_explicit(3, 10.0, 1000)
         assert cols["tail_estimate"][0] == 1.0 / (math.pi * 1000)
+
+    @pytest.mark.parametrize("kind, unread", [("psi", {"prime"}), ("J", {"prime"}),
+                                              ("j_local", {"zeros", "nzeros"})])
+    def test_explicit_formula_echoes_only_what_its_kind_reads(self, tmp_path, kind, unread):
+        out = str(tmp_path / "ef.csv")
+        argv = ["explicit-formula", "--kind", kind, "--x", "10.5", "--prime", "3", "--nzeros", "50",
+                "--zeros", bundled_zeros_path(), "--out", out]
+        assert main(argv) == 0
+        md = read_csv(out)[1]
+        assert not unread & set(md)
+        assert {"kind", "x"} <= set(md)
 
     def test_readme_commands_parse(self):
         text = _read(README, encoding="utf-8")

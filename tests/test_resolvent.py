@@ -10,8 +10,8 @@ from zetaumm import zeta as zt
 from zetaumm.resolvent import (
     ResolventModel,
     beta_contour,
+    beta_pole_free,
     beta_renormalized_prime_sum,
-    beta_renormalized_xi_decomposition,
     contour_coefficients,
     density_profile,
     gamma_log_coefficients,
@@ -131,7 +131,7 @@ class TestResolvent:
 
     def test_model_preconditions(self):
         for kind, p, s0 in (("local", None, None), ("local", 4, None), ("shifted", None, None),
-                            ("shifted", None, 1.0), ("shifted", None, 0.8), ("nope", None, None),
+                            ("shifted", None, 0.5), ("shifted", None, 0.3), ("nope", None, None),
                             ("gamma", 2, None), ("shifted", 2, 1.5), ("xi", 2, None)):
             with pytest.raises(ValueError):
                 ResolventModel(kind, p=p, s0=s0)
@@ -161,6 +161,24 @@ def _gamma_fluctuation(z):
 
     s = (1 + z) / (1 - z)
     return z / (1 - z) ** 2 * (mp.digamma(s / 2) - mp.log(mp.pi)) / 2
+
+
+def shifted_series_oracle(mu, M):
+    """[z^m] z/(1-z)^2 zeta'/zeta(mu + 1/2 + z/(1-z)) for m = 1..M by 40-digit
+    power-series arithmetic, no contour: zeta's Taylor series at mu + 1/2
+    (mpmath derivatives), its log-derivative, composed with w = z/(1-z)
+    ([z^n] w^k = C(n-1, k-1)), times z/(1-z)^2 ([z^n] = n)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a = mp.mpf(mu) + mp.mpf(1) / 2
+        c = [mp.zeta(a, 1, k) / mp.factorial(k) for k in range(M + 1)]
+        r = []  # zeta'/zeta: r c = zeta' term by term
+        for k in range(M):
+            r.append(((k + 1) * c[k + 1] - mp.fsum(c[j] * r[k - j] for j in range(1, k + 1))) / c[0])
+        g = [r[0]] + [mp.fsum(r[k] * mp.binomial(n - 1, k - 1) for k in range(1, n + 1))
+                      for n in range(1, M)]
+        return np.array([float(mp.fsum(j * g[m - j] for j in range(1, m + 1))) for m in range(1, M + 1)])
 
 
 def _shifted_fluctuation(z, s0=1.5):
@@ -208,9 +226,8 @@ class TestBetaContour:
         assert np.abs(got - cauchy_sum_oracle(g, 20)).max() <= 1e-11
 
     def test_log_series_routes_report_node_doubling(self):
-        for series in (beta_contour(ResolventModel("xi"), 10, 0.5, 512),
-                       beta_renormalized_xi_decomposition(10)):
-            assert 0.0 < series.doubling_error < 1e-9
+        series = beta_contour(ResolventModel("xi"), 10, 0.5, 512)
+        assert 0.0 < series.doubling_error < 1e-9
 
     def test_log_route_with_zero_inside_second_radius_raises(self):
         # ln(1 - z/0.6): analytic on |z| = 0.5, but the guard's second
@@ -447,14 +464,26 @@ class TestRenormalized:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the ln p table and six chunk-sized arrays (1 + 6 * 2^17 / pi_p =
-        # 2.18x); a stale Laguerre row kept between chunks made it 2.38x, and
-        # one pass per level held seven pi(P)-length arrays (7.0x)
-        assert peak <= 2.25 * 8 * pi_p
+        # the ln p table and five chunk-sized arrays (1 + 5 * 2^17 / pi_p =
+        # 1.99x) stay below the log step's 2.01x; a separate product row made
+        # it 2.18x, a stale Laguerre row kept between chunks 2.38x, and one
+        # pass per level held seven pi(P)-length arrays (7.0x)
+        assert peak <= 2.1 * 8 * pi_p
 
     def test_prime_sum_requires_convergent_mu(self):
         with pytest.raises(ValueError, match="sigma"):
             beta_renormalized_prime_sum(4, 1.0)
+
+    # 5/6 puts zeta's pole z* = -(2 mu - 1)/(3 - 2 mu) on a node of |z| = 0.5
+    @pytest.mark.parametrize("mu", [0.55, 0.6, 0.75, 5 / 6, 0.9, 1.0, 1.5, 3.0])
+    def test_shifted_route_within_its_bar_of_series_oracle(self, mu):
+        # beta-ren's circle, |z| = 0.5 with 1024 nodes.  Below mu = 1 the
+        # coefficients grow like |q|^m, q = (3 - 2 mu)/(2 mu - 1) (beta_20 =
+        # 3.8e25 at mu = 0.55), and only the bar's rounding term for the
+        # closed-form pole part (-q)^m covers what rounding moves them by
+        got = beta_contour(ResolventModel("shifted", s0=mu), 20, 0.5, 1024)
+        err = np.abs(got.coefficients - shifted_series_oracle(mu, 20))
+        assert (err <= got.error_estimates).all()
 
     def test_shifted_radius_consistency(self):
         a = beta_contour(ResolventModel("shifted", s0=1.5), 10, 0.4, 1024)
@@ -465,8 +494,8 @@ class TestRenormalized:
         M = 20
         Xi = xi_log_series(M, 0.5, 1024).coefficients
         R = gamma_log_coefficients(M)
-        G = beta_renormalized_xi_decomposition(M).coefficients
         m = np.arange(1, M + 1)
+        G = beta_pole_free(0.5, M, 0.5, 1024).coefficients / m
         assert np.abs(Xi - (2.0 / m + R + G)).max() < 1e-8
 
     def test_appendix_comparison_relation(self):
@@ -478,9 +507,10 @@ class TestRenormalized:
 
     def test_leading_log_coefficients_analytic_anchors(self):
         # [z] ln(z zeta(1/(1-z))) = euler_gamma - 1 from the Laurent
-        # expansion at the pole, and [z] ln zeta_R(1/(1-z)) evaluates to
+        # expansion at the pole, the pole-free shifted route's [z] at
+        # mu = 1/2, and [z] ln zeta_R(1/(1-z)) evaluates to
         # -ln(pi)/2 + psi(1/2)/2 with psi(1/2) = -euler_gamma - 2 ln 2
-        g1 = beta_renormalized_xi_decomposition(1).coefficients[0]
+        g1 = beta_pole_free(0.5, 1, 0.5, 1024).coefficients[0]
         assert abs(g1 - (np.euler_gamma - 1.0)) < 1e-10
         r1 = gamma_log_coefficients(1)[0]
         expected_r1 = -0.5 * math.log(math.pi) - 0.5 * np.euler_gamma - math.log(2.0)
@@ -493,7 +523,7 @@ class TestRenormalized:
 
     def test_route_preconditions(self):
         with pytest.raises(ValueError):
-            beta_contour(ResolventModel("shifted", s0=0.9), 5)
+            beta_contour(ResolventModel("shifted", s0=0.5), 5)
         with pytest.raises(ValueError):
             beta_renormalized_prime_sum(5, 0.9)
 

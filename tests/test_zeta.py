@@ -33,8 +33,8 @@ from zetaumm.zeta import (
     sieve_primes,
     xi,
     zeta,
-    zeta_and_derivative,
     zeta_unit,
+    zeta_unit_log_derivative,
 )
 
 
@@ -98,10 +98,13 @@ class TestZeta:
         assert abs(lhs - rhs) < 1e-10
 
     def test_pole_reported_distinctly(self):
-        with pytest.raises(ZetaPole):
-            zeta(1.0)
-        with pytest.raises(ZetaPole):
-            zeta_and_derivative(1.0 + 1e-14j)
+        for s in (1.0, 1.0 + 1e-14j):
+            with pytest.raises(ZetaPole):
+                zeta(s)
+        # the log-derivative of (s-1) zeta(s) has no pole there: it is
+        # euler_gamma, the constant of zeta's Laurent series
+        for s in (1.0, 1.0 + 1e-14j):
+            assert abs(zeta_unit_log_derivative(s) - np.euler_gamma) < 1e-14
 
     def test_unit_product_regular_at_one(self):
         assert abs(zeta_unit(1.0) - 1.0) < 1e-14
@@ -109,21 +112,21 @@ class TestZeta:
         assert abs(zeta_unit(1.0 + 1e-8) - 1.0) < 1e-6
 
     def test_derivative_matches_finite_difference(self):
-        for s in (2.0 + 1.0j, 1.5, 3.0 - 2.0j):
-            _, ds = zeta_and_derivative(s)
+        for s in (2.0 + 1.0j, 1.5, 3.0 - 2.0j, 1.0 + 1e-3j):
             h = 1e-6
-            fd = (zeta(s + h) - zeta(s - h)) / (2.0 * h)
-            assert abs(ds - fd) < 1e-7
+            fd = (np.log(zeta_unit(s + h)) - np.log(zeta_unit(s - h))) / (2.0 * h)
+            assert abs(zeta_unit_log_derivative(s) - fd) < 1e-7
 
     def test_array_derivative_against_mpmath(self):
-        s = np.array([2.0 + 1.0j, 1.5, 3.0 - 2.0j, 0.5 + 14.0j, 0.25 + 30.0j])
-        val, ds = zeta_and_derivative(s)
-        assert val.shape == ds.shape == s.shape
-        for k, sk in enumerate(s):
-            want = complex(mpmath.zeta(sk))
-            dwant = complex(mpmath.zeta(sk, 1, 1))
-            assert abs(val[k] - want) < 1e-12 * max(1.0, abs(want))
-            assert abs(ds[k] - dwant) < 1e-12 * max(1.0, abs(dwant))
+        s = np.array([2.0 + 1.0j, 1.5, 3.0 - 2.0j, 0.5 + 14.0j, 0.25 + 30.0j, 1.0 + 1e-6j])
+        val, got = zeta(s), zeta_unit_log_derivative(s)
+        assert val.shape == got.shape == s.shape
+        with mpmath.workdps(30):
+            for k, sk in enumerate(s):
+                vwant = complex(mpmath.zeta(sk))
+                want = complex(mpmath.zeta(sk, 1, 1) / mpmath.zeta(sk) + 1 / (mpmath.mpc(sk) - 1))
+                assert abs(val[k] - vwant) < 1e-12 * max(1.0, abs(vwant))
+                assert abs(got[k] - want) < 1e-12 * max(1.0, abs(want))
 
     def test_array_and_scalar_entry_points_agree(self):
         s = np.array([0.3 + 2.0j, 0.1 + 3.0j, 2.5, 0.5 + 40.0j])

@@ -2,15 +2,16 @@
 """Print one digest line per command: the artifact's sha256, the exit code
 and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
 README's code blocks, every job of `perfbench/workloads.py` at seeds 1
-and 2 (that file is read, never written), and eleven edge cases: more
+and 2 (that file is read, never written), and thirteen edge cases: more
 ordinates asked of `li` than the table holds, a `betas --model xi`
 radius where the logarithm winds, a `trace-check` on 20 zeros, and the
 CLI routes that neither the README nor the jobs reach: `explicit-formula
 --kind j_local`, `beta-ren --method xi_decomposition`, `comb` for one
 prime, a JSON artifact (`comb --format json`), an `@FILE` options file
 with a comment line, the gamma model's closed form (`betas --model
-gamma`), and the half weights of psi and of j_local at a prime-power
-jump (x = 9).
+gamma`), the half weights of psi and of j_local at a prime-power jump
+(x = 9), and the shifted model below s0 = 1, where zeta's pole lies
+inside the circle (`betas --s0 0.75`, `beta-ren --mu 0.6`).
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
@@ -49,6 +50,8 @@ EDGE_CASES = (
     "zetaumm betas --model gamma --out betas-gamma.csv",
     f"zetaumm explicit-formula --kind psi --zeros {TABLE} --x 9 --out psi-9.csv",
     "zetaumm explicit-formula --kind j_local --prime 3 --x 9 --out jlocal-3-9.csv",
+    "zetaumm betas --model shifted --s0 0.75 --mmax 20 --out betas-shifted-075.csv",
+    "zetaumm beta-ren --method shifted_contour --mu 0.6 --out bren-shifted-06.csv",
 )
 # the file `@xi.cfg` reads
 XI_CFG = "# the xi model's order\nmmax = 12\n"

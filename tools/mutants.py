@@ -71,6 +71,12 @@ MUTANTS = [
     ("beta-ren shifted radius 0.5 -> 0.45", "src/zetaumm/cli.py",
      "        series = resolvent.beta_contour(model, args.mmax, 0.5, 1024)",
      "        series = resolvent.beta_contour(model, args.mmax, 0.45, 1024)"),
+    ("shifted pole part (3 - 2 mu) -> (3 + 2 mu)", "src/zetaumm/resolvent.py",
+     "        q = (3.0 - 2.0 * model.s0) / (2.0 * model.s0 - 1.0)",
+     "        q = (3.0 + 2.0 * model.s0) / (2.0 * model.s0 - 1.0)"),
+    ("shifted bar without the pole part's rounding", "src/zetaumm/resolvent.py",
+     "        bar = c.radius_error + c.doubling_error + (np.arange(1, M + 1) + 2) * zt.EPS * np.abs(pole)",
+     "        bar = c.radius_error + c.doubling_error + 0.0 * np.abs(pole)"),
     ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
      "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
      "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
