@@ -5,3 +5,7 @@ renormalized critical-line data, trace-formula checks, and random-matrix
 statistics.  `import zetaumm` loads no submodule."""
 
 __version__ = "0.1.0"
+
+
+class NumericConsistencyError(ArithmeticError):
+    """Two independent evaluation routes disagree beyond combined tolerance."""

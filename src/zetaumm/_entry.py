@@ -21,10 +21,13 @@ def one_blas_thread() -> None:
 
 def run() -> None:
     """one_blas_thread(), then `cli.main()` as the process's exit status.
-    The heap the imports built is frozen before the command runs: the
-    exit skips its cyclic-GC sweep and forked workers inherit it frozen."""
+    The heap is frozen before the command runs and again after it, once
+    the command's own imports (numpy for all but padic-check and
+    wavelet-check) are in: the exit skips its cyclic-GC sweep over them."""
     one_blas_thread()
     from . import cli
 
     gc.freeze()
-    sys.exit(cli.main())
+    status = cli.main()
+    gc.freeze()
+    sys.exit(status)

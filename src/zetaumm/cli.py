@@ -23,15 +23,11 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-# numpy, `output`, `padics` and `zeta` load for every command, padic-check's
-# too, which runs neither numpy nor `zeta` (ROADMAP item 16); each handler
-# imports the other modules it calls
-from . import __version__, output
-from . import zeta as zt
+# `output` and `padics` load for every command and need no numpy; each
+# handler imports numpy and the other modules it calls, so padic-check and
+# wavelet-check run without numpy
+from . import NumericConsistencyError, __version__, output
 from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
-from .zeta import NumericConsistencyError
 
 
 def _prime(text: str) -> int:
@@ -145,7 +141,8 @@ def _cmd_padic_check(args) -> None:
 @_command("wavelet-check", "Gram matrix (p = 2, labels 1..12) and D^1 residuals")
 def _cmd_wavelet_check(args) -> None:
     from .wavelets import WaveletIndex, gram_matrix, vladimirov_apply
-    gram_dev = float(np.abs(gram_matrix(2, 12) - np.eye(12)).max())
+    gram_dev = max(abs(g - float(i == k)) for i, row in enumerate(gram_matrix(2, 12))
+                   for k, g in enumerate(row))
     rows = []
     for scale in (0, 1):
         res = vladimirov_apply(WaveletIndex(2, scale), 1.0)
@@ -168,6 +165,8 @@ def _cmd_wavelet_check(args) -> None:
           ("--radius", dict(type=_finite, default=0.5)),
           ("--nodes", dict(type=int, default=512)))
 def _cmd_betas(args) -> None:
+    import numpy as np
+
     from . import resolvent
     model = resolvent.ResolventModel(args.model, p=args.prime, s0=args.s0)
     series = resolvent.beta_contour(model, args.mmax, args.radius, args.nodes)
@@ -185,6 +184,8 @@ def _cmd_betas(args) -> None:
           ("--prime", dict(type=_prime, required=True)),
           ("--spikes", dict(type=int, default=5)))
 def _cmd_density(args) -> None:
+    import numpy as np
+
     from . import resolvent
     grid = np.linspace(0.5, 5.78, 64)
     prof = resolvent.density_profile(args.prime, grid, args.spikes)
@@ -201,9 +202,10 @@ def _cmd_density(args) -> None:
     }, {"spike-weight": prof.spike_weight})
 
 
-def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
+def _ingest(path: str, max_zeros: int):
     """The validated zero table.  Excluded ordinates are reported in one
     stderr line, never in the artifact; a table with none left is refused."""
+    from . import zeta as zt
     table = zt.ingest_zeros(path, max_zeros=max_zeros)
     if table.excluded:
         print(f"zetaumm: {len(table.excluded)} of {len(table) + len(table.excluded)} ordinates "
@@ -218,6 +220,9 @@ def _ingest(path: str, max_zeros: int) -> zt.ZeroTable:
           ("--zeros", dict(required=True)),
           ("--nzeros", dict(type=int, default=2000)))
 def _cmd_li(args) -> None:
+    import numpy as np
+
+    from . import zeta as zt
     table = _ingest(args.zeros, args.nzeros)
     a = zt.li_coefficients_cauchy(args.nmax)
     b = zt.li_coefficients_zero_sum(args.nmax, table.ts, args.nzeros)
@@ -240,6 +245,8 @@ def _cmd_li(args) -> None:
           ("--mmax", dict(type=int, default=10)),
           ("--pmax", dict(type=int, default=10**6)))
 def _cmd_beta_ren(args) -> None:
+    import numpy as np
+
     from . import resolvent
     if args.method == "prime_sum":
         series = resolvent.beta_renormalized_prime_sum(args.mmax, args.mu, args.pmax)
@@ -267,6 +274,7 @@ def _cmd_beta_ren(args) -> None:
           ("--width", dict(type=_finite, default=1.0)))
 def _cmd_trace_check(args) -> None:
     from . import traceform
+    from . import zeta as zt
     table = _ingest(args.zeros, args.nzeros)
     primes = zt.PrimeTable.build(args.primes_max)
     rep = traceform.trace_formula_check(args.width, table, args.nzeros, primes)
@@ -286,6 +294,7 @@ def _cmd_trace_check(args) -> None:
           ("--nzeros", dict(type=int, default=100)),
           ("--prime", dict(type=_prime, default=2)))
 def _cmd_explicit_formula(args) -> None:
+    from . import zeta as zt
     if args.x <= 1.0:
         raise ValueError("counting functions are evaluated for x > 1")
     if args.kind == "j_local":

@@ -8,27 +8,24 @@ significant digits; JSON carries the same numbers as native floats.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
-
-import numpy as np
 
 FLOAT_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % float(value)
+    """A float (np.float64 is one) at 17 significant digits, else str()."""
+    if isinstance(value, float):
+        return FLOAT_FMT % value
     return str(value)
 
 
 def write_csv(path: str, columns: Mapping[str, Sequence], metadata: Mapping[str, object]) -> None:
     """Columnar CSV with '#'-prefixed metadata lines before the header."""
-    names = list(columns.keys())
-    arrays = [np.asarray(columns[k]) for k in names]
-    length = arrays[0].shape[0] if arrays else 0
+    names, arrays = list(columns), list(columns.values())
+    length = len(arrays[0]) if arrays else 0
     for name, arr in zip(names, arrays):
-        if arr.shape[0] != length:
+        if len(arr) != length:
             raise ValueError(f"column {name!r} has mismatched length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(metadata):
@@ -39,6 +36,8 @@ def write_csv(path: str, columns: Mapping[str, Sequence], metadata: Mapping[str,
 
 
 def write_json(path: str, payload: Mapping[str, object], metadata: Mapping[str, object]) -> None:
+    import json  # only JSON artifacts need it
+
     doc = {"metadata": dict(sorted(metadata.items())), **payload}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1, default=_plain)
@@ -46,8 +45,8 @@ def write_json(path: str, payload: Mapping[str, object], metadata: Mapping[str, 
 
 
 def _plain(value):
-    """json.dump's hook for numpy arrays and scalars (np.float64 is a float
-    and never reaches it)."""
-    if isinstance(value, (np.ndarray, np.generic)):
+    """json.dump's hook for numpy arrays and scalars, by their `tolist`
+    (np.float64 is a float and never reaches it)."""
+    if hasattr(value, "tolist"):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")

@@ -10,10 +10,9 @@ rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .padics import (
     Rational,
@@ -93,19 +92,16 @@ def inner_product(a: WaveletIndex, b: WaveletIndex) -> complex:
     return acc * float(p) ** (-K)
 
 
-def gram_matrix(p: int, n_max: int):
-    """Gram matrix of the restricted basis labels 1..n_max."""
+def gram_matrix(p: int, n_max: int) -> list[list[complex]]:
+    """Gram matrix of the restricted basis labels 1..n_max, as rows."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
     idxs = [restricted_index(p, n) for n in range(1, n_max + 1)]
-    G = np.empty((n_max, n_max), dtype=complex)
+    G = [[0j] * n_max for _ in idxs]
     for i, a in enumerate(idxs):
         for k, b in enumerate(idxs):
-            if k < i:
-                G[i, k] = G[k, i].conjugate()
-                continue
-            G[i, k] = inner_product(a, b)
+            G[i][k] = G[k][i].conjugate() if k < i else inner_product(a, b)
     return G
 
 
@@ -126,8 +122,12 @@ def vladimirov_eigenvalue(p: int, alpha: complex, scale: int) -> complex:
 
 
 def _one_minus_power(p: int, a: complex) -> complex:
-    """1 - p^a without cancellation at small |a|."""
-    return complex(-np.expm1(complex(a) * np.log(p)))
+    """1 - p^a = -expm1(z), z = a ln p, without cancellation at small |a|:
+    numpy's complex expm1, Re = expm1(x) cos y - 2 sin^2(y/2), Im = e^x sin y."""
+    z = complex(a) * math.log(p)
+    x, y = z.real, z.imag
+    h = math.sin(y / 2)
+    return -complex(math.expm1(x) * math.cos(y) - 2 * h * h, math.exp(x) * math.sin(y))
 
 
 _KERNEL_B = 12  # kernel domain cutoff p^B: past the support it moves only rounding

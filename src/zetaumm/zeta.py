@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import NumericConsistencyError  # re-exported for callers of check_agreement
 from .padics import require_prime
 
 LN_PI = math.log(math.pi)
@@ -28,10 +29,6 @@ EPS = 2.220446049250313e-16
 
 class ZetaPole(ArithmeticError):
     """Evaluation exactly at the simple pole s = 1."""
-
-
-class NumericConsistencyError(ArithmeticError):
-    """Two independent evaluation routes disagree beyond combined tolerance."""
 
 
 def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> list[str]:

@@ -698,33 +698,38 @@ class TestImportPath:
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             zetaumm.nope
 
-    @pytest.mark.parametrize("argv, loaded", [
-        (["padic-check", "--samples", "5"], []),
-        (["comb"], ["traceform"]),
-        (["cue-sample", "--n", "12", "--samples", "150"], ["ensemble"]),
+    @pytest.mark.parametrize("argv, loaded, numpy", [
+        (["padic-check", "--samples", "5"], [], False),
+        (["wavelet-check"], ["wavelets"], False),
+        (["comb"], ["traceform", "zeta"], True),
+        (["cue-sample", "--n", "12", "--samples", "150"], ["ensemble"], True),
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--burn-in", "5", "--chains", "1"],
-         ["ensemble"]),
-    ], ids=["padic-check", "comb", "cue-sample", "plaquette-mc"])
-    def test_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded):
+         ["ensemble"], True),
+    ], ids=["padic-check", "wavelet-check", "comb", "cue-sample", "plaquette-mc"])
+    def test_command_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded, numpy):
         # main() leaves the heap unfrozen: only the process entry freezes it
         proc = _fresh_python("import gc, sys; from zetaumm.cli import main; rc = main(sys.argv[1:]); "
-                             "print(rc, gc.get_freeze_count(), sorted(m.split('.')[1] for m in "
-                             "sys.modules if m.startswith('zetaumm.')))",
+                             "print(rc, gc.get_freeze_count(), 'numpy' in sys.modules, sorted("
+                             "m.split('.')[1] for m in sys.modules if m.startswith('zetaumm.')))",
                              *argv, "--out", "out.csv", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        eager = ["cli", "output", "padics", "zeta"]
-        assert proc.stdout.strip() == f"0 0 {sorted(eager + loaded)}"
+        eager = ["cli", "output", "padics"]
+        assert proc.stdout.strip() == f"0 0 {numpy} {sorted(eager + loaded)}"
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_process_entry_writes_what_main_writes(self, tmp_path, monkeypatch, entry):
-        code = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); " + (
-            _entry_code(entry))
+        # numpy's import alone leaves ~8,500 objects the collector tracks at
+        # exit; comb imports it after the entry's first freeze, so only a
+        # second freeze after the command keeps the exit from sweeping them
+        code = ("import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0, "
+                "len(gc.get_objects()))); " + _entry_code(entry))
         argv = ["comb", "--prime", "all", "--mu", "0.5", "--qmax", "5", "--out", "comb.csv"]
         fresh = tmp_path / "fresh"
         fresh.mkdir()
         proc = _fresh_python(code, *argv, cwd=fresh)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "True\n"  # the entry froze the heap
+        frozen, tracked = proc.stdout.split()
+        assert frozen == "True" and int(tracked) < 2000  # the entry froze the heap, twice
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
         assert (fresh / "comb.csv").read_bytes() == (tmp_path / "comb.csv").read_bytes()

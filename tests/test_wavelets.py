@@ -74,7 +74,7 @@ class TestOrthonormality:
         # sha256 of the Gram matrix of the general (n, m, j)-labelled
         # wavelets' coset sums; the restricted family must reproduce it
         # bit for bit (IEEE float64, x86-64 glibc libm)
-        assert hashlib.sha256(gram_matrix(p, 12).tobytes()).hexdigest() == digest
+        assert hashlib.sha256(np.asarray(gram_matrix(p, 12)).tobytes()).hexdigest() == digest
 
 
 class TestVladimirov:

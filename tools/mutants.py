@@ -77,6 +77,9 @@ MUTANTS = [
     ("shifted bar without the pole part's rounding", "src/zetaumm/resolvent.py",
      "        bar = c.radius_error + c.doubling_error + (np.arange(1, M + 1) + 2) * zt.EPS * np.abs(pole)",
      "        bar = c.radius_error + c.doubling_error + 0.0 * np.abs(pole)"),
+    ("1 - p^a as plain exp(z) - 1", "src/zetaumm/wavelets.py",
+     "    return -complex(math.expm1(x) * math.cos(y) - 2 * h * h, math.exp(x) * math.sin(y))",
+     "    return -complex(math.exp(x) * math.cos(y) - 1, math.exp(x) * math.sin(y))"),
     ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
      "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
      "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
