@@ -13,9 +13,10 @@ Determinism contract: every stream is a pure function of (seed, chain
 index); chains never share random state, so results are independent of how
 chains are scheduled.  CUE samples and Metropolis chains are split into one
 contiguous block per CPU the process may use (os.sched_getaffinity); each
-block past the first runs in a forked child.  A CUE block skips ahead in the
-single (seed, 0) stream by drawing and discarding the normals of the samples
-before it, so every result is bit-identical for any CPU count.
+block past the first runs in a forked child.  Every CUE sample takes the
+same 2N - 1 uniforms of the single (seed, 0) stream, so a block starts by
+advancing the PCG64 state past the samples before it, and every result is
+bit-identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def sample_cue(N: int, samples: int, seed: int) -> np.ndarray:
     """Haar-distributed eigenphases of U(N): a (samples, N) array, each row
     ascending in (-pi, pi].
 
-    Complex Ginibre matrices are QR-factorised and the R-diagonal phases
-    divided out, which corrects the plain QR measure to exactly Haar;
-    the eigenphases are then sorted per sample.
+    Each sample is the CMV matrix of N Verblunsky coefficients drawn by
+    Killip and Nenciu's law, whose eigenvalues are exactly those of a Haar
+    unitary; the eigenphases are then sorted per sample.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -107,20 +108,50 @@ def sample_cue(N: int, samples: int, seed: int) -> np.ndarray:
 
 
 def _cue_block(N: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenphases of samples lo..hi-1: the (seed, 0) stream skips the two
-    N x N normal blocks of each earlier sample, one block at a time."""
+    """Eigenphases of samples lo..hi-1.  Each sample takes 2N - 1 uniforms
+    of the (seed, 0) stream, one PCG64 step each, so the block starts by
+    advancing the stream past the lo (2N - 1) uniforms before it.  The CMV
+    matrices are built a chunk of samples at a time."""
     rng = _chain_rng(seed, 0)
-    skip = np.empty((N, N))
-    for _ in range(2 * lo):
-        rng.standard_normal(out=skip)
+    rng.bit_generator.advance(lo * (2 * N - 1))
     out = np.empty((hi - lo, N))
-    for k in range(hi - lo):
-        A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        Q, R = np.linalg.qr(A / math.sqrt(2.0))
-        d = np.diagonal(R)
-        Q = Q * (d / np.abs(d))
-        out[k] = _eigenphases(Q)
+    step = max(1, 2**14 // (N * N))  # samples per chunk: about 1 MB of working arrays
+    for k in range(0, hi - lo, step):
+        for j, C in enumerate(_cmv(rng.random((min(step, hi - lo - k), 2 * N - 1))), k):
+            out[j] = _eigenphases(C)
     return out
+
+
+def _cmv(u: np.ndarray) -> np.ndarray:
+    """The N x N CMV matrices C = L M (Killip & Nenciu 2004), one per row of
+    2N - 1 uniforms u.  The first N - 1 give the moduli of the Verblunsky
+    coefficients by the inverse CDF of |alpha_k|^2 ~ Beta(1, N - 1 - k),
+    |alpha_k|^2 = 1 - (1 - u)^(1/(N-1-k)); |alpha_{N-1}| = 1, and the last N
+    give the phases 2 pi u.  With rho_k = sqrt(1 - |alpha_k|^2) and
+    Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]] on rows and columns
+    k, k + 1, L = diag(Theta_0, Theta_2, ...) and M = diag(1, Theta_1,
+    Theta_3, ...).  rho_{N-1} = 0 cuts the last Theta to its corner, so M
+    is built one row and column larger, and rows 2j, 2j + 1 of C are
+    Theta_2j times those rows of M."""
+    S, N = u.shape[0], (u.shape[1] + 1) // 2
+    x = np.log1p(-u[:, : N - 1]) / np.arange(N - 1, 0, -1)  # log(1 - |alpha_k|^2)
+    alpha = np.exp(TWO_PI * 1j * u[:, N - 1 :])
+    alpha[:, :-1] *= np.sqrt(-np.expm1(x))
+    rho = np.zeros((S, N))
+    rho[:, :-1] = np.exp(0.5 * x)
+    M = np.zeros((S, N + 1, N + 1), dtype=complex)
+    M[:, 0, 0] = 1.0
+    k = np.arange(1, N, 2)
+    M[:, k, k] = alpha[:, k].conj()
+    M[:, k, k + 1] = M[:, k + 1, k] = rho[:, k]
+    M[:, k + 1, k + 1] = -alpha[:, k]
+    rows = 2 * ((N + 1) // 2)  # the row pairs of L: one past C's rows when N is odd
+    a, r = alpha[:, 0::2, None], rho[:, 0::2, None]
+    even, odd = M[:, 0:rows:2], M[:, 1:rows:2]
+    C = np.empty((S, rows, N + 1), dtype=complex)
+    C[:, 0::2] = a.conj() * even + r * odd
+    C[:, 1::2] = r * even - a * odd
+    return C[:, :N, :N]
 
 
 def _eigenphases(Q: np.ndarray) -> np.ndarray:
@@ -136,10 +167,13 @@ def _eigenphases(Q: np.ndarray) -> np.ndarray:
     eye = np.eye(N)
     phi = 0.0
     for _ in range(3):
-        U = Q * np.exp(-1j * phi)
+        U = Q * np.exp(-1j * phi) if phi else Q
         try:
-            H = 1j * np.linalg.solve(eye + U, eye - U)
-            x = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+            H = np.linalg.solve(eye + U, eye - U)
+            H *= 1j
+            H += H.conj().T
+            H *= 0.5
+            x = np.linalg.eigvalsh(H)
         except np.linalg.LinAlgError:  # I + U exactly singular: turn by any angle
             phi += 1.0
             continue

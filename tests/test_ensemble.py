@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 import os
@@ -57,6 +58,14 @@ class TestCUE:
         res = kstest(g, lambda x: (x - np.sin(x)) / TWO_PI)
         assert res.pvalue > 0.01
 
+    @pytest.mark.parametrize("j", [1, 2, 4, 8, 9])
+    def test_power_traces_have_haar_moments(self, j):
+        # E|tr U^j|^2 = min(j, N) for Haar U (Diaconis & Shahshahani 1994);
+        # the samples are independent, so the standard error is std/sqrt(n)
+        N = 8
+        t = np.abs(np.exp(1j * j * sample_cue(N, 20000, seed=17)).sum(axis=1)) ** 2
+        assert abs(t.mean() - min(j, N)) <= 5 * t.std() / math.sqrt(t.size)
+
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             sample_cue(1, 10, seed=0)
@@ -65,14 +74,13 @@ class TestCUE:
                 sample_cue(4, samples, seed=0)
 
     @pytest.mark.parametrize("N, samples, seed, digest", [
-        (2, 1001, 3, "aae0fbce18965c0fca4192a0e18126ea0b78c6265ece27c2cc17ff636a0898f3"),
-        (8, 301, 4, "cbb690ffacba64920a2b66c10825d470f4b28da885138e8a3740e3d5054669b0"),
-        (40, 61, 5, "d9a0147f24874501708ed8933c31b932a4e43ed91e0a798cbb82db663f4822a0"),
+        (2, 1001, 3, "b2e0045cda396434457b4a32739b4ea7de090c1493cba8d7a8ffa486c273bc9d"),
+        (8, 301, 4, "033d79d8c8f572820e08f78a7ba2a5c1b1674abc3de7fd469a06e0cbb687491d"),
+        (40, 61, 5, "71b7ce6d6712e8baf2dbd8f20a826d159501ed7ee8aed68c183a1b9fb418410d"),
     ])
     def test_phases_pinned(self, N, samples, seed, digest):
-        # sha256 of the phases of the one-process, one-matrix-at-a-time
-        # sampler (IEEE float64, x86-64 glibc libm); no sample count here
-        # is a multiple of 2 or 3
+        # sha256 of the phases of a one-process run (IEEE float64, x86-64
+        # glibc libm); no sample count here is a multiple of 2 or 3
         assert hashlib.sha256(sample_cue(N, samples, seed).tobytes()).hexdigest() == digest
 
 
@@ -169,17 +177,38 @@ def _haar(N, rng):
     return Q * (d / np.abs(d))
 
 
+def _cmv_replay(N, rng):
+    """The next CMV matrix of sample_cue's stream, built alone: 2N - 1
+    uniforms give |alpha_k|^2 = 1 - (1 - u_k)^(1/(N-1-k)) for k < N - 1,
+    |alpha_{N-1}| = 1, and the phases 2 pi u_{N-1+k}; C = L M with
+    Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]] on rows k, k + 1
+    of L (k even) or M (k odd, after M's leading 1)."""
+    u = rng.random(2 * N - 1)
+    alpha = [cmath.exp(2j * math.pi * u[N - 1 + k])
+             * (math.sqrt(1.0 - (1.0 - u[k]) ** (1.0 / (N - 1 - k))) if k < N - 1 else 1.0)
+             for k in range(N)]
+    L, M = np.zeros((N, N), complex), np.eye(N, dtype=complex)
+    for k, a in enumerate(alpha):
+        X = L if k % 2 == 0 else M
+        if k == N - 1:
+            X[k, k] = a.conjugate()
+        else:
+            rho = math.sqrt(1.0 - abs(a) ** 2)
+            X[k : k + 2, k : k + 2] = [[a.conjugate(), rho], [rho, -a]]
+    return L @ M
+
+
 class TestCayleyPhases:
     """The Cayley-transform eigenphases against np.linalg.eigvals."""
 
     @pytest.mark.parametrize("N, samples, seed", [(40, 60, 1), (80, 10, 2), (3, 300, 3)])
     def test_sample_cue_matches_eigvals(self, N, samples, seed):
-        # _haar replays the draws of sample_cue, so these are its matrices;
-        # about one in six takes the guarded second pass
+        # _cmv_replay replays the draws of sample_cue, so these are its
+        # matrices; 16 of the 60 at N = 40 take the guarded second pass
         phases = sample_cue(N, samples, seed)
         rng = _chain_rng(seed, 0)
         for row in phases:
-            ref = np.angle(np.linalg.eigvals(_haar(N, rng)))
+            ref = np.angle(np.linalg.eigvals(_cmv_replay(N, rng)))
             assert _circular_error(row, ref) <= 1e-12
 
     @pytest.mark.parametrize("rotate", [False, True])

@@ -80,6 +80,9 @@ MUTANTS = [
     ("1 - p^a as plain exp(z) - 1", "src/zetaumm/wavelets.py",
      "    return -complex(math.expm1(x) * math.cos(y) - 2 * h * h, math.exp(x) * math.sin(y))",
      "    return -complex(math.exp(x) * math.cos(y) - 1, math.exp(x) * math.sin(y))"),
+    ("CUE Verblunsky moduli Beta(1, N - 1 - k) -> Beta(1, N - k)", "src/zetaumm/ensemble.py",
+     "    x = np.log1p(-u[:, : N - 1]) / np.arange(N - 1, 0, -1)  # log(1 - |alpha_k|^2)",
+     "    x = np.log1p(-u[:, : N - 1]) / np.arange(N, 1, -1)  # log(1 - |alpha_k|^2)"),
     ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
      "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
      "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
