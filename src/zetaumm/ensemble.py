@@ -15,8 +15,12 @@ chains are scheduled.  CUE samples and Metropolis chains are split into one
 contiguous block per CPU the process may use (os.sched_getaffinity); each
 block past the first runs in a forked child.  Every CUE sample takes the
 same 2N - 1 uniforms of the single (seed, 0) stream, so a block starts by
-advancing the PCG64 state past the samples before it, and every result is
-bit-identical for any CPU count.
+advancing the PCG64 state past the samples before it.  A sample's phases
+depend on its own uniforms only, not on the chunk of samples it is
+computed in nor on which samples are retried with it at the end of its
+block (complex products whose numpy loop could depend on the chunk's
+shape are taken from real ones), so every result is bit-identical for any
+CPU count.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,88 +109,203 @@ def sample_cue(N: int, samples: int, seed: int) -> np.ndarray:
         raise ValueError("N must be at least 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    blocks = _in_parallel(_cue_block, [(N, seed, lo, hi) for lo, hi in _blocks(samples)])
-    return np.concatenate(blocks)
-
-
-def _cue_block(N: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenphases of samples lo..hi-1.  Each sample takes 2N - 1 uniforms
-    of the (seed, 0) stream, one PCG64 step each, so the block starts by
-    advancing the stream past the lo (2N - 1) uniforms before it.  The CMV
-    matrices are built a chunk of samples at a time."""
-    rng = _chain_rng(seed, 0)
-    rng.bit_generator.advance(lo * (2 * N - 1))
-    out = np.empty((hi - lo, N))
-    step = max(1, 2**14 // (N * N))  # samples per chunk: about 1 MB of working arrays
-    for k in range(0, hi - lo, step):
-        for j, C in enumerate(_cmv(rng.random((min(step, hi - lo - k), 2 * N - 1))), k):
-            out[j] = _eigenphases(C)
+    out = np.empty((samples, N))
+    parts = [(N, seed, lo, out[lo:hi]) for lo, hi in _blocks(samples)]
+    for (*_, block), phases in zip(parts, _in_parallel(_cue_block, parts)):
+        block[...] = phases  # a forked child filled its own copy of its block
     return out
 
 
-def _cmv(u: np.ndarray) -> np.ndarray:
-    """The N x N CMV matrices C = L M (Killip & Nenciu 2004), one per row of
-    2N - 1 uniforms u.  The first N - 1 give the moduli of the Verblunsky
-    coefficients by the inverse CDF of |alpha_k|^2 ~ Beta(1, N - 1 - k),
-    |alpha_k|^2 = 1 - (1 - u)^(1/(N-1-k)); |alpha_{N-1}| = 1, and the last N
-    give the phases 2 pi u.  With rho_k = sqrt(1 - |alpha_k|^2) and
-    Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]] on rows and columns
-    k, k + 1, L = diag(Theta_0, Theta_2, ...) and M = diag(1, Theta_1,
-    Theta_3, ...).  rho_{N-1} = 0 cuts the last Theta to its corner, so M
-    is built one row and column larger, and rows 2j, 2j + 1 of C are
-    Theta_2j times those rows of M."""
-    S, N = u.shape[0], (u.shape[1] + 1) // 2
+def _cue_block(N: int, seed: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill and return out with the eigenphases of samples lo, lo + 1, ...
+    Each sample takes 2N - 1 uniforms of the (seed, 0) stream, one PCG64
+    step each, so the block starts by advancing the stream past the
+    lo (2N - 1) uniforms before it."""
+    rng = _chain_rng(seed, 0)
+    rng.bit_generator.advance(lo * (2 * N - 1))
+    n, step = len(out), _chunk(N)
+    draws = (rng.random((min(step, n - k), 2 * N - 1)) for k in range(0, n, step))
+    return _cue_phases(out, map(_verblunsky, draws))
+
+
+# complex words per chunk of samples: the (N, samples) arrays of the pivot
+# recurrences, and the (samples, N, N) buffer of the Cayley matrices
+_VECTOR_WORDS, _DENSE_WORDS = 2**11, 2**14
+_PIVOT_FLOOR = 2.0**-10  # a pivot of T smaller in modulus fails the pass
+
+
+def _chunk(N: int) -> int:
+    return max(1, _VECTOR_WORDS // N)
+
+
+def _verblunsky(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verblunsky coefficients alpha and rho = sqrt(1 - |alpha|^2), N each
+    per row of 2N - 1 uniforms u, by Killip and Nenciu's law.  The first
+    N - 1 give the moduli by the inverse CDF of |alpha_k|^2 ~ Beta(1, N - 1
+    - k), |alpha_k|^2 = 1 - (1 - u)^(1/(N-1-k)); |alpha_{N-1}| = 1, and the
+    last N give the phases 2 pi u."""
+    N = (u.shape[1] + 1) // 2
     x = np.log1p(-u[:, : N - 1]) / np.arange(N - 1, 0, -1)  # log(1 - |alpha_k|^2)
     alpha = np.exp(TWO_PI * 1j * u[:, N - 1 :])
     alpha[:, :-1] *= np.sqrt(-np.expm1(x))
-    rho = np.zeros((S, N))
+    rho = np.zeros(alpha.shape)
     rho[:, :-1] = np.exp(0.5 * x)
-    M = np.zeros((S, N + 1, N + 1), dtype=complex)
-    M[:, 0, 0] = 1.0
-    k = np.arange(1, N, 2)
-    M[:, k, k] = alpha[:, k].conj()
-    M[:, k, k + 1] = M[:, k + 1, k] = rho[:, k]
-    M[:, k + 1, k + 1] = -alpha[:, k]
-    rows = 2 * ((N + 1) // 2)  # the row pairs of L: one past C's rows when N is odd
-    a, r = alpha[:, 0::2, None], rho[:, 0::2, None]
-    even, odd = M[:, 0:rows:2], M[:, 1:rows:2]
-    C = np.empty((S, rows, N + 1), dtype=complex)
-    C[:, 0::2] = a.conj() * even + r * odd
-    C[:, 1::2] = r * even - a * odd
-    return C[:, :N, :N]
+    return alpha, rho
 
 
-def _eigenphases(Q: np.ndarray) -> np.ndarray:
-    """Sorted eigenphases in (-pi, pi] of a unitary Q, by the Cayley transform.
+def _cue_phases(out: np.ndarray, chunks) -> np.ndarray:
+    """Fill and return out with the sorted eigenphases in (-pi, pi], one row
+    per sample, of the CMV matrices of an iterable of (alpha, rho) chunks.
 
-    With U = e^{-i phi} Q, H = i(I - U)(I + U)^{-1} is Hermitian with
-    eigenvalues x = tan((theta - phi)/2).  It loses accuracy for an
-    eigenphase near phi + pi (large |x|, I + U near singular); then phi
-    is moved so that phi + pi is the middle of the widest gap between the
-    phases of the first pass.
-    """
-    N = Q.shape[0]
-    eye = np.eye(N)
-    phi = 0.0
-    for _ in range(3):
-        U = Q * np.exp(-1j * phi) if phi else Q
-        try:
-            H = np.linalg.solve(eye + U, eye - U)
-            H *= 1j
-            H += H.conj().T
-            H *= 0.5
-            x = np.linalg.eigvalsh(H)
-        except np.linalg.LinAlgError:  # I + U exactly singular: turn by any angle
-            phi += 1.0
-            continue
-        theta = math.pi - (math.pi - 2.0 * np.arctan(x) - phi) % TWO_PI
-        theta = np.sort(np.where(theta > -math.pi, theta, math.pi))  # the % can round up to 2 pi
-        if np.abs(x).max() <= 4 * N:
-            break
-        gaps = np.diff(theta, append=theta[0] + TWO_PI)
-        k = int(np.argmax(gaps))
-        phi = theta[k] + 0.5 * gaps[k] - math.pi
-    return theta
+    Each chunk takes a _cayley_pass at phi = 0 as it comes.  The samples a
+    pass turns back are collected over all chunks and take up to two more
+    passes, at the rotation _turn gives each; a sample turned back by the
+    third raises NumericConsistencyError."""
+    N, back, start = out.shape[1], [], 0
+    for alpha, rho in chunks:
+        rows = np.arange(start, start + len(alpha))
+        start += len(alpha)
+        back.append(_accept(out, rows, alpha, rho, np.zeros(len(alpha))))
+    pending, step = [np.concatenate(a) for a in zip(*back)], _chunk(N)
+    for _ in range(2):
+        back = [_accept(out, *(a[k : k + step] for a in pending))
+                for k in range(0, len(pending[0]), step)]
+        if back:  # else nothing was pending, and nothing is
+            pending = [np.concatenate(a) for a in zip(*back)]
+    if len(pending[0]):
+        raise NumericConsistencyError(f"{len(pending[0])} CUE sample(s) of U({N}) failed the "
+                                      "Cayley transform at three rotations")
+    return out
+
+
+def _accept(out, rows, alpha, rho, phi):
+    """One _cayley_pass over the samples: the accepted phases go to their
+    rows of out; returns (rows, alpha, rho, next phi) of the turned-back
+    samples."""
+    theta, ok = _cayley_pass(alpha, rho, phi)
+    out[rows[ok]] = theta[ok]
+    bad = ~ok
+    return rows[bad], alpha[bad], rho[bad], _turn(theta[bad], phi[bad])
+
+
+def _turn(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The rotation that puts phi + pi in the middle of the widest gap
+    between a sample's phases, or phi + 1 where its pass gave none (a NaN
+    row)."""
+    gaps = np.diff(theta, axis=1, append=theta[:, :1] + TWO_PI)
+    k = np.argmax(gaps, axis=1)[:, None]
+    mid = np.take_along_axis(theta + 0.5 * gaps, k, axis=1)[:, 0] - math.pi
+    return np.where(np.isnan(mid), phi + 1.0, mid)
+
+
+def _cayley_pass(alpha: np.ndarray, rho: np.ndarray,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted eigenphases in (-pi, pi] of the CMV matrices C = L M of the
+    rows of alpha and rho, by the Cayley transform of U = e^{-i phi} C, and
+    a flag per sample, False where the pass fails.
+
+    Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]] on rows and
+    columns k, k + 1 give L = diag(Theta_0, Theta_2, ...) and M = diag(1,
+    Theta_1, Theta_3, ...) (Killip & Nenciu 2004), the last block cut to
+    its corner.  Both are symmetric and unitary, so with w = e^{-i phi},
+    I +- U = L(conj L +- w M) and H = i(I - U)(I + U)^{-1} = L K L^*,
+
+        K = 2i conj(L) T^{-1} - iI,   T = conj(L) + w M.
+
+    K, like H, is Hermitian with eigenvalues x = tan((theta - phi)/2).  T is
+    complex symmetric and tridiagonal, with diagonal d and off-diagonal e;
+    from its forward pivots delta and backward pivots sigma, T^{-1} has
+    diagonal g_i = 1/(delta_i + sigma_i - d_i) and, right of it,
+    T^{-1}_ij = g_i prod_{i <= k < j} c_k, c_k = -e_k/sigma_{k+1} (Meurant
+    1992).  So right of column 2m + 1, rows 2m and 2m + 1 of T^{-1}, and of
+    K, are multiples of one vector.
+
+    A sample fails when a pivot that divides is not finite or below
+    _PIVOT_FLOOR in modulus, or K is not finite (its row is then NaN), or
+    some |x| > 4N: an eigenphase within about 1/(2N) of phi + pi, where
+    I + U is near singular."""
+    S, N = alpha.shape
+    ok, c, u, v, diag = _pivots(alpha, rho, np.exp(-1j * phi))
+    x = np.empty((S, N))
+    step = max(1, _DENSE_WORDS // (N * N))
+    buf = np.zeros((min(step, S), N, N), dtype=complex)
+    for k in range(0, S, step):
+        s, K = slice(k, k + step), buf[: S - k]
+        with np.errstate(all="ignore"):  # a failing sample's K may hold inf and NaN
+            _cayley_matrices(K, c[:, s], u[:, s], v[:, s], diag[:, s])
+        finite = np.isfinite(K).all(axis=(1, 2))
+        K[~finite] = 0.0
+        ok[s] &= finite
+        x[s] = np.linalg.eigvalsh(K, UPLO="U")
+        x[s][~finite] = np.nan
+    theta = math.pi - (math.pi - 2.0 * np.arctan(x) - phi[:, None]) % TWO_PI
+    theta = np.sort(np.where(theta <= -math.pi, math.pi, theta), axis=1)  # % can round up to 2 pi
+    ok &= np.maximum(-x[:, 0], x[:, -1]) <= 4 * N
+    return theta, ok
+
+
+def _pivots(alpha, rho, w):
+    """The pivot flags and the columns c, u, v and diag of _cayley_pass, one
+    column per sample, for T = conj(L) + w M.  Rows 2m and 2m + 1 of K are
+    u_m R_m and v_m R_m right of column 2m, R_mj = prod_{2m < k < j} c_k,
+    and K_{2m,2m} = diag_m."""
+    S, N = alpha.shape
+    a = alpha.T.copy()  # row k: coefficient k of every sample, so each step below is contiguous
+    prev = np.concatenate([np.full((1, S), -1.0 + 0j), a[:-1]])  # alpha_{k-1}, alpha_{-1} = -1
+    d = np.empty((N, S), dtype=complex)
+    d[0::2] = a[0::2] - _cmul(w, prev[0::2])
+    d[1::2] = _cmul(w, a[1::2].conj()) - prev[1::2].conj()
+    e = rho.T.astype(complex)  # e_{N-1} = rho_{N-1} = 0 lies outside T
+    e[1::2] *= w
+    e2 = (rho.T * rho.T).astype(complex)
+    e2[1::2] *= _cmul(w, w)
+    delta, sigma = np.empty_like(d), np.empty_like(d)
+    delta[0], sigma[-1] = d[0], d[-1]
+    with np.errstate(all="ignore"):  # a failing sample may divide by 0 or overflow
+        for k in range(1, N):
+            np.divide(e2[k - 1], delta[k - 1], out=delta[k])
+            np.subtract(d[k], delta[k], out=delta[k])
+            np.divide(e2[N - 1 - k], sigma[N - k], out=sigma[N - 1 - k])
+            np.subtract(d[N - 1 - k], sigma[N - 1 - k], out=sigma[N - 1 - k])
+        floor = _PIVOT_FLOOR**2
+        ok = (delta.real[:-1] ** 2 + delta.imag[:-1] ** 2 >= floor).all(axis=0)
+        ok &= (sigma.real[1:] ** 2 + sigma.imag[1:] ** 2 >= floor).all(axis=0)
+        g = 1.0 / (delta + sigma - d)
+        c = np.zeros_like(d)  # c_{N-1} = 0 pads the last row pair of an odd N
+        np.divide(-e[:-1], sigma[1:], out=c[:-1])
+        h = _cmul(g[0::2], c[0::2])  # T^{-1}_{2m,2m+1}
+        ae, re, P = a[0::2], rho.T[0::2], N // 2
+        diag = 2j * (_cmul(ae, g[0::2]) + re * h)
+        u = 2j * (_cmul(ae[:P], h[:P]) + re[:P] * g[1::2])
+        v = 2j * (re[:P] * h[:P] - _cmul(ae[:P].conj(), g[1::2]))
+    return ok, c, u, v, diag
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y from real products and sums.  Whether numpy's complex multiply
+    fuses a multiply-add depends on the shapes of its operands, so with it
+    a sample's bits would depend on the size of its chunk.  A product with
+    a real factor (one whose imaginary part is 0) rounds once either way."""
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _cayley_matrices(K, c, u, v, diag) -> None:
+    """Write the K of _cayley_pass on and above the diagonal, one per
+    sample, from the columns of c, u, v and diag.  The -iI and the
+    imaginary part it cancels are left off: eigvalsh reads the real part
+    of the diagonal only."""
+    n, N, _ = K.shape
+    P = N // 2
+    ev, od = K[:, 0 : 2 * P : 2], K[:, 1 : 2 * P : 2]
+    od[:, :, 1:] = c.T[:, None, :-1]  # od[m, j] = c_{j-1}, then 1 up to column 2m + 1
+    np.copyto(od, 1.0, where=np.arange(N) <= np.arange(1, 2 * P, 2)[:, None])
+    np.multiply.accumulate(od, axis=2, out=od)  # R
+    np.multiply(od, u.T[:, :, None], out=ev)
+    od *= v.T[:, :, None]
+    K.reshape(n, N * N)[:, :: 2 * (N + 1)] = diag.T
 
 
 # ---------------------------------------------------------------------------

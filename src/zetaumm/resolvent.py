@@ -60,7 +60,9 @@ class ResolventModel:
 def _mul(a, b) -> np.ndarray:
     """Complex product from real products and sums: numpy's complex array
     multiply may fuse multiply-adds depending on the CPU, this cannot, so
-    samples do not depend on the machine or on array vs scalar input."""
+    the product does not depend on array vs scalar input.  The values still
+    depend on the machine through numpy's SIMD loops for exp, log and the
+    like, and through LAPACK."""
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real

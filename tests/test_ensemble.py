@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from zetaumm import ensemble
+from zetaumm import NumericConsistencyError, cli, ensemble
 from zetaumm.ensemble import (
     _chain_rng,
-    _eigenphases,
     acceptance_in_band,
     pair_correlation,
     plaquette_mc,
@@ -74,14 +73,44 @@ class TestCUE:
                 sample_cue(4, samples, seed=0)
 
     @pytest.mark.parametrize("N, samples, seed, digest", [
-        (2, 1001, 3, "b2e0045cda396434457b4a32739b4ea7de090c1493cba8d7a8ffa486c273bc9d"),
-        (8, 301, 4, "033d79d8c8f572820e08f78a7ba2a5c1b1674abc3de7fd469a06e0cbb687491d"),
-        (40, 61, 5, "71b7ce6d6712e8baf2dbd8f20a826d159501ed7ee8aed68c183a1b9fb418410d"),
+        (2, 1001, 3, "d1fd28571b9cb73c97f4e83535895e165ddc9dd15edcdf118dab2eaaf6643c03"),
+        (8, 301, 4, "0dbf3cb28dc5d8841cd6ff98932ad75c2ef4f0c2e9c05f5f6baeca1d8eeb0db5"),
+        (40, 61, 5, "817845b7feea78d8f62a986ab9ab544782cb2d9fc298b7e93f1bd0f3e8e3e08c"),
     ])
     def test_phases_pinned(self, N, samples, seed, digest):
         # sha256 of the phases of a one-process run (IEEE float64, x86-64
-        # glibc libm); no sample count here is a multiple of 2 or 3
+        # glibc libm); no sample count here is a multiple of 2 or 3.  The
+        # bits also depend on the SIMD loops numpy dispatches to (log1p, exp,
+        # expm1, sqrt, arctan) and on the LAPACK build behind eigvalsh
         assert hashlib.sha256(sample_cue(N, samples, seed).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("N, samples", [(2, 1001), (5, 401), (40, 61)])
+    def test_phases_independent_of_chunk_size(self, monkeypatch, N, samples):
+        # one sample per chunk, odd sizes that split the turned-back samples
+        # unevenly, and the whole block in one chunk
+        ref = sample_cue(N, samples, seed=2)
+        for vector, dense in [(1, 1), (7 * N, 3 * N * N), (2**18, 2**22)]:
+            monkeypatch.setattr(ensemble, "_VECTOR_WORDS", vector)
+            monkeypatch.setattr(ensemble, "_DENSE_WORDS", dense)
+            assert np.array_equal(sample_cue(N, samples, seed=2), ref)
+
+    def test_failed_pass_raises_after_three_rotations(self, monkeypatch, tmp_path, capsys):
+        # a pass that gives no phases turns each sample by 1 radian; the
+        # third failure is an error, and the CLI exits 2 on it
+        _cpus(monkeypatch, 1)
+        phis = []
+
+        def never(alpha, rho, phi):
+            phis.append(phi.tolist())
+            return np.full(alpha.shape, np.nan), np.zeros(len(alpha), dtype=bool)
+
+        monkeypatch.setattr(ensemble, "_cayley_pass", never)
+        with pytest.raises(NumericConsistencyError, match=r"3 CUE sample\(s\) of U\(4\)"):
+            sample_cue(4, 3, seed=0)
+        assert phis == [[0.0] * 3, [1.0] * 3, [2.0] * 3]
+        out = tmp_path / "cue.csv"
+        assert cli.main(["cue-sample", "--n", "4", "--samples", "300", "--out", str(out)]) == 2
+        assert "failed the Cayley transform at three rotations" in capsys.readouterr().err
 
 
 def _cpus(monkeypatch, n):
@@ -128,14 +157,14 @@ class TestWorkers:
 
     def _raise_in(self, monkeypatch, where, exc):
         parent = os.getpid()
-        original = ensemble._eigenphases
+        original = ensemble._cayley_pass
 
-        def eigenphases(Q):
+        def cayley_pass(alpha, rho, phi):
             if (os.getpid() == parent) == (where == "parent"):
                 raise exc
-            return original(Q)
+            return original(alpha, rho, phi)
 
-        monkeypatch.setattr(ensemble, "_eigenphases", eigenphases)
+        monkeypatch.setattr(ensemble, "_cayley_pass", cayley_pass)
 
     def test_child_exception_raised_in_parent(self, monkeypatch):
         _cpus(monkeypatch, 3)
@@ -155,9 +184,9 @@ class TestWorkers:
     def test_child_without_result(self, monkeypatch):
         _cpus(monkeypatch, 2)
         parent = os.getpid()
-        original = ensemble._eigenphases
-        monkeypatch.setattr(ensemble, "_eigenphases",
-                            lambda Q: original(Q) if os.getpid() == parent else os._exit(3))
+        original = ensemble._cayley_pass
+        monkeypatch.setattr(ensemble, "_cayley_pass",
+                            lambda *args: original(*args) if os.getpid() == parent else os._exit(3))
         with pytest.raises(ChildProcessError, match="without a result"):
             sample_cue(8, 30, seed=1)
         _assert_no_child_left()
@@ -170,23 +199,12 @@ def _circular_error(a, b):
     return max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
-def _haar(N, rng):
-    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    Q, R = np.linalg.qr(A / math.sqrt(2.0))
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
-
-
-def _cmv_replay(N, rng):
-    """The next CMV matrix of sample_cue's stream, built alone: 2N - 1
-    uniforms give |alpha_k|^2 = 1 - (1 - u_k)^(1/(N-1-k)) for k < N - 1,
-    |alpha_{N-1}| = 1, and the phases 2 pi u_{N-1+k}; C = L M with
-    Theta_k = [[conj alpha_k, rho_k], [rho_k, -alpha_k]] on rows k, k + 1
-    of L (k even) or M (k odd, after M's leading 1)."""
-    u = rng.random(2 * N - 1)
-    alpha = [cmath.exp(2j * math.pi * u[N - 1 + k])
-             * (math.sqrt(1.0 - (1.0 - u[k]) ** (1.0 / (N - 1 - k))) if k < N - 1 else 1.0)
-             for k in range(N)]
+def _cmv_of(alpha):
+    """The CMV matrix C = L M of the Verblunsky coefficients alpha, |alpha_k|
+    < 1 for k < N - 1 and |alpha_{N-1}| = 1, built alone: Theta_k = [[conj
+    alpha_k, rho_k], [rho_k, -alpha_k]] on rows k, k + 1 of L (k even) or M
+    (k odd, after M's leading 1), the last block cut to its corner."""
+    N = len(alpha)
     L, M = np.zeros((N, N), complex), np.eye(N, dtype=complex)
     for k, a in enumerate(alpha):
         X = L if k % 2 == 0 else M
@@ -198,33 +216,93 @@ def _cmv_replay(N, rng):
     return L @ M
 
 
-class TestCayleyPhases:
-    """The Cayley-transform eigenphases against np.linalg.eigvals."""
+def _cmv_replay(N, rng):
+    """The next CMV matrix of sample_cue's stream: 2N - 1 uniforms give
+    |alpha_k|^2 = 1 - (1 - u_k)^(1/(N-1-k)) for k < N - 1, |alpha_{N-1}| =
+    1, and the phases 2 pi u_{N-1+k}."""
+    u = rng.random(2 * N - 1)
+    return _cmv_of([cmath.exp(2j * math.pi * u[N - 1 + k])
+                    * (math.sqrt(1.0 - (1.0 - u[k]) ** (1.0 / (N - 1 - k))) if k < N - 1 else 1.0)
+                    for k in range(N)])
 
-    @pytest.mark.parametrize("N, samples, seed", [(40, 60, 1), (80, 10, 2), (3, 300, 3)])
+
+def _with_eigenvalue(alpha, z):
+    """alpha with its last coefficient replaced so that z, |z| = 1, is an
+    eigenvalue of the CMV matrix.  Its characteristic polynomial is Phi_N,
+    by the Szego recursion Phi_{k+1} = z Phi_k - conj(alpha_k) Phi*_k,
+    Phi*_{k+1} = Phi*_k - alpha_k z Phi_k from Phi_0 = Phi*_0 = 1, so
+    conj(alpha_{N-1}) = z Phi_{N-1}(z) / Phi*_{N-1}(z), of modulus 1."""
+    phi, star = 1.0 + 0j, 1.0 + 0j
+    for a in alpha[:-1]:
+        phi, star = z * phi - a.conjugate() * star, star - a * z * phi
+    alpha = alpha.copy()
+    alpha[-1] = (z * phi / star).conjugate()
+    return alpha
+
+
+class TestCayleyPhases:
+    """The factor-form Cayley eigenphases against np.linalg.eigvals."""
+
+    @pytest.mark.parametrize("N, samples, seed", [
+        (40, 60, 1), (80, 10, 2), (3, 300, 3), (5, 300, 4), (8, 1000, 5),
+    ])
     def test_sample_cue_matches_eigvals(self, N, samples, seed):
         # _cmv_replay replays the draws of sample_cue, so these are its
-        # matrices; 16 of the 60 at N = 40 take the guarded second pass
+        # matrices; 16 of the 60 at N = 40 take a rotated pass
         phases = sample_cue(N, samples, seed)
         rng = _chain_rng(seed, 0)
         for row in phases:
             ref = np.angle(np.linalg.eigvals(_cmv_replay(N, rng)))
             assert _circular_error(row, ref) <= 1e-12
 
-    @pytest.mark.parametrize("rotate", [False, True])
-    def test_eigenvalue_at_minus_one_and_cluster_near_pi(self, rotate):
-        lam = np.array([math.pi, math.pi - 1e-10, math.pi - 6e-10, -math.pi + 9e-10,
-                        0.0, 0.4, 1.1, 2.9, -0.5, -1.7, -2.8, 2.2])
-        N = lam.size
-        z = np.exp(1j * lam)
-        z[0] = -1.0  # unrotated, I + U then has an exact zero pivot and the solve fails
-        V = _haar(N, np.random.Generator(np.random.PCG64(5))) if rotate else np.eye(N)
-        U = (V * z) @ V.conj().T
-        th = _eigenphases(U)
-        assert _circular_error(th, np.angle(np.linalg.eigvals(U))) <= 1e-12
-        assert _circular_error(th, lam) <= 1e-12
+    @pytest.mark.parametrize("lam", [math.pi, math.pi - 1e-10])
+    def test_eigenvalue_at_or_next_to_minus_one(self, monkeypatch, lam):
+        # at z = -1 the unrotated T = conj(L) + M is singular; 1e-10 from it
+        # the first pass reads |x| = cot(5e-11) ~ 2e10, far above 4N.  Either
+        # way it turns the sample back, and the rotated pass reads every phase
+        N = 12
+        alpha, rho = ensemble._verblunsky(_chain_rng(4, 0).random((1, 2 * N - 1)))
+        alpha = _with_eigenvalue(alpha[0], cmath.exp(1j * lam))
+        C = _cmv_of(alpha)
+        assert np.abs(np.linalg.eigvals(C) - cmath.exp(1j * lam)).min() <= 1e-14
+        flags = []
+        original = ensemble._cayley_pass
+
+        def spy(*args):
+            theta, ok = original(*args)
+            flags.append(ok.tolist())
+            return theta, ok
+
+        monkeypatch.setattr(ensemble, "_cayley_pass", spy)
+        th = ensemble._cue_phases(np.empty((1, N)), [(alpha[None], rho)])[0]
+        assert flags == [[False], [True]]
+        assert _circular_error(th, np.angle(np.linalg.eigvals(C))) <= 1e-12
+        assert np.abs(np.angle(np.exp(1j * (th - lam)))).min() <= 1e-12
         assert (np.diff(th) >= 0).all()
         assert th.min() > -math.pi and th.max() <= math.pi
+
+
+    def test_zero_pivot_gives_no_phases_and_a_turn_by_one(self, monkeypatch):
+        # alpha_0 = -1 (rho_0 = 0) splits off the eigenvalue -1, and the
+        # unrotated T's first pivot, alpha_0 - alpha_{-1} = alpha_0 + 1, is
+        # exactly 0, so K is not finite: the pass gives a NaN row, and the
+        # next pass turns the sample by 1 radian
+        N = 9
+        alpha, rho = ensemble._verblunsky(_chain_rng(6, 0).random((1, 2 * N - 1)))
+        alpha[0, 0], rho[0, 0] = -1.0, 0.0
+        passes = []
+        original = ensemble._cayley_pass
+
+        def spy(*args):
+            theta, ok = original(*args)
+            passes.append((args[2].tolist(), ok.tolist(), bool(np.isnan(theta).all())))
+            return theta, ok
+
+        monkeypatch.setattr(ensemble, "_cayley_pass", spy)
+        th = ensemble._cue_phases(np.empty((1, N)), [(alpha, rho)])[0]
+        assert passes[0] == ([0.0], [False], True) and passes[1][0] == [1.0]
+        assert _circular_error(th, np.angle(np.linalg.eigvals(_cmv_of(alpha[0])))) <= 1e-12
+        assert np.abs(np.angle(-np.exp(1j * th))).min() <= 1e-15
 
 
 def _reference_chain(N, betas, sweeps, burn_in, seed, chain):
@@ -454,6 +532,24 @@ class TestPairCorrelation:
         assert rep.l2_distance < 0.08
         # R2 flattens to 1 at large separations
         assert abs(rep.r2[-10:].mean() - 1.0) < 0.05
+
+    def test_cue_matches_finite_n_pair_correlation(self):
+        # the exact U(N) pair correlation in unit mean spacing, 1 - (sin(pi r)
+        # / (N sin(pi r/N)))^2 (Dyson 1962), averaged over each bin, bin by
+        # bin; the samples are independent, so the spread of 40 batch means
+        # is an honest bar.  Haar samples read max |z| 2.3-3.3 at seeds 21-23,
+        # Beta(1, N - k) moduli about 40
+        N, batches, size, bins, r_max = 8, 40, 500, 40, 4.0
+        s = sample_cue(N, batches * size, seed=21)
+        r2 = np.array([pair_correlation(s[k * size : (k + 1) * size], bins, r_max).r2
+                       for k in range(batches)])
+        mean, bar = r2.mean(axis=0), r2.std(axis=0, ddof=1) / math.sqrt(batches)
+        edges = np.linspace(0.0, r_max, bins + 1)
+        r = edges[:-1, None] + (edges[1] - edges[0]) * (np.arange(64) + 0.5) / 64
+        exact = (1.0 - (np.sin(math.pi * r) / (N * np.sin(math.pi * r / N))) ** 2).mean(axis=1)
+        z = (mean - exact) / bar
+        assert np.abs(z).max() < 5.0
+        assert (z**2).mean() < 2.0
 
     def test_poisson_control(self):
         rng = np.random.Generator(np.random.PCG64(5))

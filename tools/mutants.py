@@ -83,6 +83,9 @@ MUTANTS = [
     ("CUE Verblunsky moduli Beta(1, N - 1 - k) -> Beta(1, N - k)", "src/zetaumm/ensemble.py",
      "    x = np.log1p(-u[:, : N - 1]) / np.arange(N - 1, 0, -1)  # log(1 - |alpha_k|^2)",
      "    x = np.log1p(-u[:, : N - 1]) / np.arange(N, 1, -1)  # log(1 - |alpha_k|^2)"),
+    ("CUE Cayley guard |x| <= 4N dropped", "src/zetaumm/ensemble.py",
+     "    ok &= np.maximum(-x[:, 0], x[:, -1]) <= 4 * N",
+     "    pass"),
     ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
      "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
      "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
