@@ -331,59 +331,85 @@ class PlaquetteRun:
         return np.sqrt(np.maximum(self.density, 1e-12) / (total * width))
 
 
-def _site_terms(x: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos x, sin x) stacked, and sum_n (2 beta_n/n) cos(n x): the one-site action / N."""
-    pot = np.zeros_like(x)
+def _site_terms(x: np.ndarray, betas: np.ndarray,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """cos x, sin x and V(x) = sum_n (2 beta_n/n) cos(n x), the one-site
+    action / N, stacked along the first axis of out (a new array if None);
+    returns the (cos x, sin x) stack and V, both views of out.  The n = 1
+    term reuses cos x."""
+    out = np.empty((3, *x.shape)) if out is None else out
+    np.cos(x, out=out[0])
+    np.sin(x, out=out[1])
+    pot = out[2]
+    pot.fill(0.0)
     for n, beta in enumerate(betas, 1):
-        pot += (2.0 * beta / n) * np.cos(n * x)
-    return np.stack([np.cos(x), np.sin(x)]), pot
+        pot += (2.0 * beta / n) * (out[0] if n == 1 else np.cos(n * x))
+    return out[:2], pot
 
 
-def _log_chords(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _log_chords(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log |e^{i a_k} - e^{i b_j}|^2 = log((cos a_k - cos b_j)^2 + (sin a_k -
-    sin b_j)^2) at [chain, k, j], from (cos, sin) stacks of shape (2, chain,
+    sin b_j)^2) at [..., chain, k, j], written into out where given, from
+    (cos, sin) stacks a of shape (2, chain, N) and b of shape (..., 2, chain,
     N); k = j is pinned to log 1 = 0: a site drops out of its own sum."""
-    d = np.square(a[:, :, :, None] - b[:, :, None, :])
-    out = d[0] + d[1]
-    out.reshape(len(out), -1)[:, :: a.shape[2] + 1] = 1.0  # the k = j entries
+    d = np.square(a[..., None] - b[..., None, :])
+    out = np.add(d[..., 0, :, :, :], d[..., 1, :, :, :], out=out)
+    N = out.shape[-1]
+    out.reshape(-1, N * N)[:, :: N + 1] = 1.0  # the k = j entries
     return np.log(out, out=out)
 
 
-def _sweep(theta, trig, pot, B, betas, widths, rngs) -> np.ndarray:
-    """One Metropolis sweep over the sites of every chain (rows of theta), in
-    place; returns the accepted count per chain.  Each chain draws its N
-    proposals, then its N uniforms, from its own stream and visits its sites
-    in order.  trig, pot = _site_terms(theta) and B = L(theta, theta), L =
-    _log_chords, are carried.  Site i's change of the log Vandermonde sum
-    starts as the row-i sum of A = L(props, theta) minus B's; accepting site
-    k adds row k of W = P - A - A^T + B, P = L(props, props), to each later
-    site's.  The decisions, so the phases, are the site-by-site loop's: it
-    sums in another order, rounds its potential otherwise and takes
-    log 4 sin^2 for the chord form (error <~ 5e-16/|chord|), so they can
-    differ only where a uniform lands that close to its threshold."""
-    C, N = theta.shape
-    steps = np.array([r.standard_normal(N) for r in rngs])
-    us = np.array([r.random(N) for r in rngs])
-    props = theta + np.array(widths)[:, None] * steps
-    props = (props + math.pi) % TWO_PI - math.pi
-    trig_p, pot_p = _site_terms(props, betas)
-    A, P = _log_chords(trig_p, trig), _log_chords(trig_p, trig_p)
-    delta = A.sum(axis=2) - B.sum(axis=2)
-    W = P - A - A.swapaxes(1, 2) + B
-    gain = (N * pot - N * pot_p).tolist()
-    accept = np.zeros((C, N), dtype=bool)
-    for c in range(C):
-        d, w, u, g = delta[c], W[c], us[c].tolist(), gain[c]
-        for i in range(N):
-            if u[i] < math.exp(min(0.0, d[i] + g[i])):
-                accept[c, i] = True
-                d[i + 1 :] += w[i, i + 1 :]
+def _sweep(x, site, B, AP, W, scratch, accept, widths, betas, rngs) -> np.ndarray:
+    """One Metropolis sweep over the sites of every chain, in place on the
+    arrays _chain_group carries; returns the accepted count per chain.
+
+    x[0] holds the phases theta, a row per chain, and x[1] their proposals;
+    site[0] and site[1] hold their cos, sin and N V (_site_terms), and B =
+    L(theta, theta), L = _log_chords.  Each chain draws its N proposal
+    steps into x[1], then its N uniforms into scratch, from its own stream,
+    and visits its sites in order.  One L(props, [theta, props]) into AP
+    gives A = L(props, theta) and P = L(props, props).  Site i's change of
+    the log Vandermonde sum starts as the row-i sum of A minus B's;
+    accepting site k adds row k of W = P - A - A^T + B to each later
+    site's.  A site whose change plus potential gain t is >= 0 (or NaN) is
+    accepted without exp, as u < exp(min(0, t)) accepts it for every
+    uniform u < 1.  The decisions, so the phases, are the site-by-site
+    loop's: it sums in another order, rounds its potential otherwise and
+    takes log 4 sin^2 for the chord form (error <~ 5e-16/|chord|), so they
+    can differ only where a uniform lands that close to its threshold."""
+    N = B.shape[-1]
+    theta, props = x
+    us, delta, gain = scratch
+    for r, step, u in zip(rngs, props, us):
+        r.standard_normal(out=step)
+        r.random(out=u)
+    props *= widths
+    props += theta
+    props += math.pi
+    np.remainder(props, TWO_PI, out=props)
+    props -= math.pi
+    _site_terms(props, betas, site[1])
+    site[1, 2] *= N
+    A, P = _log_chords(site[1, :2], site[:, :2], AP)
+    np.sum(A, axis=2, out=delta)
+    delta -= B.sum(axis=2)
+    np.subtract(P, A, out=W)
+    W -= A.swapaxes(1, 2)
+    W += B
+    np.subtract(site[0, 2], site[1, 2], out=gain)
+    accept.fill(False)
+    for d, w, u, g, ok in zip(delta, W, us.tolist(), gain.tolist(), accept):
+        for i, (ui, gi) in enumerate(zip(u, g)):
+            t = d.item(i) + gi
+            if not t < 0.0 or ui < math.exp(t):
+                ok[i] = True
+                d += w[i]  # the sites up to i are done: the whole row will do
     # next B: L(theta_i, props_j) for accepted j, then L(props_i, new_j) in accepted rows
     np.copyto(B, A.swapaxes(1, 2), where=accept[:, None, :])
     np.copyto(A, P, where=accept[:, None, :])
     np.copyto(B, A, where=accept[:, :, None])
-    for old, new in ((theta, props), (trig, trig_p), (pot, pot_p)):
-        np.copyto(old, new, where=accept)
+    np.copyto(theta, props, where=accept)
+    np.copyto(site[0], site[1], where=accept)
     return accept.sum(axis=1)
 
 
@@ -391,21 +417,33 @@ def _chain_group(N: int, betas: np.ndarray, sweeps: int, burn_in: int, seed: int
                  first: int, stop: int) -> tuple[np.ndarray, int]:
     """Chains first..stop-1 in lockstep: their retained phases (chain
     first + c, sweep s in row c * sweeps + s) and the count of proposals
-    accepted after burn-in."""
+    accepted after burn-in.
+
+    The arrays _sweep works on are allocated here once and carried from
+    sweep to sweep: the phases and their proposals, the cos, sin and N V of
+    both, the tables B, [A, P] and W, the uniforms, site changes and gains,
+    the accept flags and the proposal widths.  Each sweep's phases are
+    stored as they stand and sorted once at the end."""
     rngs = [_chain_rng(seed, c) for c in range(first, stop)]
-    theta = np.sort([r.uniform(-math.pi, math.pi, N) for r in rngs], axis=1)
-    trig, pot = _site_terms(theta, betas)
-    state = (theta, trig, pot, _log_chords(trig, trig))
-    widths = [0.5] * len(rngs)
+    C = len(rngs)
+    x = np.empty((2, C, N))
+    x[0] = np.sort([r.uniform(-math.pi, math.pi, N) for r in rngs], axis=1)
+    site = np.empty((2, 3, C, N))
+    _site_terms(x[0], betas, site[0])
+    site[0, 2] *= N
+    B = _log_chords(site[0, :2], site[0, :2])
+    widths = np.full((C, 1), 0.5)
+    state = (x, site, B, np.empty((2, C, N, N)), np.empty((C, N, N)), np.empty((3, C, N)),
+             np.empty((C, N), dtype=bool), widths)
     for _ in range(burn_in):
-        acc = _sweep(*state, betas, widths, rngs)
-        widths = [min(max(w * math.exp(0.5 * (a / N - 0.4)), 1e-3), math.pi)
-                  for w, a in zip(widths, acc)]
-    phases = np.empty((len(rngs) * sweeps, N))
+        for w, a in zip(widths, _sweep(*state, betas, rngs).tolist()):
+            w[0] = min(max(w[0] * math.exp(0.5 * (a / N - 0.4)), 1e-3), math.pi)
+    phases = np.empty((C * sweeps, N))
     accepted = 0
     for sweep in range(sweeps):
-        accepted += int(_sweep(*state, betas, widths, rngs).sum())
-        phases[sweep::sweeps] = np.sort(theta, axis=1)
+        accepted += int(_sweep(*state, betas, rngs).sum())
+        phases[sweep::sweeps] = x[0]
+    phases.sort(axis=1)
     return phases, accepted
 
 

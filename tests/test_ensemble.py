@@ -413,7 +413,8 @@ class TestPlaquetteMC:
         run = plaquette_mc(N, betas, sweeps, burn_in, seed, chains)
         assert hashlib.sha256(run.sample.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("N, betas, chains", [(6, [], 2), (9, [0.15, -0.05, 0.02], 3)])
+    @pytest.mark.parametrize("N, betas, chains", [(6, [], 2), (9, [0.15, -0.05, 0.02], 3),
+                                                 (2, [], 3)])
     def test_matches_one_chain_reference(self, N, betas, chains):
         run = plaquette_mc(N, betas, sweeps=30, burn_in=25, seed=3, chains=chains)
         ref = np.concatenate([_reference_chain(N, betas, 30, 25, 3, c)[0] for c in range(chains)])

@@ -2,7 +2,7 @@
 """Print one digest line per command: the artifact's sha256, the exit code
 and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
 README's code blocks, every job of `perfbench/workloads.py` at seeds 1
-and 2 (that file is read, never written), and fourteen edge cases: more
+and 2 (that file is read, never written), and sixteen edge cases: more
 ordinates asked of `li` than the table holds, a `betas --model xi`
 radius where the logarithm winds, a `trace-check` on 20 zeros, and the
 CLI routes that neither the README nor the jobs reach: `explicit-formula
@@ -11,9 +11,11 @@ prime, a JSON artifact (`comb --format json`), an `@FILE` options file
 with a comment line, the gamma model's closed form (`betas --model
 gamma`), the half weights of psi and of j_local at a prime-power jump
 (x = 9), the shifted model below s0 = 1, where zeta's pole lies
-inside the circle (`betas --s0 0.75`, `beta-ren --mu 0.6`), and CUE
+inside the circle (`betas --s0 0.75`, `beta-ren --mu 0.6`), CUE
 samples of an odd N, whose CMV factor L ends in a lone corner entry
-(`cue-sample --n 5`).
+(`cue-sample --n 5`), and two Metropolis runs: zero couplings
+(`plaquette-mc --betas=`) and three couplings on three chains, which
+two or more CPUs split unevenly.
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
@@ -55,6 +57,9 @@ EDGE_CASES = (
     "zetaumm betas --model shifted --s0 0.75 --mmax 20 --out betas-shifted-075.csv",
     "zetaumm beta-ren --method shifted_contour --mu 0.6 --out bren-shifted-06.csv",
     "zetaumm cue-sample --n 5 --samples 401 --seed 3 --out cue-5.csv",
+    "zetaumm plaquette-mc --n 6 --betas= --chains 2 --sweeps 40 --burn-in 25 --seed 3 --out mc-6.csv",
+    "zetaumm plaquette-mc --n 9 --betas=0.15,-0.05,0.02 --chains 3 --sweeps 40 --burn-in 25 "
+    "--seed 3 --out mc-9.csv",
 )
 # the file `@xi.cfg` reads
 XI_CFG = "# the xi model's order\nmmax = 12\n"

@@ -86,6 +86,9 @@ MUTANTS = [
     ("CUE Cayley guard |x| <= 4N dropped", "src/zetaumm/ensemble.py",
      "    ok &= np.maximum(-x[:, 0], x[:, -1]) <= 4 * N",
      "    pass"),
+    ("Metropolis carried table: accepted rows and columns swapped", "src/zetaumm/ensemble.py",
+     "    np.copyto(B, A, where=accept[:, :, None])",
+     "    np.copyto(B, A, where=accept[:, None, :])"),
     ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
      "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
      "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
