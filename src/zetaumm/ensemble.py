@@ -13,14 +13,16 @@ Determinism contract: every stream is a pure function of (seed, chain
 index); chains never share random state, so results are independent of how
 chains are scheduled.  CUE samples and Metropolis chains are split into one
 contiguous block per CPU the process may use (os.sched_getaffinity); each
-block past the first runs in a forked child.  Every CUE sample takes the
-same 2N - 1 uniforms of the single (seed, 0) stream, so a block starts by
-advancing the PCG64 state past the samples before it.  A sample's phases
-depend on its own uniforms only, not on the chunk of samples it is
-computed in nor on which samples are retried with it at the end of its
-block (complex products whose numpy loop could depend on the chunk's
-shape are taken from real ones), so every result is bit-identical for any
-CPU count.
+block past the first runs in a forked child.  Block k starts on the k-th
+CPU of the mask and is then released to the whole mask; no bit depends on
+where a block runs, nor on whether the kernel grants the move.  Every CUE
+sample takes the same 2N - 1 uniforms of the single (seed, 0) stream, so a
+block starts by advancing the PCG64 state past the samples before it.  A
+sample's phases depend on its own uniforms only, not on the chunk of
+samples it is computed in nor on which samples are retried with it at the
+end of its block (complex products whose numpy loop could depend on the
+chunk's shape are taken from real ones), so every result is bit-identical
+for any CPU count.
 """
 
 from __future__ import annotations
@@ -53,21 +55,44 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return [(k * n // w, (k + 1) * n // w) for k in range(w)]
 
 
+def _start_on(cpu: int, mask: set[int]) -> None:
+    """Move this process to cpu, then give it back mask, so that it starts
+    there and the kernel may still move it later.  A refused move leaves
+    the process as it was; a refused restore raises, so no process is left
+    on one CPU unseen."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        return
+    os.sched_setaffinity(0, mask)
+
+
 def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
     """[fn(*args) for args in parts]: parts[0] here, each other part in a
     forked child that pickles its result, or the exception it raised, into a
     pipe.  A child's exception is raised again here; every child is reaped
     on every path.  Forked children start with the modules and inputs
-    already in memory, where a spawned one would import numpy again."""
+    already in memory, where a spawned one would import numpy again.
+
+    With more than one part, part k starts on the k-th CPU of the affinity
+    mask and is then released to the whole mask (_start_on).  On a 2-vCPU
+    Linux VM whose second CPU had idled for 10 s or more, the kernel was
+    seen to keep a child on its parent's CPU for the whole job otherwise
+    (ROADMAP, Timing caveats).  No result depends on where a part runs.
+    Every process, the caller included, ends with the mask the caller had
+    when the call started."""
+    mask = os.sched_getaffinity(0) if len(parts) > 1 else set()
+    cpus = sorted(mask)
     children = []
     try:
-        for args in parts[1:]:
+        for k, args in enumerate(parts[1:], 1):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # child: never returns
                 try:
                     os.close(r)
                     try:
+                        _start_on(cpus[k % len(cpus)], mask)
                         payload = (True, fn(*args))
                     except BaseException as exc:
                         payload = (False, exc)
@@ -77,6 +102,8 @@ def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
                     os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb")))
+        if children:
+            _start_on(cpus[0], mask)
         results = [fn(*parts[0])]
         for pid, fh in children:
             try:  # protocol 5 reads an array's bytes straight into its buffer

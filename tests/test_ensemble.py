@@ -94,10 +94,10 @@ class TestCUE:
             monkeypatch.setattr(ensemble, "_DENSE_WORDS", dense)
             assert np.array_equal(sample_cue(N, samples, seed=2), ref)
 
-    def test_failed_pass_raises_after_three_rotations(self, monkeypatch, tmp_path, capsys):
+    def test_failed_pass_raises_after_three_rotations(self, cpus, monkeypatch, tmp_path, capsys):
         # a pass that gives no phases turns each sample by 1 radian; the
         # third failure is an error, and the CLI exits 2 on it
-        _cpus(monkeypatch, 1)
+        cpus(1)
         phis = []
 
         def never(alpha, rho, phi):
@@ -113,9 +113,49 @@ class TestCUE:
         assert "failed the Cayley transform at three rotations" in capsys.readouterr().err
 
 
-def _cpus(monkeypatch, n):
-    """Make the ensemble layer see n usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes the ensemble layer see n usable CPUs.  Each part hands
+    back the fake mask it read, which would narrow the process's real mask
+    on a larger machine, so the real mask is put back afterwards."""
+    real, set_mask = os.sched_getaffinity(0), os.sched_setaffinity
+    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    set_mask(0, real)
+
+
+def _record_affinity(monkeypatch, log, refuse=lambda mask: False):
+    """Log each os.sched_setaffinity call, in any process, as a line "pid
+    cpu,cpu,..." in log before passing it on (or raising OSError where
+    refuse(mask) holds); return the pids of the children forked, in
+    order."""
+    set_mask, fork, children = os.sched_setaffinity, os.fork, []
+
+    def sched_setaffinity(pid, mask):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {','.join(map(str, sorted(mask)))}\n")
+        if refuse(mask):
+            raise OSError(22, "refused")
+        set_mask(pid, mask)
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_setaffinity", sched_setaffinity)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return children
+
+
+def _affinity_calls(log):
+    """{pid: [the CPU lists it asked for, in order]}, emptying log."""
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, mask = line.split()
+        calls.setdefault(int(pid), []).append([int(c) for c in mask.split(",")])
+    log.unlink()
+    return calls
 
 
 def _assert_no_child_left():
@@ -127,19 +167,19 @@ class TestWorkers:
     """Blocks of CUE samples and groups of chains in forked children."""
 
     @pytest.mark.parametrize("N, samples", [(2, 1001), (8, 301), (40, 61)])
-    def test_cue_independent_of_cpu_count(self, monkeypatch, N, samples):
+    def test_cue_independent_of_cpu_count(self, cpus, N, samples):
         runs = []
         for n in (1, 2, 3):
-            _cpus(monkeypatch, n)
+            cpus(n)
             runs.append(sample_cue(N, samples, seed=N))
         assert all(np.array_equal(runs[0], r) for r in runs[1:])
         _assert_no_child_left()
 
     @pytest.mark.parametrize("chains", [1, 3, 4])
-    def test_plaquette_independent_of_cpu_count(self, monkeypatch, chains):
+    def test_plaquette_independent_of_cpu_count(self, cpus, chains):
         runs = []
         for n in (1, 2, 3):
-            _cpus(monkeypatch, n)
+            cpus(n)
             run = plaquette_mc(10, [0.15, 0.04], sweeps=40, burn_in=15, seed=8, chains=chains)
             runs.append((run.sample, run.density, run.acceptance_rate))
         for phases, density, rate in runs[1:]:
@@ -147,8 +187,66 @@ class TestWorkers:
             assert rate == runs[0][2]
         _assert_no_child_left()
 
-    def test_blocks_cover_the_range(self, monkeypatch):
-        _cpus(monkeypatch, 3)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_part_starts_on_its_own_cpu(self, cpus, monkeypatch, tmp_path, n):
+        # part k asks for the k-th CPU alone, then, if the kernel granted
+        # that (a fake mask may name a CPU this machine lacks), for the
+        # whole mask it read
+        real = os.sched_getaffinity(0)
+        cpus(n)
+        log = tmp_path / "affinity.log"
+        children = _record_affinity(monkeypatch, log)
+        for run in (lambda: sample_cue(8, 30, seed=1),
+                    lambda: plaquette_mc(10, [0.15], sweeps=20, burn_in=5, seed=1, chains=n)):
+            del children[:]
+            run()
+            calls = _affinity_calls(log)
+            assert sorted(calls) == sorted([os.getpid(), *children]) and len(children) == n - 1
+            for k, pid in enumerate([os.getpid(), *children]):
+                assert calls[pid] == [[k], list(range(n))] if k in real else [[k]]
+        _assert_no_child_left()
+
+    def test_caller_keeps_its_mask(self, monkeypatch, tmp_path):
+        # on the real mask, every process hands back the mask it read
+        before = os.sched_getaffinity(0)
+        log = tmp_path / "affinity.log"
+        children = _record_affinity(monkeypatch, log)
+        sample_cue(8, 30, seed=1)
+        plaquette_mc(10, [0.15], sweeps=20, burn_in=5, seed=1, chains=3)
+        assert os.sched_getaffinity(0) == before
+        if children:  # on one CPU nothing forks and nothing moves
+            calls = _affinity_calls(log)
+            assert set(calls) == {os.getpid(), *children}
+            assert all(c[-1] == sorted(before) for c in calls.values())
+        _assert_no_child_left()
+
+    def test_refused_placement_changes_nothing(self, cpus, monkeypatch, tmp_path):
+        cpus(1)
+        cue = sample_cue(8, 301, seed=3)
+        mc = plaquette_mc(10, [0.15, 0.04], sweeps=40, burn_in=15, seed=8, chains=3)
+        cpus(3)
+        log = tmp_path / "affinity.log"
+        _record_affinity(monkeypatch, log, refuse=lambda mask: len(mask) == 1)
+        assert np.array_equal(sample_cue(8, 301, seed=3), cue)
+        run = plaquette_mc(10, [0.15, 0.04], sweeps=40, burn_in=15, seed=8, chains=3)
+        assert np.array_equal(run.sample, mc.sample) and np.array_equal(run.density, mc.density)
+        assert run.acceptance_rate == mc.acceptance_rate
+        # each of the 3 processes of each run asks once, and a refused
+        # move is not followed by a restore
+        assert sum(len(c) for c in _affinity_calls(log).values()) == 2 * 3
+        _assert_no_child_left()
+
+    def test_refused_restore_raises(self, cpus, monkeypatch, tmp_path):
+        # a process that moved but cannot get its mask back is an error,
+        # not a silent one-CPU run
+        cpus(3)
+        _record_affinity(monkeypatch, tmp_path / "affinity.log", refuse=lambda mask: len(mask) > 1)
+        with pytest.raises(OSError, match="refused"):
+            sample_cue(8, 30, seed=1)
+        _assert_no_child_left()
+
+    def test_blocks_cover_the_range(self, cpus, monkeypatch):
+        cpus(3)
         assert ensemble._blocks(7) == [(0, 2), (2, 4), (4, 7)]
         assert ensemble._blocks(2) == [(0, 1), (1, 2)]
         assert ensemble._blocks(0) == [(0, 0)]
@@ -166,23 +264,23 @@ class TestWorkers:
 
         monkeypatch.setattr(ensemble, "_cayley_pass", cayley_pass)
 
-    def test_child_exception_raised_in_parent(self, monkeypatch):
-        _cpus(monkeypatch, 3)
+    def test_child_exception_raised_in_parent(self, cpus, monkeypatch):
+        cpus(3)
         self._raise_in(monkeypatch, "child", FloatingPointError("raised in a child"))
         with pytest.raises(FloatingPointError, match="raised in a child"):
             sample_cue(8, 30, seed=1)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("raised here"), KeyboardInterrupt()])
-    def test_parent_exception_reaps_children(self, monkeypatch, exc):
-        _cpus(monkeypatch, 3)
+    def test_parent_exception_reaps_children(self, cpus, monkeypatch, exc):
+        cpus(3)
         self._raise_in(monkeypatch, "parent", exc)
         with pytest.raises(type(exc)):
             sample_cue(8, 30, seed=1)
         _assert_no_child_left()
 
-    def test_child_without_result(self, monkeypatch):
-        _cpus(monkeypatch, 2)
+    def test_child_without_result(self, cpus, monkeypatch):
+        cpus(2)
         parent = os.getpid()
         original = ensemble._cayley_pass
         monkeypatch.setattr(ensemble, "_cayley_pass",

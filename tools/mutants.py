@@ -89,6 +89,9 @@ MUTANTS = [
     ("Metropolis carried table: accepted rows and columns swapped", "src/zetaumm/ensemble.py",
      "    np.copyto(B, A, where=accept[:, :, None])",
      "    np.copyto(B, A, where=accept[:, None, :])"),
+    ("forked ensemble parts all start on the first CPU", "src/zetaumm/ensemble.py",
+     "                        _start_on(cpus[k % len(cpus)], mask)",
+     "                        _start_on(cpus[0], mask)"),
     ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
      "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
      "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
