@@ -187,17 +187,16 @@ def _cmd_density(args) -> None:
     import numpy as np
 
     from . import resolvent
-    grid = np.linspace(0.5, 5.78, 64)
-    prof = resolvent.density_profile(args.prime, grid, args.spikes)
-    kind = ["spike"] * prof.spike_angles.size + ["vprime"] * grid.size
-    location = np.concatenate([prof.spike_angles, grid])
+    prof = resolvent.density_profile(args.prime, args.spikes)
+    kind = ["spike"] * prof.spike_angles.size + ["vprime"] * prof.theta.size
+    location = np.concatenate([prof.spike_angles, prof.theta])
     value = np.concatenate([np.full(prof.spike_angles.size, prof.spike_weight), prof.vprime])
     cols = {"kind": kind, "location": location, "value": value}
     _emit(args, cols, {
         "spike_angles": prof.spike_angles,
         "spike_indices": prof.spike_indices,
         "spike_weight": prof.spike_weight,
-        "theta": grid,
+        "theta": prof.theta,
         "vprime": prof.vprime,
     }, {"spike-weight": prof.spike_weight})
 
@@ -299,10 +298,9 @@ def _cmd_explicit_formula(args) -> None:
         raise ValueError("counting functions are evaluated for x > 1")
     if args.kind == "j_local":
         args.zeros = args.nzeros = None  # not echoed: j_local reads no zeros
-        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)
         direct = zt.local_count_direct(args.prime, args.x)
-        explicit = zt.local_count_explicit(args.prime, args.x, terms)
-        tail = 1.0 / (math.pi * terms)
+        explicit = zt.local_count_explicit(args.prime, args.x)
+        tail = 1.0 / (math.pi * zt.LOCAL_COUNT_TERMS)
     else:
         args.prime = None  # not echoed: psi and J read no prime
         if args.zeros is None:

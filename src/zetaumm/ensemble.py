@@ -11,11 +11,12 @@ the second term being log Vandermonde; configurations carry weight e^-S.
 
 Determinism contract: every stream is a pure function of (seed, chain
 index); chains never share random state, so results are independent of how
-chains are scheduled.  CUE samples and Metropolis chains are split into one
-contiguous block per CPU the process may use (os.sched_getaffinity); each
-block past the first runs in a forked child.  Block k starts on the k-th
-CPU of the mask and is then released to the whole mask; no bit depends on
-where a block runs, nor on whether the kernel grants the move.  Every CUE
+chains are scheduled.  The fork layer (_in_parallel) reads the CPUs the
+process may use (os.sched_getaffinity) once, cuts the CUE samples or the
+Metropolis chains into one contiguous block per CPU, and runs each block
+past the first in a forked child.  Block k starts on the k-th CPU of the
+mask and is then released to the whole mask; no bit depends on where a
+block runs, nor on whether the kernel grants the move.  Every CUE
 sample takes the same 2N - 1 uniforms of the single (seed, 0) stream, so a
 block starts by advancing the PCG64 state past the samples before it.  A
 sample's phases depend on its own uniforms only, not on the chunk of
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import NumericConsistencyError
+from . import NumericConsistencyError, _cmul
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,17 +46,7 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chain))))
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """Contiguous bounds [lo, hi) covering range(n), one per CPU this process
-    may use (none empty); a single block where os.fork is missing."""
-    cpus = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    w = max(1, min(n, cpus))
-    return [(k * n // w, (k + 1) * n // w) for k in range(w)]
-
-
-def _start_on(cpu: int, mask: set[int]) -> None:
+def _start_on(cpu: int, mask: list[int]) -> None:
     """Move this process to cpu, then give it back mask, so that it starts
     there and the kernel may still move it later.  A refused move leaves
     the process as it was; a refused restore raises, so no process is left
@@ -67,33 +58,41 @@ def _start_on(cpu: int, mask: set[int]) -> None:
     os.sched_setaffinity(0, mask)
 
 
-def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
-    """[fn(*args) for args in parts]: parts[0] here, each other part in a
-    forked child that pickles its result, or the exception it raised, into a
-    pipe.  A child's exception is raised again here; every child is reaped
-    on every path.  Forked children start with the modules and inputs
-    already in memory, where a spawned one would import numpy again.
+def _in_parallel(fn: Callable, n: int, *args) -> list:
+    """The list of fn(*args, lo, hi) over the parts [lo, hi) of range(n),
+    n >= 1, in order.
 
-    With more than one part, part k starts on the k-th CPU of the affinity
-    mask and is then released to the whole mask (_start_on).  On a 2-vCPU
-    Linux VM whose second CPU had idled for 10 s or more, the kernel was
-    seen to keep a child on its parent's CPU for the whole job otherwise
-    (ROADMAP, Timing caveats).  No result depends on where a part runs.
-    Every process, the caller included, ends with the mask the caller had
-    when the call started."""
-    mask = os.sched_getaffinity(0) if len(parts) > 1 else set()
-    cpus = sorted(mask)
+    This layer cuts the parts and places them, from one read of the
+    affinity mask: one contiguous, non-empty part per CPU the process may
+    use (a single part where os.fork or os.sched_getaffinity is missing).
+    Part 0 runs here, each other part in a forked child that pickles its
+    result, or the exception it raised, into a pipe.  A child's exception
+    is raised again here; every child is reaped on every path.  Forked
+    children start with the modules and inputs already in memory, where a
+    spawned one would import numpy again.
+
+    With more than one part, part k starts on the k-th CPU of the mask and
+    is then released to the whole mask (_start_on).  On a 2-vCPU Linux VM
+    whose second CPU had idled for 10 s or more, the kernel was seen to
+    keep a child on its parent's CPU for the whole job otherwise (ROADMAP,
+    Timing caveats).  No result depends on where a part runs.  Every
+    process, the caller included, ends with the mask the caller had when
+    the call started."""
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if forks else [0]
+    m = min(n, len(cpus))
+    parts = [(*args, k * n // m, (k + 1) * n // m) for k in range(m)]
     children = []
     try:
-        for k, args in enumerate(parts[1:], 1):
+        for k, part in enumerate(parts[1:], 1):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # child: never returns
                 try:
                     os.close(r)
                     try:
-                        _start_on(cpus[k % len(cpus)], mask)
-                        payload = (True, fn(*args))
+                        _start_on(cpus[k], cpus)
+                        payload = (True, fn(*part))
                     except BaseException as exc:
                         payload = (False, exc)
                     with open(w, "wb") as fh:
@@ -103,7 +102,7 @@ def _in_parallel(fn: Callable, parts: list[tuple]) -> list:
             os.close(w)
             children.append((pid, open(r, "rb")))
         if children:
-            _start_on(cpus[0], mask)
+            _start_on(cpus[0], cpus)
         results = [fn(*parts[0])]
         for pid, fh in children:
             try:  # protocol 5 reads an array's bytes straight into its buffer
@@ -137,22 +136,21 @@ def sample_cue(N: int, samples: int, seed: int) -> np.ndarray:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     out = np.empty((samples, N))
-    parts = [(N, seed, lo, out[lo:hi]) for lo, hi in _blocks(samples)]
-    for (*_, block), phases in zip(parts, _in_parallel(_cue_block, parts)):
-        block[...] = phases  # a forked child filled its own copy of its block
-    return out
+    # part 0 filled its block of out in place, and copying a block onto
+    # itself is a no-op; a forked child filled its own copy of its block
+    return np.concatenate(_in_parallel(_cue_block, samples, N, seed, out), out=out)
 
 
-def _cue_block(N: int, seed: int, lo: int, out: np.ndarray) -> np.ndarray:
-    """Fill and return out with the eigenphases of samples lo, lo + 1, ...
+def _cue_block(N: int, seed: int, out: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Fill and return out[lo:hi] with the eigenphases of samples lo..hi-1.
     Each sample takes 2N - 1 uniforms of the (seed, 0) stream, one PCG64
     step each, so the block starts by advancing the stream past the
     lo (2N - 1) uniforms before it."""
     rng = _chain_rng(seed, 0)
     rng.bit_generator.advance(lo * (2 * N - 1))
-    n, step = len(out), _chunk(N)
-    draws = (rng.random((min(step, n - k), 2 * N - 1)) for k in range(0, n, step))
-    return _cue_phases(out, map(_verblunsky, draws))
+    step = _chunk(N)
+    draws = (rng.random((min(step, hi - k), 2 * N - 1)) for k in range(lo, hi, step))
+    return _cue_phases(out[lo:hi], map(_verblunsky, draws))
 
 
 # complex words per chunk of samples: the (N, samples) arrays of the pivot
@@ -306,17 +304,6 @@ def _pivots(alpha, rho, w):
         u = 2j * (_cmul(ae[:P], h[:P]) + re[:P] * g[1::2])
         v = 2j * (re[:P] * h[:P] - _cmul(ae[:P].conj(), g[1::2]))
     return ok, c, u, v, diag
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y from real products and sums.  Whether numpy's complex multiply
-    fuses a multiply-add depends on the shapes of its operands, so with it
-    a sample's bits would depend on the size of its chunk.  A product with
-    a real factor (one whose imaginary part is 0) rounds once either way."""
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _cayley_matrices(K, c, u, v, diag) -> None:
@@ -491,13 +478,12 @@ def plaquette_mc(
     burn-in is reported via the returned diagnostics.
     """
     # trailing zero couplings add nothing to the action
-    betas = np.trim_zeros(np.asarray([float(np.real(b)) for b in betas]), "b")
+    betas = np.trim_zeros(np.asarray(betas, dtype=float), "b")
     if betas.size == 1 and abs(betas[0]) >= 0.5:
         raise ValueError("single-coefficient model leaves the no-gap phase at |beta_1| >= 1/2")
     if min(N, chains, sweeps, bins) < 1 or burn_in < 0:
         raise ValueError("N, chains, sweeps and bins must be >= 1 and burn_in >= 0")
-    groups = _in_parallel(_chain_group, [(N, betas, sweeps, burn_in, seed, lo, hi)
-                                         for lo, hi in _blocks(chains)])
+    groups = _in_parallel(_chain_group, chains, N, betas, sweeps, burn_in, seed)
     phases = np.concatenate([p for p, _ in groups])  # chain c, sweep s in row c * sweeps + s
     rate = sum(a for _, a in groups) / (chains * sweeps * N)
     edges = np.linspace(-math.pi, math.pi, bins + 1)
@@ -521,7 +507,7 @@ def plaquette_model_density(theta: np.ndarray, betas: Sequence[float]) -> np.nda
     th = np.asarray(theta, dtype=float)
     out = np.ones_like(th)
     for n, b in enumerate(betas, start=1):
-        out -= 2.0 * float(np.real(b)) * np.cos(n * th)
+        out -= 2.0 * float(b) * np.cos(n * th)
     return out / TWO_PI
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import _cmul
 from . import zeta as zt
 from .padics import is_prime, require_prime
 from .zeta import NumericConsistencyError
@@ -57,31 +58,16 @@ class ResolventModel:
             raise ValueError(f"p is read by the local model only, not by {self.kind!r}")
 
 
-def _mul(a, b) -> np.ndarray:
-    """Complex product from real products and sums: numpy's complex array
-    multiply may fuse multiply-adds depending on the CPU, this cannot, so
-    the product does not depend on array vs scalar input.  The values still
-    depend on the machine through numpy's SIMD loops for exp, log and the
-    like, and through LAPACK."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _fluctuation_inside(model: ResolventModel, z) -> np.ndarray:
-    """R_<(z) - 1 on |z| < 1 for a scalar or an array of z, in closed form
-    (no numeric differencing)."""
+    """R_<(z) - 1 of the local or gamma model on |z| < 1 for a scalar or an
+    array of z, in closed form (no numeric differencing)."""
     z = np.asarray(z, dtype=complex)
-    pref = z / _mul(1.0 - z, 1.0 - z)  # z/(1-z)^2
+    pref = z / _cmul(1.0 - z, 1.0 - z)  # z/(1-z)^2
     s = (1.0 + z) / (1.0 - z)
     if model.kind == "local":
         w = np.exp(-s * math.log(model.p))
-        return _mul(pref, w) / (1.0 - w)
-    if model.kind == "gamma":
-        return _mul(0.5 * pref, zt._digamma(0.5 * s) - zt.LN_PI)
-    s = model.s0 + (1.0 + z) / (2.0 * (1.0 - z))
-    return pref * (zt.zeta_unit_log_derivative(s) - 1.0 / (s - 1.0))
+        return _cmul(pref, w) / (1.0 - w)
+    return _cmul(0.5 * pref, zt._digamma(0.5 * s) - zt.LN_PI)
 
 
 def resolvent(model: ResolventModel, z: complex) -> complex:
@@ -89,11 +75,11 @@ def resolvent(model: ResolventModel, z: complex) -> complex:
     inside the unit disk, its reflection 1 - R(1/z) outside.
 
     |z| = 1 is rejected here: boundary densities are handled by
-    density_profile, not by this closed form.  The xi model has
-    coefficients (beta_contour) but no pointwise resolvent.
+    density_profile, not by this closed form.  The shifted and xi models
+    have coefficients (beta_contour) but no pointwise resolvent.
     """
-    if model.kind == "xi":
-        raise ValueError("the xi model has coefficients only, no pointwise resolvent")
+    if model.kind in ("shifted", "xi"):
+        raise ValueError(f"the {model.kind} model has coefficients only, no pointwise resolvent")
     zc = complex(z)
     az = abs(zc)
     if abs(az - 1.0) < 1e-12:
@@ -234,7 +220,7 @@ def beta_pole_free(mu: float, M: int, r: float, Q: int) -> BetaSeries:
 
     def f(z):
         s = mu + (1.0 + z) / (2.0 * (1.0 - z))
-        return z / _mul(1.0 - z, 1.0 - z) * zt.zeta_unit_log_derivative(s) - 1.0 / (1.0 - z)
+        return z / _cmul(1.0 - z, 1.0 - z) * zt.zeta_unit_log_derivative(s) - 1.0 / (1.0 - z)
 
     return contour_coefficients(f, M, r, Q)
 
@@ -268,6 +254,7 @@ class DensityProfile:
     spike_angles: np.ndarray
     spike_indices: np.ndarray
     spike_weight: float
+    theta: np.ndarray  # the grid vprime is sampled on
     vprime: np.ndarray
 
 
@@ -291,18 +278,16 @@ def local_potential_derivative(p: int, theta: np.ndarray) -> np.ndarray:
     return 1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))
 
 
-def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> DensityProfile:
-    """Spike list plus V' samples; grid points within 1e-9 of a spike angle
-    or of theta = 0 (the conformal accumulation point) are rejected."""
+def density_profile(p: int, n_spikes: int) -> DensityProfile:
+    """Spikes n = -n_spikes..n_spikes and -V' on the fixed grid theta of 64
+    angles from 0.5 to 5.78, inside (0, 2pi) and clear of the theta = 0
+    accumulation point.  A prime with a spike within 1e-9 of a grid point
+    is refused."""
     require_prime(p)
     if n_spikes < 0:
         raise ValueError(f"n_spikes must be >= 0, got {n_spikes}")
-    grid = np.asarray(theta_grid, dtype=float)
-    if grid.size < 1 or grid.min() <= 0.0 or grid.max() >= TWO_PI:
-        raise ValueError("theta grid must be non-empty and lie strictly inside (0, 2pi)")
-    for th in grid:
-        if min(abs(th), abs(TWO_PI - th)) < 1e-9:
-            raise ValueError(f"grid point {th} too close to the theta = 0 artefact")
+    theta = np.linspace(0.5, 5.78, 64)
+    for th in theta:
         # nearest spike without enumerating the accumulation near 0/2pi
         n_near = round(math.log(p) / (TWO_PI * math.tan(0.5 * th)))
         if abs(th - local_spike_angles(p, n_near)) < 1e-9:
@@ -312,7 +297,8 @@ def density_profile(p: int, theta_grid: Sequence[float], n_spikes: int) -> Densi
         spike_angles=local_spike_angles(p, ns),
         spike_indices=ns,
         spike_weight=math.pi / math.log(p),
-        vprime=local_potential_derivative(p, grid),
+        theta=theta,
+        vprime=local_potential_derivative(p, theta),
     )
 
 

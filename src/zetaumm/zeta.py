@@ -389,17 +389,19 @@ def prime_count_j_explicit(x: float, zeros: Sequence[float]) -> float:
     return float(_expi(math.log(x))[0].real - osc - math.log(2.0) + tail_int)
 
 
-def local_count_explicit(p: int, x: float, n_terms: int) -> float:
+LOCAL_COUNT_TERMS = 1000  # Fourier terms of local_count_explicit; tail estimate 1/(pi terms)
+
+
+def local_count_explicit(p: int, x: float) -> float:
     """Pole expansion of j_p: ln x/ln p - 1/2 + (1/pi) sum_k sin(2 pi k
-    log_p x)/k, the Fourier form of the sawtooth over the local-factor poles
-    (midpoint values at jumps by construction)."""
+    log_p x)/k over k = 1..LOCAL_COUNT_TERMS, the Fourier form of the
+    sawtooth over the local-factor poles (midpoint values at jumps by
+    construction)."""
     require_prime(p)
-    if n_terms < 1:
-        raise ValueError("explicit mode needs at least one oscillating term")
     if x <= 1.0:
         raise ValueError("explicit formula requires x > 1")
     u = math.log(x) / math.log(p)
-    k = np.arange(1, n_terms + 1)
+    k = np.arange(1, LOCAL_COUNT_TERMS + 1)
     return float(u - 0.5 + (np.sin(2.0 * math.pi * k * u) / k).sum() / math.pi)
 
 

@@ -368,19 +368,22 @@ class TestCLI:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_density_custom_grid(self, tmp_path):
-        # density writes the fixed grid; density_profile takes any grid
+    def test_density_writes_the_profile_grid(self, tmp_path):
+        # density writes the grid density_profile samples, 64 points from 0.5 to 5.78
         out = str(tmp_path / "d.json")
         assert main(["density", "--prime", "3", "--format", "json", "--out", out]) == 0
         doc = json.loads(_read(out))
         theta = np.linspace(0.5, 5.78, 64)
-        assert np.array_equal(doc["theta"], theta)
+        assert np.array_equal(doc["theta"], theta) and np.array_equal(density_profile(3, 5).theta, theta)
         assert np.array_equal(doc["vprime"], local_potential_derivative(3, theta))
-        theta = np.linspace(1.25, 4.5, 7)
-        assert np.array_equal(density_profile(3, theta, 5).vprime, local_potential_derivative(3, theta))
-        # a grid reaching 2 pi meets the theta = 0 accumulation point
-        with pytest.raises(ValueError, match=r"strictly inside \(0, 2pi\)"):
-            density_profile(3, np.linspace(0.5, 2.0 * math.pi, 64), 5)
+
+    def test_density_prime_with_a_spike_on_the_grid_exits_one(self, tmp_path, capsys):
+        # spike -6 of this prime lies 3.6e-11 from grid point 58
+        out = tmp_path / "d.csv"
+        assert main(["density", "--prime", "136308191", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "zetaumm: grid point 5.360952380952382 sits on a density spike\n"
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -577,7 +580,7 @@ class TestCLI:
         cols, _ = read_csv(out)
         assert cols["direct"][0] == local_count_direct(3, 10.0) == 2.0
         # the pole expansion runs to 1000 terms, with the 1/(pi K) tail
-        assert cols["explicit"][0] == local_count_explicit(3, 10.0, 1000)
+        assert cols["explicit"][0] == local_count_explicit(3, 10.0)
         assert cols["tail_estimate"][0] == 1.0 / (math.pi * 1000)
 
     @pytest.mark.parametrize("kind, unread", [("psi", {"prime"}), ("J", {"prime"}),

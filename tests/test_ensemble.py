@@ -115,11 +115,21 @@ class TestCUE:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) makes the ensemble layer see n usable CPUs.  Each part hands
-    back the fake mask it read, which would narrow the process's real mask
-    on a larger machine, so the real mask is put back afterwards."""
+    """cpus(n) makes the ensemble layer see n usable CPUs; cpus.reads counts
+    the reads of the fake mask in this process.  Each part hands back the
+    fake mask it read, which would narrow the process's real mask on a
+    larger machine, so the real mask is put back afterwards."""
     real, set_mask = os.sched_getaffinity(0), os.sched_setaffinity
-    yield lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def fake(n):
+        def sched_getaffinity(pid):
+            fake.reads += 1
+            return set(range(n))
+
+        monkeypatch.setattr(os, "sched_getaffinity", sched_getaffinity)
+
+    fake.reads = 0
+    yield fake
     set_mask(0, real)
 
 
@@ -246,12 +256,25 @@ class TestWorkers:
         _assert_no_child_left()
 
     def test_blocks_cover_the_range(self, cpus, monkeypatch):
+        # one contiguous, non-empty block per CPU, each with the fixed arguments first
         cpus(3)
-        assert ensemble._blocks(7) == [(0, 2), (2, 4), (4, 7)]
-        assert ensemble._blocks(2) == [(0, 1), (1, 2)]
-        assert ensemble._blocks(0) == [(0, 0)]
+        blocks = lambda n: ensemble._in_parallel(lambda a, lo, hi: (a, lo, hi), n, "a")
+        assert blocks(7) == [("a", 0, 2), ("a", 2, 4), ("a", 4, 7)]
+        assert blocks(2) == [("a", 0, 1), ("a", 1, 2)]
+        assert blocks(1) == [("a", 0, 1)]
         monkeypatch.delattr(os, "fork")
-        assert ensemble._blocks(7) == [(0, 7)]
+        assert blocks(7) == [("a", 0, 7)]
+        _assert_no_child_left()
+
+    def test_mask_read_once_per_call(self, cpus):
+        # the parts are cut and placed from one read, so a mask that changes
+        # in between cannot make them disagree
+        cpus(2)
+        sample_cue(8, 30, seed=1)
+        assert cpus.reads == 1
+        plaquette_mc(10, [0.15], sweeps=20, burn_in=5, seed=1, chains=3)
+        assert cpus.reads == 2
+        _assert_no_child_left()
 
     def _raise_in(self, monkeypatch, where, exc):
         parent = os.getpid()

@@ -108,22 +108,21 @@ class TestResolvent:
         with pytest.raises(ValueError):
             resolvent(model, -1.0)
 
-    def test_shifted_and_xi_reflection_by_construction(self):
-        model, z = ResolventModel("shifted", s0=1.5), 0.4 - 0.1j
-        assert abs(resolvent(model, z) + resolvent(model, 1.0 / z) - 1.0) < 1e-12
-        # the xi model has coefficients only
-        with pytest.raises(ValueError, match="no pointwise resolvent"):
-            resolvent(ResolventModel("xi"), z)
+    def test_shifted_and_xi_have_no_pointwise_resolvent(self):
+        # both have coefficients only (beta_contour), on either branch
+        for model in (ResolventModel("shifted", s0=1.5), ResolventModel("xi")):
+            for z in (0.4 - 0.1j, 1.0 / (0.4 - 0.1j)):
+                with pytest.raises(ValueError, match=f"the {model.kind} model has coefficients only"):
+                    resolvent(model, z)
 
-    @pytest.mark.parametrize("model", [ResolventModel("local", p=2), ResolventModel("gamma"),
-                                       ResolventModel("shifted", s0=1.5)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("model", [ResolventModel("local", p=2), ResolventModel("gamma")],
+                             ids=lambda m: m.kind)
     def test_outside_branch_is_the_reflection_not_the_continuation(self, model):
         # at this z the closed form continued past |z| = 1, 1 + g(z), lies
         # more than 2 away from the reflection 1 - (1 + g(1/z))
         import mpmath as mp
 
-        g = {"local": _local_fluctuation, "gamma": _gamma_fluctuation,
-             "shifted": _shifted_fluctuation}[model.kind]
+        g = {"local": _local_fluctuation, "gamma": _gamma_fluctuation}[model.kind]
         z = mp.mpc(1.7, 0.4)
         reflected = complex(-g(1 / z))
         assert abs(resolvent(model, complex(z)) - reflected) < 1e-13
@@ -295,7 +294,7 @@ class TestDensityProfile:
                 assert abs(cmath.phase(z) % (2.0 * math.pi) - th) < 1e-12
 
     def test_weight_constant(self):
-        prof = density_profile(3, [2.0], 4)
+        prof = density_profile(3, 4)
         assert abs(prof.spike_weight - math.pi / math.log(3)) < 1e-15
 
     def test_closed_form_vs_partial_sum(self):
@@ -314,20 +313,16 @@ class TestDensityProfile:
             assert local_potential_derivative(p, theta) == pytest.approx(abel, rel=1e-6)
 
     def test_grid_near_spike_rejected(self):
-        th1 = local_spike_angles(2, 1)
-        with pytest.raises(ValueError):
-            density_profile(2, [th1], 3)
-        with pytest.raises(ValueError):
-            density_profile(2, [1e-12], 3)
+        # spike -6 of p = 136308191 lies 3.6e-11 from grid point 58
+        theta = density_profile(2, 3).theta
+        assert abs(theta[58] - local_spike_angles(136308191, -6)) < 1e-10
+        with pytest.raises(ValueError, match=f"grid point {theta[58]} sits on a density spike"):
+            density_profile(136308191, 3)
 
     def test_non_prime_rejected(self):
         for p in (1, 4):
             with pytest.raises(ValueError, match="not a prime"):
-                density_profile(p, [2.0], 3)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="theta grid must be non-empty"):
-            density_profile(2, [], 3)
+                density_profile(p, 3)
 
 
 def laguerre_table(M, x):

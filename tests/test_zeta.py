@@ -434,9 +434,9 @@ class TestCounting:
         assert abs(prime_count_j_explicit(100.5, zeros_2000.ts[:1000]) - prime_count_j_direct(100.5)) < 0.05
 
     def test_local_explicit_matches_direct(self):
-        assert abs(local_count_explicit(2, 10.0, 4000) - 3.0) < 1e-3
+        assert abs(local_count_explicit(2, 10.0) - 3.0) < 1e-3
         # Fourier form lands on the midpoint at a jump by construction
-        assert abs(local_count_explicit(2, 8.0, 4000) - 2.5) < 1e-3
+        assert abs(local_count_explicit(2, 8.0) - 2.5) < 1e-3
 
     def test_local_counts_reject_non_prime(self):
         # without the check p = 1 loops forever on p^n *= 1: the alarm turns a hang into a failure
@@ -453,7 +453,7 @@ class TestCounting:
             signal.signal(signal.SIGALRM, previous)
         for p in (1, 4):
             with pytest.raises(ValueError):
-                local_count_explicit(p, 10.0, 100)
+                local_count_explicit(p, 10.0)
         with pytest.raises(ValueError):
             local_count_direct(4, 10.0)
 

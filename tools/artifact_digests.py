@@ -2,7 +2,7 @@
 """Print one digest line per command: the artifact's sha256, the exit code
 and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
 README's code blocks, every job of `perfbench/workloads.py` at seeds 1
-and 2 (that file is read, never written), and sixteen edge cases: more
+and 2 (that file is read, never written), and seventeen edge cases: more
 ordinates asked of `li` than the table holds, a `betas --model xi`
 radius where the logarithm winds, a `trace-check` on 20 zeros, and the
 CLI routes that neither the README nor the jobs reach: `explicit-formula
@@ -15,7 +15,9 @@ inside the circle (`betas --s0 0.75`, `beta-ren --mu 0.6`), CUE
 samples of an odd N, whose CMV factor L ends in a lone corner entry
 (`cue-sample --n 5`), and two Metropolis runs: zero couplings
 (`plaquette-mc --betas=`) and three couplings on three chains, which
-two or more CPUs split unevenly.
+two or more CPUs split unevenly, and a `density` prime with a spike on the
+fixed grid (`--prime 136308191`: spike -6 lies 3.6e-11 from grid point
+58), which exits 1.
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
 `src/` first on the path, in a temporary directory that holds the
@@ -60,6 +62,7 @@ EDGE_CASES = (
     "zetaumm plaquette-mc --n 6 --betas= --chains 2 --sweeps 40 --burn-in 25 --seed 3 --out mc-6.csv",
     "zetaumm plaquette-mc --n 9 --betas=0.15,-0.05,0.02 --chains 3 --sweeps 40 --burn-in 25 "
     "--seed 3 --out mc-9.csv",
+    "zetaumm density --prime 136308191 --out density-spike.csv",
 )
 # the file `@xi.cfg` reads
 XI_CFG = "# the xi model's order\nmmax = 12\n"

@@ -48,8 +48,8 @@ MUTANTS = [
      "    return 0.1 <= run.acceptance_rate <= 0.9",
      "    return 0 <= run.acceptance_rate <= 1"),
     ("plaquette_model_density out -= -> out +=", "src/zetaumm/ensemble.py",
-     "        out -= 2.0 * float(np.real(b)) * np.cos(n * th)",
-     "        out += 2.0 * float(np.real(b)) * np.cos(n * th)"),
+     "        out -= 2.0 * float(b) * np.cos(n * th)",
+     "        out += 2.0 * float(b) * np.cos(n * th)"),
     ("local_potential_derivative sign flip", "src/zetaumm/resolvent.py",
      "    return 1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))",
      "    return -1.0 / (4.0 * np.sin(0.5 * th) ** 2 * np.tan(0.5 * math.log(p) * x))"),
@@ -90,11 +90,11 @@ MUTANTS = [
      "    np.copyto(B, A, where=accept[:, :, None])",
      "    np.copyto(B, A, where=accept[:, None, :])"),
     ("forked ensemble parts all start on the first CPU", "src/zetaumm/ensemble.py",
-     "                        _start_on(cpus[k % len(cpus)], mask)",
-     "                        _start_on(cpus[0], mask)"),
-    ("j_local terms 1000 -> 500", "src/zetaumm/cli.py",
-     "        terms = 1000  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)",
-     "        terms = 500  # Fourier terms of the sawtooth; its tail estimate is 1/(pi terms)"),
+     "                        _start_on(cpus[k], cpus)",
+     "                        _start_on(cpus[0], cpus)"),
+    ("j_local terms 1000 -> 500", "src/zetaumm/zeta.py",
+     "LOCAL_COUNT_TERMS = 1000  # Fourier terms of local_count_explicit; tail estimate 1/(pi terms)",
+     "LOCAL_COUNT_TERMS = 500  # Fourier terms of local_count_explicit; tail estimate 1/(pi terms)"),
 ]
 
 
