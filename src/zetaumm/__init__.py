@@ -11,6 +11,27 @@ class NumericConsistencyError(ArithmeticError):
     """Two independent evaluation routes disagree beyond combined tolerance."""
 
 
+def is_prime(n: int) -> bool:
+    """Trial-division primality test (the primes used here are small)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def require_prime(p: int) -> None:
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p = {p!r} is not a prime")
+
+
 def _cmul(x, y):
     """x * y from real products and sums.  Whether numpy's complex multiply
     fuses a multiply-add depends on the CPU and on the shapes of its

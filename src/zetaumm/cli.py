@@ -20,14 +20,12 @@ if __name__ == "__main__":  # pragma: no cover
 import argparse
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
-# `output` and `padics` load for every command and need no numpy; each
-# handler imports numpy and the other modules it calls, so padic-check and
-# wavelet-check run without numpy
-from . import NumericConsistencyError, __version__, output
-from .padics import additive_character, haar_integrate_norm_power, padic_norm, require_prime
+# `output` loads for every command and needs no numpy; each handler imports
+# numpy and the other modules it calls, so padic-check and wavelet-check run
+# without numpy, and only those two load `padics` and `fractions`
+from . import NumericConsistencyError, __version__, output, require_prime
 
 
 def _prime(text: str) -> int:
@@ -84,9 +82,22 @@ def _command(name: str, help: str, *options):
     return register
 
 
+def _non_finite(columns, metadata) -> list[str]:
+    """A message for each column, naming its first row (from 1), and each
+    metadata value that holds a NaN or an infinity."""
+    out = []
+    for name, column in columns.items():
+        values = column.tolist() if hasattr(column, "tolist") else column
+        out += [f"column {name!r} holds {v} at row {i + 1}" for i, v in enumerate(values)
+                if isinstance(v, float) and not math.isfinite(v)][:1]
+    return out + [f"metadata {key!r} holds {v}" for key, v in sorted(metadata.items())
+                  if isinstance(v, float) and not math.isfinite(v)]
+
+
 def _emit(args, columns, payload, extra: Optional[dict] = None, failed=()) -> None:
     """Write the artifact (its metadata: each set option, the version, `extra`),
-    then raise on the first `failed` message: a command's checks exit 2 here."""
+    then raise on the first `failed` message, or else on the first NaN or
+    infinity of a column or a metadata value: a command's checks exit 2 here."""
     echo = {k.replace("_", "-"): v for k, v in vars(args).items()}
     metadata = {k: v for k, v in {**echo, "version": __version__, **(extra or {})}.items()
                 if v is not None}
@@ -94,6 +105,7 @@ def _emit(args, columns, payload, extra: Optional[dict] = None, failed=()) -> No
         output.write_csv(args.out, columns, metadata)
     else:
         output.write_json(args.out, payload, metadata)
+    failed = [*failed, *_non_finite(columns, metadata)]
     if failed:
         raise NumericConsistencyError(failed[0])
 
@@ -108,7 +120,9 @@ def _emit(args, columns, payload, extra: Optional[dict] = None, failed=()) -> No
           ("--seed", dict(type=int, default=0)))
 def _cmd_padic_check(args) -> None:
     import random
+    from fractions import Fraction
 
+    from .padics import additive_character, haar_integrate_norm_power, padic_norm
     if args.samples < 1:
         raise ValueError("padic-check needs --samples >= 1")
     rng = random.Random(args.seed)

@@ -12,28 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+from . import require_prime
+
 Rational = Union[int, Fraction]
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test (the primes used here are small)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def require_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p = {p!r} is not a prime")
 
 
 def valuation(x: Rational, p: int) -> int:

@@ -16,9 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _cmul
+from . import _cmul, is_prime, require_prime
 from . import zeta as zt
-from .padics import is_prime, require_prime
 from .zeta import NumericConsistencyError
 
 TWO_PI = 2.0 * math.pi

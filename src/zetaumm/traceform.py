@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .padics import require_prime
+from . import require_prime
 from .zeta import LN_PI, PrimeTable, ZeroTable, _digamma
 
 TWO_PI = 2.0 * math.pi

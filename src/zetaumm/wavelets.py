@@ -14,13 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padics import (
-    Rational,
-    additive_character,
-    ball_coset_representatives,
-    padic_norm,
-    require_prime,
-)
+from . import require_prime
+from .padics import Rational, additive_character, ball_coset_representatives, padic_norm
 
 
 @dataclass(frozen=True)

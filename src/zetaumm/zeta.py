@@ -12,15 +12,15 @@ package needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import NumericConsistencyError  # re-exported for callers of check_agreement
-from .padics import require_prime
+from . import require_prime
 
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(2.0 * math.pi)
@@ -45,12 +45,12 @@ def check_agreement(label: str, a, b, bar, names: tuple[str, str]) -> list[str]:
 
 
 _EM_ORDER = 12  # Bernoulli corrections of the Euler-Maclaurin kernel
-# the exact B_2k, k = 1.._EM_ORDER, from which both binary64 tables below come
-_B2K = [Fraction(n, d) for n, d in (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730))]
+# the exact B_2k = n/d, k = 1.._EM_ORDER, from which both binary64 tables below
+# come: int / int is correctly rounded, as float(Fraction) is
+_B2K = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+        (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730))
 # B_2k / (2k)!: the Euler-Maclaurin corrections
-_B2K_OVER_FACT = np.array([float(b / math.factorial(2 * k)) for k, b in enumerate(_B2K, 1)])
+_B2K_OVER_FACT = np.array([n / (d * math.factorial(2 * k)) for k, (n, d) in enumerate(_B2K, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ _B2K_OVER_FACT = np.array([float(b / math.factorial(2 * k)) for k, b in enumerat
 # ---------------------------------------------------------------------------
 
 # B_2k / (2k (2k-1)), k = 1.._EM_ORDER: Stirling's series of ln Gamma
-_STIRLING = np.array([float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(_B2K, 1)])
+_STIRLING = np.array([n / (d * 2 * k * (2 * k - 1)) for k, (n, d) in enumerate(_B2K, 1)])
 # (2k - 1) _STIRLING, B_2k / 2k to rounding: the series of its derivative, digamma
 _STIRLING_D = (2.0 * np.arange(1, _EM_ORDER + 1) - 1.0) * _STIRLING
 
@@ -307,7 +307,7 @@ class PrimeTable:
         sizes = [level.size for level in levels]
         logs = np.fromiter(map(math.log, primes.tolist()), dtype=float, count=primes.size)
         vals = np.concatenate(levels)
-        order = np.argsort(vals)
+        order = np.argsort(vals, kind="stable")  # the values are distinct; each level ascends
         return cls(
             limit=limit,
             power_values=vals[order],
@@ -593,9 +593,19 @@ def _z_riemann_siegel(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     main = np.empty_like(t)
     main[order] = main_up
     x = a - N - 0.5
-    corr = np.zeros_like(t)
+    x2 = x * x
+    corr, poly = np.zeros_like(t), np.empty_like(t)
     for k in reversed(range(len(_RS_COEFFS))):
-        corr = corr / a + np.polyval(_RS_COEFFS[k], x * x) * (x if k % 2 else 1.0)
+        # corr = corr / a + C_k: np.polyval's Horner steps y = y x^2 + c from
+        # y = 0, in place, so each value rounds as np.polyval rounds it
+        poly.fill(0.0)
+        for c in _RS_COEFFS[k]:
+            poly *= x2
+            poly += c
+        if k % 2:
+            poly *= x
+        corr /= a
+        corr += poly
     z = 2.0 * main + np.where(N % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
     return z, _GABCKE_D4 * t**-2.75 + 16.0 * EPS * t * np.log(t) * np.sqrt(a)
 
@@ -634,11 +644,16 @@ class ZeroTable:
     """Validated ordinates of nontrivial zeros, ascending."""
 
     ts: np.ndarray
-    residuals: np.ndarray  # |Z(t)| at each accepted ordinate
     excluded: tuple[tuple[float, float], ...] = ()  # (t, |Z(t)|) of each rejected one
 
     def __len__(self) -> int:
         return int(self.ts.size)
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """|Z(t)| at each accepted ordinate, computed when first read:
+        validation itself needs Z only at t - delta and t + delta."""
+        return np.abs(hardy_z(self.ts)[0])
 
 
 def _last_digit_exponent(line: str) -> int:
@@ -651,19 +666,10 @@ def _last_digit_exponent(line: str) -> int:
     return (int(exponent) if exponent else 0) - len(mantissa.partition(".")[2].replace("_", ""))
 
 
-def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
-    """Load a zero table (one ascending positive decimal per line, '#'
-    comments) and validate each ordinate by a sign change of Hardy's Z.
-
-    An ordinate t is accepted iff Z(t - delta) and Z(t + delta) have
-    opposite signs and each exceeds its error bound (`hardy_z`); delta is
-    the larger of 1e-6 and half a unit in the last digit printed on its
-    line.  Every other ordinate is excluded and reported with |Z(t)|;
-    parse errors and ordering violations carry line numbers.  At most
-    max_zeros >= 1 ordinates are read.
-    """
-    if max_zeros is not None and max_zeros < 1:
-        raise ValueError(f"max_zeros must be >= 1, got {max_zeros}")
+def _read_lines(path: str, max_zeros: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ordinates and `_last_digit_exponent`s of the first max_zeros data
+    lines of a zero table, read line by line; every parse error and order
+    violation raises with its line number."""
     ts: list[float] = []
     exponents: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -688,14 +694,103 @@ def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
                 break
     if not ts:
         raise ValueError(f"{path}: no ordinates found")
-    arr = np.asarray(ts)
-    delta = np.maximum(_DELTA_MIN, 0.5 * 10.0 ** np.asarray(exponents, dtype=float))
-    z, err = hardy_z(np.concatenate([arr - delta, arr, arr + delta]))
-    (below, at, above), (err_below, _, err_above) = z.reshape(3, -1), err.reshape(3, -1)
+    return np.asarray(ts), np.asarray(exponents)
+
+
+def _read_bytes(data: bytes, max_zeros: Optional[int]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """What `_read_lines` returns, read from a table's bytes by array
+    operations and one float() parse of the lines picked; None for a table
+    that only the line loop reads: one with a byte outside ASCII, '\\r' or
+    another control byte that is not tab or newline, no data line, a data
+    line that does not parse or holds a '_', or ordinates that are not
+    finite, positive and ascending.  The first 64 max_zeros bytes, which
+    hold the lines wanted in most tables, are read first."""
+    if not data.isascii():  # the loop's UTF-8 decoding may fail on it
+        return None
+    if max_zeros is not None and len(data) > 64 * max_zeros:
+        read = _read_ascii(data[: data.rfind(b"\n", 0, 64 * max_zeros) + 1], max_zeros)
+        if read is not None and read[0].size == max_zeros:
+            return read
+    return _read_ascii(data, max_zeros)
+
+
+def _read_ascii(data: bytes, max_zeros: Optional[int]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """`_read_bytes` on ASCII bytes.  Lines end at '\\n' and are stripped of
+    spaces and tabs; a data line is one left non-blank and not starting
+    with '#'.  The last digit's exponent is the exponent after 'e' less the
+    digits between the point and the 'e' or the line's end."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    if np.count_nonzero(buf < 32) != newlines.size + np.count_nonzero(buf == 9):
+        return None
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.append(newlines, buf.size)  # one past each line's last byte
+    # the runs of spaces and tabs, which a line's stripped text starts after and ends before
+    space = np.flatnonzero((buf == 32) | (buf == 9))
+    run = np.flatnonzero(np.diff(space, prepend=-2) != 1)
+    run_first, run_last = space[run], np.append(space[run[1:] - 1], space[-1:])
+    padded = np.append(buf, 10)  # an empty last line starts at its end
+    first = starts.copy()
+    lead = (padded[starts] == 32) | (padded[starts] == 9)
+    first[lead] = run_last[np.searchsorted(run_first, starts[lead])] + 1
+    rows = np.flatnonzero((first < ends) & (padded[first] != ord("#")))[:max_zeros]
+    if not rows.size:
+        return None
+    lines = data[starts[rows[0]] : ends[rows[-1]]].split(b"\n")
+    if len(lines) > rows.size:  # comments or blank lines among the data lines
+        lines = np.array(lines, dtype=object)[rows - rows[0]]
+    try:
+        ts = np.array(lines, dtype=float)  # float() of each line, as bytes
+    except ValueError:
+        return None
+    if not (np.isfinite(ts).all() and ts[0] > 0.0 and (ts[1:] > ts[:-1]).all()):
+        return None
+    first, last = first[rows], ends[rows] - 1
+    trail = (buf[last] == 32) | (buf[last] == 9)
+    last[trail] = run_first[np.searchsorted(run_last, last[trail])] - 1
+    # float() takes a '_' between digits, which the digit count below would count
+    under = np.flatnonzero(buf == ord("_"))
+    line = np.searchsorted(first, under, "right") - 1
+    if ((line >= 0) & (under <= last[line])).any():
+        return None
+    dots = np.append(np.flatnonzero(buf == ord(".")), buf.size)
+    letters = np.append(np.flatnonzero((buf | 32) == ord("e")), buf.size)  # 'e' and 'E'
+    dot = dots[np.searchsorted(dots, first)]
+    e = letters[np.searchsorted(letters, first)]
+    mantissa_end = np.minimum(e, last + 1)
+    exponents = np.where(dot < mantissa_end, dot + 1 - mantissa_end, 0)
+    for i in np.flatnonzero(e <= last).tolist():  # the few lines with an exponent
+        exponents[i] += int(data[e[i] + 1 : last[i] + 1])
+    return ts, exponents
+
+
+def ingest_zeros(path: str, max_zeros: Optional[int] = None) -> ZeroTable:
+    """Load a zero table (one ascending positive decimal per line, '#'
+    comments) and validate each ordinate by a sign change of Hardy's Z.
+
+    An ordinate t is accepted iff Z(t - delta) and Z(t + delta) have
+    opposite signs and each exceeds its error bound (`hardy_z`); delta is
+    the larger of 1e-6 and half a unit in the last digit printed on its
+    line.  Every other ordinate is excluded and reported with |Z(t)|,
+    computed here; an accepted one's |Z(t)| is computed when
+    `ZeroTable.residuals` is first read.  Parse errors and ordering
+    violations carry line numbers.  At most max_zeros >= 1 ordinates are
+    read.  The table's bytes are read by array operations (`_read_bytes`);
+    a table they do not model, and every malformed one, goes through the
+    line loop (`_read_lines`), which names the line at fault.
+    """
+    if max_zeros is not None and max_zeros < 1:
+        raise ValueError(f"max_zeros must be >= 1, got {max_zeros}")
+    with open(path, "rb") as fh:
+        read = _read_bytes(fh.read(), max_zeros)
+    ts, exponents = read if read is not None else _read_lines(path, max_zeros)
+    delta = np.maximum(_DELTA_MIN, 0.5 * 10.0 ** exponents.astype(float))
+    z, err = hardy_z(np.concatenate([ts - delta, ts + delta]))
+    (below, above), (err_below, err_above) = z.reshape(2, -1), err.reshape(2, -1)
     ok = (below * above < 0) & (np.abs(below) > err_below) & (np.abs(above) > err_above)
-    residuals = np.abs(at)
-    excluded = tuple((float(t), float(r)) for t, r in zip(arr[~ok], residuals[~ok]))
-    return ZeroTable(ts=arr[ok], residuals=residuals[ok], excluded=excluded)
+    rejected = ts[~ok]
+    excluded = tuple(zip(rejected.tolist(), np.abs(hardy_z(rejected)[0]).tolist())) if rejected.size else ()
+    return ZeroTable(ts=ts[ok], excluded=excluded)
 
 
 def bundled_zeros_path() -> str:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zetaumm
-from zetaumm import cli, ensemble, output, traceform, wavelets, zeta
+from zetaumm import cli, ensemble, output, padics, traceform, wavelets, zeta
 from zetaumm.cli import COMMANDS, build_parser, main
 from zetaumm.padics import ShellSum
 from zetaumm.resolvent import beta_pole_free, density_profile, local_potential_derivative
@@ -504,7 +504,7 @@ class TestCLI:
 
     def test_padic_check_exit_two_names_its_reason(self, tmp_path, monkeypatch, capsys):
         shell = ShellSum(value=1.0, tail_bound=1e-9, closed_form=1.5)
-        monkeypatch.setattr(cli, "haar_integrate_norm_power", lambda p, s, K: shell)
+        monkeypatch.setattr(padics, "haar_integrate_norm_power", lambda p, s, K: shell)
         out = str(tmp_path / "p.csv")
         assert main(["padic-check", "--samples", "5", "--out", out]) == 2
         cols, _ = read_csv(out)
@@ -514,12 +514,30 @@ class TestCLI:
 
     def test_padic_check_ultrametric_can_fail(self, tmp_path, monkeypatch, capsys):
         # the archimedean norm |x| breaks |a + b| <= max(|a|, |b|) whenever a, b share a sign
-        monkeypatch.setattr(cli, "padic_norm", lambda x, p: abs(Fraction(x)))
+        monkeypatch.setattr(padics, "padic_norm", lambda x, p: abs(Fraction(x)))
         out = tmp_path / "p.json"
         assert main(["padic-check", "--samples", "5", "--out", str(out), "--format", "json"]) == 2
         assert json.loads(out.read_text())["pass"] is False  # written before the exit
         err = capsys.readouterr().err
         assert "ultrametric(p=2): deviation" in err and "exceeds bound 0" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_artifact_exits_two_after_writing(self, tmp_path, capsys, fmt):
+        # at s0 = 1e17 the Euler-Maclaurin rising factorial overflows: every coefficient is NaN
+        out = tmp_path / f"betas.{fmt}"
+        with np.errstate(all="ignore"):
+            code = main(["betas", "--model", "shifted", "--s0", "1e17", "--out", str(out), "--format", fmt])
+        assert code == 2
+        assert "nan" in out.read_text().lower()  # written before the exit (JSON spells it NaN)
+        err = capsys.readouterr().err
+        assert err.endswith("zetaumm: numeric consistency failure: column 'value' holds nan at row 1\n")
+
+    def test_non_finite_names_the_first_row_and_each_metadata_key(self):
+        columns = {"check": ["a", "b", "c"], "n": np.arange(3), "x": np.array([1.0, -np.inf, np.nan])}
+        metadata = {"out": "x.csv", "mu": 0.5, "width": math.nan, "bar": math.inf}
+        assert cli._non_finite(columns, metadata) == [
+            "column 'x' holds -inf at row 2", "metadata 'bar' holds inf", "metadata 'width' holds nan"]
+        assert cli._non_finite({"x": [1.0, 2.0]}, {"mu": 0.5}) == []
 
     def test_own_checks_exit_two_only_through_emit(self):
         # handlers pass their failure messages to _emit, which writes the
@@ -702,8 +720,8 @@ class TestImportPath:
             zetaumm.nope
 
     @pytest.mark.parametrize("argv, loaded, numpy", [
-        (["padic-check", "--samples", "5"], [], False),
-        (["wavelet-check"], ["wavelets"], False),
+        (["padic-check", "--samples", "5"], ["padics"], False),
+        (["wavelet-check"], ["padics", "wavelets"], False),
         (["comb"], ["traceform", "zeta"], True),
         (["cue-sample", "--n", "12", "--samples", "150"], ["ensemble"], True),
         (["plaquette-mc", "--n", "6", "--sweeps", "20", "--burn-in", "5", "--chains", "1"],
@@ -716,7 +734,7 @@ class TestImportPath:
                              "m.split('.')[1] for m in sys.modules if m.startswith('zetaumm.')))",
                              *argv, "--out", "out.csv", cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        eager = ["cli", "output", "padics"]
+        eager = ["cli", "output"]
         assert proc.stdout.strip() == f"0 0 {numpy} {sorted(eager + loaded)}"
 
     @pytest.mark.parametrize("entry", ["module", "script"])

@@ -600,7 +600,7 @@ class TestIngestZeros:
         assert zt._last_digit_exponent(line) == Decimal(line).as_tuple().exponent
 
     def test_sign_change_bracket_is_half_the_last_digit(self, tmp_path, monkeypatch):
-        # Z is taken at the points t - delta, t, t + delta of the per-line form
+        # Z is taken at the points t - delta, t + delta of the per-line form
         # delta = max(1e-6, 0.5 * 10^e), e the last printed digit's exponent, to the bit
         lines = ["14.13472514", "17.25", "21.02204", "2.5e1", "3.2935e1", "37.6", "40.918719012147"]
         f = tmp_path / "zeros.txt"
@@ -611,7 +611,89 @@ class TestIngestZeros:
         ts = np.array([float(line) for line in lines])
         delta = np.array([max(zt._DELTA_MIN, 0.5 * 10.0 ** Decimal(line).as_tuple().exponent)
                           for line in lines])
-        assert seen[0].tobytes() == np.concatenate([ts - delta, ts, ts + delta]).tobytes()
+        assert seen[0].tobytes() == np.concatenate([ts - delta, ts + delta]).tobytes()
+
+    @pytest.mark.parametrize("max_zeros", [100, 2000, 5000, None])
+    def test_byte_read_matches_line_loop_on_bundled_table(self, max_zeros):
+        path = bundled_zeros_path()
+        with open(path, "rb") as fh:
+            fast = zt._read_bytes(fh.read(), max_zeros)
+        assert fast is not None  # the bundled table takes the array route
+        ts, exponents = zt._read_lines(path, max_zeros)
+        assert fast[0].tobytes() == ts.tobytes()
+        assert fast[1].tolist() == exponents.tolist()
+
+    # (text, whether the array route reads it): every table either route reads
+    # gives the same ordinates and exponents; the rest go through the loop
+    _TABLES = {
+        "17+ digits": ("14.1347251417346937904572519835625\n"
+                       "21.022039638771554992628479593896902777334\n", True),
+        "exponent forms": ("2.5e1\n3.2935E+1\n375.86178158825671e-1\n4.0918719012147495e1\n5E1\n6.e1\n"
+                           ".7e2\n", True),
+        # 1 + 2^-53 exactly, halfway between 1 and the next double, rounds to even;
+        # a digit more rounds up; then a halfway case of 2^53 + 1
+        "halfway": ("1.00000000000000011102230246251565404236316680908203125\n"
+                    "1.000000000000000111022302462515654042363166809082031251\n"
+                    "9007199254740993\n9007199254740993.000000000000001\n", True),
+        "comments and blanks mid-file": ("# a\n\n14.134725141734694\n  # b\n\n   21.022039638771555  \n"
+                                         "\t25.010857580145689\t\n# c _ d\n  \n26\n30.42e0", True),
+        "signs": ("+14.1347\n+2.1022039638771555e+1\n25.0108575801456887e-0\n", True),
+        "underscores": ("14.134_725\n21.022\n", False),
+        "underscore in an exponent": ("14.134725\n2.1022e0_1\n", False),
+        "non-ASCII digits": ("١٤.١٣\n21.022\n", False),
+        "CRLF": ("14.134725141734694\r\n21.022039638771555\r\n", False),
+        "form feed": ("14.134725141734694\x0c\n21.02\n", False),
+        "negative": ("-14.1347\n21.02\n", False),
+    }
+
+    @pytest.mark.parametrize("name", list(_TABLES))
+    def test_byte_read_matches_line_loop_on_adversarial_lines(self, tmp_path, name):
+        text, fast_route = self._TABLES[name]
+        f = tmp_path / "zeros.txt"
+        f.write_bytes(text.encode("utf-8"))
+        fast = zt._read_bytes(f.read_bytes(), None)
+        assert (fast is not None) == fast_route
+        if fast is None:
+            return
+        ts, exponents = zt._read_lines(str(f), None)
+        assert fast[0].tobytes() == ts.tobytes()
+        assert fast[1].tolist() == exponents.tolist()
+        assert exponents.tolist() == [Decimal(line.strip()).as_tuple().exponent for line in text.splitlines()
+                                      if line.strip() and not line.strip().startswith("#")]
+
+    @pytest.mark.parametrize("text, message", [
+        ("# h\n\n14.134725141734694\n  abc  \n", ":4: unparsable ordinate 'abc'"),
+        ("# h\n21.022039638771555\n\n14.134725141734694\n", ":4: descending ordinate 14.134725141734695"),
+        ("14.134725141734694\n# h\n14.134725141734694\n", ":3: duplicate ordinate 14.134725141734695"),
+        ("# h\n\n0\n", ":3: ordinates must be positive"),
+        ("14.134725141734694\n  nan\n", ":2: non-finite ordinate 'nan'"),
+        ("14.134725141734694\n1_4\n", ":2: descending ordinate 14.0"),
+        ("14.134725141734694\r21.02\rx\r", ":3: unparsable ordinate 'x'"),
+        ("# only a comment\n\n", ": no ordinates found"),
+    ])
+    def test_malformed_table_names_its_line(self, tmp_path, text, message):
+        f = tmp_path / "zeros.txt"
+        f.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as info:
+            ingest_zeros(str(f))
+        assert str(info.value) == f"{f}{message}"
+
+    def test_z_is_taken_once_at_two_points_per_ordinate(self, monkeypatch):
+        sizes = []
+        hardy_z = zt.hardy_z
+        monkeypatch.setattr(zt, "hardy_z", lambda t: sizes.append(len(t)) or hardy_z(t))
+        table = ingest_zeros(bundled_zeros_path(), max_zeros=500)
+        assert sizes == [1000] and len(table) == 500
+        residuals = table.residuals  # |Z(t)| at the accepted ordinates, on first read only
+        assert table.residuals is residuals and sizes == [1000, 500]
+
+    def test_residuals_are_z_at_the_accepted_ordinates(self, tmp_path, zeros_all, zeros_2000):
+        assert zeros_all.residuals.tobytes() == np.abs(zt.hardy_z(zeros_all.ts)[0]).tobytes()
+        ts = zeros_2000.ts.copy()
+        ts[20:] += 0.3
+        table = ingest_zeros(_write_table(tmp_path / "shifted.txt", ts))
+        assert table.residuals.tobytes() == np.abs(zt.hardy_z(ts[:20])[0]).tobytes()
+        assert [r for _, r in table.excluded] == np.abs(zt.hardy_z(ts[20:])[0]).tolist()
 
     def test_unparsable_line_number_reported(self, tmp_path):
         f = tmp_path / "zeros.txt"

@@ -2,7 +2,7 @@
 """Print one digest line per command: the artifact's sha256, the exit code
 and the sha256 of stderr.  The commands are the `zetaumm ...` lines in the
 README's code blocks, every job of `perfbench/workloads.py` at seeds 1
-and 2 (that file is read, never written), and seventeen edge cases: more
+and 2 (that file is read, never written), and eighteen edge cases: more
 ordinates asked of `li` than the table holds, a `betas --model xi`
 radius where the logarithm winds, a `trace-check` on 20 zeros, and the
 CLI routes that neither the README nor the jobs reach: `explicit-formula
@@ -17,10 +17,12 @@ samples of an odd N, whose CMV factor L ends in a lone corner entry
 (`plaquette-mc --betas=`) and three couplings on three chains, which
 two or more CPUs split unevenly, and a `density` prime with a spike on the
 fixed grid (`--prime 136308191`: spike -6 lies 3.6e-11 from grid point
-58), which exits 1.
+58), which exits 1, and a shifted model at s0 = 1e17, whose coefficients
+are all NaN, which exits 2.
 
 Each command runs in-process (`zetaumm.cli.main`) with this checkout's
-`src/` first on the path, in a temporary directory that holds the
+`src/` first on the path and numpy's RuntimeWarnings silenced (one names
+the path of the line it comes from), in a temporary directory that holds the
 bundled zero table at `src/zetaumm/data/zeros10k.txt` and the options
 file `xi.cfg`.  The zero-table, options and artifact paths are relative
 to that directory, so the artifact's metadata is the same from any
@@ -40,6 +42,7 @@ import shlex
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +66,7 @@ EDGE_CASES = (
     "zetaumm plaquette-mc --n 9 --betas=0.15,-0.05,0.02 --chains 3 --sweeps 40 --burn-in 25 "
     "--seed 3 --out mc-9.csv",
     "zetaumm density --prime 136308191 --out density-spike.csv",
+    "zetaumm betas --model shifted --s0 1e17 --out betas-shifted-1e17.csv",
 )
 # the file `@xi.cfg` reads
 XI_CFG = "# the xi model's order\nmmax = 12\n"
@@ -118,6 +122,8 @@ def main() -> None:
     from zetaumm._entry import one_blas_thread
 
     one_blas_thread()  # as the `zetaumm` script does, before numpy loads
+    # a RuntimeWarning names the checkout's path to the line that raised it
+    warnings.simplefilter("ignore", RuntimeWarning)
     from zetaumm.cli import main as cli_main
 
     commands = readme_commands((ROOT / "README.md").read_text(encoding="utf-8"))

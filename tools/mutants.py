@@ -95,6 +95,9 @@ MUTANTS = [
     ("j_local terms 1000 -> 500", "src/zetaumm/zeta.py",
      "LOCAL_COUNT_TERMS = 1000  # Fourier terms of local_count_explicit; tail estimate 1/(pi terms)",
      "LOCAL_COUNT_TERMS = 500  # Fourier terms of local_count_explicit; tail estimate 1/(pi terms)"),
+    ("zero-table byte read: last digit's exponent off by one", "src/zetaumm/zeta.py",
+     "    exponents = np.where(dot < mantissa_end, dot + 1 - mantissa_end, 0)",
+     "    exponents = np.where(dot < mantissa_end, dot - mantissa_end, 0)"),
 ]
 
 
